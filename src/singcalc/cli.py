@@ -208,21 +208,38 @@ def _lys_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _id_map(data: dict, field: str, convert):
+    """The optional {id: value} map data[field], values passed through convert."""
+    value = data.get(field)
+    if value is None:
+        return None
+    try:
+        return {str(key): convert(v) for key, v in value.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {field}: {exc}") from exc
+
+
 def cmd_lys(args) -> str:
     data = _load_json(args.input)
     if not isinstance(data, dict) or "curve" not in data:
         raise InputError('lys JSON must be {"curve": {...}, "points": [...]}')
     spec = curves.curve_spec_from_dict(data["curve"])
-    k = args.k if args.k is not None else int(data.get("k", 1))
+    try:
+        k = args.k if args.k is not None else int(data.get("k", 1))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed k: {exc}") from exc
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
 
     point_entries = data.get("points", [])
+    if not isinstance(point_entries, list):
+        raise InputError(f"malformed points: expected an array, got {point_entries!r}")
     points = []
     for entry in point_entries:
         try:
             mu = int(entry["mu"])
             r = int(entry["r"])
+            charpoly = entry["charpoly"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed point entry: {exc}") from exc
         jordan1 = entry.get("jordan1")
@@ -230,7 +247,7 @@ def cmd_lys(args) -> str:
             monodromy.LYSPoint(
                 mu_p=mu,
                 r_p=r,
-                delta_p_charpoly=_cyclo_from_factor_map(entry["charpoly"]),
+                delta_p_charpoly=_cyclo_from_factor_map(charpoly),
                 jordan1_p=None if jordan1 is None else _cyclo_from_factor_map(jordan1),
             )
         )
@@ -263,13 +280,11 @@ def cmd_lys(args) -> str:
         link_graph = curves.combinatorics_from_dict(data["graph"])
         adjusted = curves.link_graph_adjust(link_graph, spec.degree, degrees)
 
-    flags = data.get("suspension_flags")
-    genera = data.get("genera")
     qhs = curves.qhs_test(
         spec,
         k,
-        genera=None if genera is None else {str(c): int(g) for c, g in genera.items()},
-        suspension_flags=None if flags is None else {str(p): bool(f) for p, f in flags.items()},
+        genera=_id_map(data, "genera", int),
+        suspension_flags=_id_map(data, "suspension_flags", bool),
     )
 
     jordan2 = None
@@ -352,18 +367,14 @@ def _weightfilt_text(report: dict) -> str:
 
 def cmd_weightfilt(args) -> str:
     h = weightfilt.matrix_from_json(_load_json(args.input))
-    m = args.m if args.m is not None else weightfilt.default_power(h)
-    deltas = weightfilt.delta_k_all(h, m)
-    hm = weightfilt.mat_pow(h, m)
-    n_mat = weightfilt.mat_sub(weightfilt.mat_identity(len(h)), hm)
-    filt = weightfilt.weight_filtration(n_mat, args.center)
+    census = weightfilt.analyze(h, args.m)
     report = {
         "dimension": len(h),
-        "m": m,
+        "m": census.m,
         "center": args.center,
-        "gr_dims": {str(level): dim for level, dim in filt.gr_dims().items()},
-        "jordan_blocks": list(weightfilt.jordan_blocks(n_mat)),
-        "delta": {str(k): _poly_block(p) for k, p in deltas.items()},
+        "gr_dims": {str(level): dim for level, dim in census.gr_dims(args.center).items()},
+        "jordan_blocks": list(census.jordan_blocks()),
+        "delta": {str(k): _poly_block(p) for k, p in census.deltas().items()},
     }
     return _emit(report, args.format, _weightfilt_text)
 

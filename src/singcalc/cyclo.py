@@ -103,9 +103,6 @@ class CycloProduct:
         """Degree as a rational function: sum m * e_m."""
         return sum(m * e for m, e in self.factors)
 
-    def is_one(self) -> bool:
-        return not self.factors
-
     def __mul__(self, other: "CycloProduct") -> "CycloProduct":
         return combine(self, other, +1)
 
@@ -385,8 +382,3 @@ def exact_divide(a: CycloProduct, b: CycloProduct) -> CycloProduct:
     if not div.is_effective():
         raise NonDivisible(min(n for n, c in div.orders if c < 0))
     return q
-
-
-def divisor_of(a: CycloProduct) -> CycloDivisor:
-    """Alias kept close to the conversion pair for discoverability."""
-    return product_to_divisor(a)

@@ -30,6 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cyclo import divisors
 from .errors import (
     InputError,
     InternalError,
@@ -221,24 +222,12 @@ def _urational_roots(a: list[Fraction]) -> list[Fraction]:
     if k > 0:
         roots.add(Fraction(0))
     a0, an = abs(ints[k]), abs(ints[-1])
-    for pn in _int_divisors(a0):
-        for qd in _int_divisors(an):
+    for pn in divisors(a0):
+        for qd in divisors(an):
             for cand in (Fraction(pn, qd), Fraction(-pn, qd)):
                 if _ueval(a, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _int_divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _ueval(a: list[Fraction], x: Fraction) -> Fraction:
@@ -246,16 +235,6 @@ def _ueval(a: list[Fraction], x: Fraction) -> Fraction:
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def _root_multiplicity_in(a: list[Fraction], r: Fraction) -> int:
-    m = 0
-    while _ueval(a, r) == 0:
-        a, _ = _udivmod(a, [-r, Fraction(1)])
-        m += 1
-        if len(a) == 1 and a[0] != 0 and m > 64:
-            raise InternalError("runaway root division")
-    return m
 
 
 # ------------------------------------------------------------ Newton polygon

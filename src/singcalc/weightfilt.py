@@ -1,16 +1,21 @@
-"""Weight filtrations of nilpotent endomorphisms, over exact rationals.
+"""Jordan structure of quasi-unipotent automorphisms, over exact rationals.
 
-Given a nilpotent N acting on a finite-dimensional rational vector space,
-the weight filtration centered at 0 is the unique increasing filtration W
-with N(W_k) contained in W_{k-2} such that N^k induces isomorphisms
-gr_k -> gr_{-k}.  This module computes it by exact row reduction, extracts
-Jordan block sizes from rank sequences, and, for a quasi-unipotent
-automorphism h, computes the level polynomials Delta^[k]: the
-characteristic polynomial of h acting on the k-th primitive subquotient,
-whose degree is the number of Jordan blocks of size k+1 and whose roots
-are those blocks' eigenvalues.
+For a quasi-unipotent automorphism h, `analyze` factors charpoly(h) into
+cyclotomic polynomials Phi_o and counts Jordan blocks from the rank
+sequence of each Phi_o(h): the blocks of size >= j at a primitive o-th
+root of unity number (rank Phi_o(h)^{j-1} - rank Phi_o(h)^j) / phi(o).
+From that census come the level polynomials Delta^[k] (the product of
+Phi_o over the blocks of size k+1, so deg Delta^[k] counts those blocks
+and its roots are their eigenvalues), the Jordan blocks of N = I - h^m
+and the graded dimensions of N's weight filtration.
 
-All matrices are tuples of tuples of Fraction; all arithmetic is exact.
+The weight filtration itself, centered at 0, is the unique increasing
+filtration W with N(W_k) contained in W_{k-2} such that N^k induces
+isomorphisms gr_k -> gr_{-k}; `weight_filtration` builds explicit bases
+for it by exact row reduction.
+
+All matrices are tuples of tuples of Fraction; all arithmetic is exact,
+and `rref` is the one elimination loop.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloDivisor, CycloProduct, _phi, expand
+from .cyclo import CycloDivisor, CycloProduct, DensePoly, _phi, expand, root_multiplicity
 from .errors import InputError, InternalError
 
 # ---------------------------------------------------------------------------
@@ -68,6 +73,13 @@ def mat_pow(a: tuple, e: int) -> tuple:
         base = mat_mul(base, base)
         e >>= 1
     return result
+
+
+def _add_scalar(a: tuple, c) -> tuple:
+    """a + c I."""
+    return tuple(
+        tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(a)
+    )
 
 
 def mat_vec(a: tuple, v: tuple) -> tuple:
@@ -137,11 +149,6 @@ def image(a: tuple) -> tuple:
     return span(tuple(zip(*a))) if a else ()
 
 
-def subspace_sum(*spaces) -> tuple:
-    rows = [r for s in spaces for r in s]
-    return span(rows)
-
-
 def subspace_intersect(u: tuple, v: tuple) -> tuple:
     """Intersection of two row spans."""
     if not u or not v:
@@ -163,119 +170,44 @@ def subspace_intersect(u: tuple, v: tuple) -> tuple:
 
 
 def in_span(v: tuple, basis: tuple) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not basis:
-        return False
-    echelon, pivots = rref(basis)
-    reduced = list(v)
-    for row, p in zip(echelon, pivots):
-        if reduced[p] != 0:
-            factor = reduced[p]
-            reduced = [x - factor * y for x, y in zip(reduced, row)]
-    return all(x == 0 for x in reduced)
+    """Whether v lies in the span of the (independent) basis rows."""
+    return len(span(tuple(basis) + (tuple(v),))) == len(basis)
 
 
 def solve_coordinates(basis: tuple, v: tuple):
     """Coordinates of v in the given (independent) basis rows, or None."""
     if not basis:
         return () if all(x == 0 for x in v) else None
-    n = len(v)
     k = len(basis)
-    # Solve the n x k system (basis^T) x = v by elimination on an
-    # augmented matrix.
-    aug = [[basis[j][i] for j in range(k)] + [v[i]] for i in range(n)]
-    rank = 0
-    pivot_cols = []
-    for col in range(k):
-        pivot_row = None
-        for r in range(rank, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [x / inv for x in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for r in range(rank, n):
-        if aug[r][k] != 0:
-            return None
+    # Reduce the augmented system (basis^T | v): it is solvable iff the
+    # last column holds no pivot.
+    rows, pivots = rref(tuple(col + (x,) for col, x in zip(zip(*basis), v)))
+    if pivots and pivots[-1] == k:
+        return None
     coords = [Fraction(0)] * k
-    for row, col in zip(aug[:rank], pivot_cols):
+    for row, col in zip(rows, pivots):
         coords[col] = row[k]
     return tuple(coords)
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial (exact, by interpolation)
+# characteristic polynomial (exact, Faddeev-LeVerrier)
 # ---------------------------------------------------------------------------
-
-
-def _det(a) -> Fraction:
-    work = [list(r) for r in a]
-    n = len(work)
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] / inv
-                for c in range(col, n):
-                    work[r][c] -= factor * work[col][c]
-    return det
 
 
 def charpoly(a: tuple) -> list:
     """Characteristic polynomial det(tI - a), coefficients low-first.
 
-    Computed exactly: evaluate the determinant at n+1 integer nodes and
-    interpolate.  Returns a list of Fractions of length n+1, monic.
+    Faddeev-LeVerrier: with M_0 = 0 and c_n = 1, M_k = a M_{k-1} + c_{n-k+1} I
+    and c_{n-k} = -tr(a M_k) / k.  Exact over Fraction; returns a monic
+    list of length n+1.
     """
     n = len(a)
-    if n == 0:
-        return [Fraction(1)]
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        shifted = tuple(
-            tuple((Fraction(x) if i == j else Fraction(0)) - a[i][j] for j in range(n))
-            for i in range(n)
-        )
-        ys.append(_det(shifted))
-    # Newton's divided differences, then expand to monomial coefficients.
-    coeffs = [Fraction(0)] * (n + 1)
-    divided = list(ys)
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    # p(t) = sum divided[i] * prod_{j<i} (t - xs[j])
-    basis = [Fraction(1)]
-    for i in range(n + 1):
-        for power, c in enumerate(basis):
-            coeffs[power] += divided[i] * c
-        new_basis = [Fraction(0)] * (len(basis) + 1)
-        for power, c in enumerate(basis):
-            new_basis[power + 1] += c
-            new_basis[power] -= xs[i] * c
-        basis = new_basis
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    am = tuple((Fraction(0),) * n for _ in range(n))  # a M_0
+    for k in range(1, n + 1):
+        am = mat_mul(a, _add_scalar(am, coeffs[n - k + 1]))
+        coeffs[n - k] = -Fraction(sum(am[i][i] for i in range(n)), k)
     return coeffs
 
 
@@ -456,7 +388,7 @@ def weight_filtration(n_mat, center: int = 0) -> WeightFiltration:
             if depth <= 0:
                 continue
             pieces.append(subspace_intersect(images[b], kernels[min(depth, dim + 1)]))
-        return subspace_sum(*pieces)
+        return span([row for piece in pieces for row in piece])
 
     levels = {}
     for k in range(-dim, dim + 1):
@@ -509,6 +441,29 @@ def _assert_weight_properties(n_mat: tuple, filt: WeightFiltration):
                 raise InternalError(f"N^{k} image escapes W_{c - k}")
 
 
+def _rank_sequence(a: tuple, floor: int) -> tuple:
+    """rank a^0, rank a^1, ... until the rank reaches floor or stops dropping."""
+    ranks = [len(a)]
+    power = mat_identity(len(a))
+    while ranks[-1] > floor and (len(ranks) < 2 or ranks[-1] < ranks[-2]):
+        power = mat_mul(power, a)
+        ranks.append(mat_rank(power))
+    return tuple(ranks)
+
+
+def _block_counts(ranks: tuple, width: int) -> dict:
+    """{s: number of Jordan blocks of size s} from a rank sequence.
+
+    Each block of size >= j drops rank a^{j-1} - rank a^j by ``width``.
+    """
+    at_least = [(r - s) // width for r, s in zip(ranks, ranks[1:])] + [0]
+    return {
+        size: at_least[size - 1] - at_least[size]
+        for size in range(1, len(at_least))
+        if at_least[size - 1] != at_least[size]
+    }
+
+
 def jordan_blocks(n_mat) -> tuple:
     """Jordan block sizes of a nilpotent matrix, descending.
 
@@ -517,19 +472,8 @@ def jordan_blocks(n_mat) -> tuple:
     n_mat = mat(n_mat)
     _check_nilpotent(n_mat)
     dim = len(n_mat)
-    if dim == 0:
-        return ()
-    ranks = [dim]
-    power = mat_identity(dim)
-    while ranks[-1] > 0:
-        power = mat_mul(power, n_mat)
-        ranks.append(mat_rank(power))
-    at_least = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
-    sizes = []
-    for j in range(len(at_least), 0, -1):
-        exactly = at_least[j - 1] - (at_least[j] if j < len(at_least) else 0)
-        sizes.extend([j] * exactly)
-    out = tuple(sorted(sizes, reverse=True))
+    counts = _block_counts(_rank_sequence(n_mat, 0), 1)
+    out = tuple(sorted((s for s, c in counts.items() for _ in range(c)), reverse=True))
     if sum(out) != dim:
         raise InternalError(f"block sizes {out} do not sum to dimension {dim}")
     return out
@@ -540,160 +484,33 @@ def jordan_blocks(n_mat) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _coeffs_poly_is_integral(coeffs) -> bool:
-    return all(Fraction(c).denominator == 1 for c in coeffs)
+def _poly_at(coeffs, a: tuple) -> tuple:
+    """The matrix p(a) for p given by low-first coefficients (Horner)."""
+    n = len(a)
+    out = tuple((Fraction(0),) * n for _ in range(n))
+    for c in reversed(coeffs):
+        out = _add_scalar(mat_mul(out, a), c)
+    return out
 
 
-def _quasi_unipotent_content(h: tuple) -> dict:
-    """Cyclotomic content of charpoly(h), or reject the matrix."""
+def _quasi_unipotent_content(h: tuple) -> tuple:
+    """Cyclotomic content of charpoly(h) and the lcm of its orders, or reject h."""
     coeffs = charpoly(h)
-    if not _coeffs_poly_is_integral(coeffs):
+    if any(c.denominator != 1 for c in coeffs):
         raise InputError(
             "matrix is not quasi-unipotent: characteristic polynomial is not integral"
         )
     content, remainder = cyclotomic_content([int(c) for c in coeffs])
     if len(remainder) > 1:
-        pretty = _poly_str(remainder)
         raise InputError(
-            f"matrix is not quasi-unipotent: non-cyclotomic factor {pretty}"
+            f"matrix is not quasi-unipotent: non-cyclotomic factor {DensePoly(remainder)}"
         )
-    return content
-
-
-def _poly_str(coeffs) -> str:
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(f"{c:+d}")
-        elif i == 1:
-            terms.append(f"{c:+d}*t" if abs(c) != 1 else ("+t" if c > 0 else "-t"))
-        else:
-            terms.append(f"{c:+d}*t^{i}" if abs(c) != 1 else (f"+t^{i}" if c > 0 else f"-t^{i}"))
-    s = " ".join(terms) if terms else "0"
-    return s[1:] if s.startswith("+") else s
-
-
-def _charpoly_to_cyclo(coeffs) -> CycloProduct:
-    if not _coeffs_poly_is_integral(coeffs):
-        raise InternalError("graded characteristic polynomial is not integral")
-    content, remainder = cyclotomic_content([int(c) for c in coeffs])
-    if len(remainder) > 1:
-        raise InternalError(
-            f"graded characteristic polynomial has non-cyclotomic factor {_poly_str(remainder)}"
-        )
-    return CycloDivisor(content).to_product()
+    return content, math.lcm(*content)
 
 
 def default_power(h) -> int:
     """The default power m for delta_k: lcm of the cyclotomic orders."""
-    content = _quasi_unipotent_content(mat(h))
-    m = 1
-    for order in content:
-        m = math.lcm(m, order)
-    return m
-
-
-def _induced_on_quotient(h: tuple, upper: tuple, lower: tuple) -> tuple:
-    """Matrix of the action induced by h on span(upper)/span(lower).
-
-    ``upper`` and ``lower`` are echelon bases with lower ⊆ upper (as
-    spaces).  Complement vectors are the rows of ``upper`` whose pivots
-    are not pivots of ``lower``; h must preserve both spaces.
-    """
-    _, piv_up = rref(upper)
-    _, piv_lo = rref(lower)
-    lower_pivots = set(piv_lo)
-    complement = [row for row, p in zip(upper, piv_up) if p not in lower_pivots]
-    k = len(complement)
-    if k == 0:
-        return ()
-    basis = tuple(lower) + tuple(complement)
-    cols = []
-    for v in complement:
-        hv = mat_vec(h, v)
-        coords = solve_coordinates(basis, hv)
-        if coords is None:
-            raise InternalError("automorphism does not preserve the filtration")
-        cols.append(coords[len(lower):])
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-
-
-def delta_k(h, k: int, m: int = None) -> CycloProduct:
-    """The level-k polynomial of a quasi-unipotent automorphism h.
-
-    Builds N = I - h^m (m defaulting to the lcm of the cyclotomic orders
-    in the characteristic polynomial), takes the weight filtration of N
-    centered at 0, and returns the characteristic polynomial of h acting
-    on the level-k primitive subquotient
-
-        P_k = ker(N^{k+1}: gr_k -> gr_{-k-2}),
-
-    as a CycloProduct.  Its degree is the number of Jordan blocks of h of
-    size k+1, and its roots are those blocks' eigenvalues.  A supplied m
-    must make the characteristic polynomial of h^m a power of t-1.
-    """
-    if k < 0:
-        raise InputError(f"level k must be >= 0, got {k}")
-    h = mat(h)
-    n = len(h)
-    content = _quasi_unipotent_content(h)
-    if m is None:
-        m = 1
-        for order in content:
-            m = math.lcm(m, order)
-    elif m < 1:
-        raise InputError(f"power m must be >= 1, got {m}")
-
-    hm = mat_pow(h, m)
-    unipotent_coeffs = charpoly(hm)
-    expected = _binomial_power_coeffs(n)
-    if unipotent_coeffs != expected:
-        raise InputError(
-            f"m = {m} does not work: characteristic polynomial of h^{m} "
-            "is not a power of t-1"
-        )
-    n_mat = mat_sub(mat_identity(n), hm)
-    filt = weight_filtration(n_mat, center=0)
-    _assert_graded_symmetry(h, filt)
-
-    upper = filt.level_basis(k)
-    below = filt.level_basis(k - 1)
-    if len(upper) == len(below):
-        return CycloProduct({})
-    # primitive vectors: images under N^{k+1} fall into W_{-k-3}
-    nk1 = mat_pow(n_mat, k + 1)
-    deep = filt.level_basis(-k - 3)
-    # Solve for combinations of the upper basis whose N^{k+1}-image lies
-    # in ``deep``, working with residues modulo ``deep`` on the image side.
-    constraints = []
-    for v in upper:
-        img = mat_vec(nk1, v)
-        constraints.append(_residue(img, deep))
-    primitive_coeff = kernel(tuple(zip(*constraints))) if constraints else ()
-    primitive = span(
-        tuple(
-            tuple(sum(c * row[i] for c, row in zip(coeffs, upper)) for i in range(n))
-            for coeffs in primitive_coeff
-        )
-        + below
-    )
-    induced = _induced_on_quotient(h, primitive, below)
-    return _charpoly_to_cyclo(charpoly(induced))
-
-
-def _residue(v: tuple, basis: tuple) -> tuple:
-    """v reduced modulo an echelon basis (residue in a fixed complement)."""
-    reduced = list(v)
-    if basis:
-        _, pivots = rref(basis)
-        for row, p in zip(basis, pivots):
-            if reduced[p] != 0:
-                factor = reduced[p]
-                reduced = [x - factor * y for x, y in zip(reduced, row)]
-    return tuple(reduced)
+    return _quasi_unipotent_content(mat(h))[1]
 
 
 def _binomial_power_coeffs(n: int) -> list:
@@ -701,31 +518,132 @@ def _binomial_power_coeffs(n: int) -> list:
     return [Fraction((-1) ** (n - i) * math.comb(n, i)) for i in range(n + 1)]
 
 
-def _assert_graded_symmetry(h: tuple, filt: WeightFiltration):
-    """charpoly of h on gr_k must match the one on gr_{-k}."""
-    dims = filt.gr_dims()
-    for level in dims:
-        if level < 0:
-            continue
-        up_pos = _induced_on_quotient(h, filt.level_basis(level), filt.level_basis(level - 1))
-        up_neg = _induced_on_quotient(
-            h, filt.level_basis(-level), filt.level_basis(-level - 1)
+@dataclass(frozen=True)
+class Census:
+    """Jordan census of a quasi-unipotent automorphism h, from rank sequences.
+
+    ``content`` maps each order o to the multiplicity of Phi_o in
+    charpoly(h); ``m`` is the power with h^m unipotent; ``ranks`` maps o
+    to (rank Phi_o(h)^0, rank Phi_o(h)^1, ...); ``blocks`` maps o to
+    {s: number of Jordan blocks of size s at one primitive o-th root of
+    unity}.  Galois-conjugate roots carry the same blocks, so each one
+    stands for phi(o) blocks over the complex numbers.
+    """
+
+    content: dict
+    m: int
+    ranks: dict
+    blocks: dict
+
+    def deltas(self) -> dict:
+        """All nonzero level polynomials, {k: Delta^[k]} with k ascending."""
+        levels = {}
+        for order, counts in self.blocks.items():
+            for size, count in counts.items():
+                levels.setdefault(size - 1, {})[order] = count
+        return {k: CycloDivisor(levels[k]).to_product() for k in sorted(levels)}
+
+    def jordan_blocks(self) -> tuple:
+        """Jordan block sizes of h over C, which are those of I - h^m, descending."""
+        sizes = (
+            size
+            for order, counts in self.blocks.items()
+            for size, count in counts.items()
+            for _ in range(count * _phi(order))
         )
-        if charpoly(up_pos) != charpoly(up_neg):
+        return tuple(sorted(sizes, reverse=True))
+
+    def gr_dims(self, center: int) -> dict:
+        """Graded dimensions of the weight filtration of I - h^m.
+
+        A block of size s fills levels center-(s-1), center-(s-3), ...,
+        center+(s-1).
+        """
+        out = {}
+        for size in self.jordan_blocks():
+            for level in range(center - size + 1, center + size, 2):
+                out[level] = out.get(level, 0) + 1
+        return dict(sorted(out.items()))
+
+
+def analyze(h, m: int = None) -> Census:
+    """Jordan census of a quasi-unipotent automorphism h.
+
+    Factors charpoly(h) into cyclotomics once, picks m (default: the lcm
+    of the orders found), checks that charpoly(h^m) is a power of t-1,
+    and for each order o counts Jordan blocks from the rank sequence of
+    Phi_o(h): the blocks of size >= j at a primitive o-th root number
+    (rank Phi_o(h)^{j-1} - rank Phi_o(h)^j) / phi(o).
+    """
+    h = mat(h)
+    n = len(h)
+    content, default_m = _quasi_unipotent_content(h)
+    if m is None:
+        m = default_m
+    elif m < 1:
+        raise InputError(f"power m must be >= 1, got {m}")
+    hm = mat_pow(h, m)
+    if charpoly(hm) != _binomial_power_coeffs(n):
+        raise InputError(
+            f"m = {m} does not work: characteristic polynomial of h^{m} "
+            "is not a power of t-1"
+        )
+    ranks = {}
+    blocks = {}
+    for order, mult in content.items():
+        phi_h = _poly_at(_cyclo_coeffs(order), h)
+        ranks[order] = _rank_sequence(phi_h, n - mult * _phi(order))
+        blocks[order] = _block_counts(ranks[order], _phi(order))
+    census = Census(content, m, ranks, blocks)
+    _assert_census(census, mat_sub(mat_identity(n), hm))
+    return census
+
+
+def _assert_census(census: Census, n_mat: tuple):
+    """Check the rank sequences against the content and against N = I - h^m."""
+    for order, ranks in census.ranks.items():
+        width = _phi(order)
+        drops = [r - s for r, s in zip(ranks, ranks[1:])]
+        if any(d < 0 or d % width for d in drops) or any(
+            d < e for d, e in zip(drops, drops[1:])
+        ):
             raise InternalError(
-                f"characteristic polynomials on gr_{level} and gr_{-level} differ"
+                f"rank sequence {ranks} of Phi_{order}(h) is not a block census"
             )
+        filled = sum(size * count for size, count in census.blocks[order].items())
+        if filled != census.content[order]:
+            raise InternalError(
+                f"blocks at order {order} fill {filled}, "
+                f"but Phi_{order} has multiplicity {census.content[order]}"
+            )
+    pooled = census.jordan_blocks()
+    if pooled != jordan_blocks(n_mat):
+        raise InternalError(
+            f"census blocks {pooled} differ from the Jordan blocks of I - h^m"
+        )
+
+
+def delta_k(h, k: int, m: int = None) -> CycloProduct:
+    """The level-k polynomial of a quasi-unipotent automorphism h.
+
+    Delta^[k] = prod_o Phi_o^{c(o, k+1)}, where c(o, s) is the number of
+    Jordan blocks of size s at a primitive o-th root of unity, read off
+    the rank sequences of Phi_o(h) by `analyze`.  Its degree is the
+    number of Jordan blocks of h of size k+1, and its roots are those
+    blocks' eigenvalues; equivalently it is the characteristic
+    polynomial of h on the level-k primitive subquotient of the weight
+    filtration of N = I - h^m.  m defaults to the lcm of the cyclotomic
+    orders in the characteristic polynomial; a supplied m must make the
+    characteristic polynomial of h^m a power of t-1.
+    """
+    if k < 0:
+        raise InputError(f"level k must be >= 0, got {k}")
+    return delta_k_all(h, m).get(k, CycloProduct({}))
 
 
 def delta_k_all(h, m: int = None) -> dict:
     """All nonzero level polynomials, {k: CycloProduct}."""
-    h = mat(h)
-    out = {}
-    for k in range(len(h) + 1):
-        poly = delta_k(h, k, m)
-        if poly.factors:
-            out[k] = poly
-    return out
+    return analyze(h, m).deltas()
 
 
 def monodromy_theorem_check(h, ambient_dim: int, m: int = None) -> dict:
@@ -735,23 +653,21 @@ def monodromy_theorem_check(h, ambient_dim: int, m: int = None) -> dict:
     fiber: Delta^[k] = 1 for k > n, and 1 is not a root of Delta^[n].
     Returns {"ok": bool, "violations": [...]} without raising.
     """
-    from .cyclo import root_multiplicity
-
     if ambient_dim < 0:
         raise InputError(f"ambient dimension must be >= 0, got {ambient_dim}")
-    h = mat(h)
+    deltas = analyze(h, m).deltas()
     violations = []
-    for k in range(len(h) + 1):
-        poly = delta_k(h, k, m)
-        if k > ambient_dim and poly.factors:
+    top = deltas.get(ambient_dim, CycloProduct({}))
+    if root_multiplicity(top, 1) != 0:
+        violations.append(
+            f"1 is a root of Delta^[{ambient_dim}] "
+            f"(multiplicity {root_multiplicity(top, 1)})"
+        )
+    for k, poly in deltas.items():
+        if k > ambient_dim:
             violations.append(
                 f"level {k} exceeds ambient dimension {ambient_dim} "
                 f"but Delta^[{k}] = {poly} != 1"
-            )
-        if k == ambient_dim and root_multiplicity(poly, 1) != 0:
-            violations.append(
-                f"1 is a root of Delta^[{ambient_dim}] "
-                f"(multiplicity {root_multiplicity(poly, 1)})"
             )
     return {"ok": not violations, "violations": violations}
 

@@ -6,6 +6,7 @@ input, 2 for valid-but-unsupported input, 3 for internal inconsistencies.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -273,6 +274,34 @@ def test_lys_points_mismatch_exits_1(capsys, tmp_path):
     assert "does not match" in err
 
 
+def _drop_first_charpoly(data):
+    del data["points"][0]["charpoly"]
+
+
+@pytest.mark.parametrize(
+    "mutate,field",
+    [
+        (_drop_first_charpoly, "charpoly"),
+        (lambda data: data.update(k="x"), "k"),
+        (lambda data: data.update(genera={"c": "x"}), "genera"),
+        (lambda data: data.update(suspension_flags=["a"]), "suspension_flags"),
+        (lambda data: data.update(points=5), "points"),
+    ],
+    ids=["point-without-charpoly", "k-not-int", "genus-not-int", "flags-not-map", "points-not-list"],
+)
+def test_lys_malformed_field_exits_1(capsys, tmp_path, mutate, field):
+    data = json.loads((DATA / "sextic6_lys.json").read_text())
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lys", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert field in lines[0]
+
+
 def test_weightfilt_bad_power_exits_1(capsys, tmp_path):
     path = tmp_path / "order6.json"
     # companion matrix of t^2 - t + 1: order 6, so m=4 cannot work
@@ -313,10 +342,14 @@ def test_console_script():
 
 
 def test_module_invocation():
+    # run the package under test, also from a checkout that is not installed
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-m", "singcalc.cli", "quotient", "--d", "7", "--beta", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["type"] == "1/7(1,3)"

@@ -1,5 +1,6 @@
 """Tests for exact weight filtrations, Jordan blocks, and level polynomials."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from singcalc.cyclo import CycloDivisor, CycloProduct, expand, root_multiplicity
 from singcalc.errors import InputError
 from singcalc.weightfilt import (
+    analyze,
     charpoly,
     cyclotomic_content,
     default_power,
@@ -19,10 +21,12 @@ from singcalc.weightfilt import (
     mat_identity,
     mat_mul,
     mat_pow,
+    mat_sub,
     matrix_from_json,
     matrix_to_json,
     monodromy_theorem_check,
     rref,
+    solve_coordinates,
     span,
     subspace_intersect,
     vector_weights,
@@ -83,6 +87,28 @@ def expected_gr_dims(sizes):
     return out
 
 
+def assert_census_matches_filtration(h):
+    """The rank census agrees with the explicit filtration of N = I - h^m."""
+    census = analyze(h)
+    n_mat = mat_sub(mat_identity(len(h)), mat_pow(h, census.m))
+    for center in (0, 2):
+        assert census.gr_dims(center) == weight_filtration(n_mat, center).gr_dims()
+    assert census.jordan_blocks() == jordan_blocks(n_mat)
+
+
+def leibniz_det(a):
+    """Determinant as the signed sum over all permutations."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
 J3 = jordan_nilpotent([3])
 
 
@@ -112,6 +138,14 @@ def test_subspace_intersect():
     assert w == ((Fraction(1), Fraction(1), Fraction(0)),)
 
 
+def test_solve_coordinates():
+    basis = span([(Fraction(1), Fraction(1), Fraction(0)), (Fraction(0), Fraction(1), Fraction(1))])
+    v = tuple(2 * x - 3 * y for x, y in zip(*basis))
+    assert solve_coordinates(basis, v) == (Fraction(2), Fraction(-3))
+    assert solve_coordinates(basis, (Fraction(0), Fraction(0), Fraction(1))) is None
+    assert solve_coordinates((), (Fraction(0), Fraction(0))) == ()
+
+
 def test_charpoly_2x2():
     assert charpoly(mat([[2, 1], [1, 2]])) == [Fraction(3), Fraction(-4), Fraction(1)]
 
@@ -131,6 +165,21 @@ def test_charpoly_companion_random():
         for i in range(n):
             comp[i][n - 1] = -coeffs[i]
         assert charpoly(mat(comp)) == coeffs
+
+
+def test_charpoly_dense_random_vs_leibniz():
+    # det(xI - a) at n+1 integer nodes pins a degree-n polynomial.
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        a = mat(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        )
+        coeffs = charpoly(a)
+        assert len(coeffs) == n + 1 and coeffs[-1] == 1
+        for x in range(n + 1):
+            shifted = [[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+            assert sum(c * x**i for i, c in enumerate(coeffs)) == leibniz_det(shifted)
 
 
 def test_matrix_json_round_trip():
@@ -230,6 +279,7 @@ def test_filtration_census_random_conjugates():
         f = weight_filtration(conj, 0)
         assert f.gr_dims() == expected_gr_dims(sizes), sizes
         assert jordan_blocks(conj) == tuple(sorted(sizes, reverse=True))
+        assert_census_matches_filtration(mat_sub(mat_identity(len(conj)), conj))
 
 
 def test_filtration_rejects_non_nilpotent():
@@ -368,6 +418,7 @@ def test_delta_k_census_random():
             off += len(p)
         h = conjugate(mat(rows), random_unimodular(n, rng))
         out = delta_k_all(h)
+        assert_census_matches_filtration(h)
         want = {
             level: CycloDivisor(orders).to_product() for level, orders in expected.items()
         }
