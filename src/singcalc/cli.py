@@ -74,7 +74,7 @@ def _emit(report: dict, fmt: str, text_renderer, dot_renderer=None) -> str:
 def _cyclo_from_factor_map(data) -> CycloProduct:
     try:
         return CycloProduct({int(m): int(e) for m, e in dict(data).items()})
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InputError(f"malformed factor map {data!r}: {exc}") from exc
 
 
@@ -93,7 +93,7 @@ def _bivar_from_json(data) -> qres2d.BivarPoly:
         for entry in data:
             key = (int(entry["i"]), int(entry["j"]))
             terms[key] = terms.get(key, Fraction(0)) + Fraction(str(entry["c"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"malformed germ entry: {exc}") from exc
     return qres2d.BivarPoly(terms)
 
@@ -208,6 +208,14 @@ def _lys_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _array(data: dict, field: str) -> list:
+    """The optional array data[field], empty when absent."""
+    value = data.get(field, [])
+    if not isinstance(value, list):
+        raise InputError(f"malformed {field}: expected an array, got {value!r}")
+    return value
+
+
 def _id_map(data: dict, field: str, convert):
     """The optional {id: value} map data[field], values passed through convert."""
     value = data.get(field)
@@ -226,21 +234,18 @@ def cmd_lys(args) -> str:
     spec = curves.curve_spec_from_dict(data["curve"])
     try:
         k = args.k if args.k is not None else int(data.get("k", 1))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed k: {exc}") from exc
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
 
-    point_entries = data.get("points", [])
-    if not isinstance(point_entries, list):
-        raise InputError(f"malformed points: expected an array, got {point_entries!r}")
     points = []
-    for entry in point_entries:
+    for entry in _array(data, "points"):
         try:
             mu = int(entry["mu"])
             r = int(entry["r"])
             charpoly = entry["charpoly"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed point entry: {exc}") from exc
         jordan1 = entry.get("jordan1")
         points.append(
@@ -251,11 +256,9 @@ def cmd_lys(args) -> str:
                 jordan1_p=None if jordan1 is None else _cyclo_from_factor_map(jordan1),
             )
         )
-    declared = [(p.id, p.mu, p.r) for p in spec.singular_points]
-    provided = [(e.get("id"), int(e["mu"]), int(e["r"])) for e in point_entries]
-    if len(declared) != len(provided) or sorted(x[1:] for x in declared) != sorted(
-        x[1:] for x in provided
-    ):
+    declared = sorted((p.mu, p.r) for p in spec.singular_points)
+    provided = sorted((p.mu_p, p.r_p) for p in points)
+    if declared != provided:
         raise InputError(
             "points list does not match the curve's singular points "
             f"(curve has {len(declared)}, got {len(provided)})"
@@ -403,9 +406,9 @@ def cmd_wlys(args) -> str:
     f = wlys.trivar_from_json(data["poly"])
     try:
         w = wlys.WeightVector(*[int(x) for x in data["weights"]])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed weights: {exc}") from exc
-    points = [wlys.point_from_json(p) for p in data.get("points", [])]
+    points = [wlys.point_from_json(p) for p in _array(data, "points")]
     out = wlys.wlys_admissibility(f, w, points)
     decomp = wlys.wdecompose(f, w)
     report = {
@@ -448,9 +451,9 @@ def cmd_zeta(args) -> str:
                 genus=int(entry.get("genus", 0)),
                 chi_open=int(entry["chi_open"]),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed vertex entry: {exc}") from exc
-    strict = [str(s) for s in data.get("strict", [])]
+    strict = [str(s) for s in _array(data, "strict")]
     graph = qres2d.SmoothResolutionGraph(vertices=vertices, edges=[], strict_vertices=strict)
     zeta = monodromy.acampo_zeta(graph)
     char = monodromy.zeta_to_char(zeta, args.n)

@@ -170,12 +170,6 @@ class CurveSpec:
             if g is not INDETERMINATE and g < 0:
                 raise InputError(f"component {comp!r} would have genus {g} < 0")
 
-    def component(self, comp_id: str) -> CurveComponent:
-        for c in self.components:
-            if c.id == comp_id:
-                return c
-        raise InputError(f"no component {comp_id!r}")
-
     def genera(self) -> dict:
         """Geometric genus per component, where the data determines it.
 
@@ -548,7 +542,7 @@ def combinatorics_from_dict(data: dict) -> Combinatorics:
             for v in data["vertices"]
         )
         edges = tuple((str(a), str(b)) for a, b in data.get("edges", []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed graph data: {exc}") from exc
     return Combinatorics(vertices, edges)
 
@@ -570,7 +564,7 @@ def curve_spec_from_dict(data: dict) -> CurveSpec:
             for p in data.get("singular_points", [])
         )
         degree = int(data["degree"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InputError(f"malformed curve data: {exc}") from exc
     return CurveSpec(degree=degree, components=components, singular_points=points)
 

@@ -31,6 +31,7 @@ __all__ = [
     "power_char",
     "root_multiplicity",
     "expand",
+    "negative_order",
     "gcd_cyclo",
     "mu",
     "divisors",
@@ -95,9 +96,6 @@ class CycloProduct:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
-
-    def exponent(self, m: int) -> int:
-        return self.as_dict().get(m, 0)
 
     def degree(self) -> int:
         """Degree as a rational function: sum m * e_m."""
@@ -179,11 +177,17 @@ def product_to_divisor(a: CycloProduct) -> CycloDivisor:
     return CycloDivisor(orders)
 
 
+def negative_order(a: CycloProduct) -> int | None:
+    """None if a is a polynomial, else the smallest n with Phi_n^{-1} in a."""
+    div = product_to_divisor(a)
+    return None if div.is_effective() else min(n for n, c in div.orders if c < 0)
+
+
 def combine(a: CycloProduct, b: CycloProduct, sign: int) -> CycloProduct:
     """a * b (sign=+1) or a / b (sign=-1), exactly, in the formal basis.
 
     >>> combine(CycloProduct({6: 1}), CycloProduct({2: 1, 3: 1}), -1).as_dict()
-    {6: 1, 2: -1, 3: -1}
+    {2: -1, 3: -1, 6: 1}
     """
     if sign not in (+1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign!r}")
@@ -197,7 +201,7 @@ def substitute_power(a: CycloProduct, s: int) -> CycloProduct:
     """The substitution t -> t^s:  (t^m-1)^e  becomes  (t^{sm}-1)^e.
 
     >>> substitute_power(CycloProduct({6: 1, 1: -1}), 7).as_dict()
-    {42: 1, 7: -1}
+    {7: -1, 42: 1}
     """
     if not (isinstance(s, int) and s >= 1):
         raise InputError(f"substitution exponent must be a positive integer, got {s!r}")
@@ -233,9 +237,8 @@ def power_char(a: CycloProduct, k: int) -> CycloProduct:
     """
     if not (isinstance(k, int) and k >= 1):
         raise InputError(f"power must be a positive integer, got {k!r}")
-    div = product_to_divisor(a)
-    if not div.is_effective():
-        bad = min(n for n, c in div.orders if c < 0)
+    bad = negative_order(a)
+    if bad is not None:
         raise NotPolynomial(bad, f"power_char input is not a polynomial: Phi_{bad} is denominator content")
     exps: dict[int, int] = {}
     for m, e in a.factors:
@@ -254,12 +257,11 @@ def gcd_cyclo(a: CycloProduct, b: CycloProduct) -> CycloProduct:
     >>> gcd_cyclo(CycloProduct({1: 5}), CycloProduct({2: 1, 1: 1})).as_dict()
     {1: 2}
     """
-    da, db = product_to_divisor(a), product_to_divisor(b)
-    for name, d in (("first", da), ("second", db)):
-        if not d.is_effective():
-            bad = min(n for n, c in d.orders if c < 0)
+    for name, p in (("first", a), ("second", b)):
+        bad = negative_order(p)
+        if bad is not None:
             raise NotPolynomial(bad, f"gcd_cyclo {name} argument is not a polynomial (Phi_{bad})")
-    adict, bdict = da.as_dict(), db.as_dict()
+    adict, bdict = product_to_divisor(a).as_dict(), product_to_divisor(b).as_dict()
     common = {n: min(adict[n], bdict[n]) for n in adict.keys() & bdict.keys()}
     return CycloDivisor(common).to_product()
 
@@ -356,9 +358,9 @@ def expand(a: CycloProduct) -> DensePoly:
     >>> print(expand(CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})))
     t^2 - t + 1
     """
-    div = product_to_divisor(a)
-    if not div.is_effective():
-        raise NotPolynomial(min(n for n, c in div.orders if c < 0))
+    bad = negative_order(a)
+    if bad is not None:
+        raise NotPolynomial(bad)
     coeffs = [1]
     for m, e in a.factors:
         for _ in range(e):
@@ -378,7 +380,7 @@ def exact_divide(a: CycloProduct, b: CycloProduct) -> CycloProduct:
     Raises NonDivisible with the smallest deficient cyclotomic index.
     """
     q = combine(a, b, -1)
-    div = product_to_divisor(q)
-    if not div.is_effective():
-        raise NonDivisible(min(n for n, c in div.orders if c < 0))
+    bad = negative_order(q)
+    if bad is not None:
+        raise NonDivisible(bad)
     return q

@@ -819,7 +819,6 @@ class LocalInvariants:
 def local_invariants(f: BivarPoly) -> LocalInvariants:
     """Milnor number, branch count and monodromy characteristic
     polynomial of a plane-curve germ, via the resolution pipeline."""
-    from .cyclo import CycloProduct
     from .monodromy import acampo_zeta, zeta_to_char
 
     graph = qresolve(f)

@@ -273,7 +273,7 @@ def trivar_from_json(data) -> TrivarPoly:
         for entry in data:
             key = (int(entry["i"]), int(entry["j"]), int(entry["l"]))
             out[key] = out.get(key, Fraction(0)) + Fraction(entry["c"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"malformed monomial entry: {exc}") from exc
     return TrivarPoly(out)
 
@@ -290,6 +290,6 @@ def point_from_json(data) -> WeightedPoint:
         coords = tuple(Fraction(x) for x in data["coords"])
         clause = str(data.get("clause", "i"))
         flags = tuple(sorted(dict(data.get("flags", {})).items()))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"malformed point entry: {exc}") from exc
     return WeightedPoint(coords=coords, clause=clause, flags=flags)

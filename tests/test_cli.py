@@ -302,6 +302,58 @@ def test_lys_malformed_field_exits_1(capsys, tmp_path, mutate, field):
     assert field in lines[0]
 
 
+def _set(path, value):
+    """Mutation that puts value at the key path inside the input data."""
+
+    def mutate(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+def _as_text(data):
+    # json.dumps writes float("inf") as Infinity; 1e400 is the JSON number
+    # that Python parses to it.
+    return json.dumps(data).replace("Infinity", "1e400")
+
+
+@pytest.mark.parametrize(
+    "command,source,mutate,field",
+    [
+        ("weightfilt", "unipotent2.json", _set((0, 0), None), "matrix entry"),
+        ("weightfilt", "unipotent2.json", _set((0, 0), float("inf")), "matrix entry"),
+        ("wlys", "wlys_s10.json", _set(("points",), 5), "points"),
+        ("wlys", "wlys_s10.json", _set(("poly", 0, "c"), float("inf")), "monomial"),
+        ("zeta", "zeta_cusp.json", _set(("strict",), 5), "strict"),
+        ("zeta", "zeta_cusp.json", _set(("vertices", 0, "multiplicity"), float("inf")), "vertex"),
+        ("lys", "sextic6_lys.json", _set(("curve", "singular_points", 0, "branches_on"), []), "curve"),
+    ],
+    ids=[
+        "weightfilt-null-entry",
+        "weightfilt-huge-entry",
+        "wlys-points-not-list",
+        "wlys-huge-coefficient",
+        "zeta-strict-not-list",
+        "zeta-huge-multiplicity",
+        "lys-branches-on-list",
+    ],
+)
+def test_malformed_field_exits_1(capsys, tmp_path, command, source, mutate, field):
+    data = json.loads((DATA / source).read_text())
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(_as_text(data))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert field in lines[0]
+
+
 def test_weightfilt_bad_power_exits_1(capsys, tmp_path):
     path = tmp_path / "order6.json"
     # companion matrix of t^2 - t + 1: order 6, so m=4 cannot work

@@ -23,6 +23,7 @@ from singcalc.cyclo import (
     expand,
     gcd_cyclo,
     mu,
+    negative_order,
     power_char,
     product_to_divisor,
     root_multiplicity,
@@ -157,6 +158,33 @@ def test_exact_divide():
     with pytest.raises(NonDivisible) as err:
         exact_divide(CycloProduct({2: 1}), CycloProduct({3: 1}))
     assert err.value.witness == 3
+
+
+@pytest.mark.parametrize(
+    "check,a",
+    [
+        (expand, CycloProduct({2: 1, 3: -1})),
+        (lambda a: power_char(a, 2), CycloProduct({1: -1})),
+        (lambda a: gcd_cyclo(a, CycloProduct({1: 1})), CycloProduct({1: -1})),
+    ],
+    ids=["expand", "power_char", "gcd_cyclo"],
+)
+def test_negative_order_matches_not_polynomial_witness(check, a):
+    with pytest.raises(NotPolynomial) as err:
+        check(a)
+    assert negative_order(a) == err.value.witness
+
+
+def test_negative_order_matches_exact_divide_witness():
+    a, b = CycloProduct({2: 1}), CycloProduct({3: 1})
+    with pytest.raises(NonDivisible) as err:
+        exact_divide(a, b)
+    assert negative_order(combine(a, b, -1)) == err.value.witness == 3
+
+
+def test_negative_order_of_polynomials_is_none():
+    assert negative_order(CycloProduct({})) is None
+    assert negative_order(CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})) is None
 
 
 def test_divisor_round_trip_known_value():

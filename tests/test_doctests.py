@@ -1,0 +1,14 @@
+"""Run the docstring examples of the modules that carry them."""
+
+import doctest
+
+import pytest
+
+from singcalc import curves, cyclo, quotient
+
+
+@pytest.mark.parametrize("module", [cyclo, quotient, curves], ids=lambda m: m.__name__)
+def test_module_doctests(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

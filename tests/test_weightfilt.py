@@ -1,6 +1,7 @@
 """Tests for exact weight filtrations, Jordan blocks, and level polynomials."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -306,6 +307,12 @@ def test_blocks_empty():
     assert jordan_blocks(()) == ()
 
 
+@pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], [[1]]], ids=["swap", "identity-1"])
+def test_blocks_rejects_non_nilpotent(rows):
+    with pytest.raises(InputError, match="nilpotent"):
+        jordan_blocks(mat(rows))
+
+
 # ------------------------------------------------------ cyclotomic content
 
 
@@ -387,10 +394,14 @@ def test_delta_k_overlapping_blocks():
     assert out == {0: CycloProduct({1: 1}), 2: CycloProduct({1: 1})}
 
 
-def test_delta_k_census_random():
-    # h = direct sum of companion(Phi_o^s): over the complex numbers this
-    # carries phi(o) Jordan blocks of size s with the primitive o-th roots
-    # of unity as eigenvalues, so Delta^[s-1] collects exactly Phi_o.
+def census_matrices():
+    """(h, expected) for 12 conjugated direct sums of companion(Phi_o^s).
+
+    Over the complex numbers companion(Phi_o^s) carries phi(o) Jordan
+    blocks of size s with the primitive o-th roots of unity as
+    eigenvalues, so Delta^[s-1] collects exactly Phi_o; ``expected`` maps
+    each level to {o: multiplicity}.
+    """
     rng = random.Random(3)
     for _ in range(12):
         pieces = []
@@ -416,7 +427,12 @@ def test_delta_k_census_random():
                 for j in range(len(p)):
                     rows[off + i][off + j] = p[i][j]
             off += len(p)
-        h = conjugate(mat(rows), random_unimodular(n, rng))
+        yield conjugate(mat(rows), random_unimodular(n, rng)), expected
+
+
+def test_delta_k_census_random():
+    for h, expected in census_matrices():
+        n = len(h)
         out = delta_k_all(h)
         assert_census_matches_filtration(h)
         want = {
@@ -441,6 +457,24 @@ def test_delta_k_rejects_bad_m():
         delta_k(h, 0, m=4)
     # any multiple of 6 is fine
     assert delta_k(h, 0, m=12) == CycloDivisor({6: 1}).to_product()
+
+
+def test_analyze_accepts_m_exactly_when_h_power_is_unipotent():
+    # The independent oracle: charpoly(h^m) computed densely.
+    for h, _ in census_matrices():
+        n = len(h)
+        t_minus_1_to_n = [Fraction((-1) ** (n - i) * math.comb(n, i)) for i in range(n + 1)]
+        lcm = default_power(h)
+        h_m = mat_identity(n)
+        for m in range(1, 2 * lcm + 1):
+            h_m = mat_mul(h_m, h)
+            unipotent = charpoly(h_m) == t_minus_1_to_n
+            try:
+                accepted = analyze(h, m).m == m
+            except InputError as exc:
+                assert "power of t-1" in str(exc)
+                accepted = False
+            assert accepted == unipotent, (m, lcm)
 
 
 def test_delta_k_rejects_negative_level():
