@@ -55,7 +55,9 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, bytes that are not UTF-8 and
+        # integer literals past the interpreter's digit limit
         raise InputError(f"input file {path} is not valid JSON: {exc}")
 
 

@@ -278,9 +278,10 @@ class DensePoly:
 
     def __init__(self, coeffs=(0,)):
         coeffs = tuple(int(c) for c in coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        top = len(coeffs) - 1
+        while top > 0 and coeffs[top] == 0:
+            top -= 1
+        object.__setattr__(self, "coeffs", coeffs[: top + 1])
 
     @property
     def degree(self) -> int:
@@ -326,48 +327,88 @@ class DensePoly:
 
 
 def _mul_by_tm_minus_1(coeffs: list[int], m: int) -> list[int]:
-    out = [0] * (len(coeffs) + m)
-    for i, c in enumerate(coeffs):
-        out[i + m] += c
-        out[i] -= c
-    return out
+    """Coefficient k of the product is coeffs[k - m] - coeffs[k]."""
+    return [a - b for a, b in zip([0] * m + coeffs, coeffs + [0] * m)]
 
 
 def _div_by_tm_minus_1(coeffs: list[int], m: int) -> list[int]:
-    """Exact division by t^m - 1; raises InternalError on a remainder."""
+    """Exact division by t^m - 1; raises InternalError on a remainder.
+
+    From p = (t^m - 1) q, top down: q[i] = p[i + m] + q[i + m].  The
+    remainder is zero exactly when p[k] + q[k] = 0 for every k < m.
+    """
     if len(coeffs) - 1 < m:
         raise InternalError(f"cannot divide degree {len(coeffs)-1} polynomial by t^{m}-1")
-    out = [0] * (len(coeffs) - m)
-    rem = list(coeffs)
-    for i in range(len(out) - 1, -1, -1):
-        q = rem[i + m]
-        out[i] = q
-        rem[i + m] -= q
-        rem[i] += q
-    if any(rem):
+    out = coeffs[m:]
+    for i in range(len(out) - 1 - m, -1, -1):
+        out[i] += out[i + m]
+    if any(p + q for p, q in zip(coeffs[:m], out)) or any(coeffs[len(out):m]):
         raise InternalError(f"division by t^{m}-1 left a remainder")
     return out
 
 
+def _binomial_power(m: int, e: int) -> list[int]:
+    """Coefficients of (t^m - 1)^e = sum_j C(e, j) (-1)^(e-j) t^(mj), e >= 0."""
+    coeffs = [0] * (m * e + 1)
+    c = -1 if e % 2 else 1
+    for j in range(e + 1):
+        coeffs[m * j] = c
+        c = -c * (e - j) // (j + 1)
+    return coeffs
+
+
 def expand(a: CycloProduct) -> DensePoly:
     """Expand a formal product into integer coefficients.
+
+    The numerator factor (t^m - 1)^e with the largest e (the smallest m
+    among equals) is written down directly from the binomial coefficients
+    C(e, j), each got from the one before; it would have cost the most
+    dense passes.  The other numerator factors are then multiplied in
+    one (t^m - 1) at a time, in increasing m.  Each denominator factor
+    (t^m - 1) is divided out exactly as soon as the product so far
+    contains it, that is every Phi_n with n | m, which keeps the dense
+    coefficient list short.
 
     Raises NotPolynomial (with the smallest offending cyclotomic index
     as witness) when some Phi_n occurs with negative total exponent.
 
     >>> print(expand(CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})))
     t^2 - t + 1
+    >>> expand(CycloProduct({2: 3})).coeffs
+    (-1, 0, 3, 0, -3, 0, 1)
     """
     bad = negative_order(a)
     if bad is not None:
         raise NotPolynomial(bad)
+    numerator = [(m, e) for m, e in a.factors if e > 0]
+    owed = {m: -e for m, e in a.factors if e < 0}
+    orders = {m: divisors(m) for m, _ in a.factors}  # t^m - 1 = prod_{n | m} Phi_n
+    content: dict[int, int] = {}  # Phi_n -> its multiplicity in coeffs
+
+    def record(m: int, e: int) -> None:
+        for n in orders[m]:
+            content[n] = content.get(n, 0) + e
+
+    def divide_out(coeffs: list[int]) -> list[int]:
+        for m in owed:
+            while owed[m] and all(content.get(n, 0) > 0 for n in orders[m]):
+                coeffs = _div_by_tm_minus_1(coeffs, m)
+                record(m, -1)
+                owed[m] -= 1
+        return coeffs
+
     coeffs = [1]
-    for m, e in a.factors:
+    if numerator:
+        first = max(numerator, key=lambda f: (f[1], -f[0]))
+        numerator.remove(first)
+        coeffs = _binomial_power(*first)
+        record(*first)
+    coeffs = divide_out(coeffs)
+    for m, e in numerator:
         for _ in range(e):
             coeffs = _mul_by_tm_minus_1(coeffs, m)
-    for m, e in a.factors:
-        for _ in range(-e):
-            coeffs = _div_by_tm_minus_1(coeffs, m)
+            record(m, 1)
+            coeffs = divide_out(coeffs)
     poly = DensePoly(coeffs)
     if poly.degree != a.degree():
         raise InternalError("expansion degree mismatch")

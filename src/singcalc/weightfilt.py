@@ -20,7 +20,9 @@ and `rref` is the one elimination loop.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -675,14 +677,33 @@ def monodromy_theorem_check(h, ambient_dim: int, m: int = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def matrix_from_json(data) -> tuple:
-    """Parse a JSON array of arrays of "p/q" strings (or numbers)."""
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise InputError("matrix JSON must be an array of arrays")
+_ENTRY = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _entry_from_json(x, i: int, j: int) -> Fraction:
+    integer = isinstance(x, int) and not isinstance(x, bool)  # JSON true/false parse to bool
+    if not (integer or isinstance(x, str) and _ENTRY.fullmatch(x)):
+        raise InputError(
+            f"bad matrix entry [{i}][{j}]: expected an integer or a "
+            f'"p/q" string, got {json.dumps(x)}'
+        )
     try:
-        return mat(data)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"bad matrix entry: {exc}") from exc
+        return Fraction(x)
+    except ZeroDivisionError as exc:
+        raise InputError(f"bad matrix entry [{i}][{j}]: zero denominator in {json.dumps(x)}") from exc
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise InputError(f"bad matrix entry [{i}][{j}]: {exc}") from exc
+
+
+def matrix_from_json(data) -> tuple:
+    """Parse a matrix as docs/schemas/matrix.schema.json defines it.
+
+    A nonempty array of rows; each entry a JSON integer or a string
+    "p" or "p/q" of decimal digits.
+    """
+    if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
+        raise InputError("matrix JSON must be a nonempty array of arrays")
+    return mat([_entry_from_json(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(data))
 
 
 def matrix_to_json(a: tuple) -> list:

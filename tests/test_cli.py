@@ -231,6 +231,19 @@ def test_malformed_json_exits_1(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[1" + b"0" * 5000 + b"]", b"[" * 100000 + b"]" * 100000, b"\xff\xfe"],
+    ids=["integer-past-digit-limit", "nested-past-recursion-limit", "not-utf8"],
+)
+def test_unparsable_json_exits_1(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "local", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "not valid JSON" in err
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "local", "--input", "/no/such/file.json")
     assert code == 1
@@ -354,6 +367,80 @@ def test_malformed_field_exits_1(capsys, tmp_path, command, source, mutate, fiel
     assert field in lines[0]
 
 
+# Matrices that docs/schemas/matrix.schema.json rejects, with the part of
+# the one error line that locates the fault.
+OFF_SCHEMA_MATRICES = [
+    ([[True, True], [False, True]], "[0][0]"),
+    ([[1, 0.1], [0, 1]], "[0][1]"),
+    ([[1, 0], [" 1 ", 1]], "[1][0]"),
+    ([[1, 0], [0, "1.5"]], "[1][1]"),
+    ([["1e2"]], "[0][0]"),
+    ([], "nonempty"),
+]
+OFF_SCHEMA_IDS = ["boolean", "float", "padded-string", "decimal-string", "exponent-string", "empty"]
+
+
+def test_weightfilt_zero_denominator_exits_1(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('[["1", "0"], ["0", "1/0"]]')
+    code, out, err = run_cli(capsys, "weightfilt", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == 'error: bad matrix entry [1][1]: zero denominator in "1/0"\n'
+
+
+@pytest.mark.parametrize("matrix,field", OFF_SCHEMA_MATRICES, ids=OFF_SCHEMA_IDS)
+def test_weightfilt_off_schema_matrix_exits_1(capsys, tmp_path, matrix, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(matrix))
+    code, out, err = run_cli(capsys, "weightfilt", "--input", str(path))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert field in lines[0]
+
+
+# Each input in tests/data with the argv that reports on it.
+INPUT_CASES = [
+    (argv, Path(argv[argv.index("--input") + 1]).name) for argv, _ in GOLDEN_CASES if "--input" in argv
+]
+MUTANTS = (None, float("inf"), [], {}, 5, "x", True)
+
+
+def _node_paths(node, prefix=()):
+    """Key paths of every node of a JSON document, the root first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _node_paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize("argv,source", INPUT_CASES, ids=[source for _, source in INPUT_CASES])
+def test_every_node_mutation_keeps_exit_contract(capsys, tmp_path, argv, source):
+    # each node of the input in turn replaced by each mutant: exit 0, 1 or 2,
+    # and a failure says so in one stderr line
+    original = json.loads((DATA / source).read_text())
+    path = tmp_path / source
+    argv = [str(path) if arg.endswith(source) else arg for arg in argv]
+    broken = []
+    for key_path in _node_paths(original):
+        for value in MUTANTS:
+            data = json.loads(json.dumps(original))
+            if key_path:
+                _set(key_path, value)(data)
+            else:
+                data = value
+            path.write_text(_as_text(data))
+            code, _, err = run_cli(capsys, *argv)
+            if code not in (0, 1, 2) or (code != 0 and len(err.splitlines()) != 1):
+                broken.append((key_path, value, code, err))
+    assert not broken, broken[:5]
+
+
 def test_weightfilt_bad_power_exits_1(capsys, tmp_path):
     path = tmp_path / "order6.json"
     # companion matrix of t^2 - t + 1: order 6, so m=4 cannot work
@@ -436,3 +523,10 @@ def test_schema_validates_sample(schema, sample):
     )
     validator_cls = jsonschema.validators.validator_for(schema_doc)
     validator_cls(schema_doc, registry=registry).validate(instance)
+
+
+@pytest.mark.parametrize("matrix", [matrix for matrix, _ in OFF_SCHEMA_MATRICES], ids=OFF_SCHEMA_IDS)
+def test_matrix_schema_rejects_off_schema_samples(matrix):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_doc = json.loads((SCHEMAS / "matrix.schema.json").read_text())
+    assert not jsonschema.validators.validator_for(schema_doc)(schema_doc).is_valid(matrix)

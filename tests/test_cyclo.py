@@ -8,6 +8,7 @@ factor rule is checked against first principles rather than itself.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from singcalc.cyclo import (
     CycloDivisor,
     CycloProduct,
     DensePoly,
+    _div_by_tm_minus_1,
     combine,
     divisors,
     exact_divide,
@@ -29,7 +31,7 @@ from singcalc.cyclo import (
     root_multiplicity,
     substitute_power,
 )
-from singcalc.errors import InputError, NonDivisible, NotPolynomial
+from singcalc.errors import InputError, InternalError, NonDivisible, NotPolynomial
 
 
 def test_moebius_small_values():
@@ -201,6 +203,11 @@ def test_dense_poly_str_and_eval():
     assert DensePoly((-1, 0, 1)).degree == 2
 
 
+def test_dense_poly_strips_long_run_of_trailing_zeros():
+    assert DensePoly([1] + [0] * 40000).degree == 0
+    assert DensePoly([0] * 40000).is_zero()
+
+
 def test_constructor_validation():
     with pytest.raises(InputError):
         CycloProduct({0: 1})
@@ -332,3 +339,84 @@ def test_gcd_matches_euclid(a, b):
     if a.degree() > 40 or b.degree() > 40:
         return
     assert tuple(expand(gcd_cyclo(a, b)).coeffs) == _poly_gcd_oracle(a, b)
+
+
+# ---------------------------------------------------------- expand oracles
+
+
+def _expand_by_repeated_passes(a: CycloProduct) -> tuple:
+    """Reference expansion: one dense pass per factor (t^m - 1), exponent times."""
+    coeffs = [1]
+    for m, e in a.factors:
+        for _ in range(e):
+            out = [0] * (len(coeffs) + m)
+            for i, c in enumerate(coeffs):
+                out[i + m] += c
+                out[i] -= c
+            coeffs = out
+    for m, e in a.factors:
+        for _ in range(-e):
+            out = [0] * (len(coeffs) - m)
+            rem = list(coeffs)
+            for i in range(len(out) - 1, -1, -1):
+                q = rem[i + m]
+                out[i] = q
+                rem[i + m] -= q
+                rem[i] += q
+            assert not any(rem)
+            coeffs = out
+    return tuple(coeffs)
+
+
+def _exact_value(a: CycloProduct, t: int) -> Fraction:
+    value = Fraction(1)
+    for m, e in a.factors:
+        value *= Fraction(t**m - 1) ** e
+    return value
+
+
+@st.composite
+def dominated_products(draw):
+    """Polynomial-valued products led by one (t^m - 1)^e with e <= 60.
+
+    Denominators (t^d - 1)^f take d | m and sum f <= e, so each Phi_n they
+    remove is a factor of the leading power.
+    """
+    m = draw(st.integers(min_value=1, max_value=12))
+    e = draw(st.integers(min_value=0, max_value=60))
+    exps = {m: e}
+    budget = e
+    for d in draw(st.lists(st.sampled_from(divisors(m)), max_size=3)):
+        f = draw(st.integers(min_value=0, max_value=budget))
+        budget -= f
+        exps[d] = exps.get(d, 0) - f
+    return combine(CycloProduct(exps), draw(effective_products), +1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(dominated_products())
+def test_expand_matches_repeated_passes_and_exact_values(a):
+    dense = expand(a)
+    assert dense.coeffs == _expand_by_repeated_passes(a)
+    for t in (2, 3):
+        assert dense.evaluate(t) == _exact_value(a, t)
+
+
+def test_expand_cone_shaped_product():
+    # the monodromy of a degree-26 cone: (t^26 - 1)^571 carries most of the degree
+    a = CycloProduct(
+        {1: -1, 26: 571, 27: 8, 54: -5, 81: -4, 108: -2, 135: -2, 162: 3, 270: 2, 324: 2}
+    )
+    dense = expand(a)
+    assert dense.degree == 15655
+    assert dense.coeffs == _expand_by_repeated_passes(a)
+    assert dense.evaluate(2) == _exact_value(a, 2)
+
+
+@pytest.mark.parametrize(
+    "coeffs,m",
+    [([1, 1], 1), ([0, 5, 0, 1], 2), ([3, 0, 0, 1], 3), ([-1, 7, 0, 1], 3), ([1], 1)],
+)
+def test_division_by_tm_minus_1_rejects_a_remainder(coeffs, m):
+    with pytest.raises(InternalError):
+        _div_by_tm_minus_1(coeffs, m)
