@@ -15,6 +15,7 @@ rationals are serialized as strings "p/q".  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -512,6 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call and reused after it,
+    since building one costs more than most reports."""
+    return build_parser()
+
+
 _HANDLERS = {
     "local": cmd_local,
     "lys": cmd_lys,
@@ -523,9 +531,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; that is an input error here.
         return 0 if exc.code == 0 else 1

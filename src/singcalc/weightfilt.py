@@ -14,17 +14,27 @@ filtration W with N(W_k) contained in W_{k-2} such that N^k induces
 isomorphisms gr_k -> gr_{-k}; `weight_filtration` builds explicit bases
 for it by exact row reduction.
 
-All matrices are tuples of tuples of Fraction; all arithmetic is exact,
-and `rref` is the one elimination loop.
+Matrices are tuples of row tuples.  `mat` and `matrix_from_json` give
+Fraction entries, and the arithmetic helpers take int and Fraction
+entries alike.  `analyze` clears denominators once, h = H / d with H an
+integer matrix, and from there computes on Python ints only: the
+characteristic polynomial, Phi_o(h) up to the scale d^deg, the rank
+sequences and h^m as (integer matrix, denominator); a rank does not
+change under a nonzero scale factor.  Every rank, echelon form, kernel
+and solution comes from one fraction-free Gauss-Jordan (Bareiss) loop
+over integer rows, `_eliminate`; `rref` divides by its last pivot once
+at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cyclo import CycloDivisor, CycloProduct, DensePoly, _phi, expand, root_multiplicity
 from .errors import InputError, InternalError
@@ -34,47 +44,75 @@ from .errors import InputError, InternalError
 # ---------------------------------------------------------------------------
 
 
+def _check_square(rows) -> None:
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise InputError(f"matrix must be square, got row of length {len(row)} in {n} rows")
+
+
 def mat(rows) -> tuple:
     """Normalize to an immutable square matrix of Fractions.
 
     Accepts ints, Fractions, or "p/q" strings as entries.
     """
     out = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    n = len(out)
-    for row in out:
-        if len(row) != n:
-            raise InputError(f"matrix must be square, got row of length {len(row)} in {n} rows")
+    _check_square(out)
     return out
 
 
-def mat_identity(n: int) -> tuple:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
+def _integer_form(a) -> tuple:
+    """(H, d) with a = H / d: H a square matrix of ints, d >= 1 the least
+    common denominator of the entries, which are those `mat` accepts."""
+    rows = tuple(
+        tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row) for row in a
     )
+    _check_square(rows)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
+
+
+def mat_identity(n: int) -> tuple:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: tuple, b: tuple) -> tuple:
     n = len(a)
     bt = tuple(zip(*b)) if n else ()
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_sub(a: tuple, b: tuple) -> tuple:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_pow(a: tuple, e: int) -> tuple:
-    n = len(a)
-    result = mat_identity(n)
-    base = a
+def _cancel(a: tuple, d: int) -> tuple:
+    """The rational matrix a / d with its entries and d divided by their gcd."""
+    g = math.gcd(d, *(x for row in a for x in row))
+    if g == 1:
+        return a, d
+    return tuple(tuple(x // g for x in row) for row in a), d // g
+
+
+def _scaled_pow(h: tuple, d: int, e: int) -> tuple:
+    """(h / d)^e for an integer matrix h, as (integer matrix, denominator).
+
+    Repeated squaring with each product cancelled by its gcd, so the
+    denominator stays that of the power itself, not d^e.
+    """
+    result, result_d = mat_identity(len(h)), 1
     while e:
         if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result, result_d = _cancel(mat_mul(result, h), result_d * d)
         e >>= 1
-    return result
+        if e:
+            h, d = _cancel(mat_mul(h, h), d * d)
+    return result, result_d
+
+
+def mat_pow(a: tuple, e: int) -> tuple:
+    power, d = _scaled_pow(*_integer_form(a), e)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in power)
 
 
 def _add_scalar(a: tuple, c) -> tuple:
@@ -88,32 +126,49 @@ def mat_vec(a: tuple, v: tuple) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def rref(rows) -> tuple:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
+def _integer_row(row) -> list:
+    """The row times the lcm of its denominators: integer entries, same line."""
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _eliminate(rows) -> tuple:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of rational rows.
+
+    Each row is first scaled to integers.  Returns (reduced, pivots,
+    last): the nonzero reduced rows as int lists, their pivot columns and
+    the last pivot (1 if there is none).  Each reduced row holds ``last``
+    at its own pivot column and 0 at the other pivot columns, so dividing
+    by ``last`` gives the reduced row echelon form.  Every division is
+    exact: after each step the entries are minors of the scaled input and
+    the previous pivot divides them (Sylvester's identity; Bareiss 1968).
+    """
+    work = [_integer_row(row) for row in rows]
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                pivot_row = r
-                break
+    last = 1
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col]
-        work[rank] = [x / inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        top = work[rank]
+        p = top[col]
+        for r, row in enumerate(work):
+            if r != rank:
+                c = row[col]
+                work[r] = [(p * x - c * y) // last for x, y in zip(row, top)]
         pivots.append(col)
-        rank += 1
-    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+        last = p
+        if rank + 1 == len(work):
+            break
+    return work[: len(pivots)], tuple(pivots), last
+
+
+def rref(rows) -> tuple:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    reduced, pivots, last = _eliminate(rows)
+    return tuple(tuple(Fraction(x, last) for x in row) for row in reduced), pivots
 
 
 def span(rows) -> tuple:
@@ -122,7 +177,7 @@ def span(rows) -> tuple:
 
 
 def mat_rank(a: tuple) -> int:
-    return len(span(a))
+    return len(_eliminate(a)[1])
 
 
 def kernel(a: tuple) -> tuple:
@@ -173,7 +228,7 @@ def subspace_intersect(u: tuple, v: tuple) -> tuple:
 
 def in_span(v: tuple, basis: tuple) -> bool:
     """Whether v lies in the span of the (independent) basis rows."""
-    return len(span(tuple(basis) + (tuple(v),))) == len(basis)
+    return mat_rank(tuple(basis) + (tuple(v),)) == len(basis)
 
 
 def solve_coordinates(basis: tuple, v: tuple):
@@ -197,20 +252,31 @@ def solve_coordinates(basis: tuple, v: tuple):
 # ---------------------------------------------------------------------------
 
 
+def _int_charpoly(h: tuple) -> list:
+    """det(tI - h) of an integer matrix, integer coefficients low-first.
+
+    Faddeev-LeVerrier: with M_0 = 0 and c_n = 1, M_k = h M_{k-1} + c_{n-k+1} I
+    and c_{n-k} = -tr(h M_k) / k.  Every M_k is an integer matrix and the
+    division by k is exact.
+    """
+    n = len(h)
+    coeffs = [0] * n + [1]
+    hm = tuple((0,) * n for _ in range(n))  # h M_0
+    for k in range(1, n + 1):
+        hm = mat_mul(h, _add_scalar(hm, coeffs[n - k + 1]))
+        coeffs[n - k] = -(sum(hm[i][i] for i in range(n)) // k)
+    return coeffs
+
+
 def charpoly(a: tuple) -> list:
     """Characteristic polynomial det(tI - a), coefficients low-first.
 
-    Faddeev-LeVerrier: with M_0 = 0 and c_n = 1, M_k = a M_{k-1} + c_{n-k+1} I
-    and c_{n-k} = -tr(a M_k) / k.  Exact over Fraction; returns a monic
-    list of length n+1.
+    With a = H / d and H integral, the coefficient of t^k is
+    c_k(H) / d^(n-k).  Returns a monic list of n+1 Fractions.
     """
-    n = len(a)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    am = tuple((Fraction(0),) * n for _ in range(n))  # a M_0
-    for k in range(1, n + 1):
-        am = mat_mul(a, _add_scalar(am, coeffs[n - k + 1]))
-        coeffs[n - k] = -Fraction(sum(am[i][i] for i in range(n)), k)
-    return coeffs
+    h, d = _integer_form(a)
+    n = len(h)
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(_int_charpoly(h))]
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +305,10 @@ def _int_poly_divide(num: list, den: list):
     return quot
 
 
-def _cyclo_coeffs(n: int) -> list:
+@functools.cache
+def _cyclo_coeffs(n: int) -> tuple:
     """Integer coefficients (low-first) of the n-th cyclotomic polynomial."""
-    poly = expand(CycloDivisor({n: 1}).to_product())
-    return list(poly.coeffs)
+    return expand(CycloDivisor({n: 1}).to_product()).coeffs
 
 
 def cyclotomic_content(coeffs: list):
@@ -447,9 +513,9 @@ def _assert_weight_properties(n_mat: tuple, filt: WeightFiltration):
 def _rank_sequence(a: tuple, floor: int) -> tuple:
     """rank a^0, rank a^1, ... until the rank reaches floor or stops dropping."""
     ranks = [len(a)]
-    power = mat_identity(len(a))
+    power = None
     while ranks[-1] > floor and (len(ranks) < 2 or ranks[-1] < ranks[-2]):
-        power = mat_mul(power, a)
+        power = a if power is None else mat_mul(power, a)
         ranks.append(mat_rank(power))
     return tuple(ranks)
 
@@ -472,7 +538,7 @@ def jordan_blocks(n_mat) -> tuple:
 
     The number of blocks of size >= j is rank(N^{j-1}) - rank(N^j).
     """
-    n_mat = mat(n_mat)
+    n_mat, _ = _integer_form(n_mat)  # the same ranks, scaled to integers
     dim = len(n_mat)
     ranks = _rank_sequence(n_mat, 0)
     if ranks[-1]:
@@ -489,23 +555,28 @@ def jordan_blocks(n_mat) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _poly_at(coeffs, a: tuple) -> tuple:
-    """The matrix p(a) for p given by low-first coefficients (Horner)."""
-    n = len(a)
-    out = tuple((Fraction(0),) * n for _ in range(n))
-    for c in reversed(coeffs):
-        out = _add_scalar(mat_mul(out, a), c)
+def _scaled_poly_at(coeffs, h: tuple, d: int) -> tuple:
+    """d^deg p(h / d) for an integer matrix h and p given by low-first
+    integer coefficients: an integer matrix, by Horner's rule."""
+    n = len(h)
+    deg = len(coeffs) - 1
+    out = tuple((0,) * n for _ in range(n))
+    for i in range(deg, -1, -1):
+        out = _add_scalar(mat_mul(out, h), coeffs[i] * d ** (deg - i))
     return out
 
 
-def _quasi_unipotent_content(h: tuple) -> tuple:
-    """Cyclotomic content of charpoly(h) and the lcm of its orders, or reject h."""
-    coeffs = charpoly(h)
-    if any(c.denominator != 1 for c in coeffs):
+def _quasi_unipotent_content(h: tuple, d: int) -> tuple:
+    """Cyclotomic content of charpoly(h / d) and the lcm of its orders, or
+    reject h / d.  Its charpoly is integral when d^(n-k) divides c_k(h)."""
+    n = len(h)
+    scales = [d ** (n - k) for k in range(n + 1)]
+    coeffs = _int_charpoly(h)
+    if any(c % s for c, s in zip(coeffs, scales)):
         raise InputError(
             "matrix is not quasi-unipotent: characteristic polynomial is not integral"
         )
-    content, remainder = cyclotomic_content([int(c) for c in coeffs])
+    content, remainder = cyclotomic_content([c // s for c, s in zip(coeffs, scales)])
     if len(remainder) > 1:
         raise InputError(
             f"matrix is not quasi-unipotent: non-cyclotomic factor {DensePoly(remainder)}"
@@ -515,7 +586,7 @@ def _quasi_unipotent_content(h: tuple) -> tuple:
 
 def default_power(h) -> int:
     """The default power m for delta_k: lcm of the cyclotomic orders."""
-    return _quasi_unipotent_content(mat(h))[1]
+    return _quasi_unipotent_content(*_integer_form(h))[1]
 
 
 @dataclass(frozen=True)
@@ -576,9 +647,9 @@ def analyze(h, m: int = None) -> Census:
     Phi_o(h): the blocks of size >= j at a primitive o-th root number
     (rank Phi_o(h)^{j-1} - rank Phi_o(h)^j) / phi(o).
     """
-    h = mat(h)
+    h, d = _integer_form(h)  # h / d is the automorphism
     n = len(h)
-    content, default_m = _quasi_unipotent_content(h)
+    content, default_m = _quasi_unipotent_content(h, d)
     if m is None:
         m = default_m
     elif m < 1:
@@ -591,11 +662,13 @@ def analyze(h, m: int = None) -> Census:
     ranks = {}
     blocks = {}
     for order, mult in content.items():
-        phi_h = _poly_at(_cyclo_coeffs(order), h)
+        phi_h = _scaled_poly_at(_cyclo_coeffs(order), h, d)
         ranks[order] = _rank_sequence(phi_h, n - mult * _phi(order))
         blocks[order] = _block_counts(ranks[order], _phi(order))
     census = Census(content, m, ranks, blocks)
-    _assert_census(census, mat_sub(mat_identity(n), mat_pow(h, m)))
+    power, power_d = _scaled_pow(h, d, m)
+    # power_d (I - h^m) has the Jordan blocks of I - h^m
+    _assert_census(census, _add_scalar(tuple(tuple(-x for x in row) for row in power), power_d))
     return census
 
 
@@ -703,7 +776,11 @@ def matrix_from_json(data) -> tuple:
     """
     if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
         raise InputError("matrix JSON must be a nonempty array of arrays")
-    return mat([_entry_from_json(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(data))
+    rows = tuple(
+        tuple(_entry_from_json(x, i, j) for j, x in enumerate(row)) for i, row in enumerate(data)
+    )
+    _check_square(rows)
+    return rows
 
 
 def matrix_to_json(a: tuple) -> list:

@@ -419,14 +419,36 @@ def _node_paths(node, prefix=()):
         yield from _node_paths(child, prefix + (key,))
 
 
+def _dropped(data, path):
+    """A copy of the input data without the key at the end of the path."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return data
+
+
+def _misshapen_matrices(rows):
+    """Non-square and ragged variants of a square matrix."""
+    n = len(rows)
+    yield rows[:-1]  # a row short
+    yield rows + [rows[0]]  # a row too many
+    yield [row + ["0"] for row in rows]  # a column too many
+    for i in range(n):
+        yield rows[:i] + [rows[i][:-1]] + rows[i + 1 :]  # one row short of an entry
+        yield rows[:i] + [rows[i] + ["0"]] + rows[i + 1 :]  # one row with an extra entry
+
+
 @pytest.mark.parametrize("argv,source", INPUT_CASES, ids=[source for _, source in INPUT_CASES])
 def test_every_node_mutation_keeps_exit_contract(capsys, tmp_path, argv, source):
-    # each node of the input in turn replaced by each mutant: exit 0, 1 or 2,
-    # and a failure says so in one stderr line
+    # each node of the input in turn replaced by each mutant, and each key
+    # of each object in turn dropped: exit 0, 1 or 2, and a failure says so
+    # in one stderr line; a weightfilt matrix that is not square exits 1
     original = json.loads((DATA / source).read_text())
     path = tmp_path / source
     argv = [str(path) if arg.endswith(source) else arg for arg in argv]
-    broken = []
+    variants = []  # (description, data, allowed exit codes)
     for key_path in _node_paths(original):
         for value in MUTANTS:
             data = json.loads(json.dumps(original))
@@ -434,10 +456,19 @@ def test_every_node_mutation_keeps_exit_contract(capsys, tmp_path, argv, source)
                 _set(key_path, value)(data)
             else:
                 data = value
-            path.write_text(_as_text(data))
-            code, _, err = run_cli(capsys, *argv)
-            if code not in (0, 1, 2) or (code != 0 and len(err.splitlines()) != 1):
-                broken.append((key_path, value, code, err))
+            variants.append(((key_path, value), data, (0, 1, 2)))
+    for key_path in _node_paths(original):
+        if key_path and isinstance(key_path[-1], str):  # a key of an object
+            variants.append((("drop",) + key_path, _dropped(original, key_path), (0, 1, 2)))
+    if argv[0] == "weightfilt":
+        for rows in _misshapen_matrices(original):
+            variants.append((rows, rows, (1,)))
+    broken = []
+    for described, data, allowed in variants:
+        path.write_text(_as_text(data))
+        code, _, err = run_cli(capsys, *argv)
+        if code not in allowed or (code != 0 and len(err.splitlines()) != 1):
+            broken.append((described, code, err))
     assert not broken, broken[:5]
 
 
@@ -478,6 +509,26 @@ def test_console_script():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["chain_self_intersections"] == [-2, -2, -3]
+
+
+def test_reused_parser_reports_as_fresh_parsers(capsys):
+    # main builds its parser once per process; a run of calls on it gives
+    # the exit codes, stdout and stderr of calls that each build their own
+    runs = [
+        ("quotient", "--d", "7", "--beta", "5", "--bogus"),
+        ("--help",),
+        ("quotient", "--d", "7", "--beta", "5", "--format", "text"),
+        ("weightfilt", "--input", str(DATA / "unipotent2.json"), "--center", "2"),
+    ]
+    cli._parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0]
+    assert "--bogus" in reused[0][2] and "usage: singcalc" in reused[1][1]
 
 
 def test_module_invocation():

@@ -365,6 +365,30 @@ def test_property_torus_milnor_number(p, q, a, b):
     assert inv.branches == 1
 
 
+def test_kouchnirenko_newton_number():
+    """x^a + y^b + x^i y^j with (i, j) strictly below the Newton diagonal.
+
+    The germ is convenient and each edge of its Newton polygon is a
+    binomial, so it is Newton nondegenerate and Kouchnirenko's formula
+    mu = 2V - a - b + 1 holds, V the area under the polygon.
+    """
+    checked = 0
+    for a in range(2, 7):
+        for b in range(a, 8):
+            for i in range(1, a):
+                for j in range(1, b):
+                    if i * b + j * a >= a * b:
+                        continue
+                    try:
+                        inv = local_invariants(P({(a, 0): 1, (0, b): 1, (i, j): 1}))
+                    except Unsupported:
+                        continue  # outside what the resolution supports
+                    two_v = a * j + i * b
+                    assert inv.mu == two_v - a - b + 1, (a, b, i, j)
+                    checked += 1
+    assert checked >= 20
+
+
 @given(
     slopes=st.lists(st.integers(-5, 5), min_size=2, max_size=5, unique=True),
 )

@@ -10,6 +10,7 @@ import pytest
 from singcalc.cyclo import CycloDivisor, CycloProduct, expand, root_multiplicity
 from singcalc.errors import InputError
 from singcalc.weightfilt import (
+    Census,
     analyze,
     charpoly,
     cyclotomic_content,
@@ -17,11 +18,13 @@ from singcalc.weightfilt import (
     delta_k,
     delta_k_all,
     jordan_blocks,
+    in_span,
     kernel,
     mat,
     mat_identity,
     mat_mul,
     mat_pow,
+    mat_rank,
     mat_sub,
     matrix_from_json,
     matrix_to_json,
@@ -110,6 +113,47 @@ def leibniz_det(a):
     return total
 
 
+def rref_by_fractions(rows):
+    """Reduced row echelon form by Fraction pivoting, the reference for `rref`."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    if not work:
+        return (), ()
+    pivots = []
+    rank = 0
+    for col in range(len(work[0])):
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = work[rank][col]
+        work[rank] = [x / inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+
+
+def random_low_rank(rng, rational):
+    """A rows x cols matrix of rank <= min(rows, cols), some rows zeroed."""
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    rank = rng.randint(0, min(rows, cols))
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4) if rational else 1)
+
+    left = [[entry() for _ in range(rank)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rank)]
+    return tuple(
+        tuple(sum((row[k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(cols))
+        if rng.random() > 0.1
+        else (Fraction(0),) * cols
+        for row in left
+    )
+
+
 J3 = jordan_nilpotent([3])
 
 
@@ -120,6 +164,36 @@ def test_rref_canonical():
     rows, pivots = rref(mat([[2, 4], [1, 2]]))
     assert rows == ((Fraction(1), Fraction(2)),)
     assert pivots == (0,)
+
+
+def test_fraction_free_kernel_matches_fraction_pivoting():
+    # rref, rank, kernel, in_span and solve_coordinates all run on the
+    # fraction-free elimination; Fraction pivoting is the reference
+    rng = random.Random(5)
+    for case in range(600):
+        a = random_low_rank(rng, rational=case % 2 == 1)
+        rows, pivots = rref_by_fractions(a)
+        assert rref(a) == (rows, pivots)
+        assert mat_rank(a) == len(rows)
+        # the null space: annihilated by a, of the right dimension, canonical
+        null = kernel(a)
+        assert len(null) == len(a[0]) - len(rows)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a for v in null)
+        assert rref_by_fractions(null)[0] == null
+        # coordinates in an independent, non-echelon basis of the row span
+        basis = ()
+        for row in a:
+            if len(rref_by_fractions(basis + (row,))[0]) > len(basis):
+                basis += (row,)
+        coords = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis)
+        v = tuple(
+            sum((c * row[j] for c, row in zip(coords, basis)), Fraction(0)) for j in range(len(a[0]))
+        )
+        assert solve_coordinates(basis, v) == coords and in_span(v, basis)
+        w = tuple(Fraction(rng.randint(-3, 3)) for _ in v)
+        inside = len(rref_by_fractions(basis + (w,))[0]) == len(basis)
+        assert in_span(w, basis) == inside
+        assert (solve_coordinates(basis, w) is not None) == inside
 
 
 def test_kernel_rectangular():
@@ -442,6 +516,31 @@ def test_delta_k_census_random():
         # degree bookkeeping: sum over levels of (k+1) * deg = dimension
         assert sum((k + 1) * expand(p).degree for k, p in out.items()) == n
         assert sum(expand(p).degree for p in out.values()) <= n
+
+
+def test_analyze_rational_conjugates():
+    # conjugating by P with det P = +-2 or +-3 puts denominators into h, which
+    # analyze clears once; the census is a similarity invariant
+    rng = random.Random(8)
+    for h, _ in census_matrices():
+        n = len(h)
+        p = [list(row) for row in random_unimodular(n, rng)]
+        scale = rng.choice([2, -2, 3, -3])
+        row = rng.randrange(n)
+        p[row] = [scale * x for x in p[row]]
+        rational = conjugate(h, mat(p))
+        assert any(x.denominator != 1 for r in rational for x in r)
+        assert analyze(rational) == analyze(h)
+
+
+def test_analyze_rational_huge_power():
+    # h = -(I - N) with N = h + I and N^2 = 0, so h^m = (-1)^m (I - m N): its
+    # denominator stays 2, where scaling h^m by d^m = 2^m would not
+    h = mat([["-1/2", "-1/2"], ["1/2", "-3/2"]])
+    m = 10**8
+    half = Fraction(m, 2)
+    assert mat_pow(h, m) == mat([[1 - half, half], [-half, 1 + half]])
+    assert analyze(h, m) == Census({2: 2}, m, {2: (2, 1, 0)}, {2: {2: 1}})
 
 
 def test_delta_k_rejects_non_quasi_unipotent():
