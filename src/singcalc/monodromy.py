@@ -164,19 +164,28 @@ def milnor_number(d: int, k: int, mu_cd: int) -> int:
 
 def char_poly_lys(inp: LYSInput) -> CycloProduct:
     """Characteristic polynomial of the monodromy on H^2 of the Milnor
-    fiber, from the tangent-cone data."""
+    fiber, from the tangent-cone data.
+
+    The points must fit on a reduced curve of degree d: by the genus
+    formula, sum delta_p <= (d-1)(d-2)/2 + min(d-1, sum (r_p - 1)), where
+    2 delta_p = mu_p + r_p - 1 (Milnor).  d concurrent lines meet the
+    bound with equality.
+    """
+    d = inp.d
     mu_cd = inp.mu_cone()
-    e0 = inp.d**2 - 3 * inp.d + 3 - mu_cd
-    if e0 < 0:
+    twice_delta = sum(p.mu_p + p.r_p - 1 for p in inp.points)
+    twice_bound = (d - 1) * (d - 2) + 2 * min(d - 1, sum(p.r_p - 1 for p in inp.points))
+    if twice_delta > twice_bound:
         raise InputError(
-            f"mu(C_d) = {mu_cd} exceeds d^2-3d+3 = {e0 + mu_cd}: "
-            "outside the regime of the product formula"
+            f"2 sum(delta_p) = {twice_delta} exceeds (d-1)(d-2) + "
+            f"2 min(d-1, sum(r_p-1)) = {twice_bound}: "
+            f"no reduced curve of degree {d} has these singular points"
         )
-    acc = CycloProduct({inp.d: e0, 1: -1})
+    acc = CycloProduct({d: d**2 - 3 * d + 3 - mu_cd, 1: -1})
     for p in inp.points:
         local = power_char(p.delta_p_charpoly, inp.k)
-        acc = acc * substitute_power(local, inp.d + inp.k)
-    expected = milnor_number(inp.d, inp.k, mu_cd)
+        acc = acc * substitute_power(local, d + inp.k)
+    expected = milnor_number(d, inp.k, mu_cd)
     if acc.degree() != expected:
         raise InternalError(
             f"characteristic polynomial has degree {acc.degree()}, "

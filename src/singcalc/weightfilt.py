@@ -12,7 +12,10 @@ and the graded dimensions of N's weight filtration.
 The weight filtration itself, centered at 0, is the unique increasing
 filtration W with N(W_k) contained in W_{k-2} such that N^k induces
 isomorphisms gr_k -> gr_{-k}; `weight_filtration` builds explicit bases
-for it by exact row reduction.
+for it.  It scales N to an integer matrix once; the images and kernels
+of its powers, their intersections (Zassenhaus) and the levels are
+primitive integer rows, the post-hoc checks run on them, and Fractions
+appear only in the canonical echelon bases it returns.
 
 Matrices are tuples of row tuples.  `mat` and `matrix_from_json` give
 Fraction entries, and the arithmetic helpers take int and Fraction
@@ -20,10 +23,10 @@ entries alike.  `analyze` clears denominators once, h = H / d with H an
 integer matrix, and from there computes on Python ints only: the
 characteristic polynomial, Phi_o(h) up to the scale d^deg, the rank
 sequences and h^m as (integer matrix, denominator); a rank does not
-change under a nonzero scale factor.  Every rank, echelon form, kernel
-and solution comes from one fraction-free Gauss-Jordan (Bareiss) loop
-over integer rows, `_eliminate`; `rref` divides by its last pivot once
-at the end.
+change under a nonzero scale factor.  Every rank, echelon form, kernel,
+intersection and solution comes from one fraction-free Gauss-Jordan
+(Bareiss) loop over integer rows, `_eliminate`; `rref` divides by its
+last pivot once at the end.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .cyclo import CycloDivisor, CycloProduct, DensePoly, _phi, expand, root_multiplicity
+from .cyclo import CycloDivisor, CycloProduct, DensePoly, _phi, expand
 from .errors import InputError, InternalError
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,16 @@ def _integer_row(row) -> list:
     return [x.numerator * (d // x.denominator) for x in row]
 
 
+def _primitive(row) -> list:
+    """An integer row divided by the gcd of its entries.
+
+    Rows that come out of an elimination carry minors of its input; the
+    explicit bases below divide them out before they are reduced again.
+    """
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _eliminate(rows) -> tuple:
     """Fraction-free Gauss-Jordan (Bareiss) elimination of rational rows.
 
@@ -180,25 +193,33 @@ def mat_rank(a: tuple) -> int:
     return len(_eliminate(a)[1])
 
 
+def _kernel_rows(a) -> list:
+    """Integer basis of {v : a v = 0} for a matrix with at least one row.
+
+    The vector of a free column j holds the last pivot at j, 0 at the other
+    free columns and -row[j] at the pivot column of each reduced row.
+    """
+    reduced, pivots, last = _eliminate(a)
+    ncols = len(a[0])
+    out = []
+    for j in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[j] = last
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[j]
+        out.append(_primitive(v))
+    return out
+
+
 def kernel(a: tuple) -> tuple:
     """Canonical basis of the right null space {v : a v = 0}.
 
     Works for rectangular matrices; vectors have length = column count.
+
+    >>> kernel(((1, 2),))
+    ((Fraction(1, 1), Fraction(-1, 2)),)
     """
-    if not a:
-        return ()
-    ncols = len(a[0])
-    basis_rows, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    out = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for row, p in zip(basis_rows, pivots):
-            v[p] = -row[j]
-        out.append(tuple(v))
-    return span(out)
+    return rref(_kernel_rows(a))[0] if a else ()
 
 
 def image(a: tuple) -> tuple:
@@ -206,24 +227,28 @@ def image(a: tuple) -> tuple:
     return span(tuple(zip(*a))) if a else ()
 
 
-def subspace_intersect(u: tuple, v: tuple) -> tuple:
-    """Intersection of two row spans."""
+def _intersect_rows(u, v) -> list:
+    """Integer basis of the intersection of two row spans (Zassenhaus).
+
+    Reducing the rows [u_i | u_i] and [v_j | 0] leaves U + V in the rows
+    with a pivot in the left half; the other rows are zero there, and
+    their right halves form a basis of U ∩ V.
+    """
     if not u or not v:
-        return ()
-    stacked = tuple(u) + tuple(v)
-    # (a, b) with a*u + b*v = 0  <=>  (a, b) in the left null space of the
-    # stacked matrix; then a*u runs over the intersection.
-    left_null = kernel(tuple(zip(*stacked)))
-    out = []
-    nu = len(u)
+        return []
     dim = len(u[0])
-    for coeffs in left_null:
-        w = [Fraction(0)] * dim
-        for c, row in zip(coeffs[:nu], u):
-            for i, x in enumerate(row):
-                w[i] += c * x
-        out.append(tuple(w))
-    return span(out)
+    stacked = [[*row, *row] for row in u] + [[*row, *(0,) * dim] for row in v]
+    reduced, pivots, _ = _eliminate(stacked)
+    return [_primitive(row[dim:]) for row, p in zip(reduced, pivots) if p >= dim]
+
+
+def subspace_intersect(u: tuple, v: tuple) -> tuple:
+    """Canonical basis of the intersection of two row spans.
+
+    >>> subspace_intersect(((1, 0, 0), (0, 1, 0)), ((0, 1, 1), (1, 0, -1)))
+    ((Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)),)
+    """
+    return span(_intersect_rows(u, v))
 
 
 def in_span(v: tuple, basis: tuple) -> bool:
@@ -311,6 +336,15 @@ def _cyclo_coeffs(n: int) -> tuple:
     return expand(CycloDivisor({n: 1}).to_product()).coeffs
 
 
+@functools.cache
+def _orders_up_to(deg: int) -> tuple:
+    """(n, phi(n)) for every order n with phi(n) <= deg, n ascending.
+
+    phi(n) >= sqrt(n/2), so no order beyond 2*deg^2 qualifies.
+    """
+    return tuple((n, phi_n) for n in range(1, 2 * deg * deg + 1) if (phi_n := _phi(n)) <= deg)
+
+
 def cyclotomic_content(coeffs: list):
     """Factor a monic integer polynomial as a product of cyclotomics.
 
@@ -324,11 +358,10 @@ def cyclotomic_content(coeffs: list):
     if not work or work[-1] != 1:
         raise InputError("cyclotomic content needs a monic integer polynomial")
     content = {}
-    deg0 = len(work) - 1
-    n = 1
-    # phi(n) >= sqrt(n/2), so orders beyond 2*deg^2 cannot divide.
-    while len(work) > 1 and n <= 2 * deg0 * deg0 + 2:
-        if _phi(n) <= len(work) - 1:
+    for n, phi_n in _orders_up_to(len(work) - 1):
+        if len(work) == 1:
+            break
+        if phi_n <= len(work) - 1:
             cyc = _cyclo_coeffs(n)
             while True:
                 quot = _int_poly_divide(work, cyc)
@@ -336,7 +369,6 @@ def cyclotomic_content(coeffs: list):
                     break
                 work = quot
                 content[n] = content.get(n, 0) + 1
-        n += 1
     return content, work
 
 
@@ -347,10 +379,18 @@ def cyclotomic_content(coeffs: list):
 NEG_INFINITY = None  # distinguished weight of the zero vector
 
 
-def _check_nilpotent(n_mat: tuple):
-    n = len(n_mat)
-    if any(x != 0 for row in mat_pow(n_mat, n) for x in row):
+def _nilpotent_powers(n_mat) -> list:
+    """[N^0, ..., N^dim] of N scaled to an integer matrix, or reject N.
+
+    A nonzero scale changes no image, kernel or nilpotency.
+    """
+    n_mat, _ = _integer_form(n_mat)
+    powers = [mat_identity(len(n_mat))]
+    for _ in n_mat:
+        powers.append(mat_mul(powers[-1], n_mat))
+    if any(x for row in powers[-1] for x in row):
         raise InputError("matrix is not nilpotent")
+    return powers
 
 
 @dataclass(frozen=True)
@@ -368,24 +408,18 @@ def vector_weights(n_mat: tuple, v) -> VectorWeights:
     gets the distinguished value None (standing for minus infinity) in
     all three slots.
     """
-    n_mat = mat(n_mat)
-    _check_nilpotent(n_mat)
-    dim = len(n_mat)
+    powers = _nilpotent_powers(n_mat)
+    dim = len(powers) - 1
     v = tuple(Fraction(x) for x in v)
     if len(v) != dim:
         raise InputError(f"vector length {len(v)} does not match dimension {dim}")
     if all(x == 0 for x in v):
         return VectorWeights(NEG_INFINITY, NEG_INFINITY, NEG_INFINITY)
-    alpha = 0
-    w = v
-    while True:
-        w = mat_vec(n_mat, w)
-        if all(x == 0 for x in w):
-            break
-        alpha += 1
+    v = _integer_row(v)
+    alpha = max(a for a, power in enumerate(powers) if any(mat_vec(power, v)))
     beta = 0
     for b in range(dim, 0, -1):
-        if in_span(v, image(mat_pow(n_mat, b))):
+        if in_span(v, _eliminate(tuple(zip(*powers[b])))[0]):
             beta = -b
             break
     return VectorWeights(alpha, beta, alpha + beta)
@@ -435,33 +469,20 @@ def weight_filtration(n_mat, center: int = 0) -> WeightFiltration:
     against its two defining properties: N(W_k) ⊆ W_{k-2} and N^k
     inducing isomorphisms gr_k -> gr_{-k}.
     """
-    n_mat = mat(n_mat)
-    dim = len(n_mat)
+    powers = _nilpotent_powers(n_mat)
+    dim = len(powers) - 1
     if dim == 0:
         return WeightFiltration(center, 0, ((center, ()),))
+    images = [list(map(_primitive, _eliminate(tuple(zip(*p)))[0])) for p in powers]
+    kernels = [_kernel_rows(p) for p in powers]
 
-    powers = [mat_identity(dim)]
-    for _ in range(dim + 1):
-        powers.append(mat_mul(powers[-1], n_mat))
-    if any(x != 0 for row in powers[dim] for x in row):
-        raise InputError("matrix is not nilpotent")
-    images = [image(p) for p in powers]
-    kernels = [kernel(p) for p in powers]
-
-    def w_level(k: int) -> tuple:
-        if k < -dim:
-            return ()
+    def w_level(k: int) -> list:
         pieces = []
         for b in range(max(0, -k), dim + 1):
-            depth = k + b + 1
-            if depth <= 0:
-                continue
-            pieces.append(subspace_intersect(images[b], kernels[min(depth, dim + 1)]))
-        return span([row for piece in pieces for row in piece])
+            pieces += _intersect_rows(images[b], kernels[min(k + b + 1, dim)])
+        return list(map(_primitive, _eliminate(pieces)[0]))
 
-    levels = {}
-    for k in range(-dim, dim + 1):
-        levels[k] = w_level(k)
+    levels = {k: w_level(k) for k in range(-dim, dim + 1)}
     lo = -dim
     while lo < dim and not levels[lo]:
         lo += 1
@@ -469,20 +490,21 @@ def weight_filtration(n_mat, center: int = 0) -> WeightFiltration:
     while hi > lo and len(levels[hi - 1]) == dim:
         hi -= 1
     steps = tuple((k + center, levels[k]) for k in range(lo - 1, hi + 1))
-
-    filt = WeightFiltration(center, dim, steps)
-    _assert_weight_properties(n_mat, filt)
-    return filt
+    _assert_weight_properties(powers, WeightFiltration(center, dim, steps))
+    return WeightFiltration(center, dim, tuple((k, rref(rows)[0]) for k, rows in steps))
 
 
-def _assert_weight_properties(n_mat: tuple, filt: WeightFiltration):
-    """Check N(W_k) ⊆ W_{k-2} and that N^k: gr_k -> gr_{-k} is bijective."""
+def _assert_weight_properties(powers: list, filt: WeightFiltration):
+    """Check N(W_k) ⊆ W_{k-2} and that N^k: gr_k -> gr_{-k} is bijective.
+
+    ``powers`` are those of a nonzero multiple of N, and the steps of
+    ``filt`` may hold any independent rows spanning each level.
+    """
     c = filt.center
-    dim = filt.dimension
     for level, basis in filt.steps:
         lower = filt.level_basis(level - 2)
         for row in basis:
-            if not in_span(mat_vec(n_mat, row), lower):
+            if not in_span(mat_vec(powers[1], row), lower):
                 raise InternalError(
                     f"filtration property N(W_{level}) ⊆ W_{level - 2} fails"
                 )
@@ -493,14 +515,11 @@ def _assert_weight_properties(n_mat: tuple, filt: WeightFiltration):
             raise InternalError(f"gr dimensions asymmetric at level {level}")
         if k <= 0:
             continue
-        upper = filt.level_basis(level)
-        nk = mat_pow(n_mat, k)
-        mapped = [mat_vec(nk, row) for row in upper]
+        mapped = [mat_vec(powers[k], row) for row in filt.level_basis(level)]
         low_in = filt.level_basis(c - k)
         low_below = filt.level_basis(c - k - 1)
         # rank of the induced map gr_k -> gr_{-k}
-        combined = span(tuple(mapped) + low_below)
-        induced_rank = len(combined) - len(low_below)
+        induced_rank = mat_rank((*mapped, *low_below)) - len(low_below)
         if induced_rank != d:
             raise InternalError(
                 f"N^{k} does not induce an isomorphism gr_{k} -> gr_{-k}"
@@ -711,38 +730,7 @@ def delta_k(h, k: int, m: int = None) -> CycloProduct:
     """
     if k < 0:
         raise InputError(f"level k must be >= 0, got {k}")
-    return delta_k_all(h, m).get(k, CycloProduct({}))
-
-
-def delta_k_all(h, m: int = None) -> dict:
-    """All nonzero level polynomials, {k: CycloProduct}."""
-    return analyze(h, m).deltas()
-
-
-def monodromy_theorem_check(h, ambient_dim: int, m: int = None) -> dict:
-    """Check the bounds the monodromy theorem imposes on the levels.
-
-    For a monodromy acting on the cohomology of an n-dimensional Milnor
-    fiber: Delta^[k] = 1 for k > n, and 1 is not a root of Delta^[n].
-    Returns {"ok": bool, "violations": [...]} without raising.
-    """
-    if ambient_dim < 0:
-        raise InputError(f"ambient dimension must be >= 0, got {ambient_dim}")
-    deltas = analyze(h, m).deltas()
-    violations = []
-    top = deltas.get(ambient_dim, CycloProduct({}))
-    if root_multiplicity(top, 1) != 0:
-        violations.append(
-            f"1 is a root of Delta^[{ambient_dim}] "
-            f"(multiplicity {root_multiplicity(top, 1)})"
-        )
-    for k, poly in deltas.items():
-        if k > ambient_dim:
-            violations.append(
-                f"level {k} exceeds ambient dimension {ambient_dim} "
-                f"but Delta^[{k}] = {poly} != 1"
-            )
-    return {"ok": not violations, "violations": violations}
+    return analyze(h, m).deltas().get(k, CycloProduct({}))
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,33 @@ def test_parity_violation_exits_1_and_names_clause(capsys, tmp_path):
     assert "delta_invariant parity" in err
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_lys_concurrent_lines(capsys, tmp_path, d):
+    # x^d + y^d + z^(d+1): the cone is d concurrent lines through one
+    # ordinary d-fold point, and the monodromy the Thom-Sebastiani join
+    # (Lambda_d - 1)^2 (Lambda_(d+1) - 1) with Lambda_d Lambda_(d+1) =
+    # Lambda_(d(d+1)); it has finite order, so no size-three Jordan blocks
+    lines = [{"id": f"l{i}", "degree": 1} for i in range(d)]
+    point = {"id": "p", "mu": (d - 1) ** 2, "r": d}
+    data = {
+        "curve": {
+            "degree": d,
+            "components": lines,
+            "singular_points": [{**point, "branches_on": {c["id"]: 1 for c in lines}}],
+        },
+        "points": [{**point, "charpoly": {"1": 1, str(d): d - 2}, "jordan1": {}}],
+    }
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lys", "--input", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["milnor_number"] == (d - 1) ** 2 * d
+    want = {str(d * (d + 1)): d - 2, str(d): 2 - d, str(d + 1): 1, "1": -1}
+    assert report["char_poly"]["factors"] == want
+    assert report["jordan2"]["factors"] == {} and report["jordan2"]["expansion"] == [1]
+
+
 def test_lys_points_mismatch_exits_1(capsys, tmp_path):
     data = json.loads((DATA / "sextic144_lys.json").read_text())
     data["points"] = data["points"][:2]

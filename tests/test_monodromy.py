@@ -2,6 +2,8 @@
 data: frozen examples plus the degree and eigenvalue-1 bookkeeping
 identities on randomized tangent-cone data."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,46 @@ def test_char_poly_regime_guard():
     inp = LYSInput(4, 1, tuple(point("cusp") for _ in range(4)))
     with pytest.raises(InputError):
         char_poly_lys(inp)
+
+
+def join_divisor(*exponents):
+    """Divisor of the monodromy of x_1^a_1 + ... + x_n^a_n as
+    {m: exponent of (t^m - 1)}: the product of the (Lambda_a - 1), where
+    Lambda_a is the divisor of t^a - 1, 1 = Lambda_1 and
+    Lambda_a Lambda_b = gcd(a, b) Lambda_lcm(a, b) (Milnor-Orlik 1970)."""
+    out = {1: 1}
+    for a in exponents:
+        step = {}
+        for m, e in out.items():
+            lcm = math.lcm(m, a)
+            step[lcm] = step.get(lcm, 0) + math.gcd(m, a) * e
+            step[m] = step.get(m, 0) - e
+        out = step
+    return out
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_char_poly_lys_thom_sebastiani(d):
+    # x^d + y^d + z^(d+k) is a Le-Yomdin germ whose tangent cone is d
+    # concurrent lines, one ordinary d-fold point with mu = (d-1)^2 > d^2-3d+3
+    # for d >= 3; its monodromy is the Thom-Sebastiani join of x^d + y^d
+    # and z^(d+k)
+    germ = local_invariants(BivarPoly({(d, 0): 1, (0, d): 1}))
+    assert germ.delta == C(join_divisor(d, d))
+    cone = (LYSPoint(germ.mu, germ.branches, germ.delta),)
+    for k in range(1, 9):
+        assert char_poly_lys(LYSInput(d, k, cone)) == C(join_divisor(d, d, d + k)), k
+
+
+def test_char_poly_genus_bound():
+    # four general lines meet in six nodes, the most a reduced quartic has;
+    # with 2 delta = mu + r - 1 = 2 per node, seven nodes exceed
+    # (d-1)(d-2)/2 + min(d-1, sum(r-1)) = 3 + 3 although mu = 7 = d^2-3d+3
+    six = LYSInput(4, 1, tuple(point("node") for _ in range(6)))
+    assert char_poly_lys(six).degree() == milnor_number(4, 1, 6)
+    seven = LYSInput(4, 1, tuple(point("node") for _ in range(7)))
+    with pytest.raises(InputError, match="no reduced curve of degree 4"):
+        char_poly_lys(seven)
 
 
 def test_lys_input_validation():

@@ -16,7 +16,6 @@ from singcalc.weightfilt import (
     cyclotomic_content,
     default_power,
     delta_k,
-    delta_k_all,
     jordan_blocks,
     in_span,
     kernel,
@@ -28,7 +27,6 @@ from singcalc.weightfilt import (
     mat_sub,
     matrix_from_json,
     matrix_to_json,
-    monodromy_theorem_check,
     rref,
     solve_coordinates,
     span,
@@ -136,9 +134,43 @@ def rref_by_fractions(rows):
     return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
 
 
-def random_low_rank(rng, rational):
+def kernel_by_fractions(a):
+    """Null-space basis from `rref_by_fractions`, one vector per free column."""
+    rows, pivots = rref_by_fractions(a)
+    out = []
+    for j in (j for j in range(len(a[0])) if j not in pivots):
+        v = [Fraction(0)] * len(a[0])
+        v[j] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[j]
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def intersect_by_left_null(u, v):
+    """Intersection of two row spans in Fraction arithmetic, the reference
+    for `subspace_intersect`."""
+    if not u or not v:
+        return ()
+    stacked = tuple(u) + tuple(v)
+    # (a, b) with a*u + b*v = 0  <=>  (a, b) in the left null space of the
+    # stacked matrix; then a*u runs over the intersection.
+    left_null = kernel_by_fractions(tuple(zip(*stacked)))
+    out = []
+    for coeffs in left_null:
+        w = [Fraction(0)] * len(u[0])
+        for c, row in zip(coeffs[: len(u)], u):
+            for i, x in enumerate(row):
+                w[i] += c * x
+        out.append(tuple(w))
+    return rref_by_fractions(out)[0]
+
+
+def random_low_rank(rng, rational, cols=None):
     """A rows x cols matrix of rank <= min(rows, cols), some rows zeroed."""
-    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    rows = rng.randint(1, 8)
+    if cols is None:
+        cols = rng.randint(1, 8)
     rank = rng.randint(0, min(rows, cols))
 
     def entry():
@@ -194,6 +226,38 @@ def test_fraction_free_kernel_matches_fraction_pivoting():
         inside = len(rref_by_fractions(basis + (w,))[0]) == len(basis)
         assert in_span(w, basis) == inside
         assert (solve_coordinates(basis, w) is not None) == inside
+
+
+def test_integer_intersection_and_kernel_match_fraction_references():
+    # subspace_intersect runs a Zassenhaus reduction and kernel an integer
+    # null space, both on the fraction-free elimination; the left-null-space
+    # and free-column constructions in Fractions are the references
+    rng = random.Random(17)
+    for case in range(300):
+        rational = case % 2 == 1
+        u = random_low_rank(rng, rational)
+        cols = len(u[0])
+        kind = case % 5
+        if kind == 0:  # an empty span
+            v = ()
+        elif kind == 1:  # the same span from another spanning set
+            v = tuple(reversed(u)) + (tuple(map(sum, zip(*u))),)
+        else:  # random rows plus, sometimes, combinations of the rows of u
+            v = random_low_rank(rng, rational, cols)
+            for _ in range(rng.randint(0, 3) if kind > 2 else 0):
+                coeffs = [rng.randint(-3, 3) for _ in u]
+                v += (tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*u)),)
+        want = intersect_by_left_null(u, v)
+        assert subspace_intersect(u, v) == want
+        assert subspace_intersect(v, u) == want
+        if kind == 1:
+            assert want == rref_by_fractions(u)[0]
+        for a in (u, v) if v else (u,):
+            null = kernel(a)
+            assert null == rref_by_fractions(kernel_by_fractions(a))[0]
+            assert rref_by_fractions(null)[0] == null
+            assert all(sum(x * y for x, y in zip(row, w)) == 0 for row in a for w in null)
+    assert subspace_intersect((), u) == () and kernel(()) == ()
 
 
 def test_kernel_rectangular():
@@ -435,14 +499,14 @@ def test_delta_k_order6_companion():
     h = companion([1, -1, 1])  # t^2 - t + 1
     assert default_power(h) == 6
     assert mat_pow(h, 6) == mat_identity(2)
-    out = delta_k_all(h)
+    out = analyze(h).deltas()
     assert out == {0: CycloDivisor({6: 1}).to_product()}
     assert list(expand(out[0]).coeffs) == [1, -1, 1]
 
 
 def test_delta_k_unipotent_2x2():
     h = mat([[1, 1], [0, 1]])
-    out = delta_k_all(h)
+    out = analyze(h).deltas()
     assert out == {1: CycloProduct({1: 1})}
     assert delta_k(h, 0).factors == ()
 
@@ -455,7 +519,7 @@ def test_delta_k_identity():
 
 def test_delta_k_eigenvalue_minus_one():
     h = mat([[-1, 1], [0, -1]])
-    out = delta_k_all(h)
+    out = analyze(h).deltas()
     assert out == {1: CycloDivisor({2: 1}).to_product()}
 
 
@@ -464,7 +528,7 @@ def test_delta_k_overlapping_blocks():
     # polynomial sees only the size-1 block even though gr_0 is
     # 2-dimensional.
     h = mat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    out = delta_k_all(h)
+    out = analyze(h).deltas()
     assert out == {0: CycloProduct({1: 1}), 2: CycloProduct({1: 1})}
 
 
@@ -507,7 +571,7 @@ def census_matrices():
 def test_delta_k_census_random():
     for h, expected in census_matrices():
         n = len(h)
-        out = delta_k_all(h)
+        out = analyze(h).deltas()
         assert_census_matches_filtration(h)
         want = {
             level: CycloDivisor(orders).to_product() for level, orders in expected.items()
@@ -582,15 +646,18 @@ def test_delta_k_rejects_negative_level():
 
 
 def test_monodromy_theorem_check():
-    h = mat([[1, 1], [0, 1]])
-    assert monodromy_theorem_check(h, 2) == {"ok": True, "violations": []}
-    out = monodromy_theorem_check(h, 0)
-    assert out["ok"] is False
-    assert any("exceeds ambient dimension" in v for v in out["violations"])
-    # eigenvalue 1 at the top level n is itself a violation
-    out2 = monodromy_theorem_check(h, 1)
-    assert out2["ok"] is False
-    assert any("1 is a root" in v for v in out2["violations"])
+    # On the cohomology of an n-dimensional Milnor fiber, Delta^[k] = 1 for
+    # k > n and 1 is not a root of Delta^[n]; the levels of J_2(1) meet both
+    # bounds for n = 2 only.
+    deltas = analyze(mat([[1, 1], [0, 1]])).deltas()
+    assert deltas == {1: CycloProduct({1: 1})}
+
+    def bounds_hold(n):
+        return max(deltas) <= n and root_multiplicity(deltas.get(n, CycloProduct({})), 1) == 0
+
+    assert bounds_hold(2)
+    assert not bounds_hold(0)  # level 1 exceeds n = 0
+    assert not bounds_hold(1)  # 1 is a root of Delta^[1]
 
 
 def test_root_multiplicity_of_levels():
