@@ -18,19 +18,15 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
-from .cyclo import CycloProduct, expand
+from .cyclo import CycloProduct, expand, require_polynomial
 from .errors import INDETERMINATE, InputError, SingcalcError
+from .schema import REQUIRED, field, monomials, objects, read
 
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
-
-
-def _frac(x) -> str:
-    return str(Fraction(x))
 
 
 def _poly_block(c: CycloProduct) -> dict:
@@ -42,6 +38,11 @@ def _poly_block(c: CycloProduct) -> dict:
         "degree": dense.degree,
         "text": str(dense) if dense.degree <= 40 else str(c),
     }
+
+
+def _poly_text(c: CycloProduct) -> str:
+    """The expanded polynomial up to degree 40, the factored form above."""
+    return str(expand(c)) if c.degree() <= 40 else str(c)
 
 
 def _verdict(value):
@@ -62,23 +63,29 @@ def _load_json(path: str):
         raise InputError(f"input file {path} is not valid JSON: {exc}")
 
 
+def _products(value, convert):
+    """value with convert(c) for each CycloProduct c in it or its dicts, in order."""
+    if isinstance(value, dict):
+        return {key: _products(v, convert) for key, v in value.items()}
+    return convert(value) if isinstance(value, CycloProduct) else value
+
+
 def _emit(report: dict, fmt: str, text_renderer, dot_renderer=None) -> str:
+    """The report in a format.  JSON expands each product in it, text only
+    those it prints up to degree 40; no format admits a non-polynomial."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if fmt == "text":
-        return text_renderer(report)
-    if fmt == "dot":
-        if dot_renderer is None:
-            raise InputError("dot output is not available for this subcommand")
-        return dot_renderer()
-    raise InputError(f"unknown format {fmt!r}")
+        return json.dumps(_products(report, _poly_block), sort_keys=True, indent=2) + "\n"
+    _products(report, require_polynomial)
+    return text_renderer(report) if fmt == "text" else dot_renderer()
 
 
-def _cyclo_from_factor_map(data) -> CycloProduct:
-    try:
-        return CycloProduct({int(m): int(e) for m, e in dict(data).items()})
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise InputError(f"malformed factor map {data!r}: {exc}") from exc
+def _factor_map(obj: dict, key: str, where: str, default=REQUIRED):
+    """The factor map obj[key], m -> exponent of (t^m - 1), as a product."""
+    exponents = field(obj, key, ("object", "integer"), where, default)
+    if exponents is None:
+        return None
+    at = f"{key} of {where}"
+    return CycloProduct({read(m, "order", at): e for m, e in exponents.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +94,8 @@ def _cyclo_from_factor_map(data) -> CycloProduct:
 
 
 def _bivar_from_json(data) -> qres2d.BivarPoly:
-    if isinstance(data, dict):
-        data = data.get("germ")
-    if not isinstance(data, list):
-        raise InputError('germ JSON must be {"germ": [{"i","j","c"}, ...]}')
-    terms = {}
-    try:
-        for entry in data:
-            key = (int(entry["i"]), int(entry["j"]))
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(str(entry["c"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"malformed germ entry: {exc}") from exc
-    return qres2d.BivarPoly(terms)
+    germ = field(read(data, "object", "germ input"), "germ", "array", "germ input")
+    return qres2d.BivarPoly(monomials(germ, "ij", "germ"))
 
 
 def _qgraph_json(g: qres2d.QResolutionGraph) -> dict:
@@ -107,7 +104,7 @@ def _qgraph_json(g: qres2d.QResolutionGraph) -> dict:
             {
                 "id": v.id,
                 "multiplicity": v.multiplicity,
-                "self_int": None if v.self_int is None else _frac(v.self_int),
+                "self_int": None if v.self_int is None else str(v.self_int),
                 "genus": v.genus,
                 "quotient_points": [[d, b] for d, b in v.quotient_points],
             }
@@ -164,8 +161,8 @@ def _local_text(report: dict) -> str:
         f"mu     = {report['mu']}",
         f"r      = {report['r']}",
         f"delta  = {report['delta']}",
-        f"Delta  = {report['char_poly']['text']}",
-        f"degree = {report['char_poly']['degree']}",
+        f"Delta  = {_poly_text(report['char_poly'])}",
+        f"degree = {report['char_poly'].degree()}",
         "smooth resolution graph:",
     ]
     for v in report["smooth_graph"]["vertices"]:
@@ -184,7 +181,7 @@ def cmd_local(args) -> str:
         "mu": inv.mu,
         "r": inv.branches,
         "delta": curves.delta_invariant(inv.mu, inv.branches),
-        "char_poly": _poly_block(inv.delta),
+        "char_poly": inv.delta,
         "graph": _qgraph_json(inv.graph),
         "smooth_graph": _sgraph_json(inv.smooth_graph),
     }
@@ -200,63 +197,32 @@ def _lys_text(report: dict) -> str:
     lines = [
         f"d = {report['d']}, k = {report['k']}",
         f"mu    = {report['milnor_number']}",
-        f"Delta = {report['char_poly']['text']}",
-        f"degree = {report['char_poly']['degree']}",
+        f"Delta = {_poly_text(report['char_poly'])}",
+        f"degree = {report['char_poly'].degree()}",
         f"QHS link: {report['qhs']['is_qhs']}",
     ]
     for reason in report["qhs"]["reasons"]:
         lines.append(f"  - {reason}")
     if report.get("jordan2") is not None:
-        lines.append(f"Jordan size-2 part: {report['jordan2']['text']}")
+        lines.append(f"Jordan size-2 part: {_poly_text(report['jordan2'])}")
     return "\n".join(lines) + "\n"
 
 
-def _array(data: dict, field: str) -> list:
-    """The optional array data[field], empty when absent."""
-    value = data.get(field, [])
-    if not isinstance(value, list):
-        raise InputError(f"malformed {field}: expected an array, got {value!r}")
-    return value
-
-
-def _id_map(data: dict, field: str, convert):
-    """The optional {id: value} map data[field], values passed through convert."""
-    value = data.get(field)
-    if value is None:
-        return None
-    try:
-        return {str(key): convert(v) for key, v in value.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed {field}: {exc}") from exc
-
-
 def cmd_lys(args) -> str:
-    data = _load_json(args.input)
-    if not isinstance(data, dict) or "curve" not in data:
-        raise InputError('lys JSON must be {"curve": {...}, "points": [...]}')
-    spec = curves.curve_spec_from_dict(data["curve"])
-    try:
-        k = args.k if args.k is not None else int(data.get("k", 1))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed k: {exc}") from exc
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
+    data = read(_load_json(args.input), "object", "lys input")
+    spec = curves.curve_spec_from_dict(field(data, "curve", "object", "lys input"))
+    k = field(data, "k", "integer", "lys input", 1)
+    k = k if args.k is None else args.k
 
     points = []
-    for entry in _array(data, "points"):
-        try:
-            mu = int(entry["mu"])
-            r = int(entry["r"])
-            charpoly = entry["charpoly"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed point entry: {exc}") from exc
-        jordan1 = entry.get("jordan1")
+    for where, entry in objects(data, "points", "point", "lys input", []):
+        field(entry, "id", "string", where, None)  # optional, and only checked
         points.append(
             monodromy.LYSPoint(
-                mu_p=mu,
-                r_p=r,
-                delta_p_charpoly=_cyclo_from_factor_map(charpoly),
-                jordan1_p=None if jordan1 is None else _cyclo_from_factor_map(jordan1),
+                mu_p=field(entry, "mu", "integer", where),
+                r_p=field(entry, "r", "integer", where),
+                delta_p_charpoly=_factor_map(entry, "charpoly", where),
+                jordan1_p=_factor_map(entry, "jordan1", where, None),
             )
         )
     declared = sorted((p.mu, p.r) for p in spec.singular_points)
@@ -267,12 +233,11 @@ def cmd_lys(args) -> str:
             f"(curve has {len(declared)}, got {len(provided)})"
         )
 
-    alexander = data.get("alexander")
     lys_input = monodromy.LYSInput(
         d=spec.degree,
         k=k,
         points=tuple(points),
-        alexander=None if alexander is None else _cyclo_from_factor_map(alexander),
+        alexander=_factor_map(data, "alexander", "lys input", None),
     )
     char = monodromy.char_poly_lys(lys_input)
     mu_total = monodromy.milnor_number(spec.degree, k, lys_input.mu_cone())
@@ -280,17 +245,17 @@ def cmd_lys(args) -> str:
     degrees = [c.degree for c in spec.components]
     vhat, vk = curves.surface_intersections(spec.degree, k, degrees)
 
-    link_graph = None
     adjusted = None
-    if "graph" in data:
-        link_graph = curves.combinatorics_from_dict(data["graph"])
+    graph = field(data, "graph", "object", "lys input", None)
+    if graph is not None:
+        link_graph = curves.combinatorics_from_dict(graph)
         adjusted = curves.link_graph_adjust(link_graph, spec.degree, degrees)
 
     qhs = curves.qhs_test(
         spec,
         k,
-        genera=_id_map(data, "genera", int),
-        suspension_flags=_id_map(data, "suspension_flags", bool),
+        genera=field(data, "genera", ("object", "integer"), "lys input", None),
+        suspension_flags=field(data, "suspension_flags", ("object", "boolean"), "lys input", None),
     )
 
     jordan2 = None
@@ -301,17 +266,15 @@ def cmd_lys(args) -> str:
         "d": spec.degree,
         "k": k,
         "milnor_number": mu_total,
-        "char_poly": _poly_block(char),
+        "char_poly": char,
         "intersections": {
-            "vhat": [[_frac(x) for x in row] for row in vhat],
-            "vhat_k": [[_frac(x) for x in row] for row in vk],
+            "vhat": [[str(x) for x in row] for row in vhat],
+            "vhat_k": [[str(x) for x in row] for row in vk],
         },
         "link_graph": None if adjusted is None else curves.combinatorics_to_dict(adjusted),
         "qhs": {"is_qhs": _verdict(qhs["is_qhs"]), "reasons": qhs["reasons"]},
-        "jordan2": None if jordan2 is None else _poly_block(jordan2),
-        "alexander": None
-        if lys_input.alexander is None
-        else _poly_block(lys_input.alexander),
+        "jordan2": jordan2,
+        "alexander": lys_input.alexander,
     }
 
     def render_dot():
@@ -346,7 +309,7 @@ def cmd_quotient(args) -> str:
         "beta": args.beta,
         "type": str(qtype),
         "chain_self_intersections": [-b for b in chain.b],
-        "correction": _frac(chain.correction),
+        "correction": str(chain.correction),
     }
     return _emit(report, args.format, _quotient_text)
 
@@ -367,7 +330,7 @@ def _weightfilt_text(report: dict) -> str:
         "jordan blocks of I - h^m: " + str(report["jordan_blocks"]),
     ]
     for k in sorted(report["delta"], key=int):
-        lines.append(f"Delta^[{k}] = {report['delta'][k]['text']}")
+        lines.append(f"Delta^[{k}] = {_poly_text(report['delta'][k])}")
     return "\n".join(lines) + "\n"
 
 
@@ -380,7 +343,7 @@ def cmd_weightfilt(args) -> str:
         "center": args.center,
         "gr_dims": {str(level): dim for level, dim in census.gr_dims(args.center).items()},
         "jordan_blocks": list(census.jordan_blocks()),
-        "delta": {str(k): _poly_block(p) for k, p in census.deltas().items()},
+        "delta": {str(k): p for k, p in census.deltas().items()},
     }
     return _emit(report, args.format, _weightfilt_text)
 
@@ -403,15 +366,15 @@ def _wlys_text(report: dict) -> str:
 
 
 def cmd_wlys(args) -> str:
-    data = _load_json(args.input)
-    if not isinstance(data, dict) or "poly" not in data or "weights" not in data:
-        raise InputError('wlys JSON must be {"poly": [...], "weights": [p,q,r], "points": [...]}')
-    f = wlys.trivar_from_json(data["poly"])
-    try:
-        w = wlys.WeightVector(*[int(x) for x in data["weights"]])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed weights: {exc}") from exc
-    points = [wlys.point_from_json(p) for p in _array(data, "points")]
+    data = read(_load_json(args.input), "object", "wlys input")
+    f = wlys.trivar_from_json(field(data, "poly", "array", "wlys input"))
+    weights = field(data, "weights", ("array", "integer"), "wlys input")
+    if len(weights) != 3:
+        raise InputError(f"bad weights of wlys input: expected 3 integers, got {len(weights)}")
+    w = wlys.WeightVector(*weights)
+    points = [
+        wlys.point_from_json(p, at) for at, p in objects(data, "points", "point", "wlys input", [])
+    ]
     out = wlys.wlys_admissibility(f, w, points)
     decomp = wlys.wdecompose(f, w)
     report = {
@@ -435,35 +398,30 @@ def cmd_wlys(args) -> str:
 def _zeta_text(report: dict) -> str:
     return (
         f"zeta = {report['zeta']['text']}\n"
-        f"Delta (n={report['n']}) = {report['char_poly']['text']}\n"
+        f"Delta (n={report['n']}) = {_poly_text(report['char_poly'])}\n"
     )
 
 
 def cmd_zeta(args) -> str:
-    data = _load_json(args.input)
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise InputError('zeta JSON must be {"vertices": [{"id","multiplicity","chi_open"}]}')
+    data = read(_load_json(args.input), "object", "zeta input")
     vertices = {}
-    try:
-        for entry in data["vertices"]:
-            vid = str(entry["id"])
-            vertices[vid] = qres2d.SmoothVertex(
-                id=vid,
-                multiplicity=int(entry["multiplicity"]),
-                self_int=None,
-                genus=int(entry.get("genus", 0)),
-                chi_open=int(entry["chi_open"]),
-            )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed vertex entry: {exc}") from exc
-    strict = [str(s) for s in _array(data, "strict")]
+    for where, entry in objects(data, "vertices", "vertex", "zeta input"):
+        vid = field(entry, "id", "string", where)
+        vertices[vid] = qres2d.SmoothVertex(
+            id=vid,
+            multiplicity=field(entry, "multiplicity", "integer", where),
+            self_int=None,
+            genus=field(entry, "genus", "integer", where, 0),
+            chi_open=field(entry, "chi_open", "integer", where),
+        )
+    strict = field(data, "strict", ("array", "string"), "zeta input", [])
     graph = qres2d.SmoothResolutionGraph(vertices=vertices, edges=[], strict_vertices=strict)
     zeta = monodromy.acampo_zeta(graph)
     char = monodromy.zeta_to_char(zeta, args.n)
     report = {
         "n": args.n,
         "zeta": {"factors": {str(m): e for m, e in zeta.factors}, "text": str(zeta)},
-        "char_poly": _poly_block(char),
+        "char_poly": char,
     }
     return _emit(report, args.format, _zeta_text)
 

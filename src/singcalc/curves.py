@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import INDETERMINATE, InputError
+from .schema import field, objects, read
 
 # ---------------------------------------------------------------------------
 # local numerical invariants
@@ -531,41 +532,42 @@ def combinatorics_to_dict(graph: Combinatorics) -> dict:
 
 
 def combinatorics_from_dict(data: dict) -> Combinatorics:
-    try:
-        vertices = tuple(
-            GraphVertex(
-                id=str(v["id"]),
-                self_int=int(v["self_int"]),
-                marked=bool(v.get("marked", False)),
-                genus=int(v.get("genus", 0)),
-            )
-            for v in data["vertices"]
+    """Parse a graph as docs/schemas/combinatorics.schema.json defines it."""
+    data = read(data, "object", "graph")
+    vertices = tuple(
+        GraphVertex(
+            id=field(v, "id", "string", where),
+            self_int=field(v, "self_int", "integer", where),
+            marked=field(v, "marked", "boolean", where, False),
+            genus=field(v, "genus", "integer", where, 0),
         )
-        edges = tuple((str(a), str(b)) for a, b in data.get("edges", []))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed graph data: {exc}") from exc
+        for where, v in objects(data, "vertices", "graph vertex", "graph")
+    )
+    edges = tuple(map(tuple, field(data, "edges", ("array", ("array", "string")), "graph", [])))
+    if any(len(edge) != 2 for edge in edges):
+        raise InputError("bad edges of graph: an edge joins 2 vertex ids")
     return Combinatorics(vertices, edges)
 
 
 def curve_spec_from_dict(data: dict) -> CurveSpec:
-    try:
-        components = tuple(
-            CurveComponent(str(c["id"]), int(c["degree"])) for c in data["components"]
+    """Parse the "curve" object of docs/schemas/lys-input.schema.json."""
+    data = read(data, "object", "curve")
+    components = tuple(
+        CurveComponent(field(c, "id", "string", where), field(c, "degree", "integer", where))
+        for where, c in objects(data, "components", "curve component", "curve")
+    )
+    points = tuple(
+        SingularPoint(
+            id=field(p, "id", "string", where),
+            mu=field(p, "mu", "integer", where),
+            r=field(p, "r", "integer", where),
+            branches_on=tuple(
+                sorted(field(p, "branches_on", ("object", "integer"), where, {}).items())
+            ),
         )
-        points = tuple(
-            SingularPoint(
-                id=str(p["id"]),
-                mu=int(p["mu"]),
-                r=int(p["r"]),
-                branches_on=tuple(
-                    sorted((str(c), int(n)) for c, n in p.get("branches_on", {}).items())
-                ),
-            )
-            for p in data.get("singular_points", [])
-        )
-        degree = int(data["degree"])
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise InputError(f"malformed curve data: {exc}") from exc
+        for where, p in objects(data, "singular_points", "curve singular point", "curve", [])
+    )
+    degree = field(data, "degree", "integer", "curve")
     return CurveSpec(degree=degree, components=components, singular_points=points)
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "root_multiplicity",
     "expand",
     "negative_order",
+    "require_polynomial",
     "gcd_cyclo",
     "mu",
     "divisors",
@@ -181,6 +182,14 @@ def negative_order(a: CycloProduct) -> int | None:
     """None if a is a polynomial, else the smallest n with Phi_n^{-1} in a."""
     div = product_to_divisor(a)
     return None if div.is_effective() else min(n for n, c in div.orders if c < 0)
+
+
+def require_polynomial(a: CycloProduct) -> CycloProduct:
+    """a itself; raises NotPolynomial with the witness of negative_order."""
+    bad = negative_order(a)
+    if bad is not None:
+        raise NotPolynomial(bad)
+    return a
 
 
 def combine(a: CycloProduct, b: CycloProduct, sign: int) -> CycloProduct:
@@ -377,9 +386,7 @@ def expand(a: CycloProduct) -> DensePoly:
     >>> expand(CycloProduct({2: 3})).coeffs
     (-1, 0, 3, 0, -3, 0, 1)
     """
-    bad = negative_order(a)
-    if bad is not None:
-        raise NotPolynomial(bad)
+    require_polynomial(a)
     numerator = [(m, e) for m, e in a.factors if e > 0]
     owed = {m: -e for m, e in a.factors if e < 0}
     orders = {m: divisors(m) for m, _ in a.factors}  # t^m - 1 = prod_{n | m} Phi_n

@@ -35,11 +35,11 @@ from .cyclo import (
     exact_divide,
     expand,  # noqa: F401  unused; perfbench/selftest.py checks the tracer patches this binding
     gcd_cyclo,
-    negative_order,
     power_char,
+    require_polynomial,
     substitute_power,
 )
-from .errors import InputError, InternalError, NotPolynomial
+from .errors import InputError, InternalError
 from .qres2d import SmoothResolutionGraph
 
 __all__ = [
@@ -59,13 +59,6 @@ __all__ = [
 ]
 
 _ONE_MINUS_T = CycloProduct({1: 1})
-
-
-def _require_polynomial(p: CycloProduct) -> CycloProduct:
-    bad = negative_order(p)
-    if bad is not None:
-        raise NotPolynomial(bad)
-    return p
 
 
 # ------------------------------------------------------------------- zeta
@@ -95,7 +88,7 @@ def zeta_to_char(z: CycloProduct, n: int) -> CycloProduct:
         delta = combine(z, _ONE_MINUS_T, -1)
     else:
         raise InputError(f"cohomology degree n={n}; only 1 and 2 occur here")
-    return _require_polynomial(delta)
+    return require_polynomial(delta)
 
 
 def char_to_zeta(a: CycloProduct, n: int) -> CycloProduct:
@@ -242,13 +235,13 @@ def jordan_from_strata(s: StrataCharData, dim: int) -> dict[str, CycloProduct]:
     if dim == 1:
         if s.h0_D0 is None or s.h0_D1 is None:
             raise InputError("dim 1 needs h0_D0 and h0_D1")
-        return {"jordan1": _require_polynomial(combine(_ONE_MINUS_T * s.h0_D1, s.h0_D0, -1))}
+        return {"jordan1": require_polynomial(combine(_ONE_MINUS_T * s.h0_D1, s.h0_D0, -1))}
     if dim == 2:
         if any(x is None for x in (s.h0_D0, s.h0_D1, s.h0_D2, s.h1_D0, s.h1_D1)):
             raise InputError("dim 2 needs h0_D0..h0_D2 and h1_D0, h1_D1")
-        j2 = _require_polynomial(combine(s.h0_D2 * s.h0_D0, _ONE_MINUS_T * s.h0_D1, -1))
+        j2 = require_polynomial(combine(s.h0_D2 * s.h0_D0, _ONE_MINUS_T * s.h0_D1, -1))
         twist = CycloProduct({1: s.dim_E2_4m2 - s.dim_E2_02})
-        j1 = _require_polynomial(combine(twist * s.h1_D1, s.h1_D0, -1))
+        j1 = require_polynomial(combine(twist * s.h1_D1, s.h1_D0, -1))
         return {"jordan1": j1, "jordan2": j2}
     raise InputError(f"dim = {dim}; only 1 and 2 occur here")
 

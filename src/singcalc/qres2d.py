@@ -490,9 +490,9 @@ class _Walk:
         return vid
 
 
-def _analyze_origin(walk: _Walk, chart: Chart) -> bool:
-    """Emit final graph data for an NC chart origin; return False when
-    the origin still needs a blow-up."""
+def _prepare_origin(chart: Chart) -> tuple:
+    """(d, a, b, axes, ax, ay, core) of a chart origin: group 1/d(a, b), pending
+    components by axis, and equation x^ax y^ay core, checked to be reduced."""
     d, a, b = chart.group()
     _check_uniform_character(chart.equation, d, a, b)
     axes = {axis: (cid, mult) for cid, axis, mult in chart.pending}
@@ -503,7 +503,13 @@ def _analyze_origin(walk: _Walk, chart: Chart) -> bool:
         raise NotReduced(f"repeated coordinate factor x^{ax} y^{ay} in a chart equation")
     if (ax and "x" in axes) or (ay and "y" in axes):
         raise NotReduced("strict transform contains an exceptional component")
+    return d, a, b, axes, ax, ay, core
 
+
+def _analyze_origin(walk: _Walk, origin: tuple) -> bool:
+    """Emit final graph data for an NC chart origin from `_prepare_origin`;
+    return False when the origin still needs a blow-up."""
+    d, a, b, axes, ax, ay, core = origin
     comps: list[tuple[str, str]] = []  # (kind in exc|branch, axis)
     for axis in ("x", "y"):
         if axis in axes:
@@ -647,32 +653,12 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
         processed += 1
         if processed > _MAX_CHARTS:
             raise InternalError("resolution walk did not terminate")
-        if not force and _analyze_origin(walk, chart):
+        origin = _prepare_origin(chart)
+        if not force and _analyze_origin(walk, origin):
             continue
-        if force:
-            # run the reducedness checks that _analyze_origin would do
-            ax, ay, _core = chart.equation.strip_axes()
-            if ax >= 2 or ay >= 2:
-                raise NotReduced(
-                    f"repeated coordinate factor x^{ax} y^{ay} in the input germ"
-                )
-        d, a, b = chart.group()
-        _ax, _ay, core = chart.equation.strip_axes()
-        if core.is_unit_at_origin():
-            weights = (1, 1)
-        else:
-            weights = newton_weights(chart.equation).weights
-        p, q = weights
-        if d > 1:
-            if math.gcd(p, d) != 1 or math.gcd(q, d) != 1:
-                raise Unsupported(
-                    f"blow-up weights ({p},{q}) collide with the chart group order {d}"
-                )
-            lam = (a * pow(p, -1, d)) % d
-            if (lam * q - b) % d or math.gcd(lam, d) != 1:
-                raise Unsupported(
-                    f"chart group 1/{d}({a},{b}) is not presentable with weights ({p},{q})"
-                )
+        core = origin[-1]
+        weights = (1, 1) if core.is_unit_at_origin() else newton_weights(chart.equation).weights
+        # qblowup_step raises Unsupported when (p, q) cannot present the chart group
         exc_id = walk.next_exceptional_id()
         record, (chart1, chart2) = qblowup_step(chart, weights, exc_id)
         walk.add_exceptional(exc_id, record["multiplicity"], record["self_int"])

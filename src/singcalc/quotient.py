@@ -207,7 +207,6 @@ class HJChain:
     b: tuple[int, ...]
     correction: Fraction
     attach_end: int = 0
-    multiplicities: tuple[int, ...] | None = None
 
 
 def hj_resolve(d: int, beta: int) -> HJChain:
@@ -289,14 +288,12 @@ class BlowupData:
     lists (chart label, normalized quotient type) for the at most two
     quotient points sitting on E at the chart origins; at the
     origin-x chart the first coordinate is local to E, at origin-y the
-    second.  ``exc_multiplicity`` is filled by callers that track an
-    equation through the blow-up.
+    second.
     """
 
     weights: tuple[int, int]
     self_int: Fraction
     sing_points: tuple[tuple[str, QuotientType], ...]
-    exc_multiplicity: int | None = None
 
 
 def _presentable(d: int, a: int, b: int, p: int, q: int) -> bool:

@@ -32,15 +32,14 @@ last pivot once at the end.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .cyclo import CycloDivisor, CycloProduct, DensePoly, _phi, expand
 from .errors import InputError, InternalError
+from .schema import read
 
 # ---------------------------------------------------------------------------
 # exact matrices
@@ -738,34 +737,18 @@ def delta_k(h, k: int, m: int = None) -> CycloProduct:
 # ---------------------------------------------------------------------------
 
 
-_ENTRY = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _entry_from_json(x, i: int, j: int) -> Fraction:
-    integer = isinstance(x, int) and not isinstance(x, bool)  # JSON true/false parse to bool
-    if not (integer or isinstance(x, str) and _ENTRY.fullmatch(x)):
-        raise InputError(
-            f"bad matrix entry [{i}][{j}]: expected an integer or a "
-            f'"p/q" string, got {json.dumps(x)}'
-        )
-    try:
-        return Fraction(x)
-    except ZeroDivisionError as exc:
-        raise InputError(f"bad matrix entry [{i}][{j}]: zero denominator in {json.dumps(x)}") from exc
-    except ValueError as exc:  # more digits than the interpreter converts
-        raise InputError(f"bad matrix entry [{i}][{j}]: {exc}") from exc
-
-
 def matrix_from_json(data) -> tuple:
     """Parse a matrix as docs/schemas/matrix.schema.json defines it.
 
     A nonempty array of rows; each entry a JSON integer or a string
     "p" or "p/q" of decimal digits.
     """
-    if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
+    rows = read(data, ("array", "array"), "matrix")
+    if not rows:
         raise InputError("matrix JSON must be a nonempty array of arrays")
     rows = tuple(
-        tuple(_entry_from_json(x, i, j) for j, x in enumerate(row)) for i, row in enumerate(data)
+        tuple(read(x, "rational", f"matrix entry [{i}][{j}]") for j, x in enumerate(row))
+        for i, row in enumerate(rows)
     )
     _check_square(rows)
     return rows

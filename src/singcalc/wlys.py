@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import INDETERMINATE, InputError, InternalError
+from .schema import field, monomials, read
 
 # ---------------------------------------------------------------------------
 # polynomials and weights
@@ -266,16 +267,7 @@ def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
 
 def trivar_from_json(data) -> TrivarPoly:
     """Parse [{"i": .., "j": .., "l": .., "c": "p/q"}, ...]."""
-    if not isinstance(data, list):
-        raise InputError("polynomial JSON must be an array of monomials")
-    out = {}
-    try:
-        for entry in data:
-            key = (int(entry["i"]), int(entry["j"]), int(entry["l"]))
-            out[key] = out.get(key, Fraction(0)) + Fraction(entry["c"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"malformed monomial entry: {exc}") from exc
-    return TrivarPoly(out)
+    return TrivarPoly(monomials(data, "ijl", "poly"))
 
 
 def trivar_to_json(f: TrivarPoly) -> list:
@@ -284,12 +276,11 @@ def trivar_to_json(f: TrivarPoly) -> list:
     ]
 
 
-def point_from_json(data) -> WeightedPoint:
-    """Parse {"coords": ["a","b","c"], "clause": "i", "flags": {...}}."""
-    try:
-        coords = tuple(Fraction(x) for x in data["coords"])
-        clause = str(data.get("clause", "i"))
-        flags = tuple(sorted(dict(data.get("flags", {})).items()))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"malformed point entry: {exc}") from exc
-    return WeightedPoint(coords=coords, clause=clause, flags=flags)
+def point_from_json(data, where: str = "point") -> WeightedPoint:
+    """Parse {"coords": ["a","b","c"], "clause": "i", "flags": [name, ...]};
+    each flag is kept as (name, True)."""
+    data = read(data, "object", where)
+    coords = field(data, "coords", ("array", "rational"), where)
+    clause = field(data, "clause", "string", where, "i")
+    flags = field(data, "flags", ("array", "string"), where, [])
+    return WeightedPoint(coords=tuple(coords), clause=clause, flags=tuple((f, True) for f in flags))

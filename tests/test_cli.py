@@ -608,3 +608,77 @@ def test_matrix_schema_rejects_off_schema_samples(matrix):
     jsonschema = pytest.importorskip("jsonschema")
     schema_doc = json.loads((SCHEMAS / "matrix.schema.json").read_text())
     assert not jsonschema.validators.validator_for(schema_doc)(schema_doc).is_valid(matrix)
+
+
+# Values that each node of a sample stands in for, one at a time: numbers
+# that are no integers, booleans, strings that are no numbers, containers
+# of the wrong type, and null.
+TYPE_MUTANTS = (2.5, 1.0, True, False, "0.1", "1e2", "3", ["s"], {}, None, "x")
+SCHEMA_COMMANDS = {
+    "germ.schema.json": "local",
+    "lys-input.schema.json": "lys",
+    "matrix.schema.json": "weightfilt",
+    "wlys-input.schema.json": "wlys",
+    "zeta-graph.schema.json": "zeta",
+}
+
+
+def _schema_validator(schema):
+    jsonschema = pytest.importorskip("jsonschema")
+    referencing = pytest.importorskip("referencing")
+    schema_doc = json.loads((SCHEMAS / schema).read_text())
+    registry = referencing.Registry().with_resources(
+        (path.name, referencing.Resource.from_contents(json.loads(path.read_text())))
+        for path in SCHEMAS.glob("*.schema.json")
+    )
+    return jsonschema.validators.validator_for(schema_doc)(schema_doc, registry=registry)
+
+
+@pytest.mark.parametrize("schema,sample", SCHEMA_CASES)
+def test_schema_rejected_type_mutants_exit_1(capsys, tmp_path, schema, sample):
+    # every mutant that the schema rejects is malformed input: exit 1,
+    # nothing on stdout and one line on stderr
+    validator = _schema_validator(schema)
+    original = json.loads((DATA / sample).read_text())
+    path = tmp_path / sample
+    rejected, broken = 0, []
+    for key_path in _node_paths(original):
+        for value in TYPE_MUTANTS:
+            data = json.loads(json.dumps(original))
+            if key_path:
+                _set(key_path, value)(data)
+            else:
+                data = value
+            if validator.is_valid(data):
+                continue
+            rejected += 1
+            path.write_text(json.dumps(data))
+            code, out, err = run_cli(capsys, SCHEMA_COMMANDS[schema], "--input", str(path))
+            if (code, out) != (1, "") or len(err.splitlines()) != 1:
+                broken.append((key_path, value, code, err))
+    assert rejected > 0
+    assert not broken, broken[:5]
+
+
+def test_wlys_flags_array_exits_0(capsys, tmp_path):
+    # flags are the schema's array of strings
+    data = json.loads((DATA / "wlys_s10.json").read_text())
+    data["points"][0]["flags"] = ["transversal"]
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "wlys", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out == (DATA / "wlys_s10.golden.json").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_non_polynomial_product_exits_1_in_every_format(capsys, tmp_path, fmt):
+    # text and dot reports do not print the Alexander polynomial, and text
+    # does not expand above degree 40, but no format reports a non-polynomial
+    data = json.loads((DATA / "sextic6_lys.json").read_text())
+    data["alexander"] = {"2": -1}
+    path = tmp_path / "alexander.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lys", "--input", str(path), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: not a polynomial: Phi_1 has negative multiplicity\n"

@@ -4,10 +4,12 @@ import doctest
 
 import pytest
 
-from singcalc import curves, cyclo, quotient, weightfilt
+from singcalc import curves, cyclo, quotient, schema, weightfilt
 
 
-@pytest.mark.parametrize("module", [cyclo, quotient, curves, weightfilt], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [cyclo, quotient, curves, schema, weightfilt], ids=lambda m: m.__name__
+)
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -245,7 +245,7 @@ def test_trivar_json_malformed():
 
 
 def test_point_json():
-    p = point_from_json({"coords": ["0", "0", "1"], "clause": "ii", "flags": {"transversal": True}})
+    p = point_from_json({"coords": ["0", "0", "1"], "clause": "ii", "flags": ["transversal"]})
     assert p.coords == (0, 0, 1)
     assert p.clause == "ii"
     assert p.flags == (("transversal", True),)
