@@ -407,14 +407,29 @@ def cmd_zeta(args) -> str:
     vertices = {}
     for where, entry in objects(data, "vertices", "vertex", "zeta input"):
         vid = field(entry, "id", "string", where)
+        if vid in vertices:
+            raise InputError(
+                f"bad id of {where}: {json.dumps(vid)} is the id of an earlier vertex"
+            )
+        multiplicity = field(entry, "multiplicity", "integer", where)
+        if multiplicity < 1:
+            raise InputError(
+                f"bad multiplicity of {where} ({json.dumps(vid)}): {multiplicity}; need >= 1"
+            )
+        genus = field(entry, "genus", "integer", where, 0)
+        if genus < 0:
+            raise InputError(f"bad genus of {where} ({json.dumps(vid)}): {genus}; need >= 0")
         vertices[vid] = qres2d.SmoothVertex(
             id=vid,
-            multiplicity=field(entry, "multiplicity", "integer", where),
+            multiplicity=multiplicity,
             self_int=None,
-            genus=field(entry, "genus", "integer", where, 0),
+            genus=genus,
             chi_open=field(entry, "chi_open", "integer", where),
         )
     strict = field(data, "strict", ("array", "string"), "zeta input", [])
+    for vid in strict:
+        if vid not in vertices:
+            raise InputError(f"bad strict of zeta input: {json.dumps(vid)} names no vertex")
     graph = qres2d.SmoothResolutionGraph(vertices=vertices, edges=[], strict_vertices=strict)
     zeta = monodromy.acampo_zeta(graph)
     char = monodromy.zeta_to_char(zeta, args.n)

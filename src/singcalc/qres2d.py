@@ -16,6 +16,13 @@ read off the face polynomial restricted to E; transversal crossings
 become strict branches, non-transversal ones are re-centered by an
 affine translation when the chart is smooth and the position rational.
 
+A germ is defined only up to a unit, so every chart equation is a
+primitive polynomial over Z: rational input is cleared of denominators
+once, and a translation by p/q is multiplied through by a power of q.
+Face polynomials are split by primitive remainder sequences over Z.
+Fractions remain only in the reported self-intersections and
+corrections, and in the rational positions that charts are moved to.
+
 The resulting graph of exceptional curves with multiplicities,
 self-intersections and quotient points converts to a smooth resolution
 graph by replacing every quotient point with its Hirzebruch-Jung chain
@@ -66,26 +73,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BivarPoly:
-    """Sparse polynomial in two variables with rational coefficients."""
+    """Sparse primitive polynomial in two variables over Z.
 
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    A curve germ is defined only up to a unit, so rational input is
+    scaled by the lcm of its denominators and divided by its positive
+    content; the sign is kept.
+
+    >>> BivarPoly({(0, 2): Fraction(1, 2), (3, 0): "-3/4"}).terms
+    (((0, 2), 2), ((3, 0), -3))
+    """
+
+    terms: tuple[tuple[tuple[int, int], int], ...]
 
     def __init__(self, terms=()):
-        data: dict[tuple[int, int], Fraction] = {}
+        data: dict[tuple[int, int], int | Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (i, j), c in items:
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
             if c == 0:
                 continue
             if i < 0 or j < 0:
                 raise InputError(f"negative exponent ({i},{j})")
             key = (int(i), int(j))
-            data[key] = data.get(key, Fraction(0)) + c
-        object.__setattr__(
-            self, "terms", tuple(sorted((k, v) for k, v in data.items() if v != 0))
-        )
+            data[key] = data[key] + c if key in data else c
+        den = math.lcm(*(c.denominator for c in data.values()))
+        ints = {k: c.numerator * (den // c.denominator) for k, c in data.items()}
+        object.__setattr__(self, "terms", BivarPoly._primitive(ints).terms)
 
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
+    @staticmethod
+    def _primitive(data: dict[tuple[int, int], int]) -> "BivarPoly":
+        """The polynomial sum c x^i y^j over data, divided by its positive content."""
+        g = math.gcd(*data.values()) or 1
+        poly = object.__new__(BivarPoly)
+        object.__setattr__(poly, "terms", tuple(sorted((k, c // g) for k, c in data.items() if c)))
+        return poly
+
+    def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
@@ -94,11 +118,11 @@ class BivarPoly:
     def support(self) -> list[tuple[int, int]]:
         return [k for k, _ in self.terms]
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.as_dict().get((i, j), Fraction(0))
+    def coefficient(self, i: int, j: int) -> int:
+        return next((c for k, c in self.terms if k == (i, j)), 0)
 
     def is_unit_at_origin(self) -> bool:
-        return self.coefficient(0, 0) != 0
+        return bool(self.terms) and self.terms[0][0] == (0, 0)
 
     def weighted_order(self, p: int, q: int) -> int:
         if self.is_zero():
@@ -116,43 +140,39 @@ class BivarPoly:
 
     def strip_axes(self) -> tuple[int, int, "BivarPoly"]:
         a, b = self.axis_powers()
-        return a, b, BivarPoly({(i - a, j - b): c for (i, j), c in self.terms})
+        return a, b, BivarPoly._primitive({(i - a, j - b): c for (i, j), c in self.terms})
 
     def translate_y(self, y0: Fraction) -> "BivarPoly":
-        """Substitute y -> y + y0."""
-        y0 = Fraction(y0)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms:
-            for k in range(j + 1):
-                coef = c * math.comb(j, k) * y0 ** (j - k)
-                if coef:
-                    out[(i, k)] = out.get((i, k), Fraction(0)) + coef
-        return BivarPoly(out)
+        """Substitute y -> y + y0, up to a positive constant.
+
+        >>> BivarPoly({(0, 2): 4, (1, 0): -1}).translate_y(Fraction(-1, 2)).terms
+        (((0, 0), 1), ((0, 1), -4), ((0, 2), 4), ((1, 0), -1))
+        """
+        return self._translate(y0, 1)
 
     def translate_x(self, x0: Fraction) -> "BivarPoly":
-        x0 = Fraction(x0)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms:
-            for k in range(i + 1):
-                coef = c * math.comb(i, k) * x0 ** (i - k)
-                if coef:
-                    out[(k, j)] = out.get((k, j), Fraction(0)) + coef
-        return BivarPoly(out)
+        """Substitute x -> x + x0, up to a positive constant."""
+        return self._translate(x0, 0)
 
-    def restrict_x0(self) -> dict[int, Fraction]:
+    def _translate(self, shift: Fraction, axis: int) -> "BivarPoly":
+        # with shift = p/q, q**top * (z + p/q)**e = sum_k C(e,k) z^k p^(e-k) q^(top-e+k)
+        p, q = shift.numerator, shift.denominator
+        top = max((key[axis] for key, _ in self.terms), default=0)
+        p_pow = [p**e for e in range(top + 1)]
+        q_pow = [q**e for e in range(top + 1)]
+        out: dict[tuple[int, int], int] = {}
+        for key, c in self.terms:
+            e = key[axis]
+            for k in range(e + 1):
+                coef = c * math.comb(e, k) * p_pow[e - k] * q_pow[top - e + k]
+                if coef:
+                    new = (key[0], k) if axis else (k, key[1])
+                    out[new] = out.get(new, 0) + coef
+        return BivarPoly._primitive(out)
+
+    def restrict_x0(self) -> dict[int, int]:
         """Coefficients of f(0, y) as a map j -> c."""
         return {j: c for (i, j), c in self.terms if i == 0}
-
-    def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
-        return sum((c * x**i * y**j for (i, j), c in self.terms), Fraction(0))
-
-    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms:
-            for (k, l), d in other.terms:
-                key = (i + k, j + l)
-                out[key] = out.get(key, Fraction(0)) + c * d
-        return BivarPoly(out)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -167,74 +187,116 @@ class BivarPoly:
         return " + ".join(parts)
 
 
-# ------------------------------------------------- univariate helpers (QQ[z])
+# ------------------------------------------------- univariate helpers (Z[z])
+# Polynomials are coefficient lists, constant term first.  A remainder
+# sequence over Z swells unless each remainder is made primitive (Collins
+# 1967; Brown 1971), and by Gauss's lemma a primitive divisor of an
+# integer polynomial divides it in Z[z].
 
 
-def _utrim(a: list[Fraction]) -> list[Fraction]:
+def _utrim(a: list[int]) -> list[int]:
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     return a
 
 
-def _uderiv(a: list[Fraction]) -> list[Fraction]:
+def _uderiv(a: list[int]) -> list[int]:
     if len(a) == 1:
-        return [Fraction(0)]
+        return [0]
     return _utrim([a[k] * k for k in range(1, len(a))])
 
 
-def _udivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _uprimitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient.
+
+    >>> _uprimitive([4, -6, -2])
+    [-2, 3, 1]
+    """
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a] if g else [0]
+
+
+def _uprem(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of c*a by b in Z[z], for some nonzero integer c.
+
+    >>> _uprem([1, 0, 1], [1, 2])  # 4(z^2 + 1) = (2z - 1)(2z + 1) + 5
+    [5]
+    """
     a = a[:]
-    if b == [0]:
-        raise InternalError("univariate division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    lead = b[-1]
     while len(a) >= len(b) and a != [0]:
+        if a[-1] % lead:
+            a = [lead * x for x in a]
+        c = a[-1] // lead
         shift = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
         _utrim(a)
-        if a == [0]:
-            break
-    return _utrim(q), a
-
-
-def _ugcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = a[:], b[:]
-    while b != [0]:
-        a, b = b, _udivmod(a, b)[1]
-    if a != [0]:
-        lead = a[-1]
-        a = [c / lead for c in a]
     return a
 
 
-def _urational_roots(a: list[Fraction]) -> list[Fraction]:
-    """Distinct rational roots, sorted."""
+def _ugcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[z] with a positive leading coefficient.
+
+    >>> _ugcd([-1, 0, 1], [2, -2])  # gcd(z^2 - 1, 2 - 2z)
+    [-1, 1]
+    """
+    a, b = _uprimitive(a), _uprimitive(b)
+    while b != [0]:
+        a, b = b, _uprimitive(_uprem(a, b))
+    return a
+
+
+def _uexquo(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[z]; InternalError when b does not divide a.
+
+    >>> _uexquo([-2, 0, 2], [1, 1])
+    [-2, 2]
+    """
+    a = a[:]
+    out = [0] * max(1, len(a) - len(b) + 1)
+    while len(a) >= len(b) and a != [0]:
+        c, r = divmod(a[-1], b[-1])
+        if r:
+            break
+        shift = len(a) - len(b)
+        out[shift] = c
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
+        _utrim(a)
+    if a != [0]:
+        raise InternalError("squarefree division left a remainder")
+    return _utrim(out)
+
+
+def _urational_roots(a: list[int]) -> list[Fraction]:
+    """Distinct rational roots, sorted.
+
+    A candidate p/q in lowest terms is a root when sum a_i p^i q^(n-i) = 0.
+
+    >>> _urational_roots([0, -6, 5, 6])  # z(2z + 3)(3z - 2)
+    [Fraction(-3, 2), Fraction(0, 1), Fraction(2, 3)]
+    """
     if len(a) == 1:
         return []
-    denlcm = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * denlcm) for c in a]
     k = 0
-    while ints[k] == 0:
+    while a[k] == 0:
         k += 1
-    roots = set()
-    if k > 0:
-        roots.add(Fraction(0))
-    a0, an = abs(ints[k]), abs(ints[-1])
-    for pn in divisors(a0):
-        for qd in divisors(an):
-            for cand in (Fraction(pn, qd), Fraction(-pn, qd)):
-                if _ueval(a, cand) == 0:
-                    roots.add(cand)
+    roots = [Fraction(0)] if k else []
+    for pn in divisors(abs(a[k])):
+        for qd in divisors(abs(a[-1])):
+            if math.gcd(pn, qd) != 1:
+                continue
+            for p in (pn, -pn):
+                acc, q_pow = a[-1], 1
+                for c in reversed(a[:-1]):
+                    q_pow *= qd
+                    acc = acc * p + c * q_pow
+                if acc == 0:
+                    roots.append(Fraction(p, qd))
     return sorted(roots)
-
-
-def _ueval(a: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 # ------------------------------------------------------------ Newton polygon
@@ -369,14 +431,13 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str = "E"):
     n_exc = n_up // d
 
     def transform(chart_one: bool) -> BivarPoly:
-        out = {}
+        out = {}  # the monomial map is injective: no two terms meet
         for (i, j), coef in c.equation.terms:
             s = p * i + q * j - m
             if s % d:
                 raise InternalError("monomial transform produced a fractional exponent")
-            key = (s // d, j) if chart_one else (i, s // d)
-            out[key] = out.get(key, Fraction(0)) + coef
-        return BivarPoly(out)
+            out[(s // d, j) if chart_one else (i, s // d)] = coef
+        return BivarPoly._primitive(out)
 
     pending1 = [(exc_id, "x", n_exc)]
     if "y" in axes:  # the old component along {y=0} survives into chart 1
@@ -593,7 +654,7 @@ def _scan_exceptional(walk: _Walk, record, chart1: Chart, chart2: Chart, exc_id:
     rest = sorted(j - jmin for j in face)
     if any(r % p for r in rest):
         raise InternalError("face polynomial is not a polynomial in y^p")
-    G = [Fraction(0)] * (rest[-1] // p + 1)
+    G = [0] * (rest[-1] // p + 1)
     for j, c in face.items():
         G[(j - jmin) // p] = c
     G = _utrim(G)
@@ -602,12 +663,8 @@ def _scan_exceptional(walk: _Walk, record, chart1: Chart, chart2: Chart, exc_id:
     if len(G) == 1:
         return out_charts
     T = _ugcd(G, _uderiv(G))
-    S, r0 = _udivmod(G, T)
-    if r0 != [0]:
-        raise InternalError("squarefree division left a remainder")
-    distinct = len(S) - 1
-    t_square, _ = _udivmod(T, _ugcd(T, _uderiv(T)))
-    multiple_distinct = len(t_square) - 1
+    distinct = len(_uexquo(G, T)) - 1
+    multiple_distinct = len(_uexquo(T, _ugcd(T, _uderiv(T)))) - 1
     simple = distinct - multiple_distinct
     for _ in range(simple):
         sid = walk.new_strict()

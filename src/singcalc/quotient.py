@@ -232,23 +232,22 @@ def chain_multiplicities(b: tuple[int, ...], m_left: int, m_right: int) -> tuple
     """
     s = len(b)
     # m_i = p_i + q_i * m_1 with m_0 = m_left
-    p, q = [Fraction(m_left), Fraction(0)], [Fraction(0), Fraction(1)]
+    p, q = [m_left, 0], [0, 1]
     for i in range(1, s + 1):
         p.append(b[i - 1] * p[i] - p[i - 1])
         q.append(b[i - 1] * q[i] - q[i - 1])
     # p[s+1] + q[s+1] * m_1 = m_right
     if q[s + 1] == 0:
         raise NonIntegralMultiplicity("degenerate chain system")
-    m1 = (Fraction(m_right) - p[s + 1]) / q[s + 1]
-    ms = [p[i] + q[i] * m1 for i in range(1, s + 1)]
-    out = []
-    for m in ms:
-        if m.denominator != 1 or m <= 0:
-            raise NonIntegralMultiplicity(
-                f"chain multiplicities {ms} are not positive integers for b={b}, ends=({m_left},{m_right})"
-            )
-        out.append(int(m))
-    return tuple(out)
+    m1, rest = divmod(m_right - p[s + 1], q[s + 1])
+    ms = tuple(p[i] + q[i] * m1 for i in range(1, s + 1))
+    if rest or any(m <= 0 for m in ms):
+        m1 = Fraction(m_right - p[s + 1], q[s + 1])
+        shown = [p[i] + q[i] * m1 for i in range(1, s + 1)]
+        raise NonIntegralMultiplicity(
+            f"chain multiplicities {shown} are not positive integers for b={b}, ends=({m_left},{m_right})"
+        )
+    return ms
 
 
 def suspension_normalize(k: int, a: int, b: int) -> list[QuotientType]:

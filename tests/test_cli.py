@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,41 @@ def test_golden(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out == (DATA / golden).read_text()
+
+
+def test_translated_germ_golden(capsys):
+    # (2y - 3x^2)^2 - x^7 is resolved through a translation y -> y + 3/2
+    # of the chart after the first blow-up.  Kept apart from GOLDEN_CASES,
+    # whose list the benchmark replays.
+    argv = ("local", "--input", str(DATA / "a6_translated_germ.json"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == (DATA / "a6_translated_local.golden.json").read_text()
+    report = json.loads(out)
+    assert (report["mu"], report["r"], report["graph"]["blowups"]) == (6, 1, 2)
+
+
+SCALED_GERMS = {
+    "cusp": {(0, 2): 1, (3, 0): -1},
+    "two cusps": {(0, 4): 1, (3, 2): -5, (6, 0): 4},
+    "(3y-2x)^2-x^3": {(0, 2): 9, (1, 1): -12, (2, 0): 4, (3, 0): -1},
+    "(2y-3x^2)^2-x^7": {(0, 2): 4, (2, 1): -12, (4, 0): 9, (7, 0): -1},
+    "(2x-3y^2)^2-y^7": {(2, 0): 4, (1, 2): -12, (0, 4): 9, (0, 7): -1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_GERMS))
+def test_local_report_ignores_rational_scaling(capsys, tmp_path, name):
+    # a germ is defined up to a unit: scaling its equation leaves the report
+    reports = set()
+    for scale in (Fraction(1), Fraction(1, 2), Fraction(-3, 7), Fraction(6)):
+        germ = [{"i": i, "j": j, "c": str(c * scale)} for (i, j), c in SCALED_GERMS[name].items()]
+        path = tmp_path / "germ.json"
+        path.write_text(json.dumps({"germ": germ}))
+        code, out, err = run_cli(capsys, "local", "--input", str(path))
+        assert (code, err) == (0, "")
+        reports.add(out)
+    assert len(reports) == 1
 
 
 def test_output_is_deterministic(capsys):
@@ -520,6 +556,42 @@ def test_zeta_n2_impossible_exits_1(capsys):
     # the cusp zeta function is not a degree-2 characteristic polynomial
     code, _, err = run_cli(capsys, "zeta", "--input", str(DATA / "zeta_cusp.json"), "--n", "2")
     assert code == 1
+
+
+def _repeat_vertex(data):
+    data["vertices"].append(dict(data["vertices"][0]))
+
+
+@pytest.mark.parametrize(
+    "mutate,named",
+    [
+        (_repeat_vertex, '"E1"'),
+        (_set(("strict",), ["S1", "X9"]), '"X9"'),
+        (_set(("vertices", 3, "multiplicity"), -7), '"S1"'),
+        (_set(("vertices", 3, "multiplicity"), 0), '"S1"'),
+        (_set(("vertices", 0, "multiplicity"), 0), '"E1"'),
+        (_set(("vertices", 1, "genus"), -1), '"C1"'),
+    ],
+    ids=[
+        "repeated-id",
+        "unknown-strict-id",
+        "strict-negative",
+        "strict-zero",
+        "exceptional-zero",
+        "negative-genus",
+    ],
+)
+def test_zeta_bad_vertex_data_exits_1(capsys, tmp_path, mutate, named):
+    # each used to exit 0 except the exceptional multiplicity: a repeated id
+    # replaced the earlier vertex, strict vertices and genera were never checked
+    data = json.loads((DATA / "zeta_cusp.json").read_text())
+    mutate(data)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "zeta", "--input", str(path))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], err
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ import doctest
 
 import pytest
 
-from singcalc import curves, cyclo, quotient, schema, weightfilt
+from singcalc import curves, cyclo, qres2d, quotient, schema, weightfilt
 
 
 @pytest.mark.parametrize(
-    "module", [cyclo, quotient, curves, schema, weightfilt], ids=lambda m: m.__name__
+    "module", [cyclo, quotient, qres2d, curves, schema, weightfilt], ids=lambda m: m.__name__
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)

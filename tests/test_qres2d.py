@@ -3,6 +3,7 @@ oracle for torus germs, and structural invariants of the output."""
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from singcalc.cyclo import CycloProduct, expand
 from singcalc.errors import (
     InputError,
+    InternalError,
     NonIntegralMultiplicity,
     NotReduced,
     Unsupported,
@@ -21,6 +23,10 @@ from singcalc.qres2d import (
     Chart,
     QResolutionGraph,
     QVertex,
+    _uderiv,
+    _uexquo,
+    _ugcd,
+    _urational_roots,
     local_invariants,
     newton_weights,
     qblowup_step,
@@ -319,6 +325,140 @@ def test_pipeline_determinism():
     ]
 
 
+# ------------------------------------------- integer helpers against Q[z]
+# The resolution walk takes gcds, square-free parts and rational roots of
+# face polynomials in Z[z].  The reference below works over Q with
+# Fraction arithmetic: monic Euclid and the rational-root test by
+# evaluation.  Polynomials are coefficient lists, constant term first.
+
+
+def _ref_trim(a):
+    a = list(a)
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_divmod(a, b):
+    a = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    while len(a) >= len(b) and a != [0]:
+        shift = len(a) - len(b)
+        f = a[-1] / b[-1]
+        quo[shift] = f
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a = _ref_trim(a)
+    return _ref_trim(quo), a
+
+
+def _ref_monic(a):
+    return [Fraction(c) / a[-1] for c in a]
+
+
+def _ref_gcd(a, b):
+    a, b = _ref_trim(a), _ref_trim(b)
+    while b != [0]:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a)
+
+
+def _ref_rational_roots(a):
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(a):
+            acc = acc * x + c
+        return acc
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    k = next(i for i, c in enumerate(a) if c)
+    roots = {Fraction(0)} if k else set()
+    for p in divisors(a[k]):
+        for q in divisors(a[-1]):
+            roots |= {x for x in (Fraction(p, q), Fraction(-p, q)) if value(x) == 0}
+    return sorted(roots)
+
+
+def _ref_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_face_polynomial(rng):
+    """(content * prod (q z - p)^e * an irreducible quadratic, roots {p/q: e})."""
+    poly, roots = [rng.choice([1, -1, 2, -6, 15])], {}
+    for _ in range(rng.randint(1, 3)):
+        root = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        e = rng.randint(1, 3)
+        roots[root] = roots.get(root, 0) + e
+        for _ in range(e):
+            poly = _ref_mul(poly, [-root.numerator, root.denominator])
+    quadratic = rng.choice([None, [1, 0, 1], [-2, 0, 1], [1, 1, 1], [3, 0, -4]])
+    if quadratic:
+        poly = _ref_mul(poly, quadratic)
+    return poly, roots
+
+
+def test_integer_univariate_helpers_match_fraction_reference():
+    rng = random.Random(20241)
+    repeated_seen = 0
+    for _ in range(200):
+        G, roots = _random_face_polynomial(rng)
+        T = _ugcd(G, _uderiv(G))
+        assert math.gcd(*T) == 1 and T[-1] > 0  # primitive, positive leading coefficient
+        assert _ref_monic(T) == _ref_gcd(G, _uderiv(G))
+        squarefree = _uexquo(G, T)
+        ref_quo, ref_rem = _ref_divmod(G, _ref_gcd(G, _uderiv(G)))
+        assert ref_rem == [0] and _ref_monic(squarefree) == _ref_monic(ref_quo)
+        assert _urational_roots(G) == _ref_rational_roots(G) == sorted(roots)
+        repeated = sorted(r for r, e in roots.items() if e > 1)
+        assert _urational_roots(T) == repeated
+        assert len(_uexquo(T, _ugcd(T, _uderiv(T)))) - 1 == len(repeated)
+        repeated_seen += bool(repeated)
+    assert repeated_seen > 60, repeated_seen
+
+
+def test_exact_division_reports_a_remainder():
+    with pytest.raises(InternalError, match="squarefree division left a remainder"):
+        _uexquo([-1, 0, 1], [1, 2])  # 2z + 1 does not divide z^2 - 1
+    with pytest.raises(InternalError, match="squarefree division left a remainder"):
+        _uexquo([1, 1], [0, 2])  # the quotient 1/2 is not in Z[z]
+
+
+# germ -> (mu, r, translated axis, shift): each has a repeated root p/q with
+# q > 1 on the first exceptional curve, so the walk translates by a fraction
+TRANSLATED = {
+    "(3y-2x)^2-x^3": ({(0, 2): 9, (1, 1): -12, (2, 0): 4, (3, 0): -1}, 2, 1, "y", Fraction(2, 3)),
+    "(2y-3x^2)^2-x^7": ({(0, 2): 4, (2, 1): -12, (4, 0): 9, (7, 0): -1}, 6, 1, "y", Fraction(3, 2)),
+    "(2x-3y^2)^2-y^7": ({(2, 0): 4, (1, 2): -12, (0, 4): 9, (0, 7): -1}, 6, 1, "x", Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATED))
+def test_translation_by_a_fraction(monkeypatch, name):
+    # (a y - b x^k)^2 - x^n is A_{n-1} in the coordinate Y = a y - b x^k
+    germ, mu, r, axis, shift = TRANSLATED[name]
+    method = f"translate_{axis}"
+    original = getattr(BivarPoly, method)
+    shifts = []
+    monkeypatch.setattr(BivarPoly, method, lambda self, v: shifts.append(v) or original(self, v))
+    inv = local_invariants(P(germ))
+    assert (inv.mu, inv.branches) == (mu, r)
+    assert shifts == [shift]
+
+
+def test_rational_input_is_stored_primitive():
+    # denominators cleared, positive content divided out, sign kept
+    assert P({(0, 2): Fraction(-1, 2), (3, 0): "3/4"}).as_dict() == {(0, 2): -2, (3, 0): 3}
+    assert P({(0, 2): 6, (3, 0): -4, (1, 1): 0}).as_dict() == {(0, 2): 3, (3, 0): -2}
+    assert P([((0, 2), Fraction(1, 3)), ((0, 2), Fraction(-1, 3))]).is_zero()
+
+
 # ------------------------------------------------------------------- errors
 
 
@@ -397,10 +537,14 @@ def test_property_ordinary_multiple_point(slopes):
     """prod (y - a_i x) with distinct slopes: mu = (m-1)^2, r = m,
     characteristic polynomial (t-1)(t^m-1)^{m-2}."""
     m = len(slopes)
-    germ = BivarPoly({(0, 0): 1})
-    for a in slopes:
-        germ = germ * BivarPoly({(0, 1): 1, (1, 0): -a})
-    inv = local_invariants(germ)
+    germ = {(0, 0): 1}
+    for a in slopes:  # multiply by y - a x
+        out = {}
+        for (i, j), c in germ.items():
+            out[(i, j + 1)] = out.get((i, j + 1), 0) + c
+            out[(i + 1, j)] = out.get((i + 1, j), 0) - a * c
+        germ = out
+    inv = local_invariants(P(germ))
     assert inv.mu == (m - 1) ** 2
     assert inv.branches == m
     expected = CycloProduct({1: 1} if m == 2 else {1: 1, m: m - 2})

@@ -107,6 +107,25 @@ def test_chain_multiplicities_solvable_cases():
         chain_multiplicities((2,), 3, 0)
 
 
+@pytest.mark.parametrize(
+    "args,shown",
+    [
+        (((2, 2), 1, 5), "[Fraction(7, 3), Fraction(11, 3)]"),
+        (((2,), -4, 0), "[Fraction(-2, 1)]"),
+    ],
+    ids=["fractional", "negative"],
+)
+def test_chain_multiplicities_error_text(args, shown):
+    # the message lists the rational solution, also for an integral one
+    b, m_left, m_right = args
+    with pytest.raises(NonIntegralMultiplicity) as err:
+        chain_multiplicities(*args)
+    assert str(err.value) == (
+        f"chain multiplicities {shown} are not positive integers for b={b}, "
+        f"ends=({m_left},{m_right})"
+    )
+
+
 # ------------------------------------------------------- normalize_type
 
 
