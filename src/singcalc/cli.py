@@ -300,8 +300,6 @@ def _quotient_text(report: dict) -> str:
 
 
 def cmd_quotient(args) -> str:
-    if args.d is None or args.beta is None:
-        raise InputError("quotient needs --d and --beta")
     qtype = quotient.normalize_type(quotient.cyclic(args.d, 1, args.beta))
     chain = quotient.hj_resolve(args.d, args.beta)
     report = {

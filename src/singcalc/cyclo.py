@@ -335,6 +335,34 @@ class DensePoly:
         return " ".join(parts)
 
 
+def _utrim(a: list[int]) -> list[int]:
+    """Drop the zero top coefficients of a in place, keeping at least one."""
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _exquo(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b for integer polynomials (constant term first, b trimmed and
+    nonzero), or None when the quotient is not in Z[z].
+
+    >>> _exquo([-2, 0, 2], [1, 1]), _exquo([1, 1], [0, 2])
+    ([-2, 2], None)
+    """
+    a = list(a)
+    top = len(b) - 1
+    out = [0] * max(1, len(a) - top)
+    for shift in range(len(a) - 1 - top, -1, -1):
+        c, r = divmod(a[shift + top], b[top])
+        if r:
+            return None
+        if c:
+            out[shift] = c
+            for i, y in enumerate(b):
+                a[shift + i] -= c * y
+    return None if any(a) else _utrim(out)
+
+
 def _mul_by_tm_minus_1(coeffs: list[int], m: int) -> list[int]:
     """Coefficient k of the product is coeffs[k - m] - coeffs[k]."""
     return [a - b for a, b in zip([0] * m + coeffs, coeffs + [0] * m)]

@@ -7,8 +7,10 @@ creates one exceptional curve E with
     N_E  = (p,q)-weighted order of the invariant local equation / d,
     E^2  = -d / (pq),
 
-and two new charts with cyclic ambient groups 1/p(-d, q) and
-1/q(p, -d); strict transforms are computed monomially.  The walk stops
+and two new charts with cyclic groups 1/p(-d, q) and 1/q(p, -d), whose
+formula `quotient.wblowup2` owns; strict transforms are computed
+monomially.  A chart carries its group as the integers (d, a, b) of
+1/d(a, b), and (1, 0, 0) when it is smooth.  The walk stops
 at a chart origin once the local picture is a normal crossing of at
 most two components (exceptional curves, strict branches), possibly at
 a cyclic quotient point.  Points of E away from the chart origins are
@@ -37,7 +39,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclo import divisors
+from .curves import _connected
+from .cyclo import _exquo, _utrim, divisors
 from .errors import (
     InputError,
     InternalError,
@@ -45,12 +48,7 @@ from .errors import (
     NotReduced,
     Unsupported,
 )
-from .quotient import (
-    QuotientType,
-    chain_multiplicities,
-    continued_fraction,
-    cyclic,
-)
+from .quotient import chain_multiplicities, continued_fraction, wblowup2
 
 __all__ = [
     "BivarPoly",
@@ -194,12 +192,6 @@ class BivarPoly:
 # integer polynomial divides it in Z[z].
 
 
-def _utrim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _uderiv(a: list[int]) -> list[int]:
     if len(a) == 1:
         return [0]
@@ -255,20 +247,10 @@ def _uexquo(a: list[int], b: list[int]) -> list[int]:
     >>> _uexquo([-2, 0, 2], [1, 1])
     [-2, 2]
     """
-    a = a[:]
-    out = [0] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a != [0]:
-        c, r = divmod(a[-1], b[-1])
-        if r:
-            break
-        shift = len(a) - len(b)
-        out[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] -= c * y
-        _utrim(a)
-    if a != [0]:
+    out = _exquo(a, b)
+    if out is None:
         raise InternalError("squarefree division left a remainder")
-    return _utrim(out)
+    return out
 
 
 def _urational_roots(a: list[int]) -> list[Fraction]:
@@ -368,26 +350,18 @@ def newton_weights(f: BivarPoly) -> NewtonData:
 class Chart:
     """Working state of the resolution walk at one chart.
 
-    ``ambient`` is None for a smooth chart, otherwise a cyclic type
-    1/d(a, b) acting diagonally on the chart coordinates.  ``pending``
+    ``group`` is (d, a, b) for the cyclic group 1/d(a, b) acting
+    diagonally on the chart coordinates, weights reduced mod d, and
+    (1, 0, 0) for a smooth chart.  ``pending``
     lists exceptional components through the chart origin as
     (component id, coordinate axis whose zero set the component is,
     multiplicity).  The equation is the strict transform: exceptional
     factors removed, axis-shaped strict branches kept.
     """
 
-    ambient: QuotientType | None
+    group: tuple[int, int, int]
     equation: BivarPoly
     pending: tuple[tuple[str, str, int], ...] = ()
-
-    def group(self) -> tuple[int, int, int]:
-        if self.ambient is None or self.ambient.is_smooth_symbol():
-            return (1, 0, 0)
-        if self.ambient.dim != 2 or len(self.ambient.orders) != 1:
-            raise Unsupported(f"ambient {self.ambient} is not a cyclic surface chart")
-        d = self.ambient.orders[0]
-        a, b = self.ambient.weights[0]
-        return (d, a % d, b % d)
 
 
 def _check_uniform_character(poly: BivarPoly, d: int, a: int, b: int) -> int:
@@ -407,17 +381,15 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str = "E"):
 
     Returns (exceptional record, [origin-x chart, origin-y chart]).
     The record is a dict with the new component's multiplicity,
-    self-intersection, quotient points, and the self-intersection
+    self-intersection and weights, and the self-intersection
     corrections owed to the pending components through the center; the
     new component enters both charts' pending lists under ``exc_id``.
+    The charts take their groups from `wblowup2`.
     """
-    from .quotient import wblowup2
-
     p, q = weights
-    d, a, b = c.group()
+    d, a, b = c.group
     _check_uniform_character(c.equation, d, a, b)
-    amb = None if d == 1 else cyclic(d, a, b)
-    base = wblowup2(amb, (p, q))
+    base = wblowup2(c.group, (p, q))
 
     axes = {axis: (cid, mult) for cid, axis, mult in c.pending}
     if len(axes) != len(c.pending):
@@ -445,21 +417,12 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str = "E"):
     pending2 = [(exc_id, "y", n_exc)]
     if "x" in axes:
         pending2.append((axes["x"][0], "x", ax_mult))
-    chart1 = Chart(
-        ambient=None if p == 1 else cyclic(p, -d, q),
-        equation=transform(True),
-        pending=tuple(pending1),
-    )
-    chart2 = Chart(
-        ambient=None if q == 1 else cyclic(q, p, -d),
-        equation=transform(False),
-        pending=tuple(pending2),
-    )
+    chart1 = Chart(base.charts[0], transform(True), tuple(pending1))
+    chart2 = Chart(base.charts[1], transform(False), tuple(pending2))
     record = {
         "id": exc_id,
         "multiplicity": n_exc,
         "self_int": base.self_int,
-        "sing_points": base.sing_points,
         "weights": (p, q),
         "corrections": {
             cid: (Fraction(-p, d * q) if axis == "x" else Fraction(-q, d * p))
@@ -554,7 +517,7 @@ class _Walk:
 def _prepare_origin(chart: Chart) -> tuple:
     """(d, a, b, axes, ax, ay, core) of a chart origin: group 1/d(a, b), pending
     components by axis, and equation x^ax y^ay core, checked to be reduced."""
-    d, a, b = chart.group()
+    d, a, b = chart.group
     _check_uniform_character(chart.equation, d, a, b)
     axes = {axis: (cid, mult) for cid, axis, mult in chart.pending}
     if chart.equation.is_zero():
@@ -680,12 +643,12 @@ def _scan_exceptional(walk: _Walk, record, chart1: Chart, chart2: Chart, exc_id:
         if p == 1:
             moved = chart1.equation.translate_y(z0)
             out_charts.append(
-                Chart(None, moved, ((exc_id, "x", record["multiplicity"]),))
+                Chart((1, 0, 0), moved, ((exc_id, "x", record["multiplicity"]),))
             )
         elif q == 1:
             moved = chart2.equation.translate_x(1 / z0)
             out_charts.append(
-                Chart(None, moved, ((exc_id, "y", record["multiplicity"]),))
+                Chart((1, 0, 0), moved, ((exc_id, "y", record["multiplicity"]),))
             )
         else:
             raise Unsupported(
@@ -703,7 +666,7 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
         raise InputError("the germ is a unit: no curve through the origin")
     walk = _Walk()
     worklist: deque[tuple[Chart, bool]] = deque()
-    worklist.append((Chart(None, f, ()), True))
+    worklist.append((Chart((1, 0, 0), f), True))
     processed = 0
     while worklist:
         chart, force = worklist.popleft()
@@ -737,15 +700,7 @@ def _assert_connected(g: QResolutionGraph):
     for e in g.edges:
         adj[e.u].add(e.v)
         adj[e.v].add(e.u)
-    seen = set()
-    stack = [next(iter(g.vertices))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    if seen != set(g.vertices):
+    if not _connected(g.vertices, adj):
         raise InternalError("resolution graph is disconnected")
 
 

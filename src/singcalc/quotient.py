@@ -19,9 +19,8 @@ the curve-resolution engine.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError, NonIntegralMultiplicity, Unsupported
@@ -100,24 +99,15 @@ def cyclic(d: int, *weights: int) -> QuotientType:
 SMOOTH = cyclic(1, 0, 0)
 
 
-def _group_elements(q: QuotientType) -> tuple[int, set[tuple[int, ...]]]:
-    """All elements of the acting group as exponent vectors mod L = lcm(d_i)."""
-    L = math.lcm(*q.orders)
-    gens = [
-        tuple((a * (L // d)) % L for a in row)
-        for d, row in zip(q.orders, q.weights)
-    ]
-    n = q.dim
-    elements = {tuple([0] * n)}
-    frontier = [tuple([0] * n)]
-    while frontier:
-        e = frontier.pop()
-        for g in gens:
-            nxt = tuple((x + y) % L for x, y in zip(e, g))
-            if nxt not in elements:
-                elements.add(nxt)
-                frontier.append(nxt)
-    return L, elements
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a > 0 and b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    return a, s0, t0
 
 
 def normalize_type(q: QuotientType) -> QuotientType:
@@ -128,11 +118,24 @@ def normalize_type(q: QuotientType) -> QuotientType:
     are factored out (they only re-coordinatize the quotient), the
     remaining small diagonal abelian group is cyclic, and beta is the
     smaller of the two candidates beta_0, beta_0^{-1} mod d, making the
-    normal form invariant under swapping the coordinates.  Both
-    1/5(-1,2) and 1/5(2,-1) normalize to 1/5(1,2).
+    normal form invariant under swapping the coordinates (Brieskorn
+    1968).  Both 1/5(-1,2) and 1/5(2,-1) normalize to 1/5(1,2).
+
+    The group is never listed.  With L = lcm(d_i), its elements are the
+    lattice spanned by the generator rows, scaled to exponents mod L,
+    and by L*Z^2, taken mod L.  An extended gcd per row reduces that
+    lattice to a Hermite basis (e, f), (0, c).  The reflections along
+    the axes form subgroups of orders hx = L / (e*c / gcd(f, c)) and
+    hy = L / c, and the small group left after replacing x, y by x^hx,
+    y^hy is generated by (hx*e, hy*f) mod L.
 
     Curves (n = 1) are always smooth.  For n = 3 only row reduction
     and dropping of trivial factors is performed.
+
+    >>> print(normalize_type(cyclic(5, -1, 2)))
+    1/5(1,2)
+    >>> print(normalize_type(QuotientType((4, 2), ((1, 3), (1, 0)))))
+    1/2(1,1)
     """
     if q.dim == 1:
         return QuotientType((1,), ((0,),))
@@ -142,33 +145,26 @@ def normalize_type(q: QuotientType) -> QuotientType:
             return QuotientType((1,), ((0, 0, 0),))
         return QuotientType(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
 
-    L, elements = _group_elements(q)
-    # Pseudo-reflection subgroups act on one coordinate only; quotienting
-    # by them replaces that coordinate by its invariant power.
-    hx = len({e[0] for e in elements if e[1] == 0})
-    hy = len({e[1] for e in elements if e[0] == 0})
-    small = {((u * hx) % L, (v * hy) % L) for u, v in elements}
-    order = len(small)
+    L = math.lcm(*q.orders)
+    e, f, c = L, 0, L  # Hermite basis (e, f), (0, c) of L*Z^2
+    for d, (x, y) in zip(q.orders, q.weights):
+        x, y = x * (L // d), y * (L // d)
+        g, s, t = _xgcd(e, x)
+        # (e, f), (x, y) -> (g, s*f + t*y), (0, (x/g)*f - (e/g)*y) is unimodular
+        c = math.gcd(c, (x // g) * f - (e // g) * y)
+        e, f = g, (s * f + t * y) % c
+    hx = L // (e * c // math.gcd(f, c))
+    hy = L // c
+    u, v = hx * e % L, hy * f % L
+    order = L // math.gcd(u, v, L)
     if order == 1:
         return QuotientType((1,), ((0, 0),))
-    gen = None
-    for e in small:
-        powers = {tuple((k * x) % L for x in e) for k in range(order)}
-        if len(powers) == order:
-            gen = e
-            break
-    if gen is None:
-        raise InternalError("small diagonal abelian surface group is not cyclic")
-    # translate exponents mod L into weights mod the group order
     step = L // order
-    if any(x % step for x in gen):
-        raise InternalError("generator exponents not on the lattice of the cyclic group")
-    a, b = gen[0] // step, gen[1] // step
-    if math.gcd(a, order) != 1:
-        # some power of gen is a pseudo-reflection, contradiction
+    a, b = u // step, v // step
+    if math.gcd(a, order) != 1 or math.gcd(b, order) != 1:
+        # some power of the generator is a pseudo-reflection, contradiction
         raise InternalError("normalized group is not small")
-    inv = pow(a, -1, order)
-    beta = (inv * b) % order
+    beta = pow(a, -1, order) * b % order
     return cyclic(order, 1, min(beta, pow(beta, -1, order)))
 
 
@@ -283,65 +279,61 @@ def suspension_normalize(k: int, a: int, b: int) -> list[QuotientType]:
 class BlowupData:
     """Numerical outcome of one weighted blow-up.
 
-    ``self_int`` is E^2 of the new exceptional curve; ``sing_points``
-    lists (chart label, normalized quotient type) for the at most two
-    quotient points sitting on E at the chart origins; at the
-    origin-x chart the first coordinate is local to E, at origin-y the
-    second.
+    ``self_int`` is E^2 of the new exceptional curve.  ``charts`` holds
+    the groups (d, a, b) of the origin-x and origin-y charts as written
+    on the chart coordinates, weights reduced mod d and (1, 0, 0) for a
+    smooth chart; at the origin-x chart the first coordinate is local
+    to E, at origin-y the second.  ``sing_points`` lists (chart label,
+    normal form) for the chart origins that are quotient points.
     """
 
     weights: tuple[int, int]
     self_int: Fraction
-    sing_points: tuple[tuple[str, QuotientType], ...]
+    charts: tuple[tuple[int, int, int], tuple[int, int, int]]
+
+    @property
+    def sing_points(self) -> tuple[tuple[str, QuotientType], ...]:
+        return tuple(
+            (label, normalize_type(cyclic(*group)))
+            for label, group in zip(("origin-x", "origin-y"), self.charts)
+            if group[0] > 1
+        )
 
 
 def _presentable(d: int, a: int, b: int, p: int, q: int) -> bool:
-    """Can 1/d(a,b) be written with weights (p, q), i.e. (a,b) = l(p,q) mod d?"""
-    if d == 1:
-        return True
-    if math.gcd(p, d) != 1 or math.gcd(q, d) != 1:
-        return False
+    """Can 1/d(a,b) be written with weights (p, q), i.e. (a,b) = l(p,q) mod d
+    for a unit l?  Needs gcd(p, d) = 1."""
     lam = (a * pow(p, -1, d)) % d
     return (lam * q - b) % d == 0 and math.gcd(lam, d) == 1
 
 
-def wblowup2(ambient: QuotientType | None, weights: tuple[int, int]) -> BlowupData:
-    """(p, q)-weighted blow-up of the origin of C^2 or of 1/d(p, q).
+def wblowup2(ambient: tuple[int, int, int] | None, weights: tuple[int, int]) -> BlowupData:
+    """(p, q)-weighted blow-up of the origin of C^2 or of a point 1/d(a, b).
 
-    Requires d, p, q pairwise coprime.  The new exceptional curve E
-    has E^2 = -d/(pq); the two chart origins are quotient points of
-    types 1/p(-d, q) and 1/q(p, -d), listed after normalization and
-    omitting smooth ones.
+    ``ambient`` is the group (d, a, b) of the point, None or d = 1 for
+    a smooth point.  Requires d, p, q pairwise coprime and (a, b) a
+    unit multiple of (p, q) mod d.  The new exceptional curve E has
+    E^2 = -d/(pq); the two chart origins carry the groups 1/p(-d, q)
+    and 1/q(p, -d).
 
     >>> data = wblowup2(None, (2, 3))
-    >>> data.self_int
-    Fraction(-1, 6)
+    >>> data.self_int, data.charts
+    (Fraction(-1, 6), ((2, 1, 1), (3, 2, 2)))
     >>> [f"{lbl}: {t}" for lbl, t in data.sing_points]
     ['origin-x: 1/2(1,1)', 'origin-y: 1/3(1,1)']
     """
     p, q = weights
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise InputError(f"blow-up weights must be coprime positive integers, got {weights}")
-    if ambient is None or ambient.is_smooth_symbol():
-        d = 1
-    else:
-        if ambient.dim != 2 or len(ambient.orders) != 1:
-            raise Unsupported(f"cannot blow up ambient {ambient}")
-        d = ambient.orders[0]
-        if d > 1:
-            # presentability is a statement about the written coordinates,
-            # so it is checked on the raw row, not the normal form
-            a, b = ambient.weights[0]
-            if math.gcd(d, p) != 1 or math.gcd(d, q) != 1:
-                raise Unsupported(f"weights {weights} share a factor with the group order {d}")
-            if not _presentable(d, a, b, p, q):
-                raise Unsupported(f"ambient {ambient} is not presentable as 1/{d}({p},{q})")
-    points = []
-    if p > 1:
-        points.append(("origin-x", normalize_type(cyclic(p, -d, q))))
-    if q > 1:
-        points.append(("origin-y", normalize_type(cyclic(q, p, -d))))
-    return BlowupData((p, q), Fraction(-d, p * q), tuple(points))
+    d, a, b = ambient or (1, 0, 0)
+    if d > 1:
+        # presentability is a statement about the written coordinates,
+        # so it is checked on the raw row, not the normal form
+        if math.gcd(d, p) != 1 or math.gcd(d, q) != 1:
+            raise Unsupported(f"weights {weights} share a factor with the group order {d}")
+        if not _presentable(d, a, b, p, q):
+            raise Unsupported(f"ambient 1/{d}({a},{b}) is not presentable as 1/{d}({p},{q})")
+    return BlowupData((p, q), Fraction(-d, p * q), ((p, -d % p, q % p), (q, p % q, -d % q)))
 
 
 def wblowup3_smooth(omega: tuple[int, int, int]) -> list[tuple[str, QuotientType]]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .cyclo import CycloDivisor, CycloProduct, DensePoly, _phi, expand
+from .cyclo import CycloDivisor, CycloProduct, DensePoly, _exquo, _phi, _utrim, expand
 from .errors import InputError, InternalError
 from .schema import read
 
@@ -308,27 +308,6 @@ def charpoly(a: tuple) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _int_poly_divide(num: list, den: list):
-    """Exact division of integer polynomials (low-first), or None."""
-    num = list(num)
-    dn = len(den) - 1
-    if den[-1] != 1:
-        raise InternalError("cyclotomic divisor must be monic")
-    if len(num) - 1 < dn:
-        return None
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - dn] = c
-        for j, d in enumerate(den):
-            num[i - dn + j] -= c * d
-    if any(x != 0 for x in num):
-        return None
-    return quot
-
-
 @functools.cache
 def _cyclo_coeffs(n: int) -> tuple:
     """Integer coefficients (low-first) of the n-th cyclotomic polynomial."""
@@ -351,9 +330,7 @@ def cyclotomic_content(coeffs: list):
     The remainder is [1] exactly when the polynomial is a product of
     cyclotomic polynomials.
     """
-    work = [int(c) for c in coeffs]
-    while len(work) > 1 and work[-1] == 0:
-        work.pop()
+    work = _utrim([int(c) for c in coeffs])
     if not work or work[-1] != 1:
         raise InputError("cyclotomic content needs a monic integer polynomial")
     content = {}
@@ -363,7 +340,7 @@ def cyclotomic_content(coeffs: list):
         if phi_n <= len(work) - 1:
             cyc = _cyclo_coeffs(n)
             while True:
-                quot = _int_poly_divide(work, cyc)
+                quot = _exquo(work, cyc)
                 if quot is None:
                     break
                 work = quot

@@ -172,10 +172,16 @@ def test_wlys_pinned_values():
     assert report["admissible"] is True
 
 
-def test_quotient_pinned_values():
+def test_quotient_pinned_values(capsys):
     report = json.loads((DATA / "quotient_7_5.golden.json").read_text())
     assert report["chain_self_intersections"] == [-2, -2, -3]
     assert report["type"] == "1/7(1,3)"
+    # a large prime order: the normal form comes from gcds, not from the group
+    code, out, err = run_cli(capsys, "quotient", "--d", "1000003", "--beta", "2")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["type"] == "1/1000003(1,2)"
+    assert report["chain_self_intersections"] == [-500002, -2]
 
 
 def test_weightfilt_pinned_values():

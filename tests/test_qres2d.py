@@ -87,11 +87,11 @@ def test_newton_weights_rejections():
 
 
 def test_qblowup_step_cusp():
-    record, (c1, c2) = qblowup_step(Chart(None, P(CUSP), ()), (2, 3), "E1")
+    record, (c1, c2) = qblowup_step(Chart((1, 0, 0), P(CUSP), ()), (2, 3), "E1")
     assert record["multiplicity"] == 6
     assert record["self_int"] == Fraction(-1, 6)
-    assert c1.group() == (2, 1, 1)
-    assert c2.group() == (3, 2, 2)
+    assert c1.group == (2, 1, 1)
+    assert c2.group == (3, 2, 2)
     assert c1.equation.as_dict() == {(0, 2): 1, (0, 0): -1}  # y^2 - 1
     assert c2.equation.as_dict() == {(3, 0): -1, (0, 0): 1}  # 1 - x^3
     assert c1.pending == (("E1", "x", 6),)
@@ -99,11 +99,11 @@ def test_qblowup_step_cusp():
 
 
 def test_qblowup_step_node():
-    record, (c1, c2) = qblowup_step(Chart(None, P(NODE), ()), (1, 1), "E1")
+    record, (c1, c2) = qblowup_step(Chart((1, 0, 0), P(NODE), ()), (1, 1), "E1")
     assert record["multiplicity"] == 2
     assert record["self_int"] == -1
     # both charts are smooth and keep one transversal strict axis
-    assert c1.group() == (1, 0, 0) and c2.group() == (1, 0, 0)
+    assert c1.group == (1, 0, 0) and c2.group == (1, 0, 0)
     assert c1.equation.as_dict() == {(0, 1): 1}
     assert c2.equation.as_dict() == {(1, 0): 1}
 
@@ -111,7 +111,7 @@ def test_qblowup_step_node():
 def test_qblowup_step_corrections():
     # center lying on a previous component of multiplicity 2 along {x=0}
     record, _ = qblowup_step(
-        Chart(None, P({(0, 2): 1, (3, 0): -1}), (("E1", "x", 2),)), (2, 3), "E2"
+        Chart((1, 0, 0), P({(0, 2): 1, (3, 0): -1}), (("E1", "x", 2),)), (2, 3), "E2"
     )
     assert record["multiplicity"] == 2 * 2 + 6
     assert record["corrections"] == {"E1": Fraction(-2, 3)}

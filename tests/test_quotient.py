@@ -167,15 +167,26 @@ def test_normalize_examples():
     assert normalize_type(QuotientType((6,), ((1,),))).is_smooth_symbol()
 
 
+def _multi_row_symbols(rng, count, max_order):
+    """Random surface symbols with 2 or 3 rows of orders 1..max_order."""
+    out = []
+    for _ in range(count):
+        orders = [rng.randint(1, max_order) for _ in range(rng.randint(2, 3))]
+        out.append(QuotientType(orders, [(rng.randint(0, d), rng.randint(0, d)) for d in orders]))
+    return out
+
+
 def test_normalize_is_idempotent_and_column_invariant():
     rng = random.Random(11)
+    symbols = []
     for _ in range(60):
         d = rng.randint(1, 12)
         a, b = rng.randint(0, d), rng.randint(0, d)
-        q = cyclic(d, a, b)
+        symbols.append(cyclic(d, a, b))
+    for q in symbols + _multi_row_symbols(random.Random(12), 60, 12):
         n1 = normalize_type(q)
         assert normalize_type(n1) == n1
-        assert normalize_type(cyclic(d, b, a)) == n1
+        assert normalize_type(QuotientType(q.orders, [(b, a) for a, b in q.weights])) == n1
         assert n1.group_order <= q.group_order
         if not n1.is_smooth_symbol():
             dd = n1.orders[0]
@@ -193,10 +204,12 @@ def test_normalize_matches_invariant_oracle():
         return a == b or a == frozenset((j, i) for i, j in b)
 
     rng = random.Random(13)
+    symbols = []
     for _ in range(40):
         d = rng.randint(2, 10)
         a, b = rng.randint(0, d - 1), rng.randint(0, d - 1)
-        q = cyclic(d, a, b)
+        symbols.append(cyclic(d, a, b))
+    for q in symbols + _multi_row_symbols(random.Random(14), 40, 10):
         assert matches(q, normalize_type(q)), (q, normalize_type(q))
     # and the two-generator example
     assert matches(QuotientType((4,), ((2, 3),)), cyclic(2, 1, 1))
@@ -239,15 +252,15 @@ def test_wblowup2_examples():
 
 def test_wblowup2_on_quotient_point():
     # 1/5(2,3)-point blown up with weights (2,3)
-    d = wblowup2(cyclic(5, 2, 3), (2, 3))
+    d = wblowup2((5, 2, 3), (2, 3))
     assert d.self_int == Fraction(-5, 6)
     # 1/5(4,1) is the same germ written with lambda=2, still presentable
-    d2 = wblowup2(cyclic(5, 4, 6), (2, 3))
+    d2 = wblowup2((5, 4, 6), (2, 3))
     assert d2.self_int == Fraction(-5, 6)
     with pytest.raises(Unsupported):
-        wblowup2(cyclic(5, 2, 2), (2, 3))
+        wblowup2((5, 2, 2), (2, 3))
     with pytest.raises(Unsupported):
-        wblowup2(cyclic(4, 1, 3), (2, 3))  # gcd(d, p) > 1
+        wblowup2((4, 1, 3), (2, 3))  # gcd(d, p) > 1
 
 
 def test_wblowup2_smooth_property():
