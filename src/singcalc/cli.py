@@ -22,7 +22,7 @@ import sys
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
 from .cyclo import CycloProduct, expand, require_polynomial
 from .errors import INDETERMINATE, InputError, SingcalcError
-from .schema import REQUIRED, field, monomials, objects, read
+from .schema import REQUIRED, field, keyed, monomials, objects, read
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -94,7 +94,7 @@ def _factor_map(obj: dict, key: str, where: str, default=REQUIRED):
 
 
 def _bivar_from_json(data) -> qres2d.BivarPoly:
-    germ = field(read(data, "object", "germ input"), "germ", "array", "germ input")
+    germ = field(keyed(data, "germ", "germ input"), "germ", "array", "germ input")
     return qres2d.BivarPoly(monomials(germ, "ij", "germ"))
 
 
@@ -209,13 +209,16 @@ def _lys_text(report: dict) -> str:
 
 
 def cmd_lys(args) -> str:
-    data = read(_load_json(args.input), "object", "lys input")
+    declared = "curve k points alexander graph genera suspension_flags"
+    data = keyed(_load_json(args.input), declared, "lys input")
     spec = curves.curve_spec_from_dict(field(data, "curve", "object", "lys input"))
     k = field(data, "k", "integer", "lys input", 1)
     k = k if args.k is None else args.k
 
     points = []
-    for where, entry in objects(data, "points", "point", "lys input", []):
+    for where, entry in objects(
+        data, "points", "point", "lys input", "id mu r charpoly jordan1", []
+    ):
         field(entry, "id", "string", where, None)  # optional, and only checked
         points.append(
             monodromy.LYSPoint(
@@ -364,17 +367,15 @@ def _wlys_text(report: dict) -> str:
 
 
 def cmd_wlys(args) -> str:
-    data = read(_load_json(args.input), "object", "wlys input")
+    data = keyed(_load_json(args.input), "poly weights points", "wlys input")
     f = wlys.trivar_from_json(field(data, "poly", "array", "wlys input"))
     weights = field(data, "weights", ("array", "integer"), "wlys input")
     if len(weights) != 3:
         raise InputError(f"bad weights of wlys input: expected 3 integers, got {len(weights)}")
     w = wlys.WeightVector(*weights)
-    points = [
-        wlys.point_from_json(p, at) for at, p in objects(data, "points", "point", "wlys input", [])
-    ]
+    entries = field(data, "points", ("array", "object"), "wlys input", [])
+    points = [wlys.point_from_json(p, f"point {n}") for n, p in enumerate(entries)]
     out = wlys.wlys_admissibility(f, w, points)
-    decomp = wlys.wdecompose(f, w)
     report = {
         "weights": list(w.as_tuple()),
         "d": out["d"],
@@ -382,7 +383,7 @@ def cmd_wlys(args) -> str:
         "admissible": _verdict(out["admissible"]),
         "failures": out["failures"],
         "parts": [
-            {"degree": m, "poly": wlys.trivar_to_json(part)} for m, part in decomp.parts
+            {"degree": m, "poly": wlys.trivar_to_json(part)} for m, part in out["parts"]
         ],
     }
     return _emit(report, args.format, _wlys_text)
@@ -401,9 +402,11 @@ def _zeta_text(report: dict) -> str:
 
 
 def cmd_zeta(args) -> str:
-    data = read(_load_json(args.input), "object", "zeta input")
+    data = keyed(_load_json(args.input), "vertices strict", "zeta input")
     vertices = {}
-    for where, entry in objects(data, "vertices", "vertex", "zeta input"):
+    for where, entry in objects(
+        data, "vertices", "vertex", "zeta input", "id multiplicity chi_open genus"
+    ):
         vid = field(entry, "id", "string", where)
         if vid in vertices:
             raise InputError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import INDETERMINATE, InputError
-from .schema import field, objects, read
+from .schema import field, keyed, objects
 
 # ---------------------------------------------------------------------------
 # local numerical invariants
@@ -142,7 +142,6 @@ class CurveSpec:
     degree: int
     components: tuple
     singular_points: tuple = ()
-    alexander: object = None  # optional CycloProduct, threaded through untouched
 
     def __post_init__(self):
         if self.degree < 1:
@@ -293,13 +292,6 @@ class Combinatorics:
                 return v
         raise InputError(f"no vertex {vid!r}")
 
-    def adjacency(self) -> dict:
-        adj = {v.id: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
 
 def link_graph_adjust(graph: Combinatorics, degree: int, degrees) -> Combinatorics:
     """Rewrite self-intersections when the curve moves to the cone surface.
@@ -333,6 +325,15 @@ def link_graph_adjust(graph: Combinatorics, degree: int, degrees) -> Combinatori
 # ---------------------------------------------------------------------------
 
 
+def _neighbours(ids, edges) -> dict:
+    """id -> list of the ids it shares an edge with, once per edge."""
+    adj = {i: [] for i in ids}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def _connected(ids, adjacency) -> bool:
     if not ids:
         return True
@@ -343,7 +344,7 @@ def _connected(ids, adjacency) -> bool:
         if x in seen:
             continue
         seen.add(x)
-        stack.extend(adjacency[x] - seen)
+        stack.extend(adjacency[x])
     return seen == set(ids)
 
 
@@ -363,11 +364,7 @@ def tree_rational_test(graph) -> bool:
         return False
     if len(edges) != len(ids) - 1:
         return False
-    adj = {i: set() for i in ids}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return _connected(ids, adj)
+    return _connected(ids, _neighbours(ids, edges))
 
 
 def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dict = None):
@@ -390,7 +387,7 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
     reasons = []
-    indeterminate = False
+    undetermined = 0  # reasons that leave the verdict open; the rest are failures
 
     derived = spec.genera()
     if genera:
@@ -400,7 +397,7 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
         derived = {**derived, **genera}
     for comp_id, g in sorted(derived.items()):
         if g is INDETERMINATE:
-            indeterminate = True
+            undetermined += 1
             reasons.append(f"genus of component {comp_id!r} not determined by the data")
         elif g != 0:
             reasons.append(f"component {comp_id!r} has genus {g} != 0")
@@ -431,21 +428,16 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
         flags = suspension_flags or {}
         for p in spec.singular_points:
             if p.id not in flags:
-                indeterminate = True
+                undetermined += 1
                 reasons.append(
                     f"suspension condition unknown at point {p.id!r} (k = {k})"
                 )
             elif not flags[p.id]:
                 reasons.append(f"suspension condition fails at point {p.id!r} (k = {k})")
 
-    definite_failures = [
-        r for r in reasons
-        if not r.endswith("not determined by the data")
-        and not r.startswith("suspension condition unknown")
-    ]
-    if definite_failures:
+    if len(reasons) > undetermined:
         return {"is_qhs": False, "reasons": reasons}
-    if indeterminate:
+    if undetermined:
         return {"is_qhs": INDETERMINATE, "reasons": reasons}
     return {"is_qhs": True, "reasons": []}
 
@@ -475,8 +467,8 @@ def combinatorics_isomorphic(a: Combinatorics, b: Combinatorics):
     if len(a.vertices) > _ISO_VERTEX_LIMIT:
         return INDETERMINATE
 
-    adj_a = a.adjacency()
-    adj_b = b.adjacency()
+    adj_a = _neighbours([v.id for v in a.vertices], a.edges)
+    adj_b = _neighbours([v.id for v in b.vertices], b.edges)
     deg_profile_a = sorted((decoration(v), len(adj_a[v.id])) for v in a.vertices)
     deg_profile_b = sorted((decoration(v), len(adj_b[v.id])) for v in b.vertices)
     if deg_profile_a != deg_profile_b:
@@ -533,7 +525,7 @@ def combinatorics_to_dict(graph: Combinatorics) -> dict:
 
 def combinatorics_from_dict(data: dict) -> Combinatorics:
     """Parse a graph as docs/schemas/combinatorics.schema.json defines it."""
-    data = read(data, "object", "graph")
+    data = keyed(data, "vertices edges", "graph")
     vertices = tuple(
         GraphVertex(
             id=field(v, "id", "string", where),
@@ -541,7 +533,9 @@ def combinatorics_from_dict(data: dict) -> Combinatorics:
             marked=field(v, "marked", "boolean", where, False),
             genus=field(v, "genus", "integer", where, 0),
         )
-        for where, v in objects(data, "vertices", "graph vertex", "graph")
+        for where, v in objects(
+            data, "vertices", "graph vertex", "graph", "id self_int marked genus"
+        )
     )
     edges = tuple(map(tuple, field(data, "edges", ("array", ("array", "string")), "graph", [])))
     if any(len(edge) != 2 for edge in edges):
@@ -551,10 +545,10 @@ def combinatorics_from_dict(data: dict) -> Combinatorics:
 
 def curve_spec_from_dict(data: dict) -> CurveSpec:
     """Parse the "curve" object of docs/schemas/lys-input.schema.json."""
-    data = read(data, "object", "curve")
+    data = keyed(data, "degree components singular_points", "curve")
     components = tuple(
         CurveComponent(field(c, "id", "string", where), field(c, "degree", "integer", where))
-        for where, c in objects(data, "components", "curve component", "curve")
+        for where, c in objects(data, "components", "curve component", "curve", "id degree")
     )
     points = tuple(
         SingularPoint(
@@ -565,7 +559,9 @@ def curve_spec_from_dict(data: dict) -> CurveSpec:
                 sorted(field(p, "branches_on", ("object", "integer"), where, {}).items())
             ),
         )
-        for where, p in objects(data, "singular_points", "curve singular point", "curve", [])
+        for where, p in objects(
+            data, "singular_points", "curve singular point", "curve", "id mu r branches_on", []
+        )
     )
     degree = field(data, "degree", "integer", "curve")
     return CurveSpec(degree=degree, components=components, singular_points=points)

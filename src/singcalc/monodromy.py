@@ -28,6 +28,7 @@ character data of the boundary strata of a semistable model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .cyclo import (
     CycloProduct,
@@ -40,7 +41,9 @@ from .cyclo import (
     substitute_power,
 )
 from .errors import InputError, InternalError
-from .qres2d import SmoothResolutionGraph
+
+if TYPE_CHECKING:  # qres2d imports this module
+    from .qres2d import SmoothResolutionGraph
 
 __all__ = [
     "LYSPoint",

@@ -27,9 +27,10 @@ corrections, and in the rational positions that charts are moved to.
 
 The resulting graph of exceptional curves with multiplicities,
 self-intersections and quotient points converts to a smooth resolution
-graph by replacing every quotient point with its Hirzebruch-Jung chain
-and solving the pullback relation m_{i-1} - b_i m_i + m_{i+1} = 0 for
-the chain multiplicities.
+graph by replacing every quotient point with its Hirzebruch-Jung chain,
+taken with the self-intersection corrections at its two ends from
+`quotient.hj_resolve`, and solving the pullback relation
+m_{i-1} - b_i m_i + m_{i+1} = 0 for the chain multiplicities.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curves import _connected
+from .curves import _connected, _neighbours
 from .cyclo import _exquo, _utrim, divisors
 from .errors import (
     InputError,
@@ -48,7 +49,8 @@ from .errors import (
     NotReduced,
     Unsupported,
 )
-from .quotient import chain_multiplicities, continued_fraction, wblowup2
+from .monodromy import acampo_zeta, zeta_to_char
+from .quotient import chain_multiplicities, hj_resolve, wblowup2
 
 __all__ = [
     "BivarPoly",
@@ -462,9 +464,6 @@ class QResolutionGraph:
     strict_vertices: list[str]
     blowups: int
 
-    def exceptional_ids(self) -> list[str]:
-        return [v for v in self.vertices if v not in set(self.strict_vertices)]
-
 
 @dataclass
 class SmoothVertex:
@@ -482,7 +481,8 @@ class SmoothResolutionGraph:
     strict_vertices: list[str]
 
     def exceptional_ids(self) -> list[str]:
-        return [v for v in self.vertices if v not in set(self.strict_vertices)]
+        strict = set(self.strict_vertices)
+        return [v for v in self.vertices if v not in strict]
 
 
 # ----------------------------------------------------------------- qresolve
@@ -696,11 +696,7 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
 def _assert_connected(g: QResolutionGraph):
     if not g.vertices:
         raise InternalError("empty resolution graph")
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
-    if not _connected(g.vertices, adj):
+    if not _connected(g.vertices, _neighbours(g.vertices, [(e.u, e.v) for e in g.edges])):
         raise InternalError("resolution graph is disconnected")
 
 
@@ -710,42 +706,33 @@ def _assert_connected(g: QResolutionGraph):
 def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
     """Replace quotient points by Hirzebruch-Jung chains.
 
-    Chain multiplicities solve the pullback relation with the adjacent
-    components as boundary values; original self-intersections drop by
-    beta/d at each chain per the minimal-resolution rule.
+    Each chain and the self-intersection corrections at its two ends
+    come from `hj_resolve`.  Chain multiplicities solve the pullback
+    relation with the adjacent components as boundary values.
     """
-    self_int: dict[str, Fraction | None] = {
-        vid: (None if v.self_int is None else Fraction(v.self_int))
-        for vid, v in g.vertices.items()
-    }
+    self_int = {vid: v.self_int for vid, v in g.vertices.items()}
     mult = {vid: v.multiplicity for vid, v in g.vertices.items()}
-    genus = {vid: v.genus for vid, v in g.vertices.items()}
     new_edges: list[tuple[str, str]] = []
     chain_vertices: dict[str, tuple[int, int]] = {}  # id -> (m_i, b_i)
     counter = 0
 
     def add_chain(d: int, beta: int, first_id: str, last_id: str | None):
         nonlocal counter
-        bs = continued_fraction(Fraction(d, beta))
-        m_left = mult[first_id]
+        chain = hj_resolve(d, beta)
         m_right = mult[last_id] if last_id is not None else 0
-        ms = chain_multiplicities(tuple(bs), m_left, m_right)
+        ms = chain_multiplicities(chain.b, mult[first_id], m_right)
         ids = []
-        for b_i, m_i in zip(bs, ms):
+        for b_i, m_i in zip(chain.b, ms):
             counter += 1
             cid = f"C{counter}"
             chain_vertices[cid] = (m_i, b_i)
             ids.append(cid)
-        new_edges.append((first_id, ids[0]))
-        for x, y in zip(ids, ids[1:]):
-            new_edges.append((x, y))
-        if last_id is not None:
-            new_edges.append((ids[-1], last_id))
+        path = [first_id, *ids] + ([] if last_id is None else [last_id])
+        new_edges.extend(zip(path, path[1:]))
         if self_int[first_id] is not None:
-            self_int[first_id] -= Fraction(beta, d)
+            self_int[first_id] += chain.correction
         if last_id is not None and self_int[last_id] is not None:
-            beta_bar = pow(beta, -1, d)
-            self_int[last_id] -= Fraction(beta_bar, d)
+            self_int[last_id] += chain.far_correction
 
     for vid, v in g.vertices.items():
         for d, beta in v.quotient_points:
@@ -759,24 +746,18 @@ def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
 
     vertices: dict[str, SmoothVertex] = {}
     strict_set = set(g.strict_vertices)
-    adj_count: dict[str, int] = {}
-    for u, v in new_edges:
-        adj_count[u] = adj_count.get(u, 0) + 1
-        adj_count[v] = adj_count.get(v, 0) + 1
-    for vid in g.vertices:
+    nb = _neighbours([*g.vertices, *chain_vertices], new_edges)
+    for vid, v in g.vertices.items():
         e2 = self_int[vid]
-        if vid in strict_set:
-            final_e2 = None
-        else:
-            if e2 is None or e2.denominator != 1:
-                raise NonIntegralMultiplicity(
-                    f"self-intersection of {vid} is {e2}, not an integer after smoothing"
-                )
-            final_e2 = int(e2)
-        chi = 2 - 2 * genus[vid] - adj_count.get(vid, 0)
-        vertices[vid] = SmoothVertex(vid, mult[vid], final_e2, genus[vid], chi)
+        if vid not in strict_set and (e2 is None or e2.denominator != 1):
+            raise NonIntegralMultiplicity(
+                f"self-intersection of {vid} is {e2}, not an integer after smoothing"
+            )
+        chi = 2 - 2 * v.genus - len(nb[vid])
+        final_e2 = None if vid in strict_set else int(e2)
+        vertices[vid] = SmoothVertex(vid, v.multiplicity, final_e2, v.genus, chi)
     for cid, (m_i, b_i) in chain_vertices.items():
-        chi = 2 - adj_count.get(cid, 0)
+        chi = 2 - len(nb[cid])
         vertices[cid] = SmoothVertex(cid, m_i, -b_i, 0, chi)
 
     out = SmoothResolutionGraph(vertices, new_edges, list(g.strict_vertices))
@@ -787,10 +768,7 @@ def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
 def _assert_adjunction(g: SmoothResolutionGraph):
     """The total transform meets every exceptional component trivially:
     N_j E_j^2 + sum over neighbors of N = 0."""
-    nb: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for u, v in g.edges:
-        nb[u].append(v)
-        nb[v].append(u)
+    nb = _neighbours(g.vertices, g.edges)
     for vid in g.exceptional_ids():
         v = g.vertices[vid]
         total = v.multiplicity * v.self_int + sum(
@@ -817,8 +795,6 @@ class LocalInvariants:
 def local_invariants(f: BivarPoly) -> LocalInvariants:
     """Milnor number, branch count and monodromy characteristic
     polynomial of a plane-curve germ, via the resolution pipeline."""
-    from .monodromy import acampo_zeta, zeta_to_char
-
     graph = qresolve(f)
     smooth = smoothen(graph)
     zeta = acampo_zeta(smooth)

@@ -10,7 +10,9 @@ weights: the generator of the i-th factor acts by
 zeta a primitive d_i-th root of unity.  For surfaces (n = 2) every
 such quotient is a cyclic quotient singularity and has a normal form
 1/d(1, beta); its minimal resolution is the Hirzebruch-Jung chain read
-off the ceiling continued-fraction expansion of d/beta.
+off the ceiling continued-fraction expansion of d/beta.  `hj_resolve`
+builds every such chain, the ones the curve-resolution engine inserts
+included.
 
 Weighted blow-ups with coprime weights (p, q) produce exactly these
 quotient points on the two charts, which is what ties this module to
@@ -171,52 +173,52 @@ def normalize_type(q: QuotientType) -> QuotientType:
 def continued_fraction(q: Fraction) -> list[int]:
     """Ceiling (Hirzebruch-Jung) continued fraction of a rational > 1.
 
-    d/beta = b_1 - 1/(b_2 - 1/(..)) with all b_i >= 2.
+    d/beta = b_1 - 1/(b_2 - 1/(..)) with all b_i >= 2.  Each step takes
+    b = ceil(d/beta) and goes on with beta/(b*beta - d), on the integers.
 
     >>> continued_fraction(Fraction(7, 5))
     [2, 2, 3]
     """
-    q = Fraction(q)
-    if q <= 1:
+    d, beta = q.numerator, q.denominator
+    if d <= beta:
         raise InputError(f"continued_fraction needs a rational > 1, got {q}")
     out = []
-    while True:
-        c = -((-q.numerator) // q.denominator)  # ceiling
+    while beta:
+        c = -(-d // beta)  # ceiling
         out.append(c)
-        rem = c - q
-        if rem == 0:
-            return out
-        q = 1 / rem
+        d, beta = beta, c * beta - d
+    return out
 
 
 @dataclass(frozen=True)
 class HJChain:
-    """A Hirzebruch-Jung resolution chain.
+    """A Hirzebruch-Jung resolution chain of 1/d(1, beta).
 
     ``b`` are the chain self-intersections (-b_1, .., -b_s) read from
-    the continued fraction of d/beta; ``correction`` is the amount
-    -beta/d by which the self-intersection of a curve through the
-    singular point drops on the resolution; ``attach_end`` names the
-    end (index into b) where that curve meets the chain.
+    the continued fraction of d/beta.  A curve through the singular
+    point that meets the chain at b_1 has its self-intersection drop by
+    ``correction`` = -beta/d on the resolution, and one meeting it at
+    b_s by ``far_correction`` = -beta'/d, beta' = beta^-1 mod d.
     """
 
     b: tuple[int, ...]
     correction: Fraction
-    attach_end: int = 0
+    far_correction: Fraction
 
 
 def hj_resolve(d: int, beta: int) -> HJChain:
     """Resolution chain of the cyclic quotient singularity 1/d(1, beta).
 
-    >>> hj_resolve(7, 5).b
-    (2, 2, 3)
+    >>> chain = hj_resolve(7, 5)
+    >>> chain.b, chain.correction, chain.far_correction
+    ((2, 2, 3), Fraction(-5, 7), Fraction(-3, 7))
     """
     if not (0 < beta < d):
         raise InputError(f"need 0 < beta < d, got beta={beta}, d={d}")
     if math.gcd(d, beta) != 1:
         raise InputError(f"1/{d}(1,{beta}) is not a quotient singularity symbol: gcd > 1")
     b = continued_fraction(Fraction(d, beta))
-    return HJChain(tuple(b), Fraction(-beta, d))
+    return HJChain(tuple(b), Fraction(-beta, d), Fraction(-pow(beta, -1, d), d))
 
 
 def chain_multiplicities(b: tuple[int, ...], m_left: int, m_right: int) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ neither a boolean nor a number with a fraction or exponent part (1.0); a
 rational a JSON integer or a string "p" or "p/q" of decimal digits; an
 order, a factor-map key, a string of digits without a leading zero.  The
 other kinds are JSON types, and (container, kind) reads the entries of an
-array or object as kind.  Off-schema values raise a one-line InputError.
+array or object as kind.  An object of a schema has no key the schema does
+not declare.  Off-schema values raise a one-line InputError.
 
 >>> read(1.0, "integer", "k")
 Traceback (most recent call last):
@@ -56,6 +57,22 @@ def read(x, kind, where: str):
     raise InputError(f"bad {where}: expected {expected}, got {json.dumps(x, default=repr):.40}")
 
 
+def keyed(x, keys: str, where: str) -> dict:
+    """x as a JSON object, each key of it one of the space-separated keys.
+
+    >>> keyed({"mu": 2, "jordan": {}}, "id mu r charpoly jordan1", "point 0")
+    Traceback (most recent call last):
+    ...
+    singcalc.errors.InputError: undeclared key "jordan" in point 0; declared: id mu r charpoly jordan1
+    """
+    x = read(x, "object", where)
+    declared = keys.split()
+    for key in x:
+        if key not in declared:
+            raise InputError(f"undeclared key {json.dumps(key):.40} in {where}; declared: {keys}")
+    return x
+
+
 def field(obj: dict, key: str, kind, where: str, default=REQUIRED):
     """obj[key] read as kind; default when the key is absent."""
     if key in obj:
@@ -66,17 +83,20 @@ def field(obj: dict, key: str, kind, where: str, default=REQUIRED):
     return default
 
 
-def objects(obj: dict, key: str, noun: str, where: str, default=REQUIRED) -> list:
-    """(f"{noun} {n}", entry) for the entries of obj[key], an array of objects."""
+def objects(obj: dict, key: str, noun: str, where: str, keys: str, default=REQUIRED) -> list:
+    """(f"{noun} {n}", entry) for the entries of obj[key], an array of
+    objects with the space-separated keys."""
     entries = field(obj, key, ("array", "object"), where, default)
-    return [(f"{noun} {n}", entry) for n, entry in enumerate(entries)]
+    return [(f"{noun} {n}", keyed(entry, keys, f"{noun} {n}")) for n, entry in enumerate(entries)]
 
 
 def monomials(entries, exponents: str, where: str) -> dict:
     """{exponent tuple: coefficient} of monomials {"i": .., "c": ..}, exponents naming the keys."""
     terms = {}
+    keys = " ".join(exponents) + " c"
     for n, entry in enumerate(read(entries, ("array", "object"), where)):
         at = f"monomial {n}"
+        entry = keyed(entry, keys, at)
         term = tuple(field(entry, e, "integer", at) for e in exponents)
         c = field(entry, "c", "rational", at)
         terms[term] = terms[term] + c if term in terms else c

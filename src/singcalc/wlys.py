@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import INDETERMINATE, InputError, InternalError
-from .schema import field, monomials, read
+from .schema import field, keyed, monomials
 
 # ---------------------------------------------------------------------------
 # polynomials and weights
@@ -224,20 +224,16 @@ def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
     scaled representative of each point.
 
     Returns {"admissible": True | False | INDETERMINATE, "d", "k",
-    "failures"}; a weighted-homogeneous germ (k = None) has no comparison
-    form, so the verdict is INDETERMINATE.
+    "failures", "parts"}, where "parts" are the (degree, form) pairs of
+    the decomposition; a weighted-homogeneous germ (k = None) has no
+    comparison form, so the verdict is INDETERMINATE.
     """
     decomp = wdecompose(f, w)
     points = [p if isinstance(p, WeightedPoint) else WeightedPoint(**p) for p in declared_sing]
+    out = {"d": decomp.d, "k": decomp.k, "parts": decomp.parts}
     if decomp.k is None:
-        return {
-            "admissible": INDETERMINATE,
-            "d": decomp.d,
-            "k": None,
-            "failures": [
-                "germ is weighted-homogeneous: no comparison form to evaluate"
-            ],
-        }
+        failures = ["germ is weighted-homogeneous: no comparison form to evaluate"]
+        return {"admissible": INDETERMINATE, "failures": failures, **out}
     form = decomp.part(decomp.d + decomp.k)
     failures = []
     for point in points:
@@ -252,12 +248,7 @@ def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
                 f"point {point.label()} (clause {point.clause}) lies on "
                 f"C_{decomp.d + decomp.k}"
             )
-    return {
-        "admissible": not failures,
-        "d": decomp.d,
-        "k": decomp.k,
-        "failures": failures,
-    }
+    return {"admissible": not failures, "failures": failures, **out}
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +270,7 @@ def trivar_to_json(f: TrivarPoly) -> list:
 def point_from_json(data, where: str = "point") -> WeightedPoint:
     """Parse {"coords": ["a","b","c"], "clause": "i", "flags": [name, ...]};
     each flag is kept as (name, True)."""
-    data = read(data, "object", where)
+    data = keyed(data, "coords clause flags", where)
     coords = field(data, "coords", ("array", "rational"), where)
     clause = field(data, "clause", "string", where, "i")
     flags = field(data, "flags", ("array", "string"), where, [])

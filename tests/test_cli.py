@@ -436,6 +436,47 @@ def test_malformed_field_exits_1(capsys, tmp_path, command, source, mutate, fiel
     assert field in lines[0]
 
 
+def _renamed(path, key, new_key):
+    """Mutation that renames the key of the object at the key path."""
+
+    def mutate(data):
+        node = data
+        for step in path:
+            node = node[step]
+        node[new_key] = node.pop(key)
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate,line",
+    [
+        (
+            _renamed(("points", 2), "jordan1", "jordan"),
+            'undeclared key "jordan" in point 2; declared: id mu r charpoly jordan1',
+        ),
+        (
+            _set(("sufspension_flags",), {"p1": True}),
+            'undeclared key "sufspension_flags" in lys input; '
+            "declared: curve k points alexander graph genera suspension_flags",
+        ),
+        (
+            _set(("curve", "degre"), 6),
+            'undeclared key "degre" in curve; declared: degree components singular_points',
+        ),
+    ],
+    ids=["jordan", "sufspension-flags", "degre"],
+)
+def test_undeclared_key_exits_1(capsys, tmp_path, mutate, line):
+    # every object of docs/schemas/ has additionalProperties false: a
+    # misspelt key would otherwise drop the data under it unnoticed
+    data = json.loads((DATA / "sextic6_lys.json").read_text())
+    mutate(data)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "lys", "--input", str(path)) == (1, "", f"error: {line}\n")
+
+
 # Matrices that docs/schemas/matrix.schema.json rejects, with the part of
 # the one error line that locates the fault.
 OFF_SCHEMA_MATRICES = [
@@ -473,6 +514,29 @@ INPUT_CASES = [
     (argv, Path(argv[argv.index("--input") + 1]).name) for argv, _ in GOLDEN_CASES if "--input" in argv
 ]
 MUTANTS = (None, float("inf"), [], {}, 5, "x", True)
+SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
+SCHEMA_OF = {
+    "local": "germ", "lys": "lys-input", "weightfilt": "matrix", "wlys": "wlys-input", "zeta": "zeta-graph"
+}
+
+
+def _declared_objects(node, schema, root, prefix=()):
+    """Key paths of the nodes of a document that its schema makes objects
+    with declared keys only (additionalProperties false)."""
+    ref = schema.get("$ref")
+    if ref and ref.startswith("#/"):
+        schema = root
+        for part in ref[2:].split("/"):
+            schema = schema[part]
+    elif ref:
+        root = schema = json.loads((SCHEMAS / ref).read_text())
+    if isinstance(node, dict) and schema.get("additionalProperties") is False:
+        yield prefix
+        for key, child in node.items():
+            yield from _declared_objects(child, schema["properties"][key], root, prefix + (key,))
+    elif isinstance(node, list) and "items" in schema:
+        for n, child in enumerate(node):
+            yield from _declared_objects(child, schema["items"], root, prefix + (n,))
 
 
 def _node_paths(node, prefix=()):
@@ -513,7 +577,8 @@ def _misshapen_matrices(rows):
 def test_every_node_mutation_keeps_exit_contract(capsys, tmp_path, argv, source):
     # each node of the input in turn replaced by each mutant, and each key
     # of each object in turn dropped: exit 0, 1 or 2, and a failure says so
-    # in one stderr line; a weightfilt matrix that is not square exits 1
+    # in one stderr line; a weightfilt matrix that is not square, and an
+    # object of the schema with a key it does not declare, exit 1
     original = json.loads((DATA / source).read_text())
     path = tmp_path / source
     argv = [str(path) if arg.endswith(source) else arg for arg in argv]
@@ -529,6 +594,11 @@ def test_every_node_mutation_keeps_exit_contract(capsys, tmp_path, argv, source)
     for key_path in _node_paths(original):
         if key_path and isinstance(key_path[-1], str):  # a key of an object
             variants.append((("drop",) + key_path, _dropped(original, key_path), (0, 1, 2)))
+    schema = json.loads((SCHEMAS / f"{SCHEMA_OF[argv[0]]}.schema.json").read_text())
+    for key_path in _declared_objects(original, schema, schema):
+        data = json.loads(json.dumps(original))
+        _set(key_path + ("undeclared",), 1)(data)
+        variants.append((("add",) + key_path, data, (1,)))
     if argv[0] == "weightfilt":
         for rows in _misshapen_matrices(original):
             variants.append((rows, rows, (1,)))

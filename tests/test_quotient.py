@@ -62,11 +62,41 @@ def test_continued_fraction_round_trip(d, beta):
     assert _evaluate_cf(b) == q
 
 
+def _fraction_continued_fraction(q):
+    """The ceiling expansion by its definition, stepping on Fractions."""
+    out = []
+    while True:
+        c = math.ceil(q)
+        out.append(c)
+        if c == q:
+            return out
+        q = 1 / (c - q)
+
+
+def test_continued_fraction_matches_fraction_definition():
+    for d in range(2, 201):
+        for beta in range(1, d):
+            if math.gcd(d, beta) == 1:
+                q = Fraction(d, beta)
+                assert continued_fraction(q) == _fraction_continued_fraction(q), (d, beta)
+
+
+def test_far_correction_is_the_correction_of_the_inverse():
+    # 1/d(1, beta) and 1/d(1, beta^-1) are one point with the coordinates
+    # swapped: the same chain read from the other end
+    for d in range(2, 61):
+        for beta in range(1, d):
+            if math.gcd(d, beta) == 1:
+                chain, inverse = hj_resolve(d, beta), hj_resolve(d, pow(beta, -1, d))
+                assert chain.far_correction == inverse.correction, (d, beta)
+                assert chain.b == inverse.b[::-1], (d, beta)
+
+
 def test_hj_resolve_examples():
     c = hj_resolve(7, 5)
     assert c.b == (2, 2, 3)
     assert c.correction == Fraction(-5, 7)
-    assert c.attach_end == 0
+    assert c.far_correction == Fraction(-3, 7)
     assert hj_resolve(2, 1).b == (2,)
     assert hj_resolve(2, 1).correction == Fraction(-1, 2)
     assert hj_resolve(5, 1).b == (5,)

@@ -163,6 +163,7 @@ def test_admissibility_suspension_example():
         WeightedPoint(coords=(1, 0, 0), clause="ii"),
     ]
     out = wlys_admissibility(SUSPENSION_GERM, WeightVector(2, 2, 3), points)
+    assert out.pop("parts") == wdecompose(SUSPENSION_GERM, WeightVector(2, 2, 3)).parts
     assert out == {"admissible": True, "d": 16, "k": 2, "failures": []}
 
 
@@ -177,6 +178,7 @@ def test_admissibility_fails_without_z6():
 
 def test_admissibility_vacuous():
     out = wlys_admissibility(QUINTIC_GERM, WeightVector(2, 3, 1), [])
+    assert out.pop("parts") == wdecompose(QUINTIC_GERM, WeightVector(2, 3, 1)).parts
     assert out == {"admissible": True, "d": 10, "k": 1, "failures": []}
 
 
