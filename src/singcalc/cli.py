@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
-from .cyclo import CycloProduct, expand, require_polynomial
+from .cyclo import CycloProduct, DensePoly, expand, require_polynomial
 from .errors import INDETERMINATE, InputError, SingcalcError
 from .schema import REQUIRED, field, keyed, monomials, objects, read
 
@@ -36,13 +36,16 @@ def _poly_block(c: CycloProduct) -> dict:
         "factors": {str(m): e for m, e in c.factors},
         "expansion": list(dense.coeffs),
         "degree": dense.degree,
-        "text": str(dense) if dense.degree <= 40 else str(c),
+        "text": _poly_text(c, dense),
     }
 
 
-def _poly_text(c: CycloProduct) -> str:
-    """The expanded polynomial up to degree 40, the factored form above."""
-    return str(expand(c)) if c.degree() <= 40 else str(c)
+def _poly_text(c: CycloProduct, dense: DensePoly | None = None) -> str:
+    """The expanded polynomial up to degree 40, the factored form above;
+    ``dense`` is the expansion of ``c`` where the caller holds it."""
+    if c.degree() > 40:
+        return str(c)
+    return str(expand(c) if dense is None else dense)
 
 
 def _verdict(value):
@@ -142,18 +145,14 @@ def _sgraph_json(g: qres2d.SmoothResolutionGraph) -> dict:
 
 def _sgraph_dot(g: qres2d.SmoothResolutionGraph) -> str:
     strict = set(g.strict_vertices)
-    lines = ["graph resolution {", "  node [shape=circle];"]
+    nodes = []
     for vid in sorted(g.vertices):
         v = g.vertices[vid]
-        label = f"{v.id}\\nN={v.multiplicity}"
+        label = f"{vid}\\nN={v.multiplicity}"
         if v.self_int is not None:
             label += f"\\ne={v.self_int}"
-        shape = " shape=doublecircle" if vid in strict else ""
-        lines.append(f'  "{v.id}" [label="{label}"{shape}];')
-    for u, v in g.edges:
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        nodes.append((vid, label, vid in strict))
+    return curves.dot_graph("resolution", nodes, g.edges)
 
 
 def _local_text(report: dict) -> str:
@@ -215,15 +214,22 @@ def cmd_lys(args) -> str:
     k = field(data, "k", "integer", "lys input", 1)
     k = k if args.k is None else args.k
 
+    curve_points = {p.id: (p.mu, p.r) for p in spec.singular_points}
     points = []
     for where, entry in objects(
         data, "points", "point", "lys input", "id mu r charpoly jordan1", []
     ):
-        field(entry, "id", "string", where, None)  # optional, and only checked
+        pid = field(entry, "id", "string", where, None)
+        mu, r = field(entry, "mu", "integer", where), field(entry, "r", "integer", where)
+        if pid is not None and curve_points.get(pid) != (mu, r):
+            raise InputError(
+                f"{where} has id {pid!r}, which names no curve singular point "
+                f"with mu = {mu}, r = {r}"
+            )
         points.append(
             monodromy.LYSPoint(
-                mu_p=field(entry, "mu", "integer", where),
-                r_p=field(entry, "r", "integer", where),
+                mu_p=mu,
+                r_p=r,
                 delta_p_charpoly=_factor_map(entry, "charpoly", where),
                 jordan1_p=_factor_map(entry, "jordan1", where, None),
             )

@@ -166,9 +166,7 @@ class CurveSpec:
                     raise InputError(
                         f"point {p.id!r} references unknown component {comp!r}"
                     )
-        for comp, g in self.genera().items():
-            if g is not INDETERMINATE and g < 0:
-                raise InputError(f"component {comp!r} would have genus {g} < 0")
+        self.genera()  # genus_component rejects a negative genus
 
     def genera(self) -> dict:
         """Geometric genus per component, where the data determines it.
@@ -378,9 +376,11 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
     recorded in ``suspension_flags`` (point id -> bool).
 
     ``genera`` overrides/extends the genera derived from ``spec``; it is
-    required wherever the derivation leaves a genus INDETERMINATE.  For k = 1 the
-    suspension flags are irrelevant and never consulted; for k > 1 a
-    missing flag makes the verdict INDETERMINATE rather than False.
+    required wherever the derivation leaves a genus INDETERMINATE.  Every
+    key of either map must name a component or singular point of ``spec``.
+    For k = 1 the suspension flags are irrelevant and their values never
+    consulted; for k > 1 a missing flag makes the verdict INDETERMINATE
+    rather than False.
 
     Returns ``{"is_qhs": True | False | INDETERMINATE, "reasons": [...]}``.
     """
@@ -395,6 +395,10 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
         if unknown:
             raise InputError(f"genera given for unknown components: {sorted(unknown)}")
         derived = {**derived, **genera}
+    flags = suspension_flags or {}
+    unknown = set(flags) - {p.id for p in spec.singular_points}
+    if unknown:
+        raise InputError(f"suspension flags given for unknown points: {sorted(unknown)}")
     for comp_id, g in sorted(derived.items()):
         if g is INDETERMINATE:
             undetermined += 1
@@ -425,7 +429,6 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
             )
 
     if k > 1:
-        flags = suspension_flags or {}
         for p in spec.singular_points:
             if p.id not in flags:
                 undetermined += 1
@@ -569,14 +572,20 @@ def curve_spec_from_dict(data: dict) -> CurveSpec:
 
 def combinatorics_to_dot(graph: Combinatorics, name: str = "link") -> str:
     """Render the decorated graph in DOT format for graphviz."""
+    nodes = [
+        (v.id, f"{v.id}\\n{v.self_int}" + (f"\\ng={v.genus}" if v.genus else ""), v.marked)
+        for v in graph.vertices
+    ]
+    return dot_graph(name, nodes, graph.edges)
+
+
+def dot_graph(name: str, nodes, edges) -> str:
+    """An undirected DOT graph of circles: ``nodes`` are (id, label,
+    double circle?) triples, ``edges`` pairs of ids."""
     lines = [f"graph {name} {{", "  node [shape=circle];"]
-    for v in graph.vertices:
-        label = f"{v.id}\\n{v.self_int}"
-        if v.genus:
-            label += f"\\ng={v.genus}"
-        shape = ' shape=doublecircle' if v.marked else ""
-        lines.append(f'  "{v.id}" [label="{label}"{shape}];')
-    for a, b in graph.edges:
-        lines.append(f'  "{a}" -- "{b}";')
+    for vid, label, double in nodes:
+        shape = " shape=doublecircle" if double else ""
+        lines.append(f'  "{vid}" [label="{label}"{shape}];')
+    lines.extend(f'  "{a}" -- "{b}";' for a, b in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -27,6 +27,7 @@ __all__ = [
     "CycloDivisor",
     "DensePoly",
     "combine",
+    "product_to_divisor",
     "substitute_power",
     "power_char",
     "root_multiplicity",
@@ -34,6 +35,7 @@ __all__ = [
     "negative_order",
     "require_polynomial",
     "gcd_cyclo",
+    "exact_divide",
     "mu",
     "divisors",
 ]

@@ -72,15 +72,13 @@ class NotReduced(Unsupported):
     """A curve germ has a repeated component; invariants are undefined."""
 
 
-class NonIntegralMultiplicity(SingcalcError):
-    """A Hirzebruch-Jung chain received boundary data admitting no
-    positive integral solution; indicates inconsistent input or a bug."""
-
-    exit_code = 3
-
-
 class InternalError(SingcalcError):
     """A computed quantity violated an invariant that the algorithms
     guarantee; always a bug, never the caller's fault."""
 
     exit_code = 3
+
+
+class NonIntegralMultiplicity(InternalError):
+    """A Hirzebruch-Jung chain received boundary data admitting no
+    positive integral solution; indicates inconsistent input or a bug."""

@@ -10,7 +10,10 @@ creates one exceptional curve E with
 and two new charts with cyclic groups 1/p(-d, q) and 1/q(p, -d), whose
 formula `quotient.wblowup2` owns; strict transforms are computed
 monomially.  A chart carries its group as the integers (d, a, b) of
-1/d(a, b), and (1, 0, 0) when it is smooth.  The walk stops
+1/d(a, b), and (1, 0, 0) when it is smooth, and the exceptional curves
+through its origin: at most one on each coordinate axis, as (id,
+multiplicity).  Each chart a blow-up creates is checked once, there,
+to have a semi-invariant equation.  The walk stops
 at a chart origin once the local picture is a normal crossing of at
 most two components (exceptional curves, strict branches), possibly at
 a cyclic quotient point.  Points of E away from the chart origins are
@@ -55,6 +58,7 @@ from .quotient import chain_multiplicities, hj_resolve, wblowup2
 __all__ = [
     "BivarPoly",
     "Chart",
+    "NewtonData",
     "QVertex",
     "QEdge",
     "QResolutionGraph",
@@ -65,6 +69,7 @@ __all__ = [
     "qresolve",
     "smoothen",
     "local_invariants",
+    "LocalInvariants",
 ]
 
 
@@ -354,28 +359,29 @@ class Chart:
 
     ``group`` is (d, a, b) for the cyclic group 1/d(a, b) acting
     diagonally on the chart coordinates, weights reduced mod d, and
-    (1, 0, 0) for a smooth chart.  ``pending``
-    lists exceptional components through the chart origin as
-    (component id, coordinate axis whose zero set the component is,
-    multiplicity).  The equation is the strict transform: exceptional
-    factors removed, axis-shaped strict branches kept.
+    (1, 0, 0) for a smooth chart.  ``x`` is the exceptional component
+    {x = 0} through the chart origin as (component id, multiplicity),
+    ``y`` the component {y = 0}, and None where the axis carries none.
+    The equation is the strict transform: exceptional factors removed,
+    axis-shaped strict branches kept.
     """
 
     group: tuple[int, int, int]
     equation: BivarPoly
-    pending: tuple[tuple[str, str, int], ...] = ()
+    x: tuple[str, int] | None = None
+    y: tuple[str, int] | None = None
 
 
-def _check_uniform_character(poly: BivarPoly, d: int, a: int, b: int) -> int:
-    """All monomials of a semi-invariant share one character mod d."""
-    if d == 1 or poly.is_zero():
-        return 0
-    chars = {(a * i + b * j) % d for (i, j), _ in poly.terms}
+def _check_uniform_character(chart: Chart):
+    """All monomials of the chart equation share one character of its group."""
+    d, a, b = chart.group
+    if d == 1 or chart.equation.is_zero():
+        return
+    chars = {(a * i + b * j) % d for (i, j), _ in chart.equation.terms}
     if len(chars) != 1:
         raise InternalError(
             f"equation is not semi-invariant under 1/{d}({a},{b}): characters {sorted(chars)}"
         )
-    return chars.pop()
 
 
 def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str = "E"):
@@ -384,22 +390,18 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str = "E"):
     Returns (exceptional record, [origin-x chart, origin-y chart]).
     The record is a dict with the new component's multiplicity,
     self-intersection and weights, and the self-intersection
-    corrections owed to the pending components through the center; the
-    new component enters both charts' pending lists under ``exc_id``.
-    The charts take their groups from `wblowup2`.
+    corrections owed to the components through the center.  The new
+    component ``exc_id`` is {x = 0} in the first chart and {y = 0} in
+    the second; ``c.y`` survives into the first, ``c.x`` into the
+    second.  The charts take their groups from `wblowup2`, and each is
+    checked to have a semi-invariant equation.
     """
     p, q = weights
-    d, a, b = c.group
-    _check_uniform_character(c.equation, d, a, b)
+    d = c.group[0]
     base = wblowup2(c.group, (p, q))
 
-    axes = {axis: (cid, mult) for cid, axis, mult in c.pending}
-    if len(axes) != len(c.pending):
-        raise InputError("two pending components on one axis")
-    ax_mult = axes.get("x", (None, 0))[1]
-    ay_mult = axes.get("y", (None, 0))[1]
     m = c.equation.weighted_order(p, q)
-    n_up = p * ax_mult + q * ay_mult + m
+    n_up = p * (c.x[1] if c.x else 0) + q * (c.y[1] if c.y else 0) + m
     if n_up % d:
         raise InternalError(f"upstairs multiplicity {n_up} not divisible by the group order {d}")
     n_exc = n_up // d
@@ -413,25 +415,25 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str = "E"):
             out[(s // d, j) if chart_one else (i, s // d)] = coef
         return BivarPoly._primitive(out)
 
-    pending1 = [(exc_id, "x", n_exc)]
-    if "y" in axes:  # the old component along {y=0} survives into chart 1
-        pending1.append((axes["y"][0], "y", ay_mult))
-    pending2 = [(exc_id, "y", n_exc)]
-    if "x" in axes:
-        pending2.append((axes["x"][0], "x", ax_mult))
-    chart1 = Chart(base.charts[0], transform(True), tuple(pending1))
-    chart2 = Chart(base.charts[1], transform(False), tuple(pending2))
+    exc = (exc_id, n_exc)
+    charts = [
+        Chart(base.charts[0], transform(True), x=exc, y=c.y),
+        Chart(base.charts[1], transform(False), x=c.x, y=exc),
+    ]
+    for chart in charts:
+        _check_uniform_character(chart)
+    corrections = {}
+    if c.x:
+        corrections[c.x[0]] = Fraction(-p, d * q)
+    if c.y:
+        corrections[c.y[0]] = Fraction(-q, d * p)
     record = {
-        "id": exc_id,
         "multiplicity": n_exc,
         "self_int": base.self_int,
         "weights": (p, q),
-        "corrections": {
-            cid: (Fraction(-p, d * q) if axis == "x" else Fraction(-q, d * p))
-            for cid, axis, _ in c.pending
-        },
+        "corrections": corrections,
     }
-    return record, [chart1, chart2]
+    return record, charts
 
 
 # -------------------------------------------------------------- graph types
@@ -515,92 +517,49 @@ class _Walk:
 
 
 def _prepare_origin(chart: Chart) -> tuple:
-    """(d, a, b, axes, ax, ay, core) of a chart origin: group 1/d(a, b), pending
-    components by axis, and equation x^ax y^ay core, checked to be reduced."""
-    d, a, b = chart.group
-    _check_uniform_character(chart.equation, d, a, b)
-    axes = {axis: (cid, mult) for cid, axis, mult in chart.pending}
+    """(ax, ay, core) with the chart equation x^ax y^ay core, checked to be reduced."""
     if chart.equation.is_zero():
         raise InputError("zero equation in chart")
     ax, ay, core = chart.equation.strip_axes()
     if ax >= 2 or ay >= 2:
         raise NotReduced(f"repeated coordinate factor x^{ax} y^{ay} in a chart equation")
-    if (ax and "x" in axes) or (ay and "y" in axes):
+    if (ax and chart.x) or (ay and chart.y):
         raise NotReduced("strict transform contains an exceptional component")
-    return d, a, b, axes, ax, ay, core
+    return ax, ay, core
 
 
-def _analyze_origin(walk: _Walk, origin: tuple) -> bool:
-    """Emit final graph data for an NC chart origin from `_prepare_origin`;
-    return False when the origin still needs a blow-up."""
-    d, a, b, axes, ax, ay, core = origin
-    comps: list[tuple[str, str]] = []  # (kind in exc|branch, axis)
-    for axis in ("x", "y"):
-        if axis in axes:
-            comps.append(("exc", axis))
-        elif (axis == "x" and ax) or (axis == "y" and ay):
-            comps.append(("branch", axis))
-
+def _analyze_origin(walk: _Walk, chart: Chart, ax: int, ay: int, core: BivarPoly) -> bool:
+    """Emit final graph data for an NC chart origin, from `_prepare_origin`'s
+    (ax, ay, core); return False when the origin still needs a blow-up."""
+    on_x, on_y = bool(chart.x or ax), bool(chart.y or ay)
     core_through = not core.is_unit_at_origin()
-    total = len(comps) + (1 if core_through else 0)
-    if total > 2:
+    if on_x + on_y + core_through > 2:
         return False
     if core_through:
         if core.weighted_order(1, 1) != 1:
             return False
-        cx, cy = core.coefficient(1, 0), core.coefficient(0, 1)
-        if comps:
-            (_, other_axis), = comps
-            transversal = (cy != 0) if other_axis == "x" else (cx != 0)
-            if not transversal:
-                return False
+        # the strict branch must cross the occupied axis transversally
+        if (on_x and not core.coefficient(0, 1)) or (on_y and not core.coefficient(1, 0)):
+            return False
 
     # the origin is final: emit vertices, edges, quotient points
-    def comp_id(kind: str, axis: str) -> str:
-        if kind == "exc":
-            return axes[axis][0]
-        return walk.new_strict()
-
-    ids = {axis: comp_id(kind, axis) for kind, axis in comps}
+    u = chart.x[0] if chart.x else walk.new_strict() if ax else None
+    v = chart.y[0] if chart.y else walk.new_strict() if ay else None
     if core_through:
-        sid = walk.new_strict()
-    if total == 2:
-        if core_through:
-            (_, other_axis), = comps
-            other_id = ids[other_axis]
-            # the strict branch is transversal, so it plays the role of
-            # the remaining coordinate axis in the 1/d(a,b) chart
-            if other_axis == "x":
-                u, v = other_id, sid
-            else:
-                u, v = sid, other_id
+        # the transversal strict branch plays the role of the free
+        # coordinate axis in the 1/d(a,b) chart
+        if u is None:
+            u = walk.new_strict()
         else:
-            u = ids.get("x")
-            v = ids.get("y")
-            if u is None or v is None:
-                raise InternalError("two components on one axis at a final origin")
-        quotient = None
-        if d > 1:
-            beta = (pow(a, -1, d) * b) % d
-            quotient = (d, beta)
-        walk.edges.append(QEdge(u, v, quotient))
-    elif total == 1:
-        if core_through:
-            host_axis = None  # isolated smooth branch through a chart origin
-            host_id = sid
-        else:
-            (kind, host_axis), = comps
-            host_id = ids[host_axis]
-        if d > 1:
-            if host_axis == "x" or host_axis is None:
-                w_host, w_other = a, b
-            else:
-                w_host, w_other = b, a
-            beta = (pow(w_other, -1, d) * w_host) % d
-            hv = walk.vertices[host_id]
-            hv.quotient_points.append((d, beta))
-    else:
+            v = walk.new_strict()
+    d, a, b = chart.group
+    if u is not None and v is not None:
+        walk.edges.append(QEdge(u, v, (d, (pow(a, -1, d) * b) % d) if d > 1 else None))
+    elif u is None and v is None:
         raise InternalError("chart origin with no components after a blow-up")
+    elif d > 1:
+        host, w_host, w_other = (u, a, b) if v is None else (v, b, a)
+        walk.vertices[host].quotient_points.append((d, (pow(w_other, -1, d) * w_host) % d))
     return True
 
 
@@ -642,14 +601,10 @@ def _scan_exceptional(walk: _Walk, record, chart1: Chart, chart2: Chart, exc_id:
     for z0 in rational:
         if p == 1:
             moved = chart1.equation.translate_y(z0)
-            out_charts.append(
-                Chart((1, 0, 0), moved, ((exc_id, "x", record["multiplicity"]),))
-            )
+            out_charts.append(Chart((1, 0, 0), moved, x=(exc_id, record["multiplicity"])))
         elif q == 1:
             moved = chart2.equation.translate_x(1 / z0)
-            out_charts.append(
-                Chart((1, 0, 0), moved, ((exc_id, "y", record["multiplicity"]),))
-            )
+            out_charts.append(Chart((1, 0, 0), moved, y=(exc_id, record["multiplicity"])))
         else:
             raise Unsupported(
                 "non-transversal point of the exceptional curve inside a chart "
@@ -673,10 +628,9 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
         processed += 1
         if processed > _MAX_CHARTS:
             raise InternalError("resolution walk did not terminate")
-        origin = _prepare_origin(chart)
-        if not force and _analyze_origin(walk, origin):
+        ax, ay, core = _prepare_origin(chart)
+        if not force and _analyze_origin(walk, chart, ax, ay, core):
             continue
-        core = origin[-1]
         weights = (1, 1) if core.is_unit_at_origin() else newton_weights(chart.equation).weights
         # qblowup_step raises Unsupported when (p, q) cannot present the chart group
         exc_id = walk.next_exceptional_id()

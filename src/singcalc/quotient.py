@@ -37,7 +37,8 @@ __all__ = [
     "suspension_normalize",
     "wblowup2",
     "wblowup3_smooth",
-    "SMOOTH",
+    "cyclic",
+    "chain_multiplicities",
 ]
 
 
@@ -96,9 +97,6 @@ class QuotientType:
 
 def cyclic(d: int, *weights: int) -> QuotientType:
     return QuotientType((d,), (tuple(weights),))
-
-
-SMOOTH = cyclic(1, 0, 0)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -221,11 +221,6 @@ def kernel(a: tuple) -> tuple:
     return rref(_kernel_rows(a))[0] if a else ()
 
 
-def image(a: tuple) -> tuple:
-    """Canonical basis of the column space, as row vectors."""
-    return span(tuple(zip(*a))) if a else ()
-
-
 def _intersect_rows(u, v) -> list:
     """Integer basis of the intersection of two row spans (Zassenhaus).
 

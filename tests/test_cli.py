@@ -477,6 +477,30 @@ def test_undeclared_key_exits_1(capsys, tmp_path, mutate, line):
     assert run_cli(capsys, "lys", "--input", str(path)) == (1, "", f"error: {line}\n")
 
 
+@pytest.mark.parametrize(
+    "mutate,line",
+    [
+        (
+            _set(("points", 0, "id"), "p9"),
+            "point 0 has id 'p9', which names no curve singular point with mu = 2, r = 1",
+        ),
+        (
+            _set(("suspension_flags",), {**{f"p{n}": True for n in range(1, 7)}, "p66": False}),
+            "suspension flags given for unknown points: ['p66']",
+        ),
+    ],
+    ids=["point-id", "suspension-flag"],
+)
+def test_unknown_point_id_exits_1(capsys, tmp_path, mutate, line):
+    # data hanging on an id that names no singular point of the curve
+    # would otherwise be matched by (mu, r) or dropped unnoticed
+    data = json.loads((DATA / "sextic6_lys.json").read_text())
+    mutate(data)
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "lys", "--k", "2", "--input", str(path)) == (1, "", f"error: {line}\n")
+
+
 # Matrices that docs/schemas/matrix.schema.json rejects, with the part of
 # the one error line that locates the fault.
 OFF_SCHEMA_MATRICES = [

@@ -1,9 +1,12 @@
-"""Each singcalc module imports first, on its own, in a fresh interpreter.
+"""Each singcalc module imports first, on its own, in a fresh interpreter,
+and each `__all__` lists exactly the public names its module defines.
 
 A module that imports another only for a type annotation can close an
 import cycle that only shows when the other module is imported first.
 """
 
+import ast
+import importlib
 import os
 import pkgutil
 import subprocess
@@ -25,3 +28,26 @@ def test_module_imports_first(module):
         [sys.executable, "-c", f"import singcalc.{module}"], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
+
+
+def _public_names(module: str) -> list[str]:
+    """Sorted public top-level def, class and assignment names of a module."""
+    tree = ast.parse((Path(SRC) / "singcalc" / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+DECLARING = [m for m in MODULES if hasattr(importlib.import_module(f"singcalc.{m}"), "__all__")]
+
+
+@pytest.mark.parametrize("module", DECLARING)
+def test_all_lists_the_public_names(module):
+    declared = importlib.import_module(f"singcalc.{module}").__all__
+    assert sorted(declared) == _public_names(module)

@@ -23,6 +23,7 @@ from singcalc.qres2d import (
     Chart,
     QResolutionGraph,
     QVertex,
+    _check_uniform_character,
     _uderiv,
     _uexquo,
     _ugcd,
@@ -87,19 +88,19 @@ def test_newton_weights_rejections():
 
 
 def test_qblowup_step_cusp():
-    record, (c1, c2) = qblowup_step(Chart((1, 0, 0), P(CUSP), ()), (2, 3), "E1")
+    record, (c1, c2) = qblowup_step(Chart((1, 0, 0), P(CUSP)), (2, 3), "E1")
     assert record["multiplicity"] == 6
     assert record["self_int"] == Fraction(-1, 6)
     assert c1.group == (2, 1, 1)
     assert c2.group == (3, 2, 2)
     assert c1.equation.as_dict() == {(0, 2): 1, (0, 0): -1}  # y^2 - 1
     assert c2.equation.as_dict() == {(3, 0): -1, (0, 0): 1}  # 1 - x^3
-    assert c1.pending == (("E1", "x", 6),)
-    assert c2.pending == (("E1", "y", 6),)
+    assert (c1.x, c1.y) == (("E1", 6), None)
+    assert (c2.x, c2.y) == (None, ("E1", 6))
 
 
 def test_qblowup_step_node():
-    record, (c1, c2) = qblowup_step(Chart((1, 0, 0), P(NODE), ()), (1, 1), "E1")
+    record, (c1, c2) = qblowup_step(Chart((1, 0, 0), P(NODE)), (1, 1), "E1")
     assert record["multiplicity"] == 2
     assert record["self_int"] == -1
     # both charts are smooth and keep one transversal strict axis
@@ -110,11 +111,29 @@ def test_qblowup_step_node():
 
 def test_qblowup_step_corrections():
     # center lying on a previous component of multiplicity 2 along {x=0}
-    record, _ = qblowup_step(
-        Chart((1, 0, 0), P({(0, 2): 1, (3, 0): -1}), (("E1", "x", 2),)), (2, 3), "E2"
+    record, (c1, c2) = qblowup_step(
+        Chart((1, 0, 0), P({(0, 2): 1, (3, 0): -1}), x=("E1", 2)), (2, 3), "E2"
     )
     assert record["multiplicity"] == 2 * 2 + 6
     assert record["corrections"] == {"E1": Fraction(-2, 3)}
+    # the old {x=0} component leaves chart 1 and survives as chart 2's x
+    assert (c1.x, c1.y) == (("E2", 10), None)
+    assert (c2.x, c2.y) == (("E1", 2), ("E2", 10))
+    # center at the crossing of E1 = {x=0} and E2 = {y=0}: both are owed
+    record, (c1, c2) = qblowup_step(
+        Chart((1, 0, 0), P({(0, 2): 1, (3, 0): -1}), x=("E1", 2), y=("E2", 3)), (2, 3), "E3"
+    )
+    assert record["multiplicity"] == 2 * 2 + 3 * 3 + 6
+    assert record["corrections"] == {"E1": Fraction(-2, 3), "E2": Fraction(-3, 2)}
+    assert (c1.x, c1.y) == (("E3", 19), ("E2", 3))
+    assert (c2.x, c2.y) == (("E1", 2), ("E3", 19))
+
+
+def test_check_uniform_character_rejects_two_characters():
+    # under 1/2(1,1) the monomials y^2 and x have characters 0 and 1
+    with pytest.raises(InternalError, match="not semi-invariant"):
+        _check_uniform_character(Chart((2, 1, 1), P({(0, 2): 1, (1, 0): -1})))
+    _check_uniform_character(Chart((2, 1, 1), P({(0, 2): 1, (2, 0): -1})))
 
 
 # ----------------------------------------------------------------- qresolve
