@@ -309,12 +309,12 @@ def _quotient_text(report: dict) -> str:
 
 
 def cmd_quotient(args) -> str:
-    qtype = quotient.normalize_type(quotient.cyclic(args.d, 1, args.beta))
+    normal = quotient.normalize_type(args.d, 1, args.beta)
     chain = quotient.hj_resolve(args.d, args.beta)
     report = {
         "d": args.d,
         "beta": args.beta,
-        "type": str(qtype),
+        "type": quotient.symbol(normal),
         "chain_self_intersections": [-b for b in chain.b],
         "correction": str(chain.correction),
     }

@@ -20,6 +20,26 @@ from fractions import Fraction
 from .errors import INDETERMINATE, InputError
 from .schema import field, keyed, objects
 
+__all__ = [
+    "delta_invariant",
+    "genus_component",
+    "CurveComponent",
+    "SingularPoint",
+    "CurveSpec",
+    "surface_intersections",
+    "GraphVertex",
+    "Combinatorics",
+    "link_graph_adjust",
+    "tree_rational_test",
+    "qhs_test",
+    "combinatorics_isomorphic",
+    "combinatorics_to_dict",
+    "combinatorics_from_dict",
+    "curve_spec_from_dict",
+    "combinatorics_to_dot",
+    "dot_graph",
+]
+
 # ---------------------------------------------------------------------------
 # local numerical invariants
 # ---------------------------------------------------------------------------
@@ -97,6 +117,7 @@ class CurveComponent:
 class SingularPoint:
     """Numerical data of one singular point of the curve.
 
+    ``mu`` is the Milnor number, at least 1 at a singular point, and
     ``branches_on`` maps component ids to the number of local branches the
     component contributes at this point; the counts must sum to ``r``.
     """
@@ -104,9 +125,11 @@ class SingularPoint:
     id: str
     mu: int
     r: int
-    branches_on: tuple = ()  # tuple of (component_id, branch_count)
+    branches_on: tuple  # tuple of (component_id, branch_count)
 
     def __post_init__(self):
+        if self.mu < 1:
+            raise InputError(f"point {self.id!r}: mu must be >= 1, got {self.mu}")
         counts = dict(self.branches_on)
         if len(counts) != len(self.branches_on):
             raise InputError(f"point {self.id!r}: duplicate component in branches_on")
@@ -375,9 +398,10 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
     and, for k > 1, every singular point satisfies the suspension condition
     recorded in ``suspension_flags`` (point id -> bool).
 
-    ``genera`` overrides/extends the genera derived from ``spec``; it is
-    required wherever the derivation leaves a genus INDETERMINATE.  Every
-    key of either map must name a component or singular point of ``spec``.
+    ``genera`` overrides/extends the genera derived from ``spec``, each
+    >= 0; it is required wherever the derivation leaves a genus
+    INDETERMINATE.  Every key of either map must name a component or
+    singular point of ``spec``.
     For k = 1 the suspension flags are irrelevant and their values never
     consulted; for k > 1 a missing flag makes the verdict INDETERMINATE
     rather than False.
@@ -394,6 +418,9 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
         unknown = set(genera) - {c.id for c in spec.components}
         if unknown:
             raise InputError(f"genera given for unknown components: {sorted(unknown)}")
+        for comp_id, g in sorted(genera.items()):
+            if g < 0:
+                raise InputError(f"bad genus of component {comp_id!r} in genera: {g}; need >= 0")
         derived = {**derived, **genera}
     flags = suspension_flags or {}
     unknown = set(flags) - {p.id for p in spec.singular_points}
@@ -559,7 +586,7 @@ def curve_spec_from_dict(data: dict) -> CurveSpec:
             mu=field(p, "mu", "integer", where),
             r=field(p, "r", "integer", where),
             branches_on=tuple(
-                sorted(field(p, "branches_on", ("object", "integer"), where, {}).items())
+                sorted(field(p, "branches_on", ("object", "integer"), where).items())
             ),
         )
         for where, p in objects(

@@ -5,6 +5,18 @@ mathematically valid input outside the supported class -> 2, and
 internal consistency failures (bugs, violated invariants) -> 3.
 """
 
+__all__ = [
+    "INDETERMINATE",
+    "SingcalcError",
+    "InputError",
+    "NotPolynomial",
+    "NonDivisible",
+    "Unsupported",
+    "NotReduced",
+    "InternalError",
+    "NonIntegralMultiplicity",
+]
+
 
 class _Indeterminate:
     """Singleton returned by predicates that cannot decide either way.

@@ -1,18 +1,17 @@
 """Cyclic quotient singularities, Hirzebruch-Jung chains, and weighted
 blow-up bookkeeping.
 
-A diagonal quotient of C^n (n <= 3) by a product of cyclic groups is
-recorded as orders (d_1, .., d_r) together with an r x n matrix of
-weights: the generator of the i-th factor acts by
+A cyclic quotient point 1/d(a, b) is C^2 divided by the group of order
+d whose generator acts by
 
-    (x_1, .., x_n)  ->  (zeta^{a_{i1}} x_1, .., zeta^{a_{in}} x_n),
+    (x, y)  ->  (zeta^a x, zeta^b y),
 
-zeta a primitive d_i-th root of unity.  For surfaces (n = 2) every
-such quotient is a cyclic quotient singularity and has a normal form
-1/d(1, beta); its minimal resolution is the Hirzebruch-Jung chain read
-off the ceiling continued-fraction expansion of d/beta.  `hj_resolve`
-builds every such chain, the ones the curve-resolution engine inserts
-included.
+zeta a primitive d-th root of unity, and is written as the ints
+(d, a, b).  Its normal form 1/e(1, beta) is the int pair (e, beta),
+(1, 0) for a smooth point; its minimal resolution is the
+Hirzebruch-Jung chain read off the ceiling continued-fraction expansion
+of e/beta.  `hj_resolve` builds every such chain, the ones the
+curve-resolution engine inserts included.
 
 Weighted blow-ups with coprime weights (p, q) produce exactly these
 quotient points on the two charts, which is what ties this module to
@@ -25,147 +24,67 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, InternalError, NonIntegralMultiplicity, Unsupported
+from .errors import InputError, NonIntegralMultiplicity, Unsupported
 
 __all__ = [
-    "QuotientType",
     "HJChain",
     "BlowupData",
     "normalize_type",
+    "symbol",
     "continued_fraction",
     "hj_resolve",
     "suspension_normalize",
     "wblowup2",
     "wblowup3_smooth",
-    "cyclic",
     "chain_multiplicities",
 ]
 
 
-@dataclass(frozen=True)
-class QuotientType:
-    """A diagonal quotient C^n / (Z/d_1 x .. x Z/d_r), n <= 3.
+def _small(d: int, a: int, b: int) -> tuple[int, int]:
+    """The faithful point 1/d(a, b) with its reflections divided out, as
+    (e, beta_0) for 1/e(1, beta_0), or (1, 0) when that leaves no group.
 
-    ``orders`` holds (d_1, .., d_r); ``weights`` holds the r x n
-    exponent matrix, each row reduced modulo its order.
+    The elements that leave x alone form the subgroup of order
+    gcd(a, d), all reflections; dividing it out replaces y by
+    y^gcd(a, d) and leaves 1/(d/gcd(a, d))(a/gcd(a, d), b).  The same
+    for y leaves a group whose two weights are units, so it is small.
     """
-
-    orders: tuple[int, ...]
-    weights: tuple[tuple[int, ...], ...]
-
-    def __init__(self, orders, weights):
-        orders = tuple(int(d) for d in orders)
-        weights = tuple(tuple(int(a) for a in row) for row in weights)
-        if len(orders) != len(weights) or not orders:
-            raise InputError("need one weight row per group order")
-        n = len(weights[0])
-        if n not in (1, 2, 3) or any(len(row) != n for row in weights):
-            raise InputError("weights must be rows of equal length 1, 2 or 3")
-        if any(d < 1 for d in orders):
-            raise InputError("group orders must be >= 1")
-        weights = tuple(
-            tuple(a % d for a in row) for d, row in zip(orders, weights)
-        )
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights[0])
-
-    @property
-    def group_order(self) -> int:
-        return math.prod(self.orders)
-
-    def is_smooth_symbol(self) -> bool:
-        """True when the written symbol is visibly trivial (all d_i = 1).
-
-        Use normalize_type to decide smoothness of an arbitrary symbol.
-        """
-        return all(d == 1 for d in self.orders)
-
-    def __str__(self) -> str:
-        if self.is_smooth_symbol():
-            return "smooth"
-        parts = [
-            f"1/{d}({','.join(map(str, row))})"
-            for d, row in zip(self.orders, self.weights)
-            if d > 1
-        ]
-        return " x ".join(parts)
+    ga = math.gcd(a, d)
+    d, a = d // ga, a // ga
+    gb = math.gcd(b, d)
+    e = d // gb
+    return e, pow(a, -1, e) * (b // gb) % e  # e = 1 gives (1, 0): mod 1 all is 0
 
 
-def cyclic(d: int, *weights: int) -> QuotientType:
-    return QuotientType((d,), (tuple(weights),))
+def normalize_type(d: int, a: int, b: int) -> tuple[int, int]:
+    """Normal form (e, beta) of the cyclic quotient point 1/d(a, b).
 
+    The result is 1/e(1, beta) with gcd(e, beta) = 1, or (1, 0) when the
+    point is smooth: reflections are factored out (they only
+    re-coordinatize the quotient), and beta is the smaller of the two
+    candidates beta_0, beta_0^{-1} mod e, making the normal form
+    invariant under swapping the coordinates (Brieskorn 1968).  Both
+    1/5(-1,2) and 1/5(2,-1) normalize to 1/5(1,2).
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a > 0 and b >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        k, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - k * s1
-        t0, t1 = t1, t0 - k * t1
-    return a, s0, t0
+    The group is never listed: dividing by gcd(d, a, b) makes it act
+    faithfully, and `_small` divides out the reflections by two gcds.
 
-
-def normalize_type(q: QuotientType) -> QuotientType:
-    """Normal form of a diagonal quotient symbol.
-
-    For surfaces (n = 2) the result is either the smooth symbol or the
-    cyclic form 1/d(1, beta) with gcd(d, beta) = 1: pseudo-reflections
-    are factored out (they only re-coordinatize the quotient), the
-    remaining small diagonal abelian group is cyclic, and beta is the
-    smaller of the two candidates beta_0, beta_0^{-1} mod d, making the
-    normal form invariant under swapping the coordinates (Brieskorn
-    1968).  Both 1/5(-1,2) and 1/5(2,-1) normalize to 1/5(1,2).
-
-    The group is never listed.  With L = lcm(d_i), its elements are the
-    lattice spanned by the generator rows, scaled to exponents mod L,
-    and by L*Z^2, taken mod L.  An extended gcd per row reduces that
-    lattice to a Hermite basis (e, f), (0, c).  The reflections along
-    the axes form subgroups of orders hx = L / (e*c / gcd(f, c)) and
-    hy = L / c, and the small group left after replacing x, y by x^hx,
-    y^hy is generated by (hx*e, hy*f) mod L.
-
-    Curves (n = 1) are always smooth.  For n = 3 only row reduction
-    and dropping of trivial factors is performed.
-
-    >>> print(normalize_type(cyclic(5, -1, 2)))
-    1/5(1,2)
-    >>> print(normalize_type(QuotientType((4, 2), ((1, 3), (1, 0)))))
-    1/2(1,1)
+    >>> normalize_type(5, -1, 2)
+    (5, 2)
+    >>> symbol(normalize_type(4, 2, 3))
+    '1/2(1,1)'
     """
-    if q.dim == 1:
-        return QuotientType((1,), ((0,),))
-    if q.dim == 3:
-        rows = [(d, row) for d, row in zip(q.orders, q.weights) if d > 1]
-        if not rows:
-            return QuotientType((1,), ((0, 0, 0),))
-        return QuotientType(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
+    if d < 1:
+        raise InputError("group orders must be >= 1")
+    g = math.gcd(d, a, b)
+    e, beta = _small(d // g, a // g, b // g)
+    return e, min(beta, pow(beta, -1, e))
 
-    L = math.lcm(*q.orders)
-    e, f, c = L, 0, L  # Hermite basis (e, f), (0, c) of L*Z^2
-    for d, (x, y) in zip(q.orders, q.weights):
-        x, y = x * (L // d), y * (L // d)
-        g, s, t = _xgcd(e, x)
-        # (e, f), (x, y) -> (g, s*f + t*y), (0, (x/g)*f - (e/g)*y) is unimodular
-        c = math.gcd(c, (x // g) * f - (e // g) * y)
-        e, f = g, (s * f + t * y) % c
-    hx = L // (e * c // math.gcd(f, c))
-    hy = L // c
-    u, v = hx * e % L, hy * f % L
-    order = L // math.gcd(u, v, L)
-    if order == 1:
-        return QuotientType((1,), ((0, 0),))
-    step = L // order
-    a, b = u // step, v // step
-    if math.gcd(a, order) != 1 or math.gcd(b, order) != 1:
-        # some power of the generator is a pseudo-reflection, contradiction
-        raise InternalError("normalized group is not small")
-    beta = pow(a, -1, order) * b % order
-    return cyclic(order, 1, min(beta, pow(beta, -1, order)))
+
+def symbol(normal: tuple[int, int]) -> str:
+    """The normal form (e, beta) written 1/e(1,beta), or smooth for (1, 0)."""
+    e, beta = normal
+    return "smooth" if e == 1 else f"1/{e}(1,{beta})"
 
 
 def continued_fraction(q: Fraction) -> list[int]:
@@ -246,33 +165,21 @@ def chain_multiplicities(b: tuple[int, ...], m_left: int, m_right: int) -> tuple
     return ms
 
 
-def suspension_normalize(k: int, a: int, b: int) -> list[QuotientType]:
+def suspension_normalize(k: int, a: int, b: int) -> list[tuple[int, int]]:
     """Singularities of the normalization of the surface z^k = u^a v^b.
 
-    Splits into gcd(k, a, b) identical components; each reduces, after
-    cancelling gcd(a,k) and then gcd(b,k), to a cyclic quotient
-    1/k'(1, k'-c) where a'c = b' mod k' (smooth if k' = 1).  When one
-    of a, b vanishes the component is smooth.
+    Splits into g = gcd(k, a, b) identical components, each the point
+    1/(k/g)(-a/g, b/g) with its reflections divided out, given as
+    (e, c) for 1/e(1, c) in the orientation of (u, v), or (1, 0) when
+    smooth.  When one of a, b vanishes the components are smooth.
 
-    >>> [str(t) for t in suspension_normalize(5, 1, 2)]
-    ['1/5(1,3)']
+    >>> suspension_normalize(5, 1, 2)
+    [(5, 3)]
     """
     if k < 1 or a < 0 or b < 0:
         raise InputError(f"need k >= 1 and a, b >= 0, got ({k},{a},{b})")
     g = math.gcd(k, a, b)  # gcd(k, 0, 0) = k: z^k - 1 is k smooth sheets
-    k1, a1, b1 = k // g, a // g, b // g
-    ga = math.gcd(a1, k1)
-    k2, a2 = k1 // ga, a1 // ga
-    gb = math.gcd(b1, k2)
-    k3, b3 = k2 // gb, b1 // gb
-    if k3 == 1:
-        comp = QuotientType((1,), ((0, 0),))
-    else:
-        c = (pow(a2, -1, k3) * b3) % k3
-        if c == 0:
-            raise InternalError("suspension reduction left a reflection")
-        comp = cyclic(k3, 1, k3 - c)
-    return [comp] * g
+    return [_small(k // g, -a // g, b // g)] * g
 
 
 @dataclass(frozen=True)
@@ -284,7 +191,8 @@ class BlowupData:
     on the chart coordinates, weights reduced mod d and (1, 0, 0) for a
     smooth chart; at the origin-x chart the first coordinate is local
     to E, at origin-y the second.  ``sing_points`` lists (chart label,
-    normal form) for the chart origins that are quotient points.
+    (e, beta)), the normal form of each chart origin that is a quotient
+    point.
     """
 
     weights: tuple[int, int]
@@ -292,9 +200,9 @@ class BlowupData:
     charts: tuple[tuple[int, int, int], tuple[int, int, int]]
 
     @property
-    def sing_points(self) -> tuple[tuple[str, QuotientType], ...]:
+    def sing_points(self) -> tuple[tuple[str, tuple[int, int]], ...]:
         return tuple(
-            (label, normalize_type(cyclic(*group)))
+            (label, normalize_type(*group))
             for label, group in zip(("origin-x", "origin-y"), self.charts)
             if group[0] > 1
         )
@@ -319,7 +227,7 @@ def wblowup2(ambient: tuple[int, int, int] | None, weights: tuple[int, int]) -> 
     >>> data = wblowup2(None, (2, 3))
     >>> data.self_int, data.charts
     (Fraction(-1, 6), ((2, 1, 1), (3, 2, 2)))
-    >>> [f"{lbl}: {t}" for lbl, t in data.sing_points]
+    >>> [f"{lbl}: {symbol(t)}" for lbl, t in data.sing_points]
     ['origin-x: 1/2(1,1)', 'origin-y: 1/3(1,1)']
     """
     p, q = weights
@@ -336,8 +244,9 @@ def wblowup2(ambient: tuple[int, int, int] | None, weights: tuple[int, int]) -> 
     return BlowupData((p, q), Fraction(-d, p * q), ((p, -d % p, q % p), (q, p % q, -d % q)))
 
 
-def wblowup3_smooth(omega: tuple[int, int, int]) -> list[tuple[str, QuotientType]]:
-    """Singular loci of the omega-weighted blow-up of the origin of C^3.
+def wblowup3_smooth(omega: tuple[int, int, int]) -> list[tuple[str, int, tuple[int, ...]]]:
+    """Singular loci of the omega-weighted blow-up of the origin of C^3,
+    as (label, order, weights) with the weights reduced mod the order.
 
     Vertices of the exceptional P^2_omega give quotient points
     1/p(-1,q,r), 1/q(p,-1,r), 1/r(p,q,-1) (weight-1 vertices being
@@ -345,24 +254,25 @@ def wblowup3_smooth(omega: tuple[int, int, int]) -> list[tuple[str, QuotientType
     singular exactly when gcd(q,r), gcd(p,r), gcd(p,q) > 1.  Edge
     entries record the isotropy order together with the weight of the
     one coordinate it moves.
+
+    >>> wblowup3_smooth((1, 2, 2))
+    [('vertex-y', 2, (1, 1, 0)), ('vertex-z', 2, (1, 0, 1)), ('edge-x', 2, (1,))]
     """
     p, q, r = omega
     if min(p, q, r) < 1:
         raise InputError(f"weights must be positive, got {omega}")
-    if math.gcd(p, math.gcd(q, r)) != 1:
+    if math.gcd(p, q, r) != 1:
         raise InputError(f"weights must have gcd 1, got {omega}")
-    out: list[tuple[str, QuotientType]] = []
-    if p > 1:
-        out.append(("vertex-x", QuotientType((p,), ((-1, q, r),))))
-    if q > 1:
-        out.append(("vertex-y", QuotientType((q,), ((p, -1, r),))))
-    if r > 1:
-        out.append(("vertex-z", QuotientType((r,), ((p, q, -1),))))
-    for label, g, moved in (
-        ("edge-x", math.gcd(q, r), p),
-        ("edge-y", math.gcd(p, r), q),
-        ("edge-z", math.gcd(p, q), r),
-    ):
-        if g > 1:
-            out.append((label, QuotientType((g,), ((moved % g,),))))
-    return out
+    loci = (
+        ("vertex-x", p, (-1, q, r)),
+        ("vertex-y", q, (p, -1, r)),
+        ("vertex-z", r, (p, q, -1)),
+        ("edge-x", math.gcd(q, r), (p,)),
+        ("edge-y", math.gcd(p, r), (q,)),
+        ("edge-z", math.gcd(p, q), (r,)),
+    )
+    return [
+        (label, order, tuple(w % order for w in weights))
+        for label, order, weights in loci
+        if order > 1
+    ]

@@ -22,6 +22,15 @@ from fractions import Fraction
 
 from .errors import InputError
 
+__all__ = [
+    "REQUIRED",
+    "read",
+    "keyed",
+    "field",
+    "objects",
+    "monomials",
+]
+
 _TYPES = {"integer": int, "string": str, "boolean": bool, "array": list, "object": dict}
 _PATTERNS = {"rational": re.compile(r"(-?[0-9]+)(?:/([0-9]+))?"),
              "order": re.compile(r"[1-9][0-9]*")}

@@ -41,6 +41,36 @@ from .cyclo import CycloDivisor, CycloProduct, DensePoly, _exquo, _phi, _utrim, 
 from .errors import InputError, InternalError
 from .schema import read
 
+__all__ = [
+    "mat",
+    "mat_identity",
+    "mat_mul",
+    "mat_sub",
+    "mat_pow",
+    "mat_vec",
+    "rref",
+    "span",
+    "mat_rank",
+    "kernel",
+    "subspace_intersect",
+    "in_span",
+    "solve_coordinates",
+    "charpoly",
+    "cyclotomic_content",
+    "NEG_INFINITY",
+    "VectorWeights",
+    "vector_weights",
+    "WeightFiltration",
+    "weight_filtration",
+    "jordan_blocks",
+    "default_power",
+    "Census",
+    "analyze",
+    "delta_k",
+    "matrix_from_json",
+    "matrix_to_json",
+]
+
 # ---------------------------------------------------------------------------
 # exact matrices
 # ---------------------------------------------------------------------------

@@ -18,6 +18,19 @@ from fractions import Fraction
 from .errors import INDETERMINATE, InputError, InternalError
 from .schema import field, keyed, monomials
 
+__all__ = [
+    "TrivarPoly",
+    "WeightVector",
+    "WDecomposition",
+    "wdecompose",
+    "smallest_admissible_k",
+    "WeightedPoint",
+    "wlys_admissibility",
+    "trivar_from_json",
+    "trivar_to_json",
+    "point_from_json",
+]
+
 # ---------------------------------------------------------------------------
 # polynomials and weights
 # ---------------------------------------------------------------------------

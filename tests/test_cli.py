@@ -163,6 +163,9 @@ def test_smooth_cubic_cone(capsys, tmp_path):
     assert report["milnor_number"] == 8
     assert report["char_poly"]["factors"] == {"1": -1, "3": 3}
     assert report["char_poly"]["degree"] == 8
+    # singular_points and points are optional, each defaulting to []
+    path.write_text('{"curve": {"degree": 3, "components": [{"id": "c", "degree": 3}]}}')
+    assert run_cli(capsys, "lys", "--input", str(path), "--k", "1") == (0, out, "")
 
 
 def test_wlys_pinned_values():
@@ -501,6 +504,24 @@ def test_unknown_point_id_exits_1(capsys, tmp_path, mutate, line):
     assert run_cli(capsys, "lys", "--k", "2", "--input", str(path)) == (1, "", f"error: {line}\n")
 
 
+@pytest.mark.parametrize(
+    "mutate,line",
+    [
+        (_set(("genera",), {"c": -1}), "bad genus of component 'c' in genera: -1; need >= 0"),
+        (_set(("curve", "singular_points", 0, "mu"), 0), "point 'p1': mu must be >= 1, got 0"),
+    ],
+    ids=["negative-genus", "mu-0"],
+)
+def test_below_schema_minimum_exits_1(capsys, tmp_path, mutate, line):
+    # lys-input.schema.json gives genera a minimum of 0 and a curve
+    # singular point's mu a minimum of 1
+    data = json.loads((DATA / "sextic6_lys.json").read_text())
+    mutate(data)
+    path = tmp_path / "minimum.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "lys", "--input", str(path)) == (1, "", f"error: {line}\n")
+
+
 # Matrices that docs/schemas/matrix.schema.json rejects, with the part of
 # the one error line that locates the fault.
 OFF_SCHEMA_MATRICES = [
@@ -806,29 +827,56 @@ def _schema_validator(schema):
     return jsonschema.validators.validator_for(schema_doc)(schema_doc, registry=registry)
 
 
+def _rejected_not_exit_1(capsys, tmp_path, schema, sample, variants):
+    """How many of the (description, data) variants of a sample the
+    schema rejects, and those of them that the CLI does not answer with
+    exit 1, nothing on stdout and one line on stderr."""
+    validator = _schema_validator(schema)
+    path = tmp_path / sample
+    rejected, broken = 0, []
+    for described, data in variants:
+        if validator.is_valid(data):
+            continue
+        rejected += 1
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, SCHEMA_COMMANDS[schema], "--input", str(path))
+        if (code, out) != (1, "") or len(err.splitlines()) != 1:
+            broken.append((described, code, err))
+    return rejected, broken
+
+
 @pytest.mark.parametrize("schema,sample", SCHEMA_CASES)
 def test_schema_rejected_type_mutants_exit_1(capsys, tmp_path, schema, sample):
     # every mutant that the schema rejects is malformed input: exit 1,
     # nothing on stdout and one line on stderr
-    validator = _schema_validator(schema)
     original = json.loads((DATA / sample).read_text())
-    path = tmp_path / sample
-    rejected, broken = 0, []
-    for key_path in _node_paths(original):
-        for value in TYPE_MUTANTS:
-            data = json.loads(json.dumps(original))
-            if key_path:
-                _set(key_path, value)(data)
-            else:
-                data = value
-            if validator.is_valid(data):
-                continue
-            rejected += 1
-            path.write_text(json.dumps(data))
-            code, out, err = run_cli(capsys, SCHEMA_COMMANDS[schema], "--input", str(path))
-            if (code, out) != (1, "") or len(err.splitlines()) != 1:
-                broken.append((key_path, value, code, err))
+
+    def mutants():
+        for key_path in _node_paths(original):
+            for value in TYPE_MUTANTS:
+                data = json.loads(json.dumps(original))
+                if key_path:
+                    _set(key_path, value)(data)
+                else:
+                    data = value
+                yield (key_path, value), data
+
+    rejected, broken = _rejected_not_exit_1(capsys, tmp_path, schema, sample, mutants())
     assert rejected > 0
+    assert not broken, broken[:5]
+
+
+@pytest.mark.parametrize("schema,sample", SCHEMA_CASES)
+def test_schema_rejected_dropped_keys_exit_1(capsys, tmp_path, schema, sample):
+    # each key of each object dropped in turn: where the schema calls the
+    # key required the reader must too, with exit 1 and one stderr line
+    original = json.loads((DATA / sample).read_text())
+    drops = [
+        (key_path, _dropped(original, key_path))
+        for key_path in _node_paths(original)
+        if key_path and isinstance(key_path[-1], str)
+    ]
+    _, broken = _rejected_not_exit_1(capsys, tmp_path, schema, sample, drops)
     assert not broken, broken[:5]
 
 

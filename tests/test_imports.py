@@ -1,5 +1,6 @@
 """Each singcalc module imports first, on its own, in a fresh interpreter,
-and each `__all__` lists exactly the public names its module defines.
+and each module but `cli` declares an `__all__` that lists exactly the
+public names it defines.
 
 A module that imports another only for a type annotation can close an
 import cycle that only shows when the other module is imported first.
@@ -44,10 +45,9 @@ def _public_names(module: str) -> list[str]:
     return sorted(n for n in names if not n.startswith("_"))
 
 
-DECLARING = [m for m in MODULES if hasattr(importlib.import_module(f"singcalc.{m}"), "__all__")]
-
-
-@pytest.mark.parametrize("module", DECLARING)
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])
 def test_all_lists_the_public_names(module):
-    declared = importlib.import_module(f"singcalc.{module}").__all__
+    # cli is the entry point, not a library module
+    declared = getattr(importlib.import_module(f"singcalc.{module}"), "__all__", None)
+    assert declared is not None, f"singcalc.{module} declares no __all__"
     assert sorted(declared) == _public_names(module)

@@ -18,13 +18,12 @@ from hypothesis import strategies as st
 from singcalc.errors import InputError, NonIntegralMultiplicity, Unsupported
 from singcalc.quotient import (
     HJChain,
-    QuotientType,
     chain_multiplicities,
     continued_fraction,
-    cyclic,
     hj_resolve,
     normalize_type,
     suspension_normalize,
+    symbol,
     wblowup2,
     wblowup3_smooth,
 )
@@ -159,51 +158,36 @@ def test_chain_multiplicities_error_text(args, shown):
 # ------------------------------------------------------- normalize_type
 
 
-def _invariant_exponents(q: QuotientType, box: int) -> frozenset:
-    """Exponent pairs of invariant monomials in the reflection-reduced
-    coordinates, up to the given box size.  Characterizes the germ."""
-    L = math.lcm(*q.orders)
-    gens = [
-        tuple((a * (L // d)) % L for a in row) for d, row in zip(q.orders, q.weights)
-    ]
-    elements = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        e = frontier.pop()
-        for g in gens:
-            nxt = ((e[0] + g[0]) % L, (e[1] + g[1]) % L)
-            if nxt not in elements:
-                elements.add(nxt)
-                frontier.append(nxt)
+def _invariant_exponents(q, box: int) -> frozenset:
+    """Exponent pairs of invariant monomials of 1/d(a, b), q = (d, a, b),
+    in the reflection-reduced coordinates, up to the given box size.
+    Characterizes the germ."""
+    d, a, b = q
+    elements = {(k * a % d, k * b % d) for k in range(d)}
     hx = len({e[0] for e in elements if e[1] == 0})
     hy = len({e[1] for e in elements if e[0] == 0})
     inv = set()
     for i in range(box + 1):
         for j in range(box + 1):
             # monomial in reduced coordinates (x^hx, y^hy)
-            if all((i * hx * u + j * hy * v) % L == 0 for u, v in elements):
+            if all((i * hx * u + j * hy * v) % d == 0 for u, v in elements):
                 inv.add((i, j))
     return frozenset(inv)
 
 
 def test_normalize_examples():
-    assert normalize_type(QuotientType((4,), ((2, 3),))) == cyclic(2, 1, 1)
-    assert normalize_type(cyclic(7, 0, 1)).is_smooth_symbol()
-    assert normalize_type(cyclic(3, 2, -1)) == cyclic(3, 1, 1)
-    assert normalize_type(cyclic(5, -1, 2)) == cyclic(5, 1, 2)
-    assert normalize_type(cyclic(5, 2, -1)) == cyclic(5, 1, 2)
-    assert normalize_type(cyclic(1, 0, 0)).is_smooth_symbol()
-    # curves are always smooth
-    assert normalize_type(QuotientType((6,), ((1,),))).is_smooth_symbol()
-
-
-def _multi_row_symbols(rng, count, max_order):
-    """Random surface symbols with 2 or 3 rows of orders 1..max_order."""
-    out = []
-    for _ in range(count):
-        orders = [rng.randint(1, max_order) for _ in range(rng.randint(2, 3))]
-        out.append(QuotientType(orders, [(rng.randint(0, d), rng.randint(0, d)) for d in orders]))
-    return out
+    assert normalize_type(4, 2, 3) == (2, 1)
+    assert normalize_type(7, 0, 1) == (1, 0)
+    assert normalize_type(3, 2, -1) == (3, 1)
+    assert normalize_type(5, -1, 2) == (5, 2)
+    assert normalize_type(5, 2, -1) == (5, 2)
+    assert normalize_type(1, 0, 0) == (1, 0)
+    # weights are read mod d
+    assert normalize_type(3, 5, -1) == normalize_type(3, 2, 2)
+    assert symbol(normalize_type(5, -1, 2)) == "1/5(1,2)"
+    assert symbol(normalize_type(7, 0, 1)) == "smooth"
+    with pytest.raises(InputError, match="group orders must be >= 1"):
+        normalize_type(0, 1, 1)
 
 
 def test_normalize_is_idempotent_and_column_invariant():
@@ -212,25 +196,26 @@ def test_normalize_is_idempotent_and_column_invariant():
     for _ in range(60):
         d = rng.randint(1, 12)
         a, b = rng.randint(0, d), rng.randint(0, d)
-        symbols.append(cyclic(d, a, b))
-    for q in symbols + _multi_row_symbols(random.Random(12), 60, 12):
-        n1 = normalize_type(q)
-        assert normalize_type(n1) == n1
-        assert normalize_type(QuotientType(q.orders, [(b, a) for a, b in q.weights])) == n1
-        assert n1.group_order <= q.group_order
-        if not n1.is_smooth_symbol():
-            dd = n1.orders[0]
-            beta = n1.weights[0][1]
-            assert n1.weights[0][0] == 1
-            assert math.gcd(dd, beta) == 1
-            assert beta <= pow(beta, -1, dd)
+        symbols.append((d, a, b))
+    for d, a, b in symbols:
+        n1 = normalize_type(d, a, b)
+        e, beta = n1
+        assert normalize_type(e, 1, beta) == n1
+        assert normalize_type(d, b, a) == n1
+        assert e <= d
+        if e == 1:
+            assert n1 == (1, 0)
+        else:
+            assert math.gcd(e, beta) == 1
+            assert beta <= pow(beta, -1, e)
 
 
 def test_normalize_matches_invariant_oracle():
     # coordinate swap is an isomorphism, so the normal form may match
     # the input's invariants only after transposing exponents
     def matches(q, n):
-        a, b = _invariant_exponents(q, 12), _invariant_exponents(n, 12)
+        e, beta = n
+        a, b = _invariant_exponents(q, 12), _invariant_exponents((e, 1, beta), 12)
         return a == b or a == frozenset((j, i) for i, j in b)
 
     rng = random.Random(13)
@@ -238,20 +223,22 @@ def test_normalize_matches_invariant_oracle():
     for _ in range(40):
         d = rng.randint(2, 10)
         a, b = rng.randint(0, d - 1), rng.randint(0, d - 1)
-        symbols.append(cyclic(d, a, b))
-    for q in symbols + _multi_row_symbols(random.Random(14), 40, 10):
-        assert matches(q, normalize_type(q)), (q, normalize_type(q))
-    # and the two-generator example
-    assert matches(QuotientType((4,), ((2, 3),)), cyclic(2, 1, 1))
+        symbols.append((d, a, b))
+    # and every symbol of order up to 12
+    symbols += [(d, a, b) for d in range(2, 13) for a in range(d) for b in range(d)]
+    for q in symbols:
+        assert matches(q, normalize_type(*q)), (q, normalize_type(*q))
+    # and the example with a reflection subgroup
+    assert matches((4, 2, 3), (2, 1))
 
 
 def test_suspension_examples():
-    assert [str(t) for t in suspension_normalize(5, 1, 2)] == ["1/5(1,3)"]
-    assert [t.is_smooth_symbol() for t in suspension_normalize(6, 2, 3)] == [True]
-    assert [t.is_smooth_symbol() for t in suspension_normalize(2, 2, 2)] == [True, True]
+    assert [symbol(t) for t in suspension_normalize(5, 1, 2)] == ["1/5(1,3)"]
+    assert suspension_normalize(5, 1, 2) == [(5, 3)]
+    assert suspension_normalize(6, 2, 3) == [(1, 0)]
+    assert suspension_normalize(2, 2, 2) == [(1, 0), (1, 0)]
     # z^k = u^a with v free: gcd(k,a) smooth sheets
-    assert len(suspension_normalize(6, 3, 0)) == 3
-    assert all(t.is_smooth_symbol() for t in suspension_normalize(6, 3, 0))
+    assert suspension_normalize(6, 3, 0) == [(1, 0)] * 3
 
 
 def test_suspension_k1c_form():
@@ -261,14 +248,15 @@ def test_suspension_k1c_form():
                 continue
             out = suspension_normalize(k, 1, c)
             assert len(out) == 1
-            expected = normalize_type(cyclic(k, 1, k - c))
-            assert normalize_type(out[0]) == expected
+            expected = normalize_type(k, 1, k - c)
+            e, c0 = out[0]
+            assert normalize_type(e, 1, c0) == expected
 
 
 def test_wblowup2_examples():
     d = wblowup2(None, (2, 3))
     assert d.self_int == Fraction(-1, 6)
-    assert [(lbl, str(t)) for lbl, t in d.sing_points] == [
+    assert [(lbl, symbol(t)) for lbl, t in d.sing_points] == [
         ("origin-x", "1/2(1,1)"),
         ("origin-y", "1/3(1,1)"),
     ]
@@ -277,7 +265,7 @@ def test_wblowup2_examples():
     assert d.sing_points == ()
     d = wblowup2(None, (5, 2))
     assert d.self_int == Fraction(-1, 10)
-    assert sorted(str(t) for _, t in d.sing_points) == ["1/2(1,1)", "1/5(1,2)"]
+    assert sorted(symbol(t) for _, t in d.sing_points) == ["1/2(1,1)", "1/5(1,2)"]
 
 
 def test_wblowup2_on_quotient_point():
@@ -313,32 +301,22 @@ def test_wblowup2_rejects_bad_weights():
 
 def test_wblowup3_examples():
     out = wblowup3_smooth((2, 3, 5))
-    labels = [lbl for lbl, _ in out]
+    labels = [lbl for lbl, _, _ in out]
     assert labels == ["vertex-x", "vertex-y", "vertex-z"]
-    types = {lbl: t for lbl, t in out}
-    assert types["vertex-x"] == QuotientType((2,), ((-1, 3, 5),))
-    assert types["vertex-y"] == QuotientType((3,), ((2, -1, 5),))
-    assert types["vertex-z"] == QuotientType((5,), ((2, 3, -1),))
+    types = {lbl: (order, weights) for lbl, order, weights in out}
+    assert types["vertex-x"] == (2, (1, 1, 1))  # 1/2(-1,3,5)
+    assert types["vertex-y"] == (3, (2, 2, 2))  # 1/3(2,-1,5)
+    assert types["vertex-z"] == (5, (2, 3, 4))  # 1/5(2,3,-1)
 
     assert wblowup3_smooth((1, 1, 1)) == []
 
     out = wblowup3_smooth((2, 2, 3))
-    labels = [lbl for lbl, _ in out]
+    labels = [lbl for lbl, _, _ in out]
     assert labels == ["vertex-x", "vertex-y", "vertex-z", "edge-z"]
-    edge = dict(out)["edge-z"]
-    assert edge.orders == (2,)
+    edge = {lbl: order for lbl, order, _ in out}["edge-z"]
+    assert edge == 2
 
     with pytest.raises(InputError):
         wblowup3_smooth((2, 4, 6))
     with pytest.raises(InputError):
         wblowup3_smooth((0, 1, 1))
-
-
-def test_quotient_type_validation():
-    with pytest.raises(InputError):
-        QuotientType((), ())
-    with pytest.raises(InputError):
-        QuotientType((2, 3), ((1, 1),))
-    with pytest.raises(InputError):
-        QuotientType((2,), ((1, 1, 1, 1),))
-    assert cyclic(3, 5, -1).weights == ((2, 2),)
