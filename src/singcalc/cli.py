@@ -234,12 +234,12 @@ def cmd_lys(args) -> str:
                 jordan1_p=_factor_map(entry, "jordan1", where, None),
             )
         )
-    declared = sorted((p.mu, p.r) for p in spec.singular_points)
+    on_curve = sorted((p.mu, p.r) for p in spec.singular_points)
     provided = sorted((p.mu_p, p.r_p) for p in points)
-    if declared != provided:
+    if on_curve != provided:
         raise InputError(
             "points list does not match the curve's singular points "
-            f"(curve has {len(declared)}, got {len(provided)})"
+            f"(curve has {len(on_curve)}, got {len(provided)})"
         )
 
     lys_input = monodromy.LYSInput(

@@ -6,8 +6,7 @@ count) for each singular point.  From these the module derives
 delta invariants and component genera, builds the intersection matrices of
 the cone-like surfaces lying over the curve, rewrites resolution-graph
 decorations when the curve is pushed from the projective plane into such a
-surface, and decides the combinatorial criteria (rational homology sphere
-link, rational tree) used downstream.
+surface, and decides whether the link is a rational homology sphere.
 
 Everything here is arithmetic over exact rationals; no floating point.
 """
@@ -30,9 +29,7 @@ __all__ = [
     "GraphVertex",
     "Combinatorics",
     "link_graph_adjust",
-    "tree_rational_test",
     "qhs_test",
-    "combinatorics_isomorphic",
     "combinatorics_to_dict",
     "combinatorics_from_dict",
     "curve_spec_from_dict",
@@ -307,12 +304,6 @@ class Combinatorics:
             if a == b:
                 raise InputError(f"loop edge at {a!r} not allowed")
 
-    def vertex(self, vid: str) -> GraphVertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise InputError(f"no vertex {vid!r}")
-
 
 def link_graph_adjust(graph: Combinatorics, degree: int, degrees) -> Combinatorics:
     """Rewrite self-intersections when the curve moves to the cone surface.
@@ -367,25 +358,6 @@ def _connected(ids, adjacency) -> bool:
         seen.add(x)
         stack.extend(adjacency[x])
     return seen == set(ids)
-
-
-def tree_rational_test(graph) -> bool:
-    """True iff the graph is a tree and every vertex has genus 0.
-
-    Accepts a :class:`Combinatorics` or a smooth resolution graph (whose
-    ``vertices`` is a dict of id -> vertex); vertices need ``id`` and
-    ``genus``, edges are id pairs.
-    """
-    vertices = graph.vertices
-    if isinstance(vertices, dict):
-        vertices = list(vertices.values())
-    ids = {v.id for v in vertices}
-    edges = list(graph.edges)
-    if any(getattr(v, "genus", 0) != 0 for v in vertices):
-        return False
-    if len(edges) != len(ids) - 1:
-        return False
-    return _connected(ids, _neighbours(ids, edges))
 
 
 def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dict = None):
@@ -470,72 +442,6 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
     if undetermined:
         return {"is_qhs": INDETERMINATE, "reasons": reasons}
     return {"is_qhs": True, "reasons": []}
-
-
-# ---------------------------------------------------------------------------
-# decorated graph isomorphism
-# ---------------------------------------------------------------------------
-
-_ISO_VERTEX_LIMIT = 12
-
-
-def combinatorics_isomorphic(a: Combinatorics, b: Combinatorics):
-    """Exact isomorphism of decorated graphs, by exhaustive matching.
-
-    Vertices must match in self-intersection, marking, and genus; edges
-    must correspond.  Exhaustive search is capped at 12 vertices; larger
-    graphs return INDETERMINATE.
-    """
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
-        return False
-
-    def decoration(v):
-        return (v.self_int, v.marked, v.genus)
-
-    if sorted(map(decoration, a.vertices)) != sorted(map(decoration, b.vertices)):
-        return False
-    if len(a.vertices) > _ISO_VERTEX_LIMIT:
-        return INDETERMINATE
-
-    adj_a = _neighbours([v.id for v in a.vertices], a.edges)
-    adj_b = _neighbours([v.id for v in b.vertices], b.edges)
-    deg_profile_a = sorted((decoration(v), len(adj_a[v.id])) for v in a.vertices)
-    deg_profile_b = sorted((decoration(v), len(adj_b[v.id])) for v in b.vertices)
-    if deg_profile_a != deg_profile_b:
-        return False
-
-    ids_a = [v.id for v in a.vertices]
-    by_decoration = {}
-    for v in b.vertices:
-        by_decoration.setdefault((decoration(v), len(adj_b[v.id])), []).append(v.id)
-
-    edge_set_b = {frozenset(e) for e in b.edges}
-
-    def extend(assigned, used):
-        if len(assigned) == len(ids_a):
-            return True
-        va = ids_a[len(assigned)]
-        key = (decoration(a.vertex(va)), len(adj_a[va]))
-        for vb in by_decoration.get(key, []):
-            if vb in used:
-                continue
-            ok = True
-            for earlier_a, earlier_b in assigned.items():
-                has_a = earlier_a in adj_a[va]
-                has_b = frozenset((vb, earlier_b)) in edge_set_b
-                if has_a != has_b:
-                    ok = False
-                    break
-            if ok:
-                assigned[va] = vb
-                used.add(vb)
-                if extend(assigned, used):
-                    return True
-                del assigned[va]
-                used.discard(vb)
-        return False
-
-    return extend({}, set())
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ Delta_P, the characteristic polynomial of the monodromy is
 where Delta_P^{(k)} is the characteristic polynomial of the k-th power
 of the local monodromy, and the Milnor number is
 (d-1)^3 + k*mu(C_d).  Jordan-block data for eigenvalue parts comes
-from the size-two block polynomials Delta^{[1]} of the points, or from
-character data of the boundary strata of a semistable model.
+from the size-two block polynomials Delta^{[1]} of the points.
 """
 
 from __future__ import annotations
@@ -48,14 +47,11 @@ if TYPE_CHECKING:  # qres2d imports this module
 __all__ = [
     "LYSPoint",
     "LYSInput",
-    "StrataCharData",
     "acampo_zeta",
     "zeta_to_char",
-    "char_to_zeta",
     "milnor_number",
     "char_poly_lys",
     "jordan2_sis",
-    "jordan_from_strata",
     "jordan1_quotient",
     "yau_pair_report",
     "render_report",
@@ -92,16 +88,6 @@ def zeta_to_char(z: CycloProduct, n: int) -> CycloProduct:
     else:
         raise InputError(f"cohomology degree n={n}; only 1 and 2 occur here")
     return require_polynomial(delta)
-
-
-def char_to_zeta(a: CycloProduct, n: int) -> CycloProduct:
-    """Inverse of zeta_to_char (both directions are involutions in the
-    formal basis)."""
-    if n == 1:
-        return combine(_ONE_MINUS_T, a, -1)
-    if n == 2:
-        return a * _ONE_MINUS_T
-    raise InputError(f"cohomology degree n={n}; only 1 and 2 occur here")
 
 
 # ----------------------------------------------------------------- inputs
@@ -205,48 +191,6 @@ def jordan2_sis(inp: LYSInput, m: int | None = None) -> CycloProduct:
     if m < 1:
         raise InputError(f"m = {m}; need a positive exponent")
     return gcd_cyclo(CycloProduct({1: m}), prod)
-
-
-# -------------------------------------------------------------- stratum data
-
-
-@dataclass(frozen=True)
-class StrataCharData:
-    """Characteristic polynomials of the finite-order automorphism on
-    the cohomology of the boundary strata D^(0), D^(1), D^(2) of a
-    semistable model, plus two limit-term dimensions."""
-
-    h0_D0: CycloProduct | None = None
-    h0_D1: CycloProduct | None = None
-    h0_D2: CycloProduct | None = None
-    h1_D0: CycloProduct | None = None
-    h1_D1: CycloProduct | None = None
-    dim_E2_4m2: int = 0
-    dim_E2_02: int = 0
-
-
-def jordan_from_strata(s: StrataCharData, dim: int) -> dict[str, CycloProduct]:
-    """Jordan-block polynomials from stratum character data.
-
-    dim 1: Delta^[1] = (t-1) * h0(D1) / h0(D0).
-    dim 2: Delta^[2] = h0(D2) h0(D0) / ((t-1) h0(D1)) and
-           Delta^[1] = (t-1)^{dim E2_4m2} h1(D1) /
-                       ((t-1)^{dim E2_02} h1(D0)).
-    A quotient that is not a polynomial (NotPolynomial) signals
-    inconsistent stratum data.
-    """
-    if dim == 1:
-        if s.h0_D0 is None or s.h0_D1 is None:
-            raise InputError("dim 1 needs h0_D0 and h0_D1")
-        return {"jordan1": require_polynomial(combine(_ONE_MINUS_T * s.h0_D1, s.h0_D0, -1))}
-    if dim == 2:
-        if any(x is None for x in (s.h0_D0, s.h0_D1, s.h0_D2, s.h1_D0, s.h1_D1)):
-            raise InputError("dim 2 needs h0_D0..h0_D2 and h1_D0, h1_D1")
-        j2 = require_polynomial(combine(s.h0_D2 * s.h0_D0, _ONE_MINUS_T * s.h0_D1, -1))
-        twist = CycloProduct({1: s.dim_E2_4m2 - s.dim_E2_02})
-        j1 = require_polynomial(combine(twist * s.h1_D1, s.h1_D0, -1))
-        return {"jordan1": j1, "jordan2": j2}
-    raise InputError(f"dim = {dim}; only 1 and 2 occur here")
 
 
 def jordan1_quotient(delta_cmb_k: CycloProduct, alexander: CycloProduct) -> CycloProduct:

@@ -33,27 +33,9 @@ __all__ = [
     "symbol",
     "continued_fraction",
     "hj_resolve",
-    "suspension_normalize",
     "wblowup2",
-    "wblowup3_smooth",
     "chain_multiplicities",
 ]
-
-
-def _small(d: int, a: int, b: int) -> tuple[int, int]:
-    """The faithful point 1/d(a, b) with its reflections divided out, as
-    (e, beta_0) for 1/e(1, beta_0), or (1, 0) when that leaves no group.
-
-    The elements that leave x alone form the subgroup of order
-    gcd(a, d), all reflections; dividing it out replaces y by
-    y^gcd(a, d) and leaves 1/(d/gcd(a, d))(a/gcd(a, d), b).  The same
-    for y leaves a group whose two weights are units, so it is small.
-    """
-    ga = math.gcd(a, d)
-    d, a = d // ga, a // ga
-    gb = math.gcd(b, d)
-    e = d // gb
-    return e, pow(a, -1, e) * (b // gb) % e  # e = 1 gives (1, 0): mod 1 all is 0
 
 
 def normalize_type(d: int, a: int, b: int) -> tuple[int, int]:
@@ -67,7 +49,7 @@ def normalize_type(d: int, a: int, b: int) -> tuple[int, int]:
     1/5(-1,2) and 1/5(2,-1) normalize to 1/5(1,2).
 
     The group is never listed: dividing by gcd(d, a, b) makes it act
-    faithfully, and `_small` divides out the reflections by two gcds.
+    faithfully, and two gcds divide out the reflections.
 
     >>> normalize_type(5, -1, 2)
     (5, 2)
@@ -77,7 +59,16 @@ def normalize_type(d: int, a: int, b: int) -> tuple[int, int]:
     if d < 1:
         raise InputError("group orders must be >= 1")
     g = math.gcd(d, a, b)
-    e, beta = _small(d // g, a // g, b // g)
+    d, a, b = d // g, a // g, b // g
+    # The elements that leave x alone form the subgroup of order
+    # gcd(a, d), all reflections; dividing it out replaces y by
+    # y^gcd(a, d) and leaves 1/(d/gcd(a, d))(a/gcd(a, d), b).  The same
+    # for y leaves a group whose two weights are units, so it is small.
+    ga = math.gcd(a, d)
+    d, a = d // ga, a // ga
+    gb = math.gcd(b, d)
+    e = d // gb
+    beta = pow(a, -1, e) * (b // gb) % e  # e = 1 gives (1, 0): mod 1 all is 0
     return e, min(beta, pow(beta, -1, e))
 
 
@@ -165,23 +156,6 @@ def chain_multiplicities(b: tuple[int, ...], m_left: int, m_right: int) -> tuple
     return ms
 
 
-def suspension_normalize(k: int, a: int, b: int) -> list[tuple[int, int]]:
-    """Singularities of the normalization of the surface z^k = u^a v^b.
-
-    Splits into g = gcd(k, a, b) identical components, each the point
-    1/(k/g)(-a/g, b/g) with its reflections divided out, given as
-    (e, c) for 1/e(1, c) in the orientation of (u, v), or (1, 0) when
-    smooth.  When one of a, b vanishes the components are smooth.
-
-    >>> suspension_normalize(5, 1, 2)
-    [(5, 3)]
-    """
-    if k < 1 or a < 0 or b < 0:
-        raise InputError(f"need k >= 1 and a, b >= 0, got ({k},{a},{b})")
-    g = math.gcd(k, a, b)  # gcd(k, 0, 0) = k: z^k - 1 is k smooth sheets
-    return [_small(k // g, -a // g, b // g)] * g
-
-
 @dataclass(frozen=True)
 class BlowupData:
     """Numerical outcome of one weighted blow-up.
@@ -190,22 +164,13 @@ class BlowupData:
     the groups (d, a, b) of the origin-x and origin-y charts as written
     on the chart coordinates, weights reduced mod d and (1, 0, 0) for a
     smooth chart; at the origin-x chart the first coordinate is local
-    to E, at origin-y the second.  ``sing_points`` lists (chart label,
-    (e, beta)), the normal form of each chart origin that is a quotient
-    point.
+    to E, at origin-y the second.  ``normalize_type(*group)`` gives the
+    normal form of a chart origin.
     """
 
     weights: tuple[int, int]
     self_int: Fraction
     charts: tuple[tuple[int, int, int], tuple[int, int, int]]
-
-    @property
-    def sing_points(self) -> tuple[tuple[str, tuple[int, int]], ...]:
-        return tuple(
-            (label, normalize_type(*group))
-            for label, group in zip(("origin-x", "origin-y"), self.charts)
-            if group[0] > 1
-        )
 
 
 def _presentable(d: int, a: int, b: int, p: int, q: int) -> bool:
@@ -227,8 +192,8 @@ def wblowup2(ambient: tuple[int, int, int] | None, weights: tuple[int, int]) -> 
     >>> data = wblowup2(None, (2, 3))
     >>> data.self_int, data.charts
     (Fraction(-1, 6), ((2, 1, 1), (3, 2, 2)))
-    >>> [f"{lbl}: {symbol(t)}" for lbl, t in data.sing_points]
-    ['origin-x: 1/2(1,1)', 'origin-y: 1/3(1,1)']
+    >>> [symbol(normalize_type(*g)) for g in data.charts]
+    ['1/2(1,1)', '1/3(1,1)']
     """
     p, q = weights
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
@@ -242,37 +207,3 @@ def wblowup2(ambient: tuple[int, int, int] | None, weights: tuple[int, int]) -> 
         if not _presentable(d, a, b, p, q):
             raise Unsupported(f"ambient 1/{d}({a},{b}) is not presentable as 1/{d}({p},{q})")
     return BlowupData((p, q), Fraction(-d, p * q), ((p, -d % p, q % p), (q, p % q, -d % q)))
-
-
-def wblowup3_smooth(omega: tuple[int, int, int]) -> list[tuple[str, int, tuple[int, ...]]]:
-    """Singular loci of the omega-weighted blow-up of the origin of C^3,
-    as (label, order, weights) with the weights reduced mod the order.
-
-    Vertices of the exceptional P^2_omega give quotient points
-    1/p(-1,q,r), 1/q(p,-1,r), 1/r(p,q,-1) (weight-1 vertices being
-    smooth are omitted); the coordinate edges {x=0}, {y=0}, {z=0} are
-    singular exactly when gcd(q,r), gcd(p,r), gcd(p,q) > 1.  Edge
-    entries record the isotropy order together with the weight of the
-    one coordinate it moves.
-
-    >>> wblowup3_smooth((1, 2, 2))
-    [('vertex-y', 2, (1, 1, 0)), ('vertex-z', 2, (1, 0, 1)), ('edge-x', 2, (1,))]
-    """
-    p, q, r = omega
-    if min(p, q, r) < 1:
-        raise InputError(f"weights must be positive, got {omega}")
-    if math.gcd(p, q, r) != 1:
-        raise InputError(f"weights must have gcd 1, got {omega}")
-    loci = (
-        ("vertex-x", p, (-1, q, r)),
-        ("vertex-y", q, (p, -1, r)),
-        ("vertex-z", r, (p, q, -1)),
-        ("edge-x", math.gcd(q, r), (p,)),
-        ("edge-y", math.gcd(p, r), (q,)),
-        ("edge-z", math.gcd(p, q), (r,)),
-    )
-    return [
-        (label, order, tuple(w % order for w in weights))
-        for label, order, weights in loci
-        if order > 1
-    ]

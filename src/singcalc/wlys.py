@@ -23,7 +23,6 @@ __all__ = [
     "WeightVector",
     "WDecomposition",
     "wdecompose",
-    "smallest_admissible_k",
     "WeightedPoint",
     "wlys_admissibility",
     "trivar_from_json",
@@ -43,9 +42,6 @@ class TrivarPoly:
     terms: tuple  # tuple of ((i, j, l), Fraction), sorted, coefficients nonzero
 
     def __init__(self, data):
-        if isinstance(data, TrivarPoly):
-            object.__setattr__(self, "terms", data.terms)
-            return
         cleaned = {}
         for key, c in dict(data).items():
             i, j, l = key
@@ -67,12 +63,6 @@ class TrivarPoly:
         for (i, j, l), coeff in self.terms:
             total += coeff * Fraction(a) ** i * Fraction(b) ** j * Fraction(c) ** l
         return total
-
-    def __add__(self, other: "TrivarPoly") -> "TrivarPoly":
-        out = self.as_dict()
-        for key, c in other.terms:
-            out[key] = out.get(key, Fraction(0)) + c
-        return TrivarPoly(out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -139,9 +129,6 @@ class WDecomposition:
                 return poly
         return TrivarPoly({})
 
-    def degrees(self) -> tuple:
-        return tuple(m for m, _ in self.parts)
-
 
 def wdecompose(f: TrivarPoly, w: WeightVector) -> WDecomposition:
     """Bucket the monomials of f by weighted degree.
@@ -149,7 +136,6 @@ def wdecompose(f: TrivarPoly, w: WeightVector) -> WDecomposition:
     Requires f nonzero with f(0,0,0) = 0.  The gap k is the difference
     between the two lowest weighted degrees present, None if only one is.
     """
-    f = TrivarPoly(f)
     if f.is_zero():
         raise InputError("germ must be nonzero")
     if (0, 0, 0) in f.as_dict():
@@ -163,29 +149,6 @@ def wdecompose(f: TrivarPoly, w: WeightVector) -> WDecomposition:
     k = degrees[1] - d if len(degrees) > 1 else None
     parts = tuple((m, TrivarPoly(buckets[m])) for m in degrees)
     return WDecomposition(d=d, k=k, parts=parts)
-
-
-def smallest_admissible_k(w: WeightVector, d: int, avoid_vertices) -> int:
-    """Minimal k >= 1 with every listed vertex weight dividing d + k.
-
-    ``avoid_vertices`` is a nonempty subset of {"x", "y", "z"}; the weight
-    of a vertex is the weight of its coordinate.  Divisibility lets a pure
-    power of that coordinate appear in the degree-(d+k) form, keeping the
-    vertex off its zero set.
-    """
-    vertices = set(avoid_vertices)
-    if not vertices:
-        raise InputError("avoid_vertices must be nonempty")
-    unknown = vertices - {"x", "y", "z"}
-    if unknown:
-        raise InputError(f"unknown vertices {sorted(unknown)}; use x, y, z")
-    weights = {"x": w.p, "y": w.q, "z": w.r}
-    needed = [weights[v] for v in sorted(vertices)]
-    bound = math.lcm(*needed)
-    for k in range(1, bound + 1):
-        if all((d + k) % wt == 0 for wt in needed):
-            return k
-    raise InternalError("no admissible k up to lcm of the weights")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +191,8 @@ def _scaled(point: tuple, w: WeightVector, lam: Fraction) -> tuple:
 
 
 def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
-    """Check the declared singular points against the comparison form.
+    """Check the declared singular points, a sequence of
+    :class:`WeightedPoint`, against the comparison form.
 
     Computes (d, k) by decomposition, then requires that no declared point
     lies on the zero set of the degree-(d+k) form.  Vanishing on the
@@ -242,14 +206,13 @@ def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
     comparison form, so the verdict is INDETERMINATE.
     """
     decomp = wdecompose(f, w)
-    points = [p if isinstance(p, WeightedPoint) else WeightedPoint(**p) for p in declared_sing]
     out = {"d": decomp.d, "k": decomp.k, "parts": decomp.parts}
     if decomp.k is None:
         failures = ["germ is weighted-homogeneous: no comparison form to evaluate"]
         return {"admissible": INDETERMINATE, "failures": failures, **out}
     form = decomp.part(decomp.d + decomp.k)
     failures = []
-    for point in points:
+    for point in declared_sing:
         value = form.evaluate(*point.coords)
         scaled_value = form.evaluate(*_scaled(point.coords, w, Fraction(2)))
         if (value == 0) != (scaled_value == 0):

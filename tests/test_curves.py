@@ -12,7 +12,6 @@ from singcalc.curves import (
     GraphVertex,
     SingularPoint,
     combinatorics_from_dict,
-    combinatorics_isomorphic,
     combinatorics_to_dict,
     combinatorics_to_dot,
     curve_spec_from_dict,
@@ -21,10 +20,8 @@ from singcalc.curves import (
     link_graph_adjust,
     qhs_test,
     surface_intersections,
-    tree_rational_test,
 )
 from singcalc.errors import INDETERMINATE, InputError
-from singcalc.qres2d import BivarPoly, local_invariants
 
 
 def cusp_point(pid, comp="c"):
@@ -182,8 +179,9 @@ def test_adjust_leaves_unmarked_alone():
         (("c", "e"),),
     )
     out = link_graph_adjust(g, 6, [6])
-    assert out.vertex("e").self_int == -2
-    assert out.vertex("c").self_int == -6
+    by_id = {v.id: v for v in out.vertices}
+    assert by_id["e"].self_int == -2
+    assert by_id["c"].self_int == -6
     assert out.edges == (("c", "e"),)
 
 
@@ -264,40 +262,6 @@ def test_qhs_k2_missing_flags_indeterminate():
     assert qhs_test(sextic, 2)["is_qhs"] is False
 
 
-# ----------------------------------------------------------- tree test
-
-
-def test_tree_rational_cusp_graph():
-    germ = BivarPoly({(0, 2): 1, (3, 0): -1})
-    inv = local_invariants(germ)
-    assert tree_rational_test(inv.smooth_graph) is True
-    assert len(inv.smooth_graph.vertices) == 4
-
-
-def test_tree_rational_cycle():
-    g = Combinatorics(
-        tuple(GraphVertex(f"v{i}", -2) for i in range(3)),
-        (("v0", "v1"), ("v1", "v2"), ("v2", "v0")),
-    )
-    assert tree_rational_test(g) is False
-
-
-def test_tree_rational_genus():
-    g = Combinatorics(
-        (GraphVertex("a", -2), GraphVertex("b", -1, marked=True, genus=3)),
-        (("a", "b"),),
-    )
-    assert tree_rational_test(g) is False
-
-
-def test_tree_rational_disconnected():
-    g = Combinatorics(
-        tuple(GraphVertex(f"v{i}", -2) for i in range(4)),
-        (("v0", "v1"), ("v2", "v3")),
-    )
-    assert tree_rational_test(g) is False
-
-
 # ------------------------------------------------------------ CurveSpec
 
 
@@ -331,61 +295,6 @@ def test_spec_shared_point_genus_indeterminate():
 def test_spec_unmarked_vertex_genus():
     with pytest.raises(InputError, match="unmarked"):
         GraphVertex("e", -2, marked=False, genus=1)
-
-
-# --------------------------------------------------------- isomorphism
-
-
-def path_graph(ids, self_int=-2):
-    vs = tuple(GraphVertex(i, self_int) for i in ids)
-    es = tuple((ids[i], ids[i + 1]) for i in range(len(ids) - 1))
-    return Combinatorics(vs, es)
-
-
-def test_iso_relabeled_path():
-    a = path_graph(["x", "y", "z"])
-    b = Combinatorics(
-        (GraphVertex("q", -2), GraphVertex("p", -2), GraphVertex("r", -2)),
-        (("p", "q"), ("p", "r")),
-    )
-    assert combinatorics_isomorphic(a, b) is True
-
-
-def test_iso_decoration_mismatch():
-    a = path_graph(["x", "y", "z"])
-    b = Combinatorics(
-        (GraphVertex("a", -2), GraphVertex("b", -3), GraphVertex("c", -2)),
-        (("a", "b"), ("b", "c")),
-    )
-    assert combinatorics_isomorphic(a, b) is False
-
-
-def test_iso_same_degree_sequence_different_trees():
-    # Both trees have degree sequence (3,2,2,1,1,1) and constant decoration,
-    # but one has a leg of length 3 and the other does not.
-    t1 = Combinatorics(
-        tuple(GraphVertex(i, -2) for i in ["c", "a", "b", "d", "e", "f"]),
-        (("c", "a"), ("c", "b"), ("c", "d"), ("d", "e"), ("e", "f")),
-    )
-    t2 = Combinatorics(
-        tuple(GraphVertex(i, -2) for i in ["c", "x", "x2", "y", "y2", "z"]),
-        (("c", "x"), ("x", "x2"), ("c", "y"), ("y", "y2"), ("c", "z")),
-    )
-    assert combinatorics_isomorphic(t1, t2) is False
-
-
-def test_iso_large_graph_indeterminate():
-    ids = [f"v{i}" for i in range(13)]
-    a = path_graph(ids)
-    b = path_graph(ids)
-    assert combinatorics_isomorphic(a, b) is INDETERMINATE
-
-
-def test_iso_large_graph_cheap_rejects_still_work():
-    ids = [f"v{i}" for i in range(13)]
-    a = path_graph(ids)
-    b = path_graph(ids, self_int=-3)
-    assert combinatorics_isomorphic(a, b) is False
 
 
 # -------------------------------------------------------- serialization

@@ -305,6 +305,24 @@ def test_torus_germ_root_oracle(p, q):
     assert all(abs(_horner(coeffs, z)) <= 1e-9 * scale for z in roots)
 
 
+def _det(rows):
+    """Determinant by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_structural_invariants(name):
     germ, _, _, _ = CATALOG[name]
@@ -314,6 +332,25 @@ def test_structural_invariants(name):
     for u, v in s.edges:
         nb[u].append(v)
         nb[v].append(u)
+    # a rational tree: |E| = |V| - 1, connected, genus 0 everywhere
+    assert len(s.edges) == len(s.vertices) - 1
+    seen, stack = set(), [next(iter(s.vertices))]
+    while stack:
+        vid = stack.pop()
+        if vid not in seen:
+            seen.add(vid)
+            stack.extend(nb[vid])
+    assert seen == set(s.vertices)
+    assert all(v.genus == 0 for v in s.vertices.values())
+    # the exceptional intersection matrix is unimodular and negative definite
+    exc = s.exceptional_ids()
+    m = [
+        [s.vertices[u].self_int if u == v else nb[u].count(v) for v in exc]
+        for u in exc
+    ]
+    assert _det(m) == (-1) ** len(exc)
+    for k in range(1, len(exc) + 1):
+        assert _det([[-x for x in row[:k]] for row in m[:k]]) > 0
     strict = set(s.strict_vertices)
     for vid in s.vertices:
         if vid in strict:

@@ -22,10 +22,8 @@ from singcalc.quotient import (
     continued_fraction,
     hj_resolve,
     normalize_type,
-    suspension_normalize,
     symbol,
     wblowup2,
-    wblowup3_smooth,
 )
 
 
@@ -232,40 +230,19 @@ def test_normalize_matches_invariant_oracle():
     assert matches((4, 2, 3), (2, 1))
 
 
-def test_suspension_examples():
-    assert [symbol(t) for t in suspension_normalize(5, 1, 2)] == ["1/5(1,3)"]
-    assert suspension_normalize(5, 1, 2) == [(5, 3)]
-    assert suspension_normalize(6, 2, 3) == [(1, 0)]
-    assert suspension_normalize(2, 2, 2) == [(1, 0), (1, 0)]
-    # z^k = u^a with v free: gcd(k,a) smooth sheets
-    assert suspension_normalize(6, 3, 0) == [(1, 0)] * 3
-
-
-def test_suspension_k1c_form():
-    for k in range(2, 12):
-        for c in range(1, k):
-            if math.gcd(k, c) != 1:
-                continue
-            out = suspension_normalize(k, 1, c)
-            assert len(out) == 1
-            expected = normalize_type(k, 1, k - c)
-            e, c0 = out[0]
-            assert normalize_type(e, 1, c0) == expected
-
-
 def test_wblowup2_examples():
+    def chart_symbols(data):
+        return [symbol(normalize_type(*g)) for g in data.charts]
+
     d = wblowup2(None, (2, 3))
     assert d.self_int == Fraction(-1, 6)
-    assert [(lbl, symbol(t)) for lbl, t in d.sing_points] == [
-        ("origin-x", "1/2(1,1)"),
-        ("origin-y", "1/3(1,1)"),
-    ]
+    assert chart_symbols(d) == ["1/2(1,1)", "1/3(1,1)"]
     d = wblowup2(None, (1, 1))
     assert d.self_int == Fraction(-1)
-    assert d.sing_points == ()
+    assert chart_symbols(d) == ["smooth", "smooth"]
     d = wblowup2(None, (5, 2))
     assert d.self_int == Fraction(-1, 10)
-    assert sorted(symbol(t) for _, t in d.sing_points) == ["1/2(1,1)", "1/5(1,2)"]
+    assert chart_symbols(d) == ["1/5(1,2)", "1/2(1,1)"]
 
 
 def test_wblowup2_on_quotient_point():
@@ -297,26 +274,3 @@ def test_wblowup2_rejects_bad_weights():
         wblowup2(None, (2, 4))
     with pytest.raises(InputError):
         wblowup2(None, (0, 1))
-
-
-def test_wblowup3_examples():
-    out = wblowup3_smooth((2, 3, 5))
-    labels = [lbl for lbl, _, _ in out]
-    assert labels == ["vertex-x", "vertex-y", "vertex-z"]
-    types = {lbl: (order, weights) for lbl, order, weights in out}
-    assert types["vertex-x"] == (2, (1, 1, 1))  # 1/2(-1,3,5)
-    assert types["vertex-y"] == (3, (2, 2, 2))  # 1/3(2,-1,5)
-    assert types["vertex-z"] == (5, (2, 3, 4))  # 1/5(2,3,-1)
-
-    assert wblowup3_smooth((1, 1, 1)) == []
-
-    out = wblowup3_smooth((2, 2, 3))
-    labels = [lbl for lbl, _, _ in out]
-    assert labels == ["vertex-x", "vertex-y", "vertex-z", "edge-z"]
-    edge = {lbl: order for lbl, order, _ in out}["edge-z"]
-    assert edge == 2
-
-    with pytest.raises(InputError):
-        wblowup3_smooth((2, 4, 6))
-    with pytest.raises(InputError):
-        wblowup3_smooth((0, 1, 1))
