@@ -22,6 +22,7 @@ from singcalc.curves import (
     surface_intersections,
 )
 from singcalc.errors import INDETERMINATE, InputError
+from singcalc.qres2d import BivarPoly, local_invariants
 
 
 def cusp_point(pid, comp="c"):
@@ -260,6 +261,25 @@ def test_qhs_k2_missing_flags_indeterminate():
         degree=6, components=(CurveComponent("c", 6),), singular_points=points
     )
     assert qhs_test(sextic, 2)["is_qhs"] is False
+
+
+# ----------------------------------------------------------- tree test
+
+
+def test_tree_rational_cusp_graph():
+    germ = BivarPoly({(0, 2): 1, (3, 0): -1})
+    g = local_invariants(germ).smooth_graph
+    assert len(g.vertices) == 4
+    # a rational tree: |E| = |V| - 1, connected, genus 0 everywhere
+    assert len(g.edges) == len(g.vertices) - 1
+    seen, stack = set(), [next(iter(g.vertices))]
+    while stack:
+        vid = stack.pop()
+        if vid not in seen:
+            seen.add(vid)
+            stack.extend(v for e in g.edges if vid in e for v in e)
+    assert seen == set(g.vertices)
+    assert all(v.genus == 0 for v in g.vertices.values())
 
 
 # ------------------------------------------------------------ CurveSpec
