@@ -148,9 +148,9 @@ def _sgraph_dot(g: qres2d.SmoothResolutionGraph) -> str:
     nodes = []
     for vid in sorted(g.vertices):
         v = g.vertices[vid]
-        label = f"{vid}\\nN={v.multiplicity}"
+        label = f"{vid}\nN={v.multiplicity}"
         if v.self_int is not None:
-            label += f"\\ne={v.self_int}"
+            label += f"\ne={v.self_int}"
         nodes.append((vid, label, vid in strict))
     return curves.dot_graph("resolution", nodes, g.edges)
 

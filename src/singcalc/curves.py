@@ -503,22 +503,30 @@ def curve_spec_from_dict(data: dict) -> CurveSpec:
     return CurveSpec(degree=degree, components=components, singular_points=points)
 
 
-def combinatorics_to_dot(graph: Combinatorics, name: str = "link") -> str:
+def combinatorics_to_dot(graph: Combinatorics) -> str:
     """Render the decorated graph in DOT format for graphviz."""
     nodes = [
-        (v.id, f"{v.id}\\n{v.self_int}" + (f"\\ng={v.genus}" if v.genus else ""), v.marked)
+        (v.id, f"{v.id}\n{v.self_int}" + (f"\ng={v.genus}" if v.genus else ""), v.marked)
         for v in graph.vertices
     ]
-    return dot_graph(name, nodes, graph.edges)
+    return dot_graph("link", nodes, graph.edges)
+
+
+def _dot_string(s: str) -> str:
+    """s as a DOT quoted string: backslashes and double quotes escaped,
+    line breaks written as \\n."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
 def dot_graph(name: str, nodes, edges) -> str:
     """An undirected DOT graph of circles: ``nodes`` are (id, label,
-    double circle?) triples, ``edges`` pairs of ids."""
+    double circle?) triples, ``edges`` pairs of ids.  Ids and labels may
+    hold any characters; label lines are separated by newlines."""
+    q = _dot_string
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for vid, label, double in nodes:
         shape = " shape=doublecircle" if double else ""
-        lines.append(f'  "{vid}" [label="{label}"{shape}];')
-    lines.extend(f'  "{a}" -- "{b}";' for a, b in edges)
+        lines.append(f"  {q(vid)} [label={q(label)}{shape}];")
+    lines.extend(f"  {q(a)} -- {q(b)};" for a, b in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,15 +8,16 @@ surface singularities are all quotients of products
 
 Keeping them in that shape (a finitely supported map m -> e_m) makes
 every operation needed here exact and cheap: multiplication adds
-exponents, substitution t -> t^s rescales indices, and the passage to
-the basis of cyclotomic polynomials Phi_n is Moebius inversion.  Dense
-integer coefficient lists are produced only at the edges, for display
-and for comparing against numerically expanded oracles.
+exponents, substitution t -> t^s rescales indices, and the exponents
+in the basis of cyclotomic polynomials Phi_n are a plain map n -> c_n:
+`product_to_divisor` computes it and `cyclotomic` (Moebius inversion)
+turns it back into a product.  Dense integer coefficient lists are
+produced only at the edges, for display and for comparing against
+numerically expanded oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,9 +25,9 @@ from .errors import InputError, InternalError, NonDivisible, NotPolynomial
 
 __all__ = [
     "CycloProduct",
-    "CycloDivisor",
     "DensePoly",
     "combine",
+    "cyclotomic",
     "product_to_divisor",
     "substitute_power",
     "power_char",
@@ -107,9 +108,6 @@ class CycloProduct:
     def __mul__(self, other: "CycloProduct") -> "CycloProduct":
         return combine(self, other, +1)
 
-    def __truediv__(self, other: "CycloProduct") -> "CycloProduct":
-        return combine(self, other, -1)
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
@@ -118,43 +116,6 @@ class CycloProduct:
             base = f"(t^{m}-1)" if m > 1 else "(t-1)"
             parts.append(base if e == 1 else f"{base}^{e}")
         return "*".join(parts)
-
-
-@dataclass(frozen=True)
-class CycloDivisor:
-    """The same data in the basis of cyclotomic polynomials Phi_n.
-
-    ``orders`` maps n -> c_n for the product prod_n Phi_n^{c_n}.
-    """
-
-    orders: tuple[tuple[int, int], ...]
-
-    def __init__(self, orders=()):
-        items = dict(orders)
-        for n, c in items.items():
-            if not (isinstance(n, int) and n >= 1 and isinstance(c, int)):
-                raise InputError(f"bad cyclotomic order entry {n!r}: {c!r}")
-        object.__setattr__(
-            self, "orders", tuple(sorted((n, c) for n, c in items.items() if c != 0))
-        )
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.orders)
-
-    def degree(self) -> int:
-        """sum phi(n) * c_n  (phi = Euler totient)."""
-        return sum(_phi(n) * c for n, c in self.orders)
-
-    def is_effective(self) -> bool:
-        return all(c >= 0 for _, c in self.orders)
-
-    def to_product(self) -> CycloProduct:
-        """Moebius inversion: Phi_n = prod_{d|n} (t^d-1)^{mu(n/d)}."""
-        exps: dict[int, int] = {}
-        for n, c in self.orders:
-            for d in divisors(n):
-                exps[d] = exps.get(d, 0) + c * mu(n // d)
-        return CycloProduct(exps)
 
 
 def _phi(n: int) -> int:
@@ -171,19 +132,39 @@ def _phi(n: int) -> int:
     return result
 
 
-def product_to_divisor(a: CycloProduct) -> CycloDivisor:
-    """Expand each t^m - 1 = prod_{n|m} Phi_n and collect exponents."""
+def cyclotomic(orders: dict[int, int]) -> CycloProduct:
+    """prod_n Phi_n^{c_n} for the map n -> c_n, by Moebius inversion:
+    Phi_n = prod_{d|n} (t^d-1)^{mu(n/d)}.
+
+    >>> cyclotomic({6: 1}).as_dict()
+    {1: 1, 2: -1, 3: -1, 6: 1}
+    """
+    exps: dict[int, int] = {}
+    for n, c in orders.items():
+        if not (isinstance(n, int) and n >= 1 and isinstance(c, int)):
+            raise InputError(f"bad cyclotomic order entry {n!r}: {c!r}")
+        for d in divisors(n):
+            exps[d] = exps.get(d, 0) + c * mu(n // d)
+    return CycloProduct(exps)
+
+
+def product_to_divisor(a: CycloProduct) -> dict[int, int]:
+    """The map n -> c_n with a = prod_n Phi_n^{c_n}, zero entries left out:
+    each t^m - 1 = prod_{n|m} Phi_n, and the exponents are collected.
+
+    >>> product_to_divisor(CycloProduct({1: 1, 2: -1, 3: -1, 6: 1}))
+    {6: 1}
+    """
     orders: dict[int, int] = {}
     for m, e in a.factors:
         for n in divisors(m):
             orders[n] = orders.get(n, 0) + e
-    return CycloDivisor(orders)
+    return {n: c for n, c in orders.items() if c}
 
 
 def negative_order(a: CycloProduct) -> int | None:
     """None if a is a polynomial, else the smallest n with Phi_n^{-1} in a."""
-    div = product_to_divisor(a)
-    return None if div.is_effective() else min(n for n, c in div.orders if c < 0)
+    return min((n for n, c in product_to_divisor(a).items() if c < 0), default=None)
 
 
 def require_polynomial(a: CycloProduct) -> CycloProduct:
@@ -272,9 +253,8 @@ def gcd_cyclo(a: CycloProduct, b: CycloProduct) -> CycloProduct:
         bad = negative_order(p)
         if bad is not None:
             raise NotPolynomial(bad, f"gcd_cyclo {name} argument is not a polynomial (Phi_{bad})")
-    adict, bdict = product_to_divisor(a).as_dict(), product_to_divisor(b).as_dict()
-    common = {n: min(adict[n], bdict[n]) for n in adict.keys() & bdict.keys()}
-    return CycloDivisor(common).to_product()
+    adict, bdict = product_to_divisor(a), product_to_divisor(b)
+    return cyclotomic({n: min(adict[n], bdict[n]) for n in adict.keys() & bdict.keys()})
 
 
 @dataclass(frozen=True)

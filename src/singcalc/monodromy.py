@@ -176,18 +176,16 @@ def char_poly_lys(inp: LYSInput) -> CycloProduct:
     return acc
 
 
-def jordan2_sis(inp: LYSInput, m: int | None = None) -> CycloProduct:
+def jordan2_sis(inp: LYSInput) -> CycloProduct:
     """Polynomial of the size-three Jordan blocks for k=1:
-    gcd((t-1)^m, prod_P Delta_P^{[1]}), with m large by default."""
+    gcd((t-1)^m, prod_P Delta_P^{[1]}) with m = 1 + deg prod_P Delta_P^{[1]},
+    more than the multiplicity of t-1 in the product."""
     prod = CycloProduct({})
-    total_deg = 0
     for idx, p in enumerate(inp.points):
         if p.jordan1_p is None:
             raise InputError(f"point {idx} supplies no Delta_P^[1]")
         prod = prod * p.jordan1_p
-        total_deg += p.jordan1_p.degree()
-    if m is None:
-        m = 1 + total_deg
+    m = 1 + prod.degree()
     if m < 1:
         raise InputError(f"m = {m}; need a positive exponent")
     return gcd_cyclo(CycloProduct({1: m}), prod)

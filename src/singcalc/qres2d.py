@@ -58,7 +58,6 @@ from .quotient import chain_multiplicities, hj_resolve, wblowup2
 __all__ = [
     "BivarPoly",
     "Chart",
-    "NewtonData",
     "QVertex",
     "QEdge",
     "QResolutionGraph",
@@ -134,32 +133,19 @@ class BivarPoly:
             raise InputError("weighted order of the zero polynomial")
         return min(p * i + q * j for (i, j), _ in self.terms)
 
-    def axis_powers(self) -> tuple[int, int]:
-        """Largest (a, b) with x^a y^b dividing the polynomial."""
-        if self.is_zero():
-            raise InputError("axis powers of the zero polynomial")
-        return (
-            min(i for (i, _), _ in self.terms),
-            min(j for (_, j), _ in self.terms),
-        )
-
     def strip_axes(self) -> tuple[int, int, "BivarPoly"]:
-        a, b = self.axis_powers()
+        """(a, b, g) with the nonzero polynomial equal to x^a y^b g, a and b largest."""
+        a = min(i for (i, _), _ in self.terms)
+        b = min(j for (_, j), _ in self.terms)
         return a, b, BivarPoly._primitive({(i - a, j - b): c for (i, j), c in self.terms})
 
-    def translate_y(self, y0: Fraction) -> "BivarPoly":
-        """Substitute y -> y + y0, up to a positive constant.
+    def translate(self, shift: Fraction, axis: int) -> "BivarPoly":
+        """Substitute x -> x + shift (axis 0) or y -> y + shift (axis 1),
+        up to a positive constant.
 
-        >>> BivarPoly({(0, 2): 4, (1, 0): -1}).translate_y(Fraction(-1, 2)).terms
+        >>> BivarPoly({(0, 2): 4, (1, 0): -1}).translate(Fraction(-1, 2), 1).terms
         (((0, 0), 1), ((0, 1), -4), ((0, 2), 4), ((1, 0), -1))
         """
-        return self._translate(y0, 1)
-
-    def translate_x(self, x0: Fraction) -> "BivarPoly":
-        """Substitute x -> x + x0, up to a positive constant."""
-        return self._translate(x0, 0)
-
-    def _translate(self, shift: Fraction, axis: int) -> "BivarPoly":
         # with shift = p/q, q**top * (z + p/q)**e = sum_k C(e,k) z^k p^(e-k) q^(top-e+k)
         p, q = shift.numerator, shift.denominator
         top = max((key[axis] for key, _ in self.terms), default=0)
@@ -178,18 +164,6 @@ class BivarPoly:
     def restrict_x0(self) -> dict[int, int]:
         """Coefficients of f(0, y) as a map j -> c."""
         return {j: c for (i, j), c in self.terms if i == 0}
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (i, j), c in self.terms:
-            mono = "".join(
-                (f"x^{i}" if i > 1 else "x" if i == 1 else "",
-                 f"y^{j}" if j > 1 else "y" if j == 1 else "")
-            )
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
 
 
 # ------------------------------------------------- univariate helpers (Z[z])
@@ -311,30 +285,20 @@ def _compact_faces(support: list[tuple[int, int]]) -> list[tuple[tuple[int, int]
     return faces
 
 
-@dataclass(frozen=True)
-class NewtonData:
-    weights: tuple[int, int]
-    order: int
-    axis_powers: tuple[int, int]
+def newton_weights(f: BivarPoly) -> tuple[int, int]:
+    """Blow-up weights (p, q) from the Newton polygon of a germ.
 
-
-def newton_weights(f: BivarPoly) -> NewtonData:
-    """Blow-up weights from the Newton polygon of a germ.
-
-    Coordinate factors x^a y^b are stripped first and reported in
-    ``axis_powers``; a monomial germ (empty polygon after stripping) is
-    rejected.  Among the compact faces, the primitive inner normal
-    (p, q) maximizing the weighted order of f is selected, ties broken
-    by smaller p.  ``order`` is the (p,q)-weighted order of f itself,
-    coordinate factors included.
+    Coordinate factors x^a y^b are stripped first; a monomial germ
+    (empty polygon after stripping) is rejected.  Among the compact
+    faces, the primitive inner normal (p, q) maximizing the weighted
+    order of f, coordinate factors included, is selected, ties broken
+    by smaller p.
     """
     if f.is_zero():
         raise InputError("zero polynomial has no Newton polygon")
     if f.is_unit_at_origin():
         raise InputError("unit germ: no singularity at the origin")
-    ax, ay, core = f.strip_axes()
-    if core.is_unit_at_origin() and len(core.terms) == 1:
-        raise InputError("monomial germ has an empty Newton polygon")
+    _, _, core = f.strip_axes()
     faces = _compact_faces(core.support())
     if not faces:
         raise InputError("monomial germ has an empty Newton polygon")
@@ -345,9 +309,8 @@ def newton_weights(f: BivarPoly) -> NewtonData:
         p, q = p // g, q // g
         m = f.weighted_order(p, q)
         candidates.append((-m, p, q))
-    candidates.sort()
-    neg_m, p, q = candidates[0]
-    return NewtonData((p, q), -neg_m, (ax, ay))
+    _, p, q = min(candidates)
+    return p, q
 
 
 # ------------------------------------------------------------------- charts
@@ -384,17 +347,17 @@ def _check_uniform_character(chart: Chart):
         )
 
 
-def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str = "E"):
+def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str):
     """One weighted blow-up at the chart origin.
 
     Returns (exceptional record, [origin-x chart, origin-y chart]).
     The record is a dict with the new component's multiplicity,
     self-intersection and weights, and the self-intersection
     corrections owed to the components through the center.  The new
-    component ``exc_id`` is {x = 0} in the first chart and {y = 0} in
-    the second; ``c.y`` survives into the first, ``c.x`` into the
-    second.  The charts take their groups from `wblowup2`, and each is
-    checked to have a semi-invariant equation.
+    component, which the caller names ``exc_id``, is {x = 0} in the
+    first chart and {y = 0} in the second; ``c.y`` survives into the
+    first, ``c.x`` into the second.  The charts take their groups from
+    `wblowup2`, and each is checked to have a semi-invariant equation.
     """
     p, q = weights
     d = c.group[0]
@@ -461,6 +424,11 @@ class QEdge:
 
 @dataclass
 class QResolutionGraph:
+    """Exceptional curves E1, E2, ... in blow-up order and strict branches
+    S1, S2, ... in the order the walk meets them, all keyed by id in
+    ``vertices``; ``strict_vertices`` lists the strict ids, ``blowups``
+    counts the exceptional ones.  `qresolve` fills it in as it walks."""
+
     vertices: dict[str, QVertex]
     edges: list[QEdge]
     strict_vertices: list[str]
@@ -493,27 +461,12 @@ class SmoothResolutionGraph:
 _MAX_CHARTS = 400
 
 
-class _Walk:
-    def __init__(self):
-        self.vertices: dict[str, QVertex] = {}
-        self.edges: list[QEdge] = []
-        self.strict: list[str] = []
-        self.blowups = 0
-        self._strict_count = 0
-
-    def next_exceptional_id(self) -> str:
-        return f"E{self.blowups + 1}"
-
-    def add_exceptional(self, vid: str, mult: int, self_int: Fraction):
-        self.blowups += 1
-        self.vertices[vid] = QVertex(vid, mult, self_int)
-
-    def new_strict(self) -> str:
-        self._strict_count += 1
-        vid = f"S{self._strict_count}"
-        self.vertices[vid] = QVertex(vid, 1, None)
-        self.strict.append(vid)
-        return vid
+def _new_strict(graph: QResolutionGraph) -> str:
+    """Add the next strict branch to the graph and return its id."""
+    vid = f"S{len(graph.strict_vertices) + 1}"
+    graph.vertices[vid] = QVertex(vid, 1, None)
+    graph.strict_vertices.append(vid)
+    return vid
 
 
 def _prepare_origin(chart: Chart) -> tuple:
@@ -528,7 +481,9 @@ def _prepare_origin(chart: Chart) -> tuple:
     return ax, ay, core
 
 
-def _analyze_origin(walk: _Walk, chart: Chart, ax: int, ay: int, core: BivarPoly) -> bool:
+def _analyze_origin(
+    graph: QResolutionGraph, chart: Chart, ax: int, ay: int, core: BivarPoly
+) -> bool:
     """Emit final graph data for an NC chart origin, from `_prepare_origin`'s
     (ax, ay, core); return False when the origin still needs a blow-up."""
     on_x, on_y = bool(chart.x or ax), bool(chart.y or ay)
@@ -543,27 +498,27 @@ def _analyze_origin(walk: _Walk, chart: Chart, ax: int, ay: int, core: BivarPoly
             return False
 
     # the origin is final: emit vertices, edges, quotient points
-    u = chart.x[0] if chart.x else walk.new_strict() if ax else None
-    v = chart.y[0] if chart.y else walk.new_strict() if ay else None
+    u = chart.x[0] if chart.x else _new_strict(graph) if ax else None
+    v = chart.y[0] if chart.y else _new_strict(graph) if ay else None
     if core_through:
         # the transversal strict branch plays the role of the free
         # coordinate axis in the 1/d(a,b) chart
         if u is None:
-            u = walk.new_strict()
+            u = _new_strict(graph)
         else:
-            v = walk.new_strict()
+            v = _new_strict(graph)
     d, a, b = chart.group
     if u is not None and v is not None:
-        walk.edges.append(QEdge(u, v, (d, (pow(a, -1, d) * b) % d) if d > 1 else None))
+        graph.edges.append(QEdge(u, v, (d, (pow(a, -1, d) * b) % d) if d > 1 else None))
     elif u is None and v is None:
         raise InternalError("chart origin with no components after a blow-up")
     elif d > 1:
         host, w_host, w_other = (u, a, b) if v is None else (v, b, a)
-        walk.vertices[host].quotient_points.append((d, (pow(w_other, -1, d) * w_host) % d))
+        graph.vertices[host].quotient_points.append((d, (pow(w_other, -1, d) * w_host) % d))
     return True
 
 
-def _scan_exceptional(walk: _Walk, record, chart1: Chart, chart2: Chart, exc_id: str):
+def _scan_exceptional(graph: QResolutionGraph, record, chart1: Chart, chart2: Chart, exc_id: str):
     """Handle the points of the new exceptional curve away from the two
     chart origins: transversal crossings become strict branches, worse
     points are translated to fresh smooth charts (returned for the
@@ -589,8 +544,7 @@ def _scan_exceptional(walk: _Walk, record, chart1: Chart, chart2: Chart, exc_id:
     multiple_distinct = len(_uexquo(T, _ugcd(T, _uderiv(T)))) - 1
     simple = distinct - multiple_distinct
     for _ in range(simple):
-        sid = walk.new_strict()
-        walk.edges.append(QEdge(exc_id, sid, None))
+        graph.edges.append(QEdge(exc_id, _new_strict(graph), None))
     if multiple_distinct == 0:
         return out_charts
     rational = _urational_roots(T)
@@ -600,10 +554,10 @@ def _scan_exceptional(walk: _Walk, record, chart1: Chart, chart2: Chart, exc_id:
         )
     for z0 in rational:
         if p == 1:
-            moved = chart1.equation.translate_y(z0)
+            moved = chart1.equation.translate(z0, 1)
             out_charts.append(Chart((1, 0, 0), moved, x=(exc_id, record["multiplicity"])))
         elif q == 1:
-            moved = chart2.equation.translate_x(1 / z0)
+            moved = chart2.equation.translate(1 / z0, 0)
             out_charts.append(Chart((1, 0, 0), moved, y=(exc_id, record["multiplicity"])))
         else:
             raise Unsupported(
@@ -619,30 +573,28 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
         raise InputError("the zero polynomial does not define a curve germ")
     if f.is_unit_at_origin():
         raise InputError("the germ is a unit: no curve through the origin")
-    walk = _Walk()
-    worklist: deque[tuple[Chart, bool]] = deque()
-    worklist.append((Chart((1, 0, 0), f), True))
+    graph = QResolutionGraph({}, [], [], 0)
+    worklist = deque([Chart((1, 0, 0), f)])
     processed = 0
     while worklist:
-        chart, force = worklist.popleft()
+        chart = worklist.popleft()
         processed += 1
         if processed > _MAX_CHARTS:
             raise InternalError("resolution walk did not terminate")
         ax, ay, core = _prepare_origin(chart)
-        if not force and _analyze_origin(walk, chart, ax, ay, core):
+        # the germ's own origin is blown up even where it is a normal crossing
+        if graph.blowups and _analyze_origin(graph, chart, ax, ay, core):
             continue
-        weights = (1, 1) if core.is_unit_at_origin() else newton_weights(chart.equation).weights
+        weights = (1, 1) if core.is_unit_at_origin() else newton_weights(chart.equation)
         # qblowup_step raises Unsupported when (p, q) cannot present the chart group
-        exc_id = walk.next_exceptional_id()
+        exc_id = f"E{graph.blowups + 1}"
         record, (chart1, chart2) = qblowup_step(chart, weights, exc_id)
-        walk.add_exceptional(exc_id, record["multiplicity"], record["self_int"])
+        graph.blowups += 1
+        graph.vertices[exc_id] = QVertex(exc_id, record["multiplicity"], record["self_int"])
         for cid, corr in record["corrections"].items():
-            walk.vertices[cid].self_int += corr
-        for moved in _scan_exceptional(walk, record, chart1, chart2, exc_id):
-            worklist.append((moved, False))
-        worklist.append((chart1, False))
-        worklist.append((chart2, False))
-    graph = QResolutionGraph(walk.vertices, walk.edges, walk.strict, walk.blowups)
+            graph.vertices[cid].self_int += corr
+        worklist.extend(_scan_exceptional(graph, record, chart1, chart2, exc_id))
+        worklist.extend((chart1, chart2))
     _assert_connected(graph)
     return graph
 

@@ -158,7 +158,7 @@ def chain_multiplicities(b: tuple[int, ...], m_left: int, m_right: int) -> tuple
 
 @dataclass(frozen=True)
 class BlowupData:
-    """Numerical outcome of one weighted blow-up.
+    """Numerical outcome of one weighted blow-up; the caller keeps its weights.
 
     ``self_int`` is E^2 of the new exceptional curve.  ``charts`` holds
     the groups (d, a, b) of the origin-x and origin-y charts as written
@@ -168,7 +168,6 @@ class BlowupData:
     normal form of a chart origin.
     """
 
-    weights: tuple[int, int]
     self_int: Fraction
     charts: tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -206,4 +205,4 @@ def wblowup2(ambient: tuple[int, int, int] | None, weights: tuple[int, int]) -> 
             raise Unsupported(f"weights {weights} share a factor with the group order {d}")
         if not _presentable(d, a, b, p, q):
             raise Unsupported(f"ambient 1/{d}({a},{b}) is not presentable as 1/{d}({p},{q})")
-    return BlowupData((p, q), Fraction(-d, p * q), ((p, -d % p, q % p), (q, p % q, -d % q)))
+    return BlowupData(Fraction(-d, p * q), ((p, -d % p, q % p), (q, p % q, -d % q)))

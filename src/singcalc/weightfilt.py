@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .cyclo import CycloDivisor, CycloProduct, DensePoly, _exquo, _phi, _utrim, expand
+from .cyclo import CycloProduct, DensePoly, _exquo, _phi, _utrim, cyclotomic, expand
 from .errors import InputError, InternalError
 from .schema import read
 
@@ -45,21 +45,14 @@ __all__ = [
     "mat",
     "mat_identity",
     "mat_mul",
-    "mat_sub",
-    "mat_pow",
     "mat_vec",
     "rref",
-    "span",
     "mat_rank",
     "kernel",
-    "subspace_intersect",
     "in_span",
     "solve_coordinates",
     "charpoly",
     "cyclotomic_content",
-    "NEG_INFINITY",
-    "VectorWeights",
-    "vector_weights",
     "WeightFiltration",
     "weight_filtration",
     "jordan_blocks",
@@ -68,7 +61,6 @@ __all__ = [
     "analyze",
     "delta_k",
     "matrix_from_json",
-    "matrix_to_json",
 ]
 
 # ---------------------------------------------------------------------------
@@ -114,10 +106,6 @@ def mat_mul(a: tuple, b: tuple) -> tuple:
     return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
-def mat_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _cancel(a: tuple, d: int) -> tuple:
     """The rational matrix a / d with its entries and d divided by their gcd."""
     g = math.gcd(d, *(x for row in a for x in row))
@@ -140,11 +128,6 @@ def _scaled_pow(h: tuple, d: int, e: int) -> tuple:
         if e:
             h, d = _cancel(mat_mul(h, h), d * d)
     return result, result_d
-
-
-def mat_pow(a: tuple, e: int) -> tuple:
-    power, d = _scaled_pow(*_integer_form(a), e)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in power)
 
 
 def _add_scalar(a: tuple, c) -> tuple:
@@ -213,11 +196,6 @@ def rref(rows) -> tuple:
     return tuple(tuple(Fraction(x, last) for x in row) for row in reduced), pivots
 
 
-def span(rows) -> tuple:
-    """Canonical (echelon) basis of the row span."""
-    return rref(rows)[0]
-
-
 def mat_rank(a: tuple) -> int:
     return len(_eliminate(a)[1])
 
@@ -264,15 +242,6 @@ def _intersect_rows(u, v) -> list:
     stacked = [[*row, *row] for row in u] + [[*row, *(0,) * dim] for row in v]
     reduced, pivots, _ = _eliminate(stacked)
     return [_primitive(row[dim:]) for row, p in zip(reduced, pivots) if p >= dim]
-
-
-def subspace_intersect(u: tuple, v: tuple) -> tuple:
-    """Canonical basis of the intersection of two row spans.
-
-    >>> subspace_intersect(((1, 0, 0), (0, 1, 0)), ((0, 1, 1), (1, 0, -1)))
-    ((Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)),)
-    """
-    return span(_intersect_rows(u, v))
 
 
 def in_span(v: tuple, basis: tuple) -> bool:
@@ -336,7 +305,7 @@ def charpoly(a: tuple) -> list:
 @functools.cache
 def _cyclo_coeffs(n: int) -> tuple:
     """Integer coefficients (low-first) of the n-th cyclotomic polynomial."""
-    return expand(CycloDivisor({n: 1}).to_product()).coeffs
+    return expand(cyclotomic({n: 1})).coeffs
 
 
 @functools.cache
@@ -374,10 +343,8 @@ def cyclotomic_content(coeffs: list):
 
 
 # ---------------------------------------------------------------------------
-# vector weights and the filtration
+# the weight filtration
 # ---------------------------------------------------------------------------
-
-NEG_INFINITY = None  # distinguished weight of the zero vector
 
 
 def _nilpotent_powers(n_mat) -> list:
@@ -395,48 +362,16 @@ def _nilpotent_powers(n_mat) -> list:
 
 
 @dataclass(frozen=True)
-class VectorWeights:
-    alpha: object  # int, or None for the zero vector
-    beta: object
-    gamma: object
-
-
-def vector_weights(n_mat: tuple, v) -> VectorWeights:
-    """The (alpha, beta, gamma) weights of v under a nilpotent N.
-
-    alpha is the largest a with N^a v != 0; beta is minus the largest b
-    with v in the image of N^b; gamma = alpha + beta.  The zero vector
-    gets the distinguished value None (standing for minus infinity) in
-    all three slots.
-    """
-    powers = _nilpotent_powers(n_mat)
-    dim = len(powers) - 1
-    v = tuple(Fraction(x) for x in v)
-    if len(v) != dim:
-        raise InputError(f"vector length {len(v)} does not match dimension {dim}")
-    if all(x == 0 for x in v):
-        return VectorWeights(NEG_INFINITY, NEG_INFINITY, NEG_INFINITY)
-    v = _integer_row(v)
-    alpha = max(a for a, power in enumerate(powers) if any(mat_vec(power, v)))
-    beta = 0
-    for b in range(dim, 0, -1):
-        if in_span(v, _eliminate(tuple(zip(*powers[b])))[0]):
-            beta = -b
-            break
-    return VectorWeights(alpha, beta, alpha + beta)
-
-
-@dataclass(frozen=True)
 class WeightFiltration:
     """Increasing filtration W_k, stored as canonical echelon bases.
 
-    ``steps`` lists (level, basis) for every level from one below the
-    first jump up to the top; bases are reduced-echelon row tuples, so
-    filtrations compare by equality.
+    ``center`` is the level the filtration is symmetric about.  ``steps``
+    lists (level, basis) for every level from one below the first jump up
+    to the top, where the basis spans the whole space; bases are
+    reduced-echelon row tuples, so filtrations compare by equality.
     """
 
     center: int
-    dimension: int
     steps: tuple  # tuple of (level, basis rows)
 
     def level_basis(self, k: int) -> tuple:
@@ -473,7 +408,7 @@ def weight_filtration(n_mat, center: int = 0) -> WeightFiltration:
     powers = _nilpotent_powers(n_mat)
     dim = len(powers) - 1
     if dim == 0:
-        return WeightFiltration(center, 0, ((center, ()),))
+        return WeightFiltration(center, ((center, ()),))
     images = [list(map(_primitive, _eliminate(tuple(zip(*p)))[0])) for p in powers]
     kernels = [_kernel_rows(p) for p in powers]
 
@@ -491,8 +426,8 @@ def weight_filtration(n_mat, center: int = 0) -> WeightFiltration:
     while hi > lo and len(levels[hi - 1]) == dim:
         hi -= 1
     steps = tuple((k + center, levels[k]) for k in range(lo - 1, hi + 1))
-    _assert_weight_properties(powers, WeightFiltration(center, dim, steps))
-    return WeightFiltration(center, dim, tuple((k, rref(rows)[0]) for k, rows in steps))
+    _assert_weight_properties(powers, WeightFiltration(center, steps))
+    return WeightFiltration(center, tuple((k, rref(rows)[0]) for k, rows in steps))
 
 
 def _assert_weight_properties(powers: list, filt: WeightFiltration):
@@ -632,7 +567,7 @@ class Census:
         for order, counts in self.blocks.items():
             for size, count in counts.items():
                 levels.setdefault(size - 1, {})[order] = count
-        return {k: CycloDivisor(levels[k]).to_product() for k in sorted(levels)}
+        return {k: cyclotomic(levels[k]) for k in sorted(levels)}
 
     def jordan_blocks(self) -> tuple:
         """Jordan block sizes of h over C, which are those of I - h^m, descending."""
@@ -755,6 +690,3 @@ def matrix_from_json(data) -> tuple:
     _check_square(rows)
     return rows
 
-
-def matrix_to_json(a: tuple) -> list:
-    return [[str(x) for x in row] for row in a]

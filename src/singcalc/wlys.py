@@ -64,27 +64,6 @@ class TrivarPoly:
             total += coeff * Fraction(a) ** i * Fraction(b) ** j * Fraction(c) ** l
         return total
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (i, j, l), c in self.terms:
-            mono = "".join(
-                f"{name}^{e}" if e > 1 else name
-                for name, e in (("x", i), ("y", j), ("z", l))
-                if e
-            )
-            if not mono:
-                pieces.append(str(c))
-            elif c == 1:
-                pieces.append(mono)
-            elif c == -1:
-                pieces.append(f"-{mono}")
-            else:
-                pieces.append(f"{c}*{mono}")
-        out = " + ".join(pieces)
-        return out.replace("+ -", "- ")
-
 
 @dataclass(frozen=True)
 class WeightVector:

@@ -357,3 +357,18 @@ def test_dot_export():
     assert '"c" -- "e";' in dot
     assert "doublecircle" in dot
     assert dot.startswith("graph link {")
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # vertex ids are any JSON strings: a quote or a backslash in one must
+    # neither end its DOT string early nor inject attributes
+    c, e = 'c"] x [y="', "e\\"
+    g = Combinatorics((GraphVertex(c, -6, marked=True, genus=1), GraphVertex(e, -2)), ((c, e),))
+    assert combinatorics_to_dot(g).splitlines() == [
+        "graph link {",
+        "  node [shape=circle];",
+        r'  "c\"] x [y=\"" [label="c\"] x [y=\"\n-6\ng=1" shape=doublecircle];',
+        r'  "e\\" [label="e\\\n-2"];',
+        r'  "c\"] x [y=\"" -- "e\\";',
+        "}",
+    ]

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcalc.cyclo import (
-    CycloDivisor,
     CycloProduct,
     DensePoly,
     _div_by_tm_minus_1,
+    _phi,
     combine,
+    cyclotomic,
     divisors,
     exact_divide,
     expand,
@@ -191,8 +192,8 @@ def test_negative_order_of_polynomials_is_none():
 
 def test_divisor_round_trip_known_value():
     cusp = CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})
-    assert product_to_divisor(cusp).as_dict() == {6: 1}
-    assert CycloDivisor({6: 1}).to_product() == cusp
+    assert product_to_divisor(cusp) == {6: 1}
+    assert cyclotomic({6: 1}) == cusp
 
 
 def test_dense_poly_str_and_eval():
@@ -217,6 +218,10 @@ def test_constructor_validation():
         substitute_power(CycloProduct({1: 1}), 0)
     with pytest.raises(InputError):
         power_char(CycloProduct({1: 1}), 0)
+    with pytest.raises(InputError, match="bad cyclotomic order entry"):
+        cyclotomic({0: 1})
+    with pytest.raises(InputError, match="bad cyclotomic order entry"):
+        cyclotomic({4: "1"})
 
 
 # ---------------------------------------------------------------- oracles
@@ -225,7 +230,7 @@ def test_constructor_validation():
 def _roots_with_multiplicity(a: CycloProduct) -> list[complex]:
     """Multiset of complex roots of a polynomial-valued product."""
     roots: list[complex] = []
-    for n, c in product_to_divisor(a).orders:
+    for n, c in product_to_divisor(a).items():
         assert c >= 0
         prim = [
             cmath.exp(2j * cmath.pi * j / n) for j in range(n) if math.gcd(j, n) == 1
@@ -273,7 +278,7 @@ def test_power_char_against_numeric_root_oracle_randomized():
         orders = {}
         for n in rng.sample(range(1, 13), rng.randint(1, 4)):
             orders[n] = rng.randint(0, 2)
-        a = CycloDivisor(orders).to_product()
+        a = cyclotomic(orders)
         if a.degree() > 24 or a.degree() == 0:
             continue
         k = rng.randint(1, 6)
@@ -287,7 +292,7 @@ effective_products = st.dictionaries(
     st.integers(min_value=1, max_value=24),
     st.integers(min_value=0, max_value=3),
     max_size=5,
-).map(lambda d: CycloDivisor(d).to_product())
+).map(cyclotomic)
 
 any_products = st.dictionaries(
     st.integers(min_value=1, max_value=30),
@@ -298,8 +303,10 @@ any_products = st.dictionaries(
 
 @given(any_products)
 def test_divisor_round_trip(a):
-    assert product_to_divisor(a).to_product() == a
-    assert product_to_divisor(a).degree() == a.degree()
+    orders = product_to_divisor(a)
+    assert cyclotomic(orders) == a
+    assert 0 not in orders.values()
+    assert sum(_phi(n) * c for n, c in orders.items()) == a.degree()
 
 
 @given(effective_products, st.integers(min_value=1, max_value=8))
@@ -330,7 +337,7 @@ def test_gcd_divides_both(a, b):
     g = gcd_cyclo(a, b)
     for other in (a, b):
         q = product_to_divisor(combine(other, g, -1))
-        assert q.is_effective()
+        assert all(c > 0 for c in q.values())
 
 
 @settings(deadline=None, max_examples=40)

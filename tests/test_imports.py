@@ -1,6 +1,7 @@
 """Each singcalc module imports first, on its own, in a fresh interpreter,
 and each module but `cli` declares an `__all__` that lists exactly the
-public names it defines.
+public names it defines.  Every function the benchmark's tracer wraps
+(perfbench/spans.py) still exists under its name.
 
 A module that imports another only for a type annotation can close an
 import cycle that only shows when the other module is imported first.
@@ -8,6 +9,7 @@ import cycle that only shows when the other module is imported first.
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -51,3 +53,19 @@ def test_all_lists_the_public_names(module):
     declared = getattr(importlib.import_module(f"singcalc.{module}"), "__all__", None)
     assert declared is not None, f"singcalc.{module} declares no __all__"
     assert sorted(declared) == _public_names(module)
+
+
+def test_traced_names_exist():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.TRACED.items():
+        module = importlib.import_module(f"singcalc.{layer}")
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"singcalc.{layer} lacks the traced {missing}"
+    # the tracer patches every module binding of expand, and its self-test
+    # checks these four
+    expand = importlib.import_module("singcalc.cyclo").expand
+    for layer in ("cli", "cyclo", "monodromy", "weightfilt"):
+        assert getattr(importlib.import_module(f"singcalc.{layer}"), "expand", None) is expand, layer

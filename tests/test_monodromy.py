@@ -234,15 +234,18 @@ def test_jordan2_sis_examples():
     assert jordan2_sis(cusps) == C({})
 
     one = LYSInput(6, 1, (LYSPoint(2, 1, CUSP_DELTA, C({2: 1})),))
-    assert jordan2_sis(one, 5) == C({1: 1})
+    assert jordan2_sis(one) == C({1: 1})
 
     two = LYSInput(
         6, 1,
         (LYSPoint(2, 1, CUSP_DELTA, C({1: 1})), LYSPoint(2, 1, CUSP_DELTA, C({1: 1}))),
     )
-    assert jordan2_sis(two, 1) == C({1: 1})
-    # default m sits above the total degree and keeps the full power
+    # m sits above the total degree and keeps the full power
     assert jordan2_sis(two) == C({1: 2})
+    # a product of negative degree leaves no positive m
+    negative = LYSInput(6, 1, (LYSPoint(2, 1, CUSP_DELTA, C({2: -3})),))
+    with pytest.raises(InputError, match="need a positive exponent"):
+        jordan2_sis(negative)
 
 
 def test_jordan2_sis_requires_jordan_data():

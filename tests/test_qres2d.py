@@ -54,30 +54,22 @@ SHIFTED_A4 = {(0, 2): 1, (1, 1): -2, (2, 0): 1, (5, 0): -1}  # (y-x)^2 - x^5
 
 
 def test_newton_weights_examples():
-    nd = newton_weights(P(CUSP))
-    assert nd.weights == (2, 3) and nd.order == 6 and nd.axis_powers == (0, 0)
-    nd = newton_weights(P(A4))
-    assert nd.weights == (2, 5) and nd.order == 10
-    nd = newton_weights(P({(0, 1): 1, (1, 0): -1}))  # y - x
-    assert nd.weights == (1, 1) and nd.order == 1
-    # coordinate factors stripped and reported
-    nd = newton_weights(P({(1, 2): 1, (4, 0): -1}))  # x(y^2 - x^3)
-    assert nd.axis_powers == (1, 0)
-    assert nd.weights == (2, 3)
-    assert nd.order == 8  # 2*1 + weighted order 6 of the cofactor
+    assert newton_weights(P(CUSP)) == (2, 3)
+    assert newton_weights(P(A4)) == (2, 5)
+    assert newton_weights(P({(0, 1): 1, (1, 0): -1})) == (1, 1)  # y - x
+    # coordinate factors stripped first
+    assert newton_weights(P({(1, 2): 1, (4, 0): -1})) == (2, 3)  # x(y^2 - x^3)
 
 
 def test_newton_weights_tie_breaks_by_smaller_p():
     # x^3 + xy + y^3 has faces with normals (2,1) and (1,2), both of
     # weighted order 3; the smaller first weight wins
-    nd = newton_weights(P({(3, 0): 1, (1, 1): 1, (0, 3): 1}))
-    assert nd.order == 3
-    assert nd.weights == (1, 2)
+    assert newton_weights(P({(3, 0): 1, (1, 1): 1, (0, 3): 1})) == (1, 2)
 
 
 def test_newton_weights_rejections():
-    with pytest.raises(InputError):
-        newton_weights(P({(2, 1): 1}))  # monomial
+    with pytest.raises(InputError, match="monomial germ has an empty Newton polygon"):
+        newton_weights(P({(2, 1): 1}))
     with pytest.raises(InputError):
         newton_weights(P({(0, 0): 3, (1, 0): 1}))  # unit
     with pytest.raises(InputError):
@@ -265,6 +257,33 @@ CATALOG = {
     ),
     "smooth": ({(0, 1): 1, (1, 0): -1}, 0, 1, {}),
     "smooth tangent": ({(0, 1): 1, (3, 0): 1}, 0, 1, {}),
+    # Two-face germs: the walk blows up the face `newton_weights` picks and
+    # meets the other one at a quotient point of that first exceptional
+    # curve.  Each is Newton nondegenerate (every face is a binomial) and
+    # convenient, so Kouchnirenko's mu = 2V - a - b + 1 holds (V the area
+    # under the polygon) and Varchenko's formula gives
+    # Delta = (t-1) prod_faces (t^m-1)^(2A/m) / ((t^a-1)(t^b-1)), with m the
+    # weighted degree of the face under its primitive normal and 2A = |det|
+    # of its end points; each face has lattice length 1, hence one branch.
+    # x^5 + x^2y^2 + y^7: faces (0,7)-(2,2), normal (5,2), m = 14, 2A = 14;
+    # (2,2)-(5,0), normal (2,3), m = 10, 2A = 10; 2V = 24, mu = 24 - 12 + 1.
+    "x^5+x^2y^2+y^7": (
+        {(5, 0): 1, (2, 2): 1, (0, 7): 1}, 13, 2, {14: 1, 10: 1, 1: 1, 5: -1, 7: -1}
+    ),
+    # x^10 + x^3y^3 + y^10: normals (7,3) and (3,7), m = 2A = 30 on both;
+    # 2V = 60, mu = 60 - 20 + 1.
+    "x^10+x^3y^3+y^10": ({(10, 0): 1, (3, 3): 1, (0, 10): 1}, 41, 2, {30: 2, 10: -2, 1: 1}),
+    # x^4 + xy^2 + y^9: faces (0,9)-(1,2), normal (7,1), m = 2A = 9, whose
+    # (t^9-1) cancels that of y^9; (1,2)-(4,0), normal (2,3), m = 2A = 8;
+    # 2V = 17, mu = 17 - 13 + 1.
+    "x^4+xy^2+y^9": ({(4, 0): 1, (1, 2): 1, (0, 9): 1}, 5, 2, {8: 1, 4: -1, 1: 1}),
+}
+
+# the quotient point 1/d(1,beta) where E1 and E2 cross in the walk's graph
+QUOTIENT_CROSSING = {
+    "x^5+x^2y^2+y^7": (11, 3),
+    "x^10+x^3y^3+y^10": (40, 11),
+    "x^4+xy^2+y^9": (19, 6),
 }
 
 
@@ -275,6 +294,13 @@ def test_local_invariants_catalog(name):
     assert inv.mu == mu
     assert inv.branches == r
     assert inv.delta.as_dict() == delta
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CROSSING))
+def test_two_face_germ_crosses_at_a_quotient_point(name):
+    graph = local_invariants(P(CATALOG[name][0])).graph
+    crossings = [e.quotient for e in graph.edges if {e.u, e.v} == {"E1", "E2"}]
+    assert graph.blowups == 2 and crossings == [QUOTIENT_CROSSING[name]]
 
 
 def _horner(coeffs, z):
@@ -499,13 +525,14 @@ TRANSLATED = {
 def test_translation_by_a_fraction(monkeypatch, name):
     # (a y - b x^k)^2 - x^n is A_{n-1} in the coordinate Y = a y - b x^k
     germ, mu, r, axis, shift = TRANSLATED[name]
-    method = f"translate_{axis}"
-    original = getattr(BivarPoly, method)
-    shifts = []
-    monkeypatch.setattr(BivarPoly, method, lambda self, v: shifts.append(v) or original(self, v))
+    original = BivarPoly.translate
+    moves = []
+    monkeypatch.setattr(
+        BivarPoly, "translate", lambda self, v, a: moves.append((v, a)) or original(self, v, a)
+    )
     inv = local_invariants(P(germ))
     assert (inv.mu, inv.branches) == (mu, r)
-    assert shifts == [shift]
+    assert moves == [(shift, "xy".index(axis))]
 
 
 def test_rational_input_is_stored_primitive():

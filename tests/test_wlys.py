@@ -211,8 +211,3 @@ def test_point_json():
     assert p.flags == (("transversal", True),)
     with pytest.raises(InputError):
         point_from_json({"coords": ["1", "2"]})
-
-
-def test_poly_str():
-    assert str(TrivarPoly({(0, 2, 4): 1, (5, 0, 2): -1})) == "y^2z^4 - x^5z^2"
-    assert str(TrivarPoly({})) == "0"
