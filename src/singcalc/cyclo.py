@@ -14,12 +14,21 @@ in the basis of cyclotomic polynomials Phi_n are a plain map n -> c_n:
 turns it back into a product.  Dense integer coefficient lists are
 produced only at the edges, for display and for comparing against
 numerically expanded oracles.
+
+`expand` writes such a product as (t - 1)^e1 (t^m0 - 1)^e0 R(t^g)
+whenever the factors besides t - 1 and t^m0 - 1 have a common index
+g > 1 and form a polynomial R(u) in u = t^g: the shape of a cone's
+(t^d - 1)^E against point factors in t^(d+k).  It then costs about
+(e0 + 1) * nnz(R) coefficient products and one pass per unit of e1,
+instead of one dense pass per unit of every exponent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 from .errors import InputError, InternalError, NonDivisible, NotPolynomial
 
@@ -268,7 +277,7 @@ class DensePoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs=(0,)):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs)) or (0,)
         top = len(coeffs) - 1
         while top > 0 and coeffs[top] == 0:
             top -= 1
@@ -353,14 +362,22 @@ def _mul_by_tm_minus_1(coeffs: list[int], m: int) -> list[int]:
 def _div_by_tm_minus_1(coeffs: list[int], m: int) -> list[int]:
     """Exact division by t^m - 1; raises InternalError on a remainder.
 
-    From p = (t^m - 1) q, top down: q[i] = p[i + m] + q[i + m].  The
-    remainder is zero exactly when p[k] + q[k] = 0 for every k < m.
+    From p = (t^m - 1) q, top down: q[i] = p[i + m] + q[i + m], so each
+    residue class of q mod m is a running sum of p[m:] taken from the top.
+    A class of fewer than 16 terms is summed term by term: below that,
+    setting up `accumulate` cost more than it saved.  The remainder is
+    zero exactly when p[k] + q[k] = 0 for every k < m.
     """
     if len(coeffs) - 1 < m:
         raise InternalError(f"cannot divide degree {len(coeffs)-1} polynomial by t^{m}-1")
-    out = coeffs[m:]
-    for i in range(len(out) - 1 - m, -1, -1):
-        out[i] += out[i + m]
+    out = coeffs[: m - 1 : -1]  # p[m:], top coefficient first
+    if len(out) >= 16 * m:
+        for r in range(m):
+            out[r::m] = accumulate(out[r::m])
+    else:
+        for i in range(m, len(out)):
+            out[i] += out[i - m]
+    out.reverse()
     if any(p + q for p, q in zip(coeffs[:m], out)) or any(coeffs[len(out):m]):
         raise InternalError(f"division by t^{m}-1 left a remainder")
     return out
@@ -379,14 +396,24 @@ def _binomial_power(m: int, e: int) -> list[int]:
 def expand(a: CycloProduct) -> DensePoly:
     """Expand a formal product into integer coefficients.
 
-    The numerator factor (t^m - 1)^e with the largest e (the smallest m
-    among equals) is written down directly from the binomial coefficients
-    C(e, j), each got from the one before; it would have cost the most
-    dense passes.  The other numerator factors are then multiplied in
-    one (t^m - 1) at a time, in increasing m.  Each denominator factor
-    (t^m - 1) is divided out exactly as soon as the product so far
-    contains it, that is every Phi_n with n | m, which keeps the dense
-    coefficient list short.
+    The product is split as (t - 1)^e1 (t^m0 - 1)^e0 R(t^g) when the
+    factors other than t - 1 and t^m0 - 1 have indices of gcd g > 1 and
+    R(u), their product written in u = t^g, is itself a polynomial.  A
+    cone's characteristic polynomial has this shape, with (t^d - 1)^E
+    against point factors in t^(d+k).  Then R is expanded in u (the same
+    way, recursively), each nonzero coefficient r_i adds r_i times the
+    binomial row of (t^m0 - 1)^e0 into every m0-th slot from t^(g i) on,
+    and (t - 1)^e1 is applied with one dense pass per unit (a running sum
+    to divide): about (e0 + 1) * nnz(R) products and |e1| passes.  The
+    numerator factors are tried as t^m0 - 1 by largest exponent, then
+    smallest m0.
+
+    When no factor splits off so, the numerator factor with the largest
+    exponent is written down from its binomial coefficients and the
+    others are multiplied in one (t^m - 1) at a time, in increasing m.
+    Each denominator factor (t^m - 1) is divided out exactly as soon as
+    the product so far contains it, that is every Phi_n with n | m, which
+    keeps the dense coefficient list short.
 
     Raises NotPolynomial (with the smallest offending cyclotomic index
     as witness) when some Phi_n occurs with negative total exponent.
@@ -395,8 +422,52 @@ def expand(a: CycloProduct) -> DensePoly:
     t^2 - t + 1
     >>> expand(CycloProduct({2: 3})).coeffs
     (-1, 0, 3, 0, -3, 0, 1)
+
+    (t^2 - 1)^2 (t^3 - 1) / (t - 1) splits with m0 = 2, g = 3, R = u - 1:
+
+    >>> expand(CycloProduct({1: -1, 2: 2, 3: 1})).coeffs
+    (1, 1, -1, -2, -1, 1, 1)
     """
     require_polynomial(a)
+    poly = DensePoly(_expand(a))
+    if poly.degree != a.degree():
+        raise InternalError("expansion degree mismatch")
+    return poly
+
+
+def _expand(a: CycloProduct) -> list[int]:
+    """The coefficients of a polynomial-valued a, as `expand` describes."""
+    rest = a.as_dict()
+    e1 = rest.pop(1, 0)
+    for m0, e0 in sorted(((m, e) for m, e in rest.items() if e > 0), key=lambda f: (-f[1], f[0])):
+        others = {m: e for m, e in rest.items() if m != m0}
+        g = math.gcd(*others)
+        if g > 1:
+            r = CycloProduct({m // g: e for m, e in others.items()})
+            if negative_order(r) is None:
+                return _stride_product(m0, e0, g, _expand(r), e1)
+    return _expand_by_passes(a)
+
+
+def _stride_product(m0: int, e0: int, g: int, r: list[int], e1: int) -> list[int]:
+    """(t - 1)^e1 (t^m0 - 1)^e0 R(t^g), with r the coefficients of R."""
+    row = _binomial_power(1, e0)
+    span = m0 * e0 + 1
+    coeffs = [0] * (g * (len(r) - 1) + span)
+    for i, c in enumerate(r):
+        if c:
+            s = slice(g * i, g * i + span, m0)
+            coeffs[s] = map(add, coeffs[s], map(c.__mul__, row))
+    for _ in range(-e1):
+        coeffs = _div_by_tm_minus_1(coeffs, 1)
+    for _ in range(e1):
+        coeffs = _mul_by_tm_minus_1(coeffs, 1)
+    return coeffs
+
+
+def _expand_by_passes(a: CycloProduct) -> list[int]:
+    """The coefficients of a polynomial-valued a, one dense pass per
+    unit of every exponent but the largest one's."""
     numerator = [(m, e) for m, e in a.factors if e > 0]
     owed = {m: -e for m, e in a.factors if e < 0}
     orders = {m: divisors(m) for m, _ in a.factors}  # t^m - 1 = prod_{n | m} Phi_n
@@ -426,10 +497,7 @@ def expand(a: CycloProduct) -> DensePoly:
             coeffs = _mul_by_tm_minus_1(coeffs, m)
             record(m, 1)
             coeffs = divide_out(coeffs)
-    poly = DensePoly(coeffs)
-    if poly.degree != a.degree():
-        raise InternalError("expansion degree mismatch")
-    return poly
+    return coeffs
 
 
 def exact_divide(a: CycloProduct, b: CycloProduct) -> CycloProduct:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from singcalc import cli
+from singcalc import cli, cyclo
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,6 +95,32 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def _products(report) -> int:
+    """The number of expanded products, {"factors", "expansion", ...}, in a report."""
+    if isinstance(report, dict):
+        return ("expansion" in report) + sum(_products(v) for v in report.values())
+    if isinstance(report, list):
+        return sum(_products(v) for v in report)
+    return 0
+
+
+@pytest.mark.parametrize("name", ["sextic144_lys.json", "sextic6_lys.json"])
+def test_lys_enters_expand_once_per_product(capsys, monkeypatch, name):
+    # perfbench counts cyclo.expand.calls through these two bindings
+    calls = []
+    inner = cyclo.expand
+
+    def counting(a):
+        calls.append(a)
+        return inner(a)
+
+    monkeypatch.setattr(cyclo, "expand", counting)
+    monkeypatch.setattr(cli, "expand", counting)
+    code, out, _ = run_cli(capsys, "lys", "--input", str(DATA / name), "--format", "json")
+    assert code == 0
+    assert len(calls) == _products(json.loads(out)) > 0
 
 
 # spot checks of the pinned numbers, so a regenerated golden file cannot

@@ -9,11 +9,13 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singcalc import cyclo
 from singcalc.cyclo import (
     CycloProduct,
     DensePoly,
@@ -204,6 +206,13 @@ def test_dense_poly_str_and_eval():
     assert DensePoly((-1, 0, 1)).degree == 2
 
 
+def test_dense_poly_of_no_coefficients_is_zero():
+    p = DensePoly(())
+    assert p.coeffs == (0,)
+    assert p.is_zero() and p.degree == -1 and str(p) == "0"
+    assert p == DensePoly()
+
+
 def test_dense_poly_strips_long_run_of_trailing_zeros():
     assert DensePoly([1] + [0] * 40000).degree == 0
     assert DensePoly([0] * 40000).is_zero()
@@ -382,6 +391,13 @@ def _exact_value(a: CycloProduct, t: int) -> Fraction:
     return value
 
 
+def _assert_expands_exactly(a: CycloProduct) -> None:
+    dense = expand(a)
+    assert dense.coeffs == _expand_by_repeated_passes(a)
+    for t in (2, 3):
+        assert dense.evaluate(t) == _exact_value(a, t)
+
+
 @st.composite
 def dominated_products(draw):
     """Polynomial-valued products led by one (t^m - 1)^e with e <= 60.
@@ -403,10 +419,7 @@ def dominated_products(draw):
 @settings(deadline=None, max_examples=60)
 @given(dominated_products())
 def test_expand_matches_repeated_passes_and_exact_values(a):
-    dense = expand(a)
-    assert dense.coeffs == _expand_by_repeated_passes(a)
-    for t in (2, 3):
-        assert dense.evaluate(t) == _exact_value(a, t)
+    _assert_expands_exactly(a)
 
 
 def test_expand_cone_shaped_product():
@@ -420,6 +433,60 @@ def test_expand_cone_shaped_product():
     assert dense.evaluate(2) == _exact_value(a, 2)
 
 
+@st.composite
+def cone_products(draw):
+    """(t^d - 1)^E / (t - 1) times point factors Q(t^s) of positive
+    degree, s = d + k.
+
+    E exceeds every exponent Q(t^s) can have (effective_products gives
+    at most 5 * 3), so t^d - 1 is the first factor tried as t^m0 - 1, and
+    its complement Q(t^s) is a polynomial in t^s.
+    """
+    d = draw(st.integers(min_value=2, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=4))
+    e = draw(st.integers(min_value=16, max_value=60))
+    points = substitute_power(draw(effective_products.filter(CycloProduct.degree)), d + k)
+    return combine(CycloProduct({1: -1, d: e}), points, +1), d
+
+
+@settings(deadline=None, max_examples=60)
+@given(cone_products())
+def test_expand_cone_products_on_the_stride_path(case):
+    a, d = case
+    with mock.patch.object(cyclo, "_stride_product", wraps=cyclo._stride_product) as spy:
+        _assert_expands_exactly(a)
+    # the outermost split is the last call: its R is expanded first
+    assert spy.call_args.args[0] == d
+
+
+@pytest.mark.parametrize(
+    "factors,split",
+    [
+        # (t^13-1)^40 and (t^78-1)^40 leave complements of gcd 1; t^12 - 1
+        # leaves (t^13-1)^40 (t^78-1)^40 / ((t^26-1)(t^39-1))^40 = Phi_6(t^13)^40
+        ({1: -1, 12: 31, 13: 40, 78: 40, 26: -40, 39: -40}, (12, 31, 13)),
+        ({1: 2, 4: 3, 6: 1}, (4, 3, 6)),
+        ({2: 2, 3: 1}, (2, 2, 3)),
+    ],
+    ids=["scaled-down-d60-cone", "t-1-in-numerator", "no-t-1"],
+)
+def test_expand_takes_the_first_factor_whose_complement_has_a_stride(factors, split):
+    with mock.patch.object(cyclo, "_stride_product", wraps=cyclo._stride_product) as spy:
+        _assert_expands_exactly(CycloProduct(factors))
+    assert [call.args[:3] for call in spy.call_args_list] == [split]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [{4: 1, 2: -1}, {1: -1, 2: 3, 3: 1, 5: 1}, {1: 3, 6: 2}],
+    ids=["R-not-a-polynomial", "no-common-stride", "nothing-besides-t^m0-1"],
+)
+def test_expand_falls_back_to_dense_passes(factors):
+    with mock.patch.object(cyclo, "_stride_product", wraps=cyclo._stride_product) as spy:
+        _assert_expands_exactly(CycloProduct(factors))
+    assert not spy.called
+
+
 @pytest.mark.parametrize(
     "coeffs,m",
     [([1, 1], 1), ([0, 5, 0, 1], 2), ([3, 0, 0, 1], 3), ([-1, 7, 0, 1], 3), ([1], 1)],
@@ -427,3 +494,12 @@ def test_expand_cone_shaped_product():
 def test_division_by_tm_minus_1_rejects_a_remainder(coeffs, m):
     with pytest.raises(InternalError):
         _div_by_tm_minus_1(coeffs, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_division_by_tm_minus_1_on_long_residue_classes(m):
+    # 16 or more terms per residue class mod m: the running-sum branch
+    q = list(range(1, 50))
+    assert _div_by_tm_minus_1(cyclo._mul_by_tm_minus_1(q, m), m) == q
+    with pytest.raises(InternalError):
+        _div_by_tm_minus_1([1] * 80, m)
