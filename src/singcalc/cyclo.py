@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import add
 
 from .errors import InputError, InternalError, NonDivisible, NotPolynomial
@@ -362,22 +361,14 @@ def _mul_by_tm_minus_1(coeffs: list[int], m: int) -> list[int]:
 def _div_by_tm_minus_1(coeffs: list[int], m: int) -> list[int]:
     """Exact division by t^m - 1; raises InternalError on a remainder.
 
-    From p = (t^m - 1) q, top down: q[i] = p[i + m] + q[i + m], so each
-    residue class of q mod m is a running sum of p[m:] taken from the top.
-    A class of fewer than 16 terms is summed term by term: below that,
-    setting up `accumulate` cost more than it saved.  The remainder is
-    zero exactly when p[k] + q[k] = 0 for every k < m.
+    From p = (t^m - 1) q, top down: q[i] = p[i + m] + q[i + m].  The
+    remainder is zero exactly when p[k] + q[k] = 0 for every k < m.
     """
     if len(coeffs) - 1 < m:
         raise InternalError(f"cannot divide degree {len(coeffs)-1} polynomial by t^{m}-1")
-    out = coeffs[: m - 1 : -1]  # p[m:], top coefficient first
-    if len(out) >= 16 * m:
-        for r in range(m):
-            out[r::m] = accumulate(out[r::m])
-    else:
-        for i in range(m, len(out)):
-            out[i] += out[i - m]
-    out.reverse()
+    out = coeffs[m:]
+    for i in range(len(out) - 1 - m, -1, -1):
+        out[i] += out[i + m]
     if any(p + q for p, q in zip(coeffs[:m], out)) or any(coeffs[len(out):m]):
         raise InternalError(f"division by t^{m}-1 left a remainder")
     return out

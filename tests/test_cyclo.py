@@ -497,8 +497,7 @@ def test_division_by_tm_minus_1_rejects_a_remainder(coeffs, m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_division_by_tm_minus_1_on_long_residue_classes(m):
-    # 16 or more terms per residue class mod m: the running-sum branch
+def test_division_by_tm_minus_1_inverts_multiplication(m):
     q = list(range(1, 50))
     assert _div_by_tm_minus_1(cyclo._mul_by_tm_minus_1(q, m), m) == q
     with pytest.raises(InternalError):
