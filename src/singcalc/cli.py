@@ -3,9 +3,9 @@
     singcalc local      --input germ.json      [--format json|text|dot]
     singcalc lys        --input curve.json     [--k N] [--format ...]
     singcalc quotient   --d D --beta B         [--format json|text]
-    singcalc weightfilt --input matrix.json    [--m N] [--center M]
+    singcalc weightfilt --input matrix.json    [--m N] [--center M] [--format json|text]
     singcalc wlys       --input germ3.json     [--format json|text]
-    singcalc zeta       --input graph.json     [--n 1|2]
+    singcalc zeta       --input graph.json     [--n 1|2] [--format json|text]
 
 Reports are deterministic: JSON is emitted with sorted keys, and exact
 rationals are serialized as strings "p/q".  Exit codes: 0 success,

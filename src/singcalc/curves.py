@@ -337,29 +337,6 @@ def link_graph_adjust(graph: Combinatorics, degree: int, degrees) -> Combinatori
 # ---------------------------------------------------------------------------
 
 
-def _neighbours(ids, edges) -> dict:
-    """id -> list of the ids it shares an edge with, once per edge."""
-    adj = {i: [] for i in ids}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def _connected(ids, adjacency) -> bool:
-    if not ids:
-        return True
-    seen = set()
-    stack = [next(iter(ids))]
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(adjacency[x])
-    return seen == set(ids)
-
-
 def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dict = None):
     """Decide whether the link of the cone-like surface is a rational
     homology sphere, from the curve combinatorics.

@@ -43,7 +43,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curves import _connected, _neighbours
 from .cyclo import _exquo, _utrim, divisors
 from .errors import (
     InputError,
@@ -599,6 +598,29 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
     return graph
 
 
+def _neighbours(ids, edges) -> dict:
+    """id -> list of the ids it shares an edge with, once per edge."""
+    adj = {i: [] for i in ids}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _connected(ids, adjacency) -> bool:
+    if not ids:
+        return True
+    seen = set()
+    stack = [next(iter(ids))]
+    while stack:
+        x = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        stack.extend(adjacency[x])
+    return seen == set(ids)
+
+
 def _assert_connected(g: QResolutionGraph):
     if not g.vertices:
         raise InternalError("empty resolution graph")
@@ -667,14 +689,13 @@ def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
         vertices[cid] = SmoothVertex(cid, m_i, -b_i, 0, chi)
 
     out = SmoothResolutionGraph(vertices, new_edges, list(g.strict_vertices))
-    _assert_adjunction(out)
+    _assert_adjunction(out, nb)
     return out
 
 
-def _assert_adjunction(g: SmoothResolutionGraph):
+def _assert_adjunction(g: SmoothResolutionGraph, nb: dict):
     """The total transform meets every exceptional component trivially:
-    N_j E_j^2 + sum over neighbors of N = 0."""
-    nb = _neighbours(g.vertices, g.edges)
+    N_j E_j^2 + sum over neighbors of N = 0; ``nb`` is the adjacency of g."""
     for vid in g.exceptional_ids():
         v = g.vertices[vid]
         total = v.multiplicity * v.self_int + sum(

@@ -12,10 +12,11 @@ and the graded dimensions of N's weight filtration.
 The weight filtration itself, centered at 0, is the unique increasing
 filtration W with N(W_k) contained in W_{k-2} such that N^k induces
 isomorphisms gr_k -> gr_{-k}; `weight_filtration` builds explicit bases
-for it.  It scales N to an integer matrix once; the images and kernels
-of its powers, their intersections (Zassenhaus) and the levels are
-primitive integer rows, the post-hoc checks run on them, and Fractions
-appear only in the canonical echelon bases it returns.
+for it.  It scales N to an integer matrix once and spans each level
+W_k by the vectors N^b v, v running over an integer kernel basis of
+N^{k+2b+1}; the levels are primitive integer rows, the post-hoc checks
+run on them, and Fractions appear only in the canonical echelon bases
+it returns.
 
 Matrices are tuples of row tuples.  `mat` and `matrix_from_json` give
 Fraction entries, and the arithmetic helpers take int and Fraction
@@ -23,10 +24,10 @@ entries alike.  `analyze` clears denominators once, h = H / d with H an
 integer matrix, and from there computes on Python ints only: the
 characteristic polynomial, Phi_o(h) up to the scale d^deg, the rank
 sequences and h^m as (integer matrix, denominator); a rank does not
-change under a nonzero scale factor.  Every rank, echelon form, kernel,
-intersection and solution comes from one fraction-free Gauss-Jordan
-(Bareiss) loop over integer rows, `_eliminate`; `rref` divides by its
-last pivot once at the end.
+change under a nonzero scale factor.  Every rank, echelon form, kernel
+and solution comes from one fraction-free Gauss-Jordan (Bareiss) loop
+over integer rows, `_eliminate`; `rref` divides by its last pivot once
+at the end.
 """
 
 from __future__ import annotations
@@ -229,21 +230,6 @@ def kernel(a: tuple) -> tuple:
     return rref(_kernel_rows(a))[0] if a else ()
 
 
-def _intersect_rows(u, v) -> list:
-    """Integer basis of the intersection of two row spans (Zassenhaus).
-
-    Reducing the rows [u_i | u_i] and [v_j | 0] leaves U + V in the rows
-    with a pivot in the left half; the other rows are zero there, and
-    their right halves form a basis of U ∩ V.
-    """
-    if not u or not v:
-        return []
-    dim = len(u[0])
-    stacked = [[*row, *row] for row in u] + [[*row, *(0,) * dim] for row in v]
-    reduced, pivots, _ = _eliminate(stacked)
-    return [_primitive(row[dim:]) for row, p in zip(reduced, pivots) if p >= dim]
-
-
 def in_span(v: tuple, basis: tuple) -> bool:
     """Whether v lies in the span of the (independent) basis rows."""
     return mat_rank(tuple(basis) + (tuple(v),)) == len(basis)
@@ -348,16 +334,17 @@ def cyclotomic_content(coeffs: list):
 
 
 def _nilpotent_powers(n_mat) -> list:
-    """[N^0, ..., N^dim] of N scaled to an integer matrix, or reject N.
+    """[N^0, ..., N^s] of N scaled to an integer matrix, where N^s is the
+    first zero power (s is the nilpotency index), or reject N.
 
     A nonzero scale changes no image, kernel or nilpotency.
     """
     n_mat, _ = _integer_form(n_mat)
     powers = [mat_identity(len(n_mat))]
-    for _ in n_mat:
+    while any(x for row in powers[-1] for x in row):
+        if len(powers) > len(n_mat):
+            raise InputError("matrix is not nilpotent")
         powers.append(mat_mul(powers[-1], n_mat))
-    if any(x for row in powers[-1] for x in row):
-        raise InputError("matrix is not nilpotent")
     return powers
 
 
@@ -399,33 +386,29 @@ class WeightFiltration:
 def weight_filtration(n_mat, center: int = 0) -> WeightFiltration:
     """Weight filtration of a nilpotent matrix, centered as requested.
 
-    W_k (centered at 0) is the span of the subspaces
-    Im(N^b) ∩ Ker(N^{k+b+1}) over b >= max(0, -k); shifting by the center
-    moves level k to k + center.  The construction is validated post-hoc
-    against its two defining properties: N(W_k) ⊆ W_{k-2} and N^k
-    inducing isomorphisms gr_k -> gr_{-k}.
+    With s the nilpotency index, W_k (centered at 0) is spanned by
+    N^b Ker(N^{k+2b+1}) over max(0, -k) <= b < s.  That is the span of
+    Im(N^b) ∩ Ker(N^{k+b+1}): N^b u with N^{k+2b+1} u = 0 lies in both,
+    and each N^b u in Ker(N^{k+b+1}) has N^{k+2b+1} u = 0.  The levels
+    run from W_{-s} = 0 to W_{s-1}, the whole space; the center moves
+    level k to k + center.  It is checked post-hoc against the defining
+    properties N(W_k) ⊆ W_{k-2} and N^k: gr_k -> gr_{-k} bijective.
     """
     powers = _nilpotent_powers(n_mat)
-    dim = len(powers) - 1
-    if dim == 0:
+    s = len(powers) - 1
+    if s == 0:  # only the empty matrix has N^0 = 0
         return WeightFiltration(center, ((center, ()),))
-    images = [list(map(_primitive, _eliminate(tuple(zip(*p)))[0])) for p in powers]
     kernels = [_kernel_rows(p) for p in powers]
 
     def w_level(k: int) -> list:
-        pieces = []
-        for b in range(max(0, -k), dim + 1):
-            pieces += _intersect_rows(images[b], kernels[min(k + b + 1, dim)])
+        pieces = [
+            mat_vec(powers[b], v)
+            for b in range(max(0, -k), s)
+            for v in kernels[min(k + 2 * b + 1, s)]
+        ]
         return list(map(_primitive, _eliminate(pieces)[0]))
 
-    levels = {k: w_level(k) for k in range(-dim, dim + 1)}
-    lo = -dim
-    while lo < dim and not levels[lo]:
-        lo += 1
-    hi = dim
-    while hi > lo and len(levels[hi - 1]) == dim:
-        hi -= 1
-    steps = tuple((k + center, levels[k]) for k in range(lo - 1, hi + 1))
+    steps = tuple((k + center, w_level(k)) for k in range(-s, s))
     _assert_weight_properties(powers, WeightFiltration(center, steps))
     return WeightFiltration(center, tuple((k, rref(rows)[0]) for k, rows in steps))
 

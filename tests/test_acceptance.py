@@ -260,8 +260,9 @@ def _random_invertible(dim, rng):
     g = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     for _ in range(3 * dim):
         i, j = rng.randrange(dim), rng.randrange(dim)
-        if i == j:
-            g[i] = [x * Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])) for x in g[i]]
+        if i == j:  # scale row i by one nonzero factor
+            factor = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+            g[i] = [x * factor for x in g[i]]
         else:
             lam = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
             g[i] = [x + lam * y for x, y in zip(g[i], g[j])]

@@ -12,7 +12,6 @@ from singcalc.errors import InputError
 from singcalc.weightfilt import (
     Census,
     _integer_form,
-    _intersect_rows,
     _scaled_pow,
     analyze,
     charpoly,
@@ -151,8 +150,7 @@ def kernel_by_fractions(a):
 
 
 def intersect_by_left_null(u, v):
-    """Intersection of two row spans in Fraction arithmetic, the reference
-    for `_intersect_rows`."""
+    """Intersection of two row spans in Fraction arithmetic."""
     if not u or not v:
         return ()
     stacked = tuple(u) + tuple(v)
@@ -167,6 +165,30 @@ def intersect_by_left_null(u, v):
                 w[i] += c * x
         out.append(tuple(w))
     return rref_by_fractions(out)[0]
+
+
+def weight_filtration_by_intersections(n_mat, center):
+    """(center, steps) of the weight filtration in Fractions, the reference
+    for `weight_filtration`: W_k is the span of Im N^b ∩ Ker N^{k+b+1} over
+    b >= max(0, -k), and the steps run from the last zero level below the
+    first jump to the first level that is the whole space."""
+    dim = len(n_mat)
+    if dim == 0:
+        return center, ((center, ()),)
+    powers = [mat_identity(dim)]
+    for _ in range(dim):
+        powers.append(mat_mul(powers[-1], n_mat))
+    images = [rref_by_fractions(tuple(zip(*p)))[0] for p in powers]
+    kernels = [kernel_by_fractions(p) for p in powers]
+    levels = {}
+    for k in range(-dim - 1, dim + 1):
+        pieces = ()
+        for b in range(max(0, -k), dim + 1):
+            pieces += intersect_by_left_null(images[b], kernels[min(k + b + 1, dim)])
+        levels[k] = rref_by_fractions(pieces)[0]
+    lo = min(k for k, basis in levels.items() if basis)
+    hi = min(k for k, basis in levels.items() if len(basis) == dim)
+    return center, tuple((k + center, levels[k]) for k in range(lo - 1, hi + 1))
 
 
 def random_low_rank(rng, rational, cols=None):
@@ -231,36 +253,17 @@ def test_fraction_free_kernel_matches_fraction_pivoting():
         assert (solve_coordinates(basis, w) is not None) == inside
 
 
-def test_integer_intersection_and_kernel_match_fraction_references():
-    # _intersect_rows runs a Zassenhaus reduction and kernel an integer
-    # null space, both on the fraction-free elimination; the left-null-space
-    # and free-column constructions in Fractions are the references
+def test_integer_kernel_matches_fraction_reference():
+    # kernel builds an integer null space on the fraction-free elimination;
+    # the free-column construction in Fractions is the reference
     rng = random.Random(17)
-    for case in range(300):
-        rational = case % 2 == 1
-        u = random_low_rank(rng, rational)
-        cols = len(u[0])
-        kind = case % 5
-        if kind == 0:  # an empty span
-            v = ()
-        elif kind == 1:  # the same span from another spanning set
-            v = tuple(reversed(u)) + (tuple(map(sum, zip(*u))),)
-        else:  # random rows plus, sometimes, combinations of the rows of u
-            v = random_low_rank(rng, rational, cols)
-            for _ in range(rng.randint(0, 3) if kind > 2 else 0):
-                coeffs = [rng.randint(-3, 3) for _ in u]
-                v += (tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*u)),)
-        want = intersect_by_left_null(u, v)
-        assert rref(_intersect_rows(u, v))[0] == want
-        assert rref(_intersect_rows(v, u))[0] == want
-        if kind == 1:
-            assert want == rref_by_fractions(u)[0]
-        for a in (u, v) if v else (u,):
-            null = kernel(a)
-            assert null == rref_by_fractions(kernel_by_fractions(a))[0]
-            assert rref_by_fractions(null)[0] == null
-            assert all(sum(x * y for x, y in zip(row, w)) == 0 for row in a for w in null)
-    assert _intersect_rows((), u) == [] and kernel(()) == ()
+    for case in range(600):
+        a = random_low_rank(rng, rational=case % 2 == 1)
+        null = kernel(a)
+        assert null == rref_by_fractions(kernel_by_fractions(a))[0]
+        assert rref_by_fractions(null)[0] == null
+        assert all(sum(x * y for x, y in zip(row, w)) == 0 for row in a for w in null)
+    assert kernel(()) == ()
 
 
 def test_kernel_rectangular():
@@ -270,14 +273,6 @@ def test_kernel_rectangular():
     assert len(k) == 2
     for v in k:
         assert sum(v) == 0
-
-
-def test_subspace_intersect():
-    u = rref([(Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))])[0]
-    v = rref([(Fraction(0), Fraction(1), Fraction(1)), (Fraction(1), Fraction(0), Fraction(-1))])[0]
-    # a*(0,1,1) + b*(1,0,-1) has last coordinate 0 iff a = b
-    w = rref(_intersect_rows(u, v))[0]
-    assert w == ((Fraction(1), Fraction(1), Fraction(0)),)
 
 
 def test_solve_coordinates():
@@ -390,6 +385,31 @@ def test_filtration_census_random_conjugates():
         assert f.gr_dims() == expected_gr_dims(sizes), sizes
         assert jordan_blocks(conj) == tuple(sorted(sizes, reverse=True))
         assert_census_matches_filtration(identity_minus(conj))
+
+
+def test_filtration_matches_intersection_oracle():
+    # the reference's intersections, checked on one known case: a*(0,1,1) +
+    # b*(1,0,-1) lies in the plane z = 0 iff a = b
+    u = rref([(1, 0, 0), (0, 1, 0)])[0]
+    v = rref([(0, 1, 1), (1, 0, -1)])[0]
+    assert intersect_by_left_null(u, v) == ((1, 1, 0),)
+    # N = 0, dimension 0, then conjugates of random Jordan forms by
+    # rational matrices, at centers -2..2
+    rng = random.Random(23)
+    cases = [(mat([[0, 0], [0, 0]]), 1), ((), -1)]
+    for case in range(200):
+        sizes = []
+        remaining = rng.randint(1, 6)
+        while remaining:
+            sizes.append(rng.randint(1, remaining))
+            remaining -= sizes[-1]
+        p = [list(row) for row in random_unimodular(sum(sizes), rng)]
+        row, factor = rng.randrange(len(p)), Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 3))
+        p[row] = [x * factor for x in p[row]]
+        cases.append((conjugate(jordan_nilpotent(sizes), mat(p)), case % 5 - 2))
+    for n_mat, center in cases:
+        f = weight_filtration(n_mat, center)
+        assert (f.center, f.steps) == weight_filtration_by_intersections(n_mat, center)
 
 
 def test_filtration_rejects_non_nilpotent():
