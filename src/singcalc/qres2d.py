@@ -112,9 +112,6 @@ class BivarPoly:
         object.__setattr__(poly, "terms", tuple(sorted((k, c // g) for k, c in data.items() if c)))
         return poly
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -179,16 +179,16 @@ def _presentable(d: int, a: int, b: int, p: int, q: int) -> bool:
     return (lam * q - b) % d == 0 and math.gcd(lam, d) == 1
 
 
-def wblowup2(ambient: tuple[int, int, int] | None, weights: tuple[int, int]) -> BlowupData:
+def wblowup2(ambient: tuple[int, int, int], weights: tuple[int, int]) -> BlowupData:
     """(p, q)-weighted blow-up of the origin of C^2 or of a point 1/d(a, b).
 
-    ``ambient`` is the group (d, a, b) of the point, None or d = 1 for
-    a smooth point.  Requires d, p, q pairwise coprime and (a, b) a
+    ``ambient`` is the group (d, a, b) of the point, (1, 0, 0) for a
+    smooth point.  Requires d, p, q pairwise coprime and (a, b) a
     unit multiple of (p, q) mod d.  The new exceptional curve E has
     E^2 = -d/(pq); the two chart origins carry the groups 1/p(-d, q)
     and 1/q(p, -d).
 
-    >>> data = wblowup2(None, (2, 3))
+    >>> data = wblowup2((1, 0, 0), (2, 3))
     >>> data.self_int, data.charts
     (Fraction(-1, 6), ((2, 1, 1), (3, 2, 2)))
     >>> [symbol(normalize_type(*g)) for g in data.charts]
@@ -197,7 +197,7 @@ def wblowup2(ambient: tuple[int, int, int] | None, weights: tuple[int, int]) -> 
     p, q = weights
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise InputError(f"blow-up weights must be coprime positive integers, got {weights}")
-    d, a, b = ambient or (1, 0, 0)
+    d, a, b = ambient
     if d > 1:
         # presentability is a statement about the written coordinates,
         # so it is checked on the raw row, not the normal form

@@ -791,6 +791,35 @@ def test_module_invocation():
     assert json.loads(out.stdout)["type"] == "1/7(1,3)"
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("quotient", "--d", "7", "--beta", "5"), 0, None),
+        (("local", "--input", "{tmp}/absent.json"), 1, "input file not found"),
+        (("quotient", "--d", "7", "--beta", "5", "--bogus"), 1, "--bogus"),
+        (("local", "--input", "{tmp}/germ.json"), 2, "repeated coordinate factor"),
+    ],
+    ids=["ok", "missing-input", "bogus-flag", "unsupported-germ"],
+)
+def test_module_exit_codes(tmp_path, argv, code, message):
+    # the exit-code contract holds for the process, not only for main()
+    germ = {"germ": [{"i": 2, "j": 2, "c": 1}, {"i": 5, "j": 0, "c": 1}]}  # x^2 y^2 + x^5
+    (tmp_path / "germ.json").write_text(json.dumps(germ))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "singcalc.cli", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == code, out.stderr
+    if code == 0:
+        assert out.stderr == ""
+        assert json.loads(out.stdout)["chain_self_intersections"] == [-2, -2, -3]
+    else:
+        assert out.stdout == "" and message in out.stderr
+
+
 # ---------------------------------------------------------------------------
 # published schemas describe the shipped inputs
 # ---------------------------------------------------------------------------

@@ -234,13 +234,13 @@ def test_wblowup2_examples():
     def chart_symbols(data):
         return [symbol(normalize_type(*g)) for g in data.charts]
 
-    d = wblowup2(None, (2, 3))
+    d = wblowup2((1, 0, 0), (2, 3))
     assert d.self_int == Fraction(-1, 6)
     assert chart_symbols(d) == ["1/2(1,1)", "1/3(1,1)"]
-    d = wblowup2(None, (1, 1))
+    d = wblowup2((1, 0, 0), (1, 1))
     assert d.self_int == Fraction(-1)
     assert chart_symbols(d) == ["smooth", "smooth"]
-    d = wblowup2(None, (5, 2))
+    d = wblowup2((1, 0, 0), (5, 2))
     assert d.self_int == Fraction(-1, 10)
     assert chart_symbols(d) == ["1/5(1,2)", "1/2(1,1)"]
 
@@ -265,12 +265,12 @@ def test_wblowup2_smooth_property():
         q = rng.randint(1, 9)
         if math.gcd(p, q) != 1:
             continue
-        d = wblowup2(None, (p, q))
+        d = wblowup2((1, 0, 0), (p, q))
         assert -d.self_int * p * q == 1
 
 
 def test_wblowup2_rejects_bad_weights():
     with pytest.raises(InputError):
-        wblowup2(None, (2, 4))
+        wblowup2((1, 0, 0), (2, 4))
     with pytest.raises(InputError):
-        wblowup2(None, (0, 1))
+        wblowup2((1, 0, 0), (0, 1))

@@ -8,10 +8,13 @@ from fractions import Fraction
 import pytest
 
 from singcalc.cyclo import CycloProduct, cyclotomic, expand, root_multiplicity
-from singcalc.errors import InputError
+from singcalc.errors import InputError, InternalError
 from singcalc.weightfilt import (
     Census,
+    WeightFiltration,
+    _assert_weight_properties,
     _integer_form,
+    _nilpotent_powers,
     _scaled_pow,
     analyze,
     charpoly,
@@ -19,7 +22,6 @@ from singcalc.weightfilt import (
     default_power,
     delta_k,
     jordan_blocks,
-    in_span,
     kernel,
     mat,
     mat_identity,
@@ -224,7 +226,7 @@ def test_rref_canonical():
 
 
 def test_fraction_free_kernel_matches_fraction_pivoting():
-    # rref, rank, kernel, in_span and solve_coordinates all run on the
+    # rref, rank, kernel and solve_coordinates all run on the
     # fraction-free elimination; Fraction pivoting is the reference
     rng = random.Random(5)
     for case in range(600):
@@ -246,10 +248,9 @@ def test_fraction_free_kernel_matches_fraction_pivoting():
         v = tuple(
             sum((c * row[j] for c, row in zip(coords, basis)), Fraction(0)) for j in range(len(a[0]))
         )
-        assert solve_coordinates(basis, v) == coords and in_span(v, basis)
+        assert solve_coordinates(basis, v) == coords
         w = tuple(Fraction(rng.randint(-3, 3)) for _ in v)
         inside = len(rref_by_fractions(basis + (w,))[0]) == len(basis)
-        assert in_span(w, basis) == inside
         assert (solve_coordinates(basis, w) is not None) == inside
 
 
@@ -410,6 +411,29 @@ def test_filtration_matches_intersection_oracle():
     for n_mat, center in cases:
         f = weight_filtration(n_mat, center)
         assert (f.center, f.steps) == weight_filtration_by_intersections(n_mat, center)
+
+
+E1, E2, E3 = ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)
+ZERO2 = mat([[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "n_mat, steps, message",
+    [
+        # N e3 = e2 leaves W_0 = <e1, e3> for e2, outside W_-2 = <e1>
+        (J3, [(-3, ()), (-2, E1), (-1, E1), (0, E1 + E3), (1, E1 + E3), (2, E1 + E2 + E3)],
+         "filtration property N(W_0) ⊆ W_-2 fails"),
+        (ZERO2, [(-2, ()), (-1, ((1, 0),)), (0, ((1, 0), (0, 1)))],
+         "gr dimensions asymmetric at level -1"),
+        (ZERO2, [(-2, ()), (-1, ((1, 0),)), (0, ((1, 0),)), (1, ((1, 0), (0, 1)))],
+         "N^1 does not induce an isomorphism gr_1 -> gr_-1"),
+    ],
+)
+def test_filtration_self_check_fires(n_mat, steps, message):
+    filt = WeightFiltration(0, tuple(steps))
+    with pytest.raises(InternalError) as err:
+        _assert_weight_properties(_nilpotent_powers(n_mat), filt)
+    assert str(err.value) == message
 
 
 def test_filtration_rejects_non_nilpotent():
