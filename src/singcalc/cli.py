@@ -10,6 +10,16 @@
 Reports are deterministic: JSON is emitted with sorted keys, and exact
 rationals are serialized as strings "p/q".  Exit codes: 0 success,
 1 input error, 2 valid-but-unsupported input, 3 internal inconsistency.
+
+JSON reports are the text of json.dumps(..., sort_keys=True, indent=2),
+written in two steps.  The stock encoder writes the report with the float
+placeholder i + 0.5 for the i-th expansion (no report holds a float), and
+each placeholder is then replaced by its coefficient list, joined at C
+speed.  A product of factors (t^m - 1)^e has a[deg - i] = (-1)^(sum e) a[i],
+because t^deg P(1/t) = prod (1 - t^m)^e.  Each expansion is checked against
+this, so the mirror of its low half is exact: only the low half is
+converted to decimal, and the high half reuses those strings, each sign
+flipped when sum e is odd.
 """
 
 from __future__ import annotations
@@ -18,10 +28,11 @@ import argparse
 import functools
 import json
 import sys
+from operator import neg
 
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
 from .cyclo import CycloProduct, DensePoly, expand, require_polynomial
-from .errors import INDETERMINATE, InputError, SingcalcError
+from .errors import INDETERMINATE, InputError, InternalError, SingcalcError, Unsupported
 from .schema import REQUIRED, field, keyed, monomials, objects, read
 
 # ---------------------------------------------------------------------------
@@ -29,15 +40,46 @@ from .schema import REQUIRED, field, keyed, monomials, objects, read
 # ---------------------------------------------------------------------------
 
 
-def _poly_block(c: CycloProduct) -> dict:
-    """Factored form, expansion, degree, and display text of a product."""
+def _poly_block(c: CycloProduct, expansions: dict) -> dict:
+    """Factored form, degree and display text of a product, with the float
+    placeholder i + 0.5 for its expansion, which goes to expansions[str(i)]
+    as (coefficients, whether the sum of exponents is odd).  Raises
+    InternalError unless the coefficients have the symmetry `_emit` states."""
     dense = expand(c)
+    coeffs = dense.coeffs
+    odd = sum(e for _, e in c.factors) % 2 == 1
+    if coeffs != (tuple(map(neg, reversed(coeffs))) if odd else coeffs[::-1]):
+        raise InternalError(
+            f"expansion of {c} does not read the same from both ends up to the sign (-1)^{int(odd)}"
+        )
+    index = len(expansions)
+    expansions[str(index)] = (coeffs, odd)
     return {
         "factors": {str(m): e for m, e in c.factors},
-        "expansion": list(dense.coeffs),
+        "expansion": index + 0.5,
         "degree": dense.degree,
         "text": _poly_text(c, dense),
     }
+
+
+def _decimals(coeffs: tuple[int, ...], odd: bool, sep: str) -> str:
+    """The coefficients in decimal, joined by sep: the low half converted,
+    the high half its mirror, each sign flipped when odd."""
+    n = len(coeffs)
+    try:
+        low = list(map(str, coeffs[: (n + 1) // 2]))
+    except ValueError:
+        raise Unsupported(
+            f"a coefficient of the degree-{n - 1} expansion has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit for "
+            "writing an integer in decimal; --format text prints the factored form"
+        )
+    high = low[::-1] if n % 2 == 0 else low[-2::-1]  # a middle one is written once
+    if odd and high:
+        # prefix each with "-" and cancel "--"; no decimal starts with 0,
+        # so "-0" can only be a negated zero
+        high = [("-" + (sep + "-").join(high)).replace("--", "").replace("-0", "0")]
+    return sep.join(low + high)
 
 
 def _poly_text(c: CycloProduct, dense: DensePoly | None = None) -> str:
@@ -73,11 +115,49 @@ def _products(value, convert):
     return convert(value) if isinstance(value, CycloProduct) else value
 
 
+_EXPANSION_KEY = '"expansion": '
+
+
+def _splice(text: str, expansions: dict) -> str:
+    """The JSON text with each placeholder i + 0.5 after an "expansion" key
+    replaced by the list expansions[str(i)], indented as the stock encoder
+    indents it.  Every '"' inside an encoded string is escaped, so the key
+    text occurs only at a real key."""
+    head, *tails = text.split(_EXPANSION_KEY)
+    if len(tails) != len(expansions):
+        raise InternalError(
+            f"{len(tails)} expansion placeholders in a report of {len(expansions)} products"
+        )
+    parts = [head]
+    before = head
+    for tail in tails:
+        index, _, rest = tail.partition(".5")
+        record = expansions.pop(index, None)
+        if record is None:
+            raise InternalError(f"no product has the expansion placeholder {index}.5")
+        outer = before[before.rfind("\n") + 1 :]
+        inner = "\n" + outer + "  "
+        parts += (_EXPANSION_KEY, "[", inner, _decimals(*record, "," + inner), "\n", outer, "]", rest)
+        before = rest
+    parts.append("\n")
+    return "".join(parts)
+
+
 def _emit(report: dict, fmt: str, text_renderer, dot_renderer=None) -> str:
     """The report in a format.  JSON expands each product in it, text only
-    those it prints up to degree 40; no format admits a non-polynomial."""
+    those it prints up to degree 40; no format admits a non-polynomial.
+
+    JSON is the text json.dumps(..., sort_keys=True, indent=2) writes.  The
+    stock encoder writes the report with a float placeholder for each
+    expansion (no report holds a float), and `_splice` puts the coefficient
+    lists in, so that they skip the encoder's per-element Python steps.
+    A product of factors (t^m - 1)^e has a[deg - i] = (-1)^(sum e) a[i],
+    because t^deg P(1/t) = prod (1 - t^m)^e; `_poly_block` checks this, so
+    the mirror of the low half's decimals is exactly the high half's."""
     if fmt == "json":
-        return json.dumps(_products(report, _poly_block), sort_keys=True, indent=2) + "\n"
+        expansions: dict = {}
+        plain = _products(report, lambda c: _poly_block(c, expansions))
+        return _splice(json.dumps(plain, sort_keys=True, indent=2), expansions)
     _products(report, require_polynomial)
     return text_renderer(report) if fmt == "text" else dot_renderer()
 

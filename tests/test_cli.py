@@ -7,6 +7,7 @@ input, 2 for valid-but-unsupported input, 3 for internal inconsistencies.
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from singcalc import cli, cyclo
+from singcalc.errors import InternalError
 
 DATA = Path(__file__).parent / "data"
 
@@ -957,3 +959,137 @@ def test_non_polynomial_product_exits_1_in_every_format(capsys, tmp_path, fmt):
     code, out, err = run_cli(capsys, "lys", "--input", str(path), "--format", fmt)
     assert (code, out) == (1, "")
     assert err == "error: not a polynomial: Phi_1 has negative multiplicity\n"
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: placeholders spliced against the stock encoder
+# ---------------------------------------------------------------------------
+
+
+def _stock_json(report) -> str:
+    """The report as json.dumps writes it with every expansion a plain list."""
+
+    def block(c):
+        dense = cyclo.expand(c)
+        return {
+            "factors": {str(m): e for m, e in c.factors},
+            "expansion": list(dense.coeffs),
+            "degree": dense.degree,
+            "text": cli._poly_text(c, dense),
+        }
+
+    return json.dumps(cli._products(report, block), sort_keys=True, indent=2) + "\n"
+
+
+def _recording_emit(monkeypatch):
+    """Patch cli._emit to keep each JSON report it writes; returns the list."""
+    reports, emit = [], cli._emit
+
+    def recording(report, fmt, *renderers):
+        if fmt == "json":
+            reports.append(report)
+        return emit(report, fmt, *renderers)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    return reports
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in DATA.glob("*.golden.json")))
+def test_golden_is_stock_encoder_text(golden):
+    out = (DATA / golden).read_text()
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+def _random_product(rng):
+    """A polynomial product; its exponent sum is odd or even at random."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        return cyclo.CycloProduct({rng.randint(1, 3): rng.randint(1, 4)})
+    if shape == 1:
+        return cyclo.cyclotomic({n: rng.randint(1, 2) for n in rng.sample(range(1, 13), rng.randint(1, 3))})
+    if shape == 2:
+        return cyclo.CycloProduct({m: rng.randint(1, 3) for m in rng.sample(range(1, 9), rng.randint(1, 4))})
+    return cyclo.CycloProduct()
+
+
+def test_emit_matches_stock_encoder_on_random_reports():
+    rng = random.Random(18)
+    fixed = [cyclo.CycloProduct(), *(cyclo.CycloProduct({m: e}) for m in (1, 2, 3) for e in (1, 2, 3))]
+    parities = set()
+    for n in range(300):
+        products = fixed if n == 0 else [_random_product(rng) for _ in range(rng.randint(1, 6))]
+        parities |= {sum(e for _, e in c.factors) % 2 for c in products}
+        report = {"n": n, "note": "expansion", "empty": None, "list": [1, "a"]}
+        split = rng.randint(0, len(products))
+        for i, c in enumerate(products[:split]):
+            report[f"p{i}"] = c
+        report["delta"] = {str(k): c for k, c in enumerate(products[split:])}
+        report["delta"]["none"] = None
+        assert cli._emit(report, "json", None) == _stock_json(report)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("command", ["lys", "zeta"])
+def test_adversarial_vertex_id_keeps_stock_encoder_bytes(capsys, monkeypatch, tmp_path, command):
+    key = '"expansion": 0.5,'
+    if command == "lys":
+        data = json.loads((DATA / "sextic6_lys.json").read_text())
+        data["graph"]["vertices"].append({"id": key, "self_int": -2})
+        data["graph"]["edges"].append(["c", key])
+        source = "sextic6_lys.json"
+    else:
+        data = json.loads((DATA / "zeta_cusp.json").read_text())
+        data["vertices"][0]["id"] = key
+        data["strict"] = [key if s == "E1" else s for s in data.get("strict", [])]
+        source = "zeta_cusp.json"
+    path = tmp_path / source
+    path.write_text(json.dumps(data))
+    reports = _recording_emit(monkeypatch)
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, err) == (0, "")
+    assert len(reports) == 1 and out == _stock_json(reports[0])
+    if command == "lys":
+        assert key in [v["id"] for v in json.loads(out)["link_graph"]["vertices"]]
+
+
+def test_non_palindromic_expansion_exits_3(capsys, monkeypatch):
+    real = cyclo.expand
+    monkeypatch.setattr(cli, "expand", lambda c: cyclo.DensePoly(real(c).coeffs + (0, 2)))
+    code, out, err = run_cli(capsys, "zeta", "--input", str(DATA / "zeta_cusp.json"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: expansion of ") and err.count("\n") == 1
+
+
+def test_placeholder_mismatch_raises():
+    text = '{\n  "p": {\n    "expansion": 0.5,\n    "x": 1\n  }\n}'
+    with pytest.raises(InternalError, match="1 expansion placeholders in a report of 0"):
+        cli._splice(text, {})
+    with pytest.raises(InternalError, match="placeholder 1.5"):
+        cli._splice(text.replace("0.5", "1.5"), {"0": ((1,), False)})
+    assert cli._splice(text, {"0": ((1,), False)}) == text.replace("0.5", "[\n      1\n    ]") + "\n"
+
+
+DIGIT_LIMIT_ZETA = {
+    "vertices": [
+        {"id": "E1", "multiplicity": 1, "chi_open": -20000},
+        {"id": "S1", "multiplicity": 1, "chi_open": 1},
+    ],
+    "strict": ["S1"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_digit_limit_exits_2_in_json_only(capsys, tmp_path, fmt):
+    # Delta = (t-1)^20001; its middle coefficients pass the interpreter's
+    # limit on integer-to-decimal conversion, which stays as it is
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(DIGIT_LIMIT_ZETA))
+    code, out, err = run_cli(capsys, "zeta", "--input", str(path), "--format", fmt)
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "text":
+        assert (code, err) == (0, "")
+        assert "Delta (n=1) = (t-1)^20001\n" in out
+    else:
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"more than {limit} digits" in err and "degree-20001" in err
