@@ -10,16 +10,6 @@
 Reports are deterministic: JSON is emitted with sorted keys, and exact
 rationals are serialized as strings "p/q".  Exit codes: 0 success,
 1 input error, 2 valid-but-unsupported input, 3 internal inconsistency.
-
-JSON reports are the text of json.dumps(..., sort_keys=True, indent=2),
-written in two steps.  The stock encoder writes the report with the float
-placeholder i + 0.5 for the i-th expansion (no report holds a float), and
-each placeholder is then replaced by its coefficient list, joined at C
-speed.  A product of factors (t^m - 1)^e has a[deg - i] = (-1)^(sum e) a[i],
-because t^deg P(1/t) = prod (1 - t^m)^e.  Each expansion is checked against
-this, so the mirror of its low half is exact: only the low half is
-converted to decimal, and the high half reuses those strings, each sign
-flipped when sum e is odd.
 """
 
 from __future__ import annotations
@@ -184,23 +174,10 @@ def _bivar_from_json(data) -> qres2d.BivarPoly:
 def _qgraph_json(g: qres2d.QResolutionGraph) -> dict:
     return {
         "vertices": [
-            {
-                "id": v.id,
-                "multiplicity": v.multiplicity,
-                "self_int": None if v.self_int is None else str(v.self_int),
-                "genus": v.genus,
-                "quotient_points": [[d, b] for d, b in v.quotient_points],
-            }
+            {**v.__dict__, "self_int": None if v.self_int is None else str(v.self_int)}
             for v in sorted(g.vertices.values(), key=lambda v: v.id)
         ],
-        "edges": [
-            {
-                "u": e.u,
-                "v": e.v,
-                "quotient": None if e.quotient is None else [e.quotient[0], e.quotient[1]],
-            }
-            for e in g.edges
-        ],
+        "edges": [e.__dict__.copy() for e in g.edges],
         "strict": sorted(g.strict_vertices),
         "blowups": g.blowups,
     }
@@ -208,17 +185,8 @@ def _qgraph_json(g: qres2d.QResolutionGraph) -> dict:
 
 def _sgraph_json(g: qres2d.SmoothResolutionGraph) -> dict:
     return {
-        "vertices": [
-            {
-                "id": v.id,
-                "multiplicity": v.multiplicity,
-                "self_int": v.self_int,
-                "genus": v.genus,
-                "chi_open": v.chi_open,
-            }
-            for v in sorted(g.vertices.values(), key=lambda v: v.id)
-        ],
-        "edges": [[u, v] for u, v in g.edges],
+        "vertices": [v.__dict__.copy() for v in sorted(g.vertices.values(), key=lambda v: v.id)],
+        "edges": g.edges,
         "strict": sorted(g.strict_vertices),
     }
 
@@ -541,33 +509,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dot=False):
+    def common(p, handler, dot=False):
+        p.set_defaults(handler=handler)
         p.add_argument("--input", help="input JSON file")
         formats = ["json", "text", "dot"] if dot else ["json", "text"]
         p.add_argument("--format", choices=formats, default="json")
 
     p_local = sub.add_parser("local", help="resolve a plane-curve germ")
-    common(p_local, dot=True)
+    common(p_local, cmd_local, dot=True)
 
     p_lys = sub.add_parser("lys", help="invariants from tangent-cone data")
-    common(p_lys, dot=True)
+    common(p_lys, cmd_lys, dot=True)
     p_lys.add_argument("--k", type=int, default=None, help="transversality gap (default 1)")
 
     p_quot = sub.add_parser("quotient", help="resolve a cyclic quotient point")
+    p_quot.set_defaults(handler=cmd_quotient)
     p_quot.add_argument("--d", type=int, required=True, help="group order")
     p_quot.add_argument("--beta", type=int, required=True, help="second weight of 1/d(1,beta)")
     p_quot.add_argument("--format", choices=["json", "text"], default="json")
 
     p_wf = sub.add_parser("weightfilt", help="weight filtration of an automorphism")
-    common(p_wf)
+    common(p_wf, cmd_weightfilt)
     p_wf.add_argument("--m", type=int, default=None, help="power making h^m unipotent")
     p_wf.add_argument("--center", type=int, default=0, help="filtration center")
 
     p_wlys = sub.add_parser("wlys", help="weighted decomposition and admissibility")
-    common(p_wlys)
+    common(p_wlys, cmd_wlys)
 
     p_zeta = sub.add_parser("zeta", help="zeta function of a resolution graph")
-    common(p_zeta)
+    common(p_zeta, cmd_zeta)
     p_zeta.add_argument("--n", type=int, default=1, choices=[1, 2], help="cohomology degree")
 
     return parser
@@ -580,16 +550,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_HANDLERS = {
-    "local": cmd_local,
-    "lys": cmd_lys,
-    "quotient": cmd_quotient,
-    "weightfilt": cmd_weightfilt,
-    "wlys": cmd_wlys,
-    "zeta": cmd_zeta,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -597,10 +557,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags; that is an input error here.
         return 0 if exc.code == 0 else 1
     try:
-        handler = _HANDLERS[args.command]
-        if args.command != "quotient" and not args.input:
+        if "input" in vars(args) and not args.input:
             raise InputError(f"{args.command} needs --input FILE")
-        sys.stdout.write(handler(args))
+        sys.stdout.write(args.handler(args))
         return 0
     except SingcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -427,12 +427,11 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
 
 
 def combinatorics_to_dict(graph: Combinatorics) -> dict:
+    """The graph as `combinatorics_from_dict` reads it: each vertex a copy
+    of its record's fields, each edge a list of two ids."""
     return {
-        "vertices": [
-            {"id": v.id, "self_int": v.self_int, "marked": v.marked, "genus": v.genus}
-            for v in graph.vertices
-        ],
-        "edges": [[a, b] for a, b in graph.edges],
+        "vertices": [v.__dict__.copy() for v in graph.vertices],
+        "edges": [list(e) for e in graph.edges],
     }
 
 

@@ -50,35 +50,43 @@ __all__ = [
 ]
 
 
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, e) with n = prod p^e, p ascending, for n >= 1: trial
+    division up to the square root of the cofactor still left."""
+    powers = []
+    p, step = 2, 1
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            powers.append((p, e))
+        p += step
+        step = 2  # after 2, only odd trial divisors
+    if n > 1:
+        powers.append((n, 1))
+    return powers
+
+
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n >= 1."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    for p, e in _prime_powers(n):
+        for d in divs[:]:
+            for _ in range(e):
+                d *= p
+                divs.append(d)
+    divs.sort()
+    return divs
 
 
 def mu(n: int) -> int:
     """Moebius function."""
     if n < 1:
         raise InputError(f"mu({n}) undefined")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    powers = _prime_powers(n)
+    return 0 if any(e > 1 for _, e in powers) else (-1) ** len(powers)
 
 
 @dataclass(frozen=True)
@@ -127,17 +135,9 @@ class CycloProduct:
 
 
 def _phi(n: int) -> int:
-    result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+    for p, _ in _prime_powers(n):
+        n -= n // p
+    return n
 
 
 def cyclotomic(orders: dict[int, int]) -> CycloProduct:
@@ -151,8 +151,12 @@ def cyclotomic(orders: dict[int, int]) -> CycloProduct:
     for n, c in orders.items():
         if not (isinstance(n, int) and n >= 1 and isinstance(c, int)):
             raise InputError(f"bad cyclotomic order entry {n!r}: {c!r}")
-        for d in divisors(n):
-            exps[d] = exps.get(d, 0) + c * mu(n // d)
+        # mu(n/d) is nonzero only at d = n / prod S for a set S of primes of n
+        signed = [(n, c)]
+        for p, _ in _prime_powers(n):
+            signed += [(d // p, -s) for d, s in signed]
+        for d, s in signed:
+            exps[d] = exps.get(d, 0) + s
     return CycloProduct(exps)
 
 

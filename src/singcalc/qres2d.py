@@ -454,6 +454,8 @@ class SmoothResolutionGraph:
 # ----------------------------------------------------------------- qresolve
 
 
+# The chart budget of one resolution walk: a germ whose walk would visit
+# more charts exits 2 (Unsupported) rather than run on.
 _MAX_CHARTS = 400
 
 
@@ -576,7 +578,9 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
         chart = worklist.popleft()
         processed += 1
         if processed > _MAX_CHARTS:
-            raise InternalError("resolution walk did not terminate")
+            raise Unsupported(
+                f"the resolution walk needs more than its budget of {_MAX_CHARTS} charts"
+            )
         ax, ay, core = _prepare_origin(chart)
         # the germ's own origin is blown up even where it is a normal crossing
         if graph.blowups and _analyze_origin(graph, chart, ax, ay, core):
@@ -605,8 +609,6 @@ def _neighbours(ids, edges) -> dict:
 
 
 def _connected(ids, adjacency) -> bool:
-    if not ids:
-        return True
     seen = set()
     stack = [next(iter(ids))]
     while stack:

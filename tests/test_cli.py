@@ -11,6 +11,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,6 +252,57 @@ def test_lys_text(capsys):
     assert "QHS link: False" in out
 
 
+def test_weightfilt_text(capsys):
+    code, out, err = run_cli(
+        capsys, "weightfilt", "--input", str(DATA / "unipotent2.json"), "--format", "text"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "dimension = 2, m = 1, center = 0\n"
+        "gr dims: -1: 1, 1: 1\n"
+        "jordan blocks of I - h^m: [2]\n"
+        "Delta^[1] = t - 1\n"
+    )
+
+
+def _s10_with_point_on_c18():
+    # C_18 = x^9 + z^6 of the s10 germ vanishes at [0:1:0]
+    data = json.loads((DATA / "wlys_s10.json").read_text())
+    data["points"].append({"coords": ["0", "1", "0"], "clause": "i"})
+    return data
+
+
+def _fermat_cubic():
+    monomials = [{"i": 3, "j": 0, "l": 0, "c": 1}, {"i": 0, "j": 3, "l": 0, "c": 1}]
+    return {"poly": monomials + [{"i": 0, "j": 0, "l": 3, "c": 1}], "weights": [1, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "make,text",
+    [
+        (
+            _s10_with_point_on_c18,
+            "weights = (2, 2, 3)\n"
+            "d = 16, k = 2\n"
+            "admissible: False\n"
+            "  - point [0:1:0] (clause i) lies on C_18\n",
+        ),
+        (
+            _fermat_cubic,
+            "weights = (1, 1, 1)\n"
+            "d = 3, k = infinity (weighted-homogeneous)\n"
+            "admissible: indeterminate\n"
+            "  - germ is weighted-homogeneous: no comparison form to evaluate\n",
+        ),
+    ],
+    ids=["point-on-c18", "weighted-homogeneous"],
+)
+def test_wlys_text(capsys, tmp_path, make, text):
+    path = tmp_path / "wlys.json"
+    path.write_text(json.dumps(make()))
+    assert run_cli(capsys, "wlys", "--input", str(path), "--format", "text") == (0, text, "")
+
+
 def test_local_dot(capsys):
     code, out, _ = run_cli(
         capsys, "local", "--input", str(DATA / "cusp_germ.json"), "--format", "dot"
@@ -294,6 +346,57 @@ def test_non_reduced_germ_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "local", "--input", str(path))
     assert code == 2
     assert "repeated" in err
+
+
+def _a_2k_germ(k):
+    """(y - x - x^2 - ... - x^k)^2 + x^(2k+1), an A_2k singularity whose
+    resolution walk visits 3k + 3 charts."""
+    root = {(0, 1): 1, **{(i, 0): -1 for i in range(1, k + 1)}}
+    square = {(2 * k + 1, 0): 1}
+    for (a, b), c in root.items():
+        for (d, e), f in root.items():
+            square[a + d, b + e] = square.get((a + d, b + e), 0) + c * f
+    return {"germ": [{"i": i, "j": j, "c": c} for (i, j), c in square.items() if c]}
+
+
+def test_germ_within_the_chart_budget(capsys, tmp_path):
+    k = 130
+    path = tmp_path / "a260.json"
+    path.write_text(json.dumps(_a_2k_germ(k)))
+    code, out, err = run_cli(capsys, "local", "--input", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["mu"], report["r"], report["delta"]) == (2 * k, 1, k)
+    # Delta = (t^(2(2k+1)) - 1)(t - 1) / ((t^2 - 1)(t^(2k+1) - 1))
+    factors = {"1": 1, "2": -1, str(2 * k + 1): -1, str(2 * (2 * k + 1)): 1}
+    assert report["char_poly"]["factors"] == factors
+
+
+def test_germ_past_the_chart_budget_exits_2(capsys, tmp_path):
+    path = tmp_path / "a280.json"
+    path.write_text(json.dumps(_a_2k_germ(140)))
+    code, out, err = run_cli(capsys, "local", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: the resolution walk needs more than its budget of 400 charts\n"
+
+
+def test_zeta_text_with_a_smooth_huge_multiplicity(capsys, tmp_path):
+    # the factored text needs the divisors of 2^50, 51 of them, which
+    # trial division up to the square root of the cofactor left finds at once
+    data = {
+        "vertices": [
+            {"id": "E1", "multiplicity": 2**50, "chi_open": -1},
+            {"id": "S1", "multiplicity": 1, "chi_open": 1},
+        ],
+        "strict": ["S1"],
+    }
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "zeta", "--input", str(path), "--format", "text")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.endswith(f"Delta (n=1) = (t-1)*(t^{2**50}-1)\n")
 
 
 def test_malformed_json_exits_1(capsys, tmp_path):
@@ -548,6 +651,76 @@ def test_below_schema_minimum_exits_1(capsys, tmp_path, mutate, line):
     path = tmp_path / "minimum.json"
     path.write_text(json.dumps(data))
     assert run_cli(capsys, "lys", "--input", str(path)) == (1, "", f"error: {line}\n")
+
+
+_LINK_VERTEX = {"id": "c", "self_int": 36, "marked": True, "genus": 4}
+
+
+@pytest.mark.parametrize(
+    "mutate,line",
+    [
+        (
+            _set(("curve", "components"), [{"id": "c", "degree": 3}, {"id": "c", "degree": 3}]),
+            "duplicate component ids: ['c', 'c']",
+        ),
+        (_set(("curve", "components", 0, "degree"), 0), "component 'c': degree must be >= 1, got 0"),
+        (_set(("curve", "degree"), 0), "curve degree must be >= 1, got 0"),
+        (
+            _set(("curve", "singular_points", 1, "id"), "p1"),
+            "duplicate singular point ids: ['p1', 'p1', 'p3', 'p4', 'p5', 'p6']",
+        ),
+        (
+            _set(("curve", "singular_points", 0, "branches_on"), {"c": 0}),
+            "point 'p1': branch count for 'c' must be >= 1, got 0",
+        ),
+        (_set(("graph", "vertices", 0, "genus"), -1), "vertex 'c': genus must be >= 0, got -1"),
+        (_set(("graph", "vertices"), [_LINK_VERTEX] * 2), "duplicate vertex ids: ['c', 'c']"),
+        (_set(("graph", "edges"), [["c", "x"]]), "edge ('c', 'x') references unknown vertex"),
+        (_set(("graph", "edges"), [["c", "c"]]), "loop edge at 'c' not allowed"),
+        (_set(("graph", "edges"), [["c"] * 3]), "bad edges of graph: an edge joins 2 vertex ids"),
+        (_set(("genera",), {"z": 0}), "genera given for unknown components: ['z']"),
+    ],
+    ids=[
+        "duplicate-component",
+        "component-degree-0",
+        "curve-degree-0",
+        "duplicate-point",
+        "branch-count-0",
+        "vertex-genus-negative",
+        "duplicate-vertex",
+        "edge-to-unknown-vertex",
+        "loop-edge",
+        "edge-of-three-ids",
+        "genus-of-unknown-component",
+    ],
+)
+def test_lys_broken_curve_or_graph_invariant_exits_1(capsys, tmp_path, mutate, line):
+    data = json.loads((DATA / "sextic6_lys.json").read_text())
+    mutate(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "lys", "--input", str(path)) == (1, "", f"error: {line}\n")
+
+
+def test_lys_names_components_that_miss_the_common_point(capsys, tmp_path):
+    # three lines, of which only l0 and l1 pass through the one singular point
+    lines = [{"id": f"l{i}", "degree": 1} for i in range(3)]
+    point = {"id": "p", "mu": 1, "r": 2}
+    data = {
+        "curve": {
+            "degree": 3,
+            "components": lines,
+            "singular_points": [{**point, "branches_on": {"l0": 1, "l1": 1}}],
+        },
+        "points": [{**point, "charpoly": {"1": 1}}],
+        "genera": {"l0": 0, "l1": 0},
+    }
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lys", "--input", str(path))
+    assert (code, err) == (0, "")
+    reasons = ["components ['l2'] miss the common point 'p'"]
+    assert json.loads(out)["qhs"] == {"is_qhs": False, "reasons": reasons}
 
 
 # Matrices that docs/schemas/matrix.schema.json rejects, with the part of

@@ -8,6 +8,7 @@ factor rule is checked against first principles rather than itself.
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -45,6 +46,48 @@ def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
     assert divisors(49) == [1, 7, 49]
+
+
+def test_number_theory_against_definitions():
+    primes = [p for p in range(2, 2001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        factors = [p for p in primes if n % p == 0]
+        squarefree = all(n % (p * p) for p in factors)
+        assert mu(n) == ((-1) ** len(factors) if squarefree else 0)
+        assert _phi(n) == sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def _long_divide(num: list, den: list) -> list:
+    """num / den for a monic den, coefficients low first; no remainder."""
+    num, quotient = list(num), []
+    for top in range(len(num) - 1, len(den) - 2, -1):
+        q = num[top]
+        quotient.append(q)
+        for i, c in enumerate(den):
+            num[top - len(den) + 1 + i] -= q * c
+    assert not any(num), "remainder"
+    return quotient[::-1]
+
+
+def test_cyclotomic_against_division():
+    # Phi_n = (t^n - 1) / prod of Phi_d over the proper divisors d of n
+    phi = {}
+    for n in range(1, 301):
+        quotient = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                quotient = _long_divide(quotient, phi[d])
+        phi[n] = quotient
+        assert list(expand(cyclotomic({n: 1})).coeffs) == quotient, n
+
+
+def test_product_to_divisor_of_a_smooth_index_is_fast():
+    n = 2**50 * 3**20
+    start = time.perf_counter()
+    orders = product_to_divisor(CycloProduct({n: 1}))
+    assert time.perf_counter() - start < 1
+    assert orders == {2**a * 3**b: 1 for a in range(51) for b in range(21)}
 
 
 def test_combine_examples():
