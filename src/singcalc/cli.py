@@ -18,7 +18,9 @@ import argparse
 import functools
 import json
 import sys
-from operator import neg
+from json.encoder import encode_basestring_ascii
+from operator import add
+from typing import NamedTuple
 
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
 from .cyclo import CycloProduct, DensePoly, expand, require_polynomial
@@ -30,23 +32,30 @@ from .schema import REQUIRED, field, keyed, monomials, objects, read
 # ---------------------------------------------------------------------------
 
 
-def _poly_block(c: CycloProduct, expansions: dict) -> dict:
-    """Factored form, degree and display text of a product, with the float
-    placeholder i + 0.5 for its expansion, which goes to expansions[str(i)]
-    as (coefficients, whether the sum of exponents is odd).  Raises
-    InternalError unless the coefficients have the symmetry `_emit` states."""
+class _Expansion(NamedTuple):
+    """A product's expansion as `_write` writes it: the coefficients, and
+    whether the sum of the product's exponents is odd."""
+
+    coeffs: tuple[int, ...]
+    odd: bool
+
+
+def _poly_block(c: CycloProduct) -> dict:
+    """Factored form, expansion, degree and display text of a product.
+    Raises InternalError unless the coefficients have the symmetry `_emit`
+    states."""
     dense = expand(c)
     coeffs = dense.coeffs
     odd = sum(e for _, e in c.factors) % 2 == 1
-    if coeffs != (tuple(map(neg, reversed(coeffs))) if odd else coeffs[::-1]):
+    # odd: a[i] + a[deg - i] = 0, checked pairwise, as a negated copy built
+    # from an iterator would be left on CPython's tuple free list
+    if any(map(add, coeffs, reversed(coeffs))) if odd else coeffs != coeffs[::-1]:
         raise InternalError(
             f"expansion of {c} does not read the same from both ends up to the sign (-1)^{int(odd)}"
         )
-    index = len(expansions)
-    expansions[str(index)] = (coeffs, odd)
     return {
         "factors": {str(m): e for m, e in c.factors},
-        "expansion": index + 0.5,
+        "expansion": _Expansion(coeffs, odd),
         "degree": dense.degree,
         "text": _poly_text(c, dense),
     }
@@ -105,49 +114,67 @@ def _products(value, convert):
     return convert(value) if isinstance(value, CycloProduct) else value
 
 
-_EXPANSION_KEY = '"expansion": '
-
-
-def _splice(text: str, expansions: dict) -> str:
-    """The JSON text with each placeholder i + 0.5 after an "expansion" key
-    replaced by the list expansions[str(i)], indented as the stock encoder
-    indents it.  Every '"' inside an encoded string is escaped, so the key
-    text occurs only at a real key."""
-    head, *tails = text.split(_EXPANSION_KEY)
-    if len(tails) != len(expansions):
-        raise InternalError(
-            f"{len(tails)} expansion placeholders in a report of {len(expansions)} products"
-        )
-    parts = [head]
-    before = head
-    for tail in tails:
-        index, _, rest = tail.partition(".5")
-        record = expansions.pop(index, None)
-        if record is None:
-            raise InternalError(f"no product has the expansion placeholder {index}.5")
-        outer = before[before.rfind("\n") + 1 :]
-        inner = "\n" + outer + "  "
-        parts += (_EXPANSION_KEY, "[", inner, _decimals(*record, "," + inner), "\n", outer, "]", rest)
-        before = rest
-    parts.append("\n")
-    return "".join(parts)
+def _write(value, out: list, indent: str) -> None:
+    """Append to out the pieces of the text json.dumps(value, sort_keys=True,
+    indent=2) writes, at the nesting whose line break and indent is indent.
+    Containers are the plain dicts, lists and tuples reports are built of."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write(value[key], out, inner)
+            sep = "," + inner
+        out += (indent, "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out += (indent, "]")
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is _Expansion:
+        inner = indent + "  "
+        # appended apart: joining them here would copy the decimals, the
+        # largest part of a big report, once more before the final join
+        out += ("[", inner, _decimals(*value, "," + inner), indent, "]")
+    else:  # floats, subclasses of int and str, and types JSON cannot write
+        out.append(json.dumps(value))
 
 
 def _emit(report: dict, fmt: str, text_renderer, dot_renderer=None) -> str:
     """The report in a format.  JSON expands each product in it, text only
     those it prints up to degree 40; no format admits a non-polynomial.
 
-    JSON is the text json.dumps(..., sort_keys=True, indent=2) writes.  The
-    stock encoder writes the report with a float placeholder for each
-    expansion (no report holds a float), and `_splice` puts the coefficient
-    lists in, so that they skip the encoder's per-element Python steps.
-    A product of factors (t^m - 1)^e has a[deg - i] = (-1)^(sum e) a[i],
-    because t^deg P(1/t) = prod (1 - t^m)^e; `_poly_block` checks this, so
-    the mirror of the low half's decimals is exactly the high half's."""
+    JSON is the text json.dumps(..., sort_keys=True, indent=2) writes, which
+    `_write` writes directly: the stock encoder never uses its C code when
+    it indents.  The products are expanded first, in the report's order, so
+    that an error names the first of them.  A product of factors
+    (t^m - 1)^e has a[deg - i] = (-1)^(sum e) a[i], because
+    t^deg P(1/t) = prod (1 - t^m)^e; `_poly_block` checks this, so the
+    mirror of the low half's decimals is exactly the high half's, and each
+    coefficient list is one join of them."""
     if fmt == "json":
-        expansions: dict = {}
-        plain = _products(report, lambda c: _poly_block(c, expansions))
-        return _splice(json.dumps(plain, sort_keys=True, indent=2), expansions)
+        out: list = []
+        _write(_products(report, _poly_block), out, "\n")
+        out.append("\n")
+        return "".join(out)
     _products(report, require_polynomial)
     return text_renderer(report) if fmt == "text" else dot_renderer()
 

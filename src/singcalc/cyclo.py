@@ -280,7 +280,10 @@ class DensePoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs=(0,)):
-        coeffs = tuple(map(int, coeffs)) or (0,)
+        # tuple(list) takes its tuple from CPython's free list for that length
+        # and gives it back there; tuple(map(...)) builds one by resizing, so
+        # each call would leave one more tuple on the free list
+        coeffs = tuple([int(c) for c in coeffs]) or (0,)
         top = len(coeffs) - 1
         while top > 0 and coeffs[top] == 0:
             top -= 1

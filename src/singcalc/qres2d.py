@@ -244,8 +244,9 @@ def _urational_roots(a: list[int]) -> list[Fraction]:
     while a[k] == 0:
         k += 1
     roots = [Fraction(0)] if k else []
+    leading = divisors(abs(a[-1]))
     for pn in divisors(abs(a[k])):
-        for qd in divisors(abs(a[-1])):
+        for qd in leading:
             if math.gcd(pn, qd) != 1:
                 continue
             for p in (pn, -pn):

@@ -5,6 +5,7 @@ the error paths are checked for the documented exit codes: 1 for bad
 input, 2 for valid-but-unsupported input, 3 for internal inconsistencies.
 """
 
+import enum
 import json
 import os
 import random
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from singcalc import cli, cyclo
-from singcalc.errors import InternalError
+from singcalc.errors import NotPolynomial
 
 DATA = Path(__file__).parent / "data"
 
@@ -1135,7 +1136,7 @@ def test_non_polynomial_product_exits_1_in_every_format(capsys, tmp_path, fmt):
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer: placeholders spliced against the stock encoder
+# the JSON writer against the stock encoder
 # ---------------------------------------------------------------------------
 
 
@@ -1233,13 +1234,51 @@ def test_non_palindromic_expansion_exits_3(capsys, monkeypatch):
     assert err.startswith("error: expansion of ") and err.count("\n") == 1
 
 
-def test_placeholder_mismatch_raises():
-    text = '{\n  "p": {\n    "expansion": 0.5,\n    "x": 1\n  }\n}'
-    with pytest.raises(InternalError, match="1 expansion placeholders in a report of 0"):
-        cli._splice(text, {})
-    with pytest.raises(InternalError, match="placeholder 1.5"):
-        cli._splice(text.replace("0.5", "1.5"), {"0": ((1,), False)})
-    assert cli._splice(text, {"0": ((1,), False)}) == text.replace("0.5", "[\n      1\n    ]") + "\n"
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+# every class of character the encoder escapes, and text that reads like a key
+_STRINGS = [
+    "", "plain", "Δ = ∏(t^m−1)^e", "😀", 'a"b', "back\\slash", "two\nlines", "\t\x00\x1f",
+    '"expansion": 0.5,',
+]
+_SCALARS = _STRINGS + [0, -7, 2**64 + 1, -(3**70), _Level.LOW, 0.5, None, True, False]
+
+
+def _random_tree(rng, depth, empties):
+    """A JSON tree up to depth levels deep; each empty container it holds
+    is recorded in empties as (depth, type)."""
+    if depth and rng.random() < 0.3:
+        return rng.choice(_SCALARS)
+    kind = dict if depth == 0 else rng.choice([dict, list, tuple])
+    size = rng.choice([0, 0, 1, 2, 4]) if depth < 4 else 0
+    if size == 0:
+        empties.add((depth, kind))
+    items = [_random_tree(rng, depth + 1, empties) for _ in range(size)]
+    if kind is dict:
+        return {rng.choice(_STRINGS) + str(i): v for i, v in enumerate(items)}
+    return kind(items)
+
+
+def test_writer_matches_stock_encoder_on_random_trees():
+    rng = random.Random(20)
+    empties = set()
+    for _ in range(400):
+        tree = _random_tree(rng, 0, empties)
+        assert cli._emit(tree, "json", None) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    assert {d for d, _ in empties} == set(range(5))
+    assert {k for _, k in empties} == {dict, list, tuple}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_first_non_polynomial_product_in_report_order_names_the_error(fmt):
+    # "a" sorts first, but "b" comes first in the report
+    first = cyclo.CycloProduct({1: 1, 2: -1})  # 1/(t + 1)
+    later = cyclo.CycloProduct({3: -1})
+    with pytest.raises(NotPolynomial) as caught:
+        cli._emit({"b": first, "a": later}, fmt, lambda report: "")
+    assert caught.value.witness == 2
 
 
 DIGIT_LIMIT_ZETA = {

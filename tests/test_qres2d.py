@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singcalc import qres2d
 from singcalc.cyclo import CycloProduct, expand
 from singcalc.errors import (
     InputError,
@@ -503,6 +504,17 @@ def test_integer_univariate_helpers_match_fraction_reference():
         assert len(_uexquo(T, _ugcd(T, _uderiv(T)))) - 1 == len(repeated)
         repeated_seen += bool(repeated)
     assert repeated_seen > 60, repeated_seen
+
+
+def test_rational_roots_take_each_divisor_list_once(monkeypatch):
+    # z^2 - 720^2: the constant term has 135 divisors, each a numerator to
+    # try against the divisors of the leading coefficient
+    calls = []
+    real = qres2d.divisors
+    monkeypatch.setattr(qres2d, "divisors", lambda n: calls.append(n) or real(n))
+    a = [-(720**2), 0, 1]
+    assert _urational_roots(a) == _ref_rational_roots(a) == [Fraction(-720), Fraction(720)]
+    assert sorted(calls) == [1, 720**2]
 
 
 def test_exact_division_reports_a_remainder():
