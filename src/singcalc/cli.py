@@ -19,12 +19,11 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import add
 from typing import NamedTuple
 
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
 from .cyclo import CycloProduct, DensePoly, expand, require_polynomial
-from .errors import INDETERMINATE, InputError, InternalError, SingcalcError, Unsupported
+from .errors import INDETERMINATE, InputError, SingcalcError, Unsupported
 from .schema import REQUIRED, field, keyed, monomials, objects, read
 
 # ---------------------------------------------------------------------------
@@ -41,21 +40,11 @@ class _Expansion(NamedTuple):
 
 
 def _poly_block(c: CycloProduct) -> dict:
-    """Factored form, expansion, degree and display text of a product.
-    Raises InternalError unless the coefficients have the symmetry `_emit`
-    states."""
+    """Factored form, expansion, degree and display text of a product."""
     dense = expand(c)
-    coeffs = dense.coeffs
-    odd = sum(e for _, e in c.factors) % 2 == 1
-    # odd: a[i] + a[deg - i] = 0, checked pairwise, as a negated copy built
-    # from an iterator would be left on CPython's tuple free list
-    if any(map(add, coeffs, reversed(coeffs))) if odd else coeffs != coeffs[::-1]:
-        raise InternalError(
-            f"expansion of {c} does not read the same from both ends up to the sign (-1)^{int(odd)}"
-        )
     return {
         "factors": {str(m): e for m, e in c.factors},
-        "expansion": _Expansion(coeffs, odd),
+        "expansion": _Expansion(dense.coeffs, sum(e for _, e in c.factors) % 2 == 1),
         "degree": dense.degree,
         "text": _poly_text(c, dense),
     }
@@ -167,9 +156,10 @@ def _emit(report: dict, fmt: str, text_renderer, dot_renderer=None) -> str:
     it indents.  The products are expanded first, in the report's order, so
     that an error names the first of them.  A product of factors
     (t^m - 1)^e has a[deg - i] = (-1)^(sum e) a[i], because
-    t^deg P(1/t) = prod (1 - t^m)^e; `_poly_block` checks this, so the
-    mirror of the low half's decimals is exactly the high half's, and each
-    coefficient list is one join of them."""
+    t^deg P(1/t) = prod (1 - t^m)^e, and `expand` builds the high half as
+    that mirror of the low one; so the mirror of the low half's decimals
+    is exactly the high half's, and each coefficient list is one join of
+    them."""
     if fmt == "json":
         out: list = []
         _write(_products(report, _poly_block), out, "\n")

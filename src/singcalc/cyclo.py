@@ -15,19 +15,22 @@ turns it back into a product.  Dense integer coefficient lists are
 produced only at the edges, for display and for comparing against
 numerically expanded oracles.
 
-`expand` writes such a product as (t - 1)^e1 (t^m0 - 1)^e0 R(t^g)
-whenever the factors besides t - 1 and t^m0 - 1 have a common index
-g > 1 and form a polynomial R(u) in u = t^g: the shape of a cone's
-(t^d - 1)^E against point factors in t^(d+k).  It then costs about
-(e0 + 1) * nnz(R) coefficient products and one pass per unit of e1,
-instead of one dense pass per unit of every exponent.
+Such a product reads the same from both ends up to sign, so `expand`
+computes the coefficients up to half the degree, as a truncated power
+series, and mirrors them.  It writes the product as (t - 1)^e1
+(t^m0 - 1)^e0 R(t^g) whenever the factors besides t - 1 and t^m0 - 1
+have a common index g > 1: the shape of a cone's (t^d - 1)^E against
+point factors in t^(d+k).  It then costs about (e0 + 1) * nnz(R)
+coefficient products and one pass per unit of e1, instead of one pass
+per unit of every exponent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from itertools import accumulate
+from operator import add, neg, sub
 
 from .errors import InputError, InternalError, NonDivisible, NotPolynomial
 
@@ -175,8 +178,19 @@ def product_to_divisor(a: CycloProduct) -> dict[int, int]:
 
 
 def negative_order(a: CycloProduct) -> int | None:
-    """None if a is a polynomial, else the smallest n with Phi_n^{-1} in a."""
-    return min((n for n, c in product_to_divisor(a).items() if c < 0), default=None)
+    """None if a is a polynomial, else the smallest n with Phi_n^{-1} in a.
+
+    c_n = sum_{m: n | m} e_m depends only on the indices m that n divides,
+    and their gcd g divides the same ones; so a is a polynomial exactly
+    when c_g >= 0 for every g in the gcd closure of the indices.  Only a
+    product that is not one is factored, for its witness."""
+    closure: set[int] = set()
+    for m, _ in a.factors:
+        closure |= {math.gcd(m, g) for g in closure}
+        closure.add(m)
+    if all(sum(e for m, e in a.factors if m % g == 0) >= 0 for g in closure):
+        return None
+    return min(n for n, c in product_to_divisor(a).items() if c < 0)
 
 
 def require_polynomial(a: CycloProduct) -> CycloProduct:
@@ -360,61 +374,114 @@ def _exquo(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(a) else _utrim(out)
 
 
-def _mul_by_tm_minus_1(coeffs: list[int], m: int) -> list[int]:
-    """Coefficient k of the product is coeffs[k - m] - coeffs[k]."""
-    return [a - b for a, b in zip([0] * m + coeffs, coeffs + [0] * m)]
-
-
-def _div_by_tm_minus_1(coeffs: list[int], m: int) -> list[int]:
-    """Exact division by t^m - 1; raises InternalError on a remainder.
-
-    From p = (t^m - 1) q, top down: q[i] = p[i + m] + q[i + m].  The
-    remainder is zero exactly when p[k] + q[k] = 0 for every k < m.
-    """
-    if len(coeffs) - 1 < m:
-        raise InternalError(f"cannot divide degree {len(coeffs)-1} polynomial by t^{m}-1")
-    out = coeffs[m:]
-    for i in range(len(out) - 1 - m, -1, -1):
-        out[i] += out[i + m]
-    if any(p + q for p, q in zip(coeffs[:m], out)) or any(coeffs[len(out):m]):
-        raise InternalError(f"division by t^{m}-1 left a remainder")
-    return out
-
-
-def _binomial_power(m: int, e: int) -> list[int]:
-    """Coefficients of (t^m - 1)^e = sum_j C(e, j) (-1)^(e-j) t^(mj), e >= 0."""
-    coeffs = [0] * (m * e + 1)
-    c = -1 if e % 2 else 1
-    for j in range(e + 1):
-        coeffs[m * j] = c
-        c = -c * (e - j) // (j + 1)
+def _series(factors: dict[int, int], n: int) -> list[int]:
+    """Coefficients 0..n of the power series prod (1 - t^m)^{e_m}, split
+    and applied as `expand` describes."""
+    factors = {m: e for m, e in factors.items() if m <= n}  # the others are 1 mod t^(n+1)
+    numerator = sorted(((m, e) for m, e in factors.items() if e > 0), key=lambda f: (-f[1], f[0]))
+    m0, e0 = numerator[0] if numerator else (1, 0)
+    r, g = [1], 1  # R(u) = 1 unless a factor splits off
+    for m, e in numerator:
+        others = {k: c for k, c in factors.items() if k not in (1, m)}
+        if m > 1 and (stride := math.gcd(*others)) > 1:
+            m0, e0, g = m, e, stride
+            r = _series({k // g: c for k, c in others.items()}, n // g)
+            break
+    row = [1]  # (1 - t^m0)^e0 up to t^n
+    for j in range(min(e0, n // m0)):
+        row.append(-row[j] * (e0 - j) // (j + 1))
+    coeffs = [0] * (n + 1)
+    for i, c in enumerate(r):
+        if c:
+            s = slice(g * i, min(g * i + m0 * len(row), n + 1), m0)
+            coeffs[s] = map(add, coeffs[s], map(c.__mul__, row))
+    for m, e in factors.items():  # those not in the rows: all others, or after a split t - 1
+        if (m, e) != (m0, e0) and (g == 1 or m == 1):
+            _times(coeffs, m, e)
     return coeffs
+
+
+def _times(coeffs: list[int], m: int, e: int) -> None:
+    """coeffs times (1 - t^m)^e, in place, as a power series to its length:
+    one shifted subtraction per unit of e > 0, and for e < 0 one running
+    sum along each residue class mod m per unit."""
+    n = len(coeffs)
+    for _ in range(e):
+        coeffs[m:] = map(sub, coeffs[m:], coeffs[: n - m])
+    for _ in range(-e):
+        if m * m < n:  # m classes are fewer than n / m blocks
+            for i in range(m):
+                coeffs[i::m] = accumulate(coeffs[i::m])
+        else:
+            for i in range(m, n, m):
+                coeffs[i : i + m] = map(add, coeffs[i : i + m], coeffs[i - m : i])
+
+
+def _is_product(value: int, powers) -> bool:
+    """value == prod b^e over the pairs (b, e), a collection, exactly."""
+    return value * math.prod(b**-e for b, e in powers if e < 0) == math.prod(b**e for b, e in powers if e > 0)
+
+
+def _takes_its_values(exps: dict[int, int], low: list[int], deg: int, sign: int = 1) -> bool:
+    """Whether sign * P, for P = prod (t^m - 1)^{e_m} of degree deg with
+    coefficients low up to deg // 2, has P(1) = prod m^{e_m} if sum e_m = 0,
+    else 0, and P(-1) = prod_{m odd} (-2)^{e_m} prod_{m even} (-m)^{e_m} if
+    sum_{m even} e_m = 0, else 0.  As P[deg - i] = (-1)^(sum e_m) P[i], both
+    come from two slice sums of low.  With sum e_m odd and deg even, both
+    are 0 whatever low holds: then its middle entry must be 0, and
+    P / (t^2 - 1), from the running sums of low along each parity, is
+    checked in its place."""
+    total = sum(exps.values())
+    mid = 0 if deg % 2 else low[-1]
+    if total % 2 and not deg % 2:
+        quotient = low[:-1]  # P / (t^2 - 1) = -P / (1 - t^2)
+        quotient[::2] = accumulate(quotient[::2])
+        quotient[1::2] = accumulate(quotient[1::2])
+        return not mid and _takes_its_values({**exps, 2: exps.get(2, 0) - 1}, quotient, deg - 2, -sign)
+    evens, odds = sum(low[::2]), sum(low[1::2])
+    # the low half counts twice and its middle entry once, at -1 as (-1)^(deg/2) mid
+    at_one = 0 if total % 2 else 2 * (evens + odds) - mid
+    at_minus_one = 0 if deg % 2 and not total % 2 else 2 * (evens - odds) - (-mid if deg // 2 % 2 else mid)
+    right_at_one = not at_one if total else _is_product(sign * at_one, exps.items())
+    if sum(e for m, e in exps.items() if m % 2 == 0):
+        return right_at_one and not at_minus_one
+    at_minus_one_factors = [(-2 if m % 2 else -m, e) for m, e in exps.items()]
+    return right_at_one and _is_product(sign * at_minus_one, at_minus_one_factors)
+
+
+def _dense(coeffs: tuple[int, ...]) -> DensePoly:
+    """A DensePoly of a tuple of ints with a nonzero last entry, as it is."""
+    poly = object.__new__(DensePoly)
+    object.__setattr__(poly, "coeffs", coeffs)
+    return poly
 
 
 def expand(a: CycloProduct) -> DensePoly:
     """Expand a formal product into integer coefficients.
 
-    The product is split as (t - 1)^e1 (t^m0 - 1)^e0 R(t^g) when the
-    factors other than t - 1 and t^m0 - 1 have indices of gcd g > 1 and
-    R(u), their product written in u = t^g, is itself a polynomial.  A
-    cone's characteristic polynomial has this shape, with (t^d - 1)^E
-    against point factors in t^(d+k).  Then R is expanded in u (the same
-    way, recursively), each nonzero coefficient r_i adds r_i times the
-    binomial row of (t^m0 - 1)^e0 into every m0-th slot from t^(g i) on,
-    and (t - 1)^e1 is applied with one dense pass per unit (a running sum
-    to divide): about (e0 + 1) * nnz(R) products and |e1| passes.  The
-    numerator factors are tried as t^m0 - 1 by largest exponent, then
-    smallest m0.
+    P = prod (t^m - 1)^{e_m} of degree D has t^D P(1/t) = prod (1 - t^m)^{e_m}
+    = (-1)^(sum e_m) P, so P[D - i] = (-1)^(sum e_m) P[i]: only the
+    coefficients up to h = D // 2 are computed, as the power series
+    (-1)^(sum e_m) prod (1 - t^m)^{e_m} modulo t^(h+1), and the others are
+    their mirror.  In a series, a factor with m > h is 1, multiplying by
+    1 - t^m is one shifted subtraction, and dividing by it is a running sum
+    along each residue class mod m: no division order is needed.
 
-    When no factor splits off so, the numerator factor with the largest
-    exponent is written down from its binomial coefficients and the
-    others are multiplied in one (t^m - 1) at a time, in increasing m.
-    Each denominator factor (t^m - 1) is divided out exactly as soon as
-    the product so far contains it, that is every Phi_n with n | m, which
-    keeps the dense coefficient list short.
+    The series is split as (1 - t)^e1 (1 - t^m0)^e0 R(t^g) when the
+    factors other than t - 1 and t^m0 - 1 have indices of gcd g > 1, as a
+    cone's (t^d - 1)^E against point factors in t^(d+k) do.  The series of
+    R(u) is taken, in the same way, up to u^(h // g); each nonzero
+    coefficient r_i adds r_i times the binomial row of (1 - t^m0)^e0 into
+    every m0-th slot from t^(g i) up to t^h, and (1 - t)^e1 takes one pass
+    per unit.  The numerator factors are tried as t^m0 - 1 by largest
+    exponent, then smallest m0.  When no factor splits off so, the
+    numerator factor with the largest exponent is written down from its
+    binomial row and every other factor takes one pass per unit.
 
     Raises NotPolynomial (with the smallest offending cyclotomic index
-    as witness) when some Phi_n occurs with negative total exponent.
+    as witness) when some Phi_n occurs with negative total exponent, and
+    InternalError unless the coefficients up to h give the values at
+    t = 1 and t = -1 that the factors do.
 
     >>> print(expand(CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})))
     t^2 - t + 1
@@ -427,75 +494,15 @@ def expand(a: CycloProduct) -> DensePoly:
     (1, 1, -1, -2, -1, 1, 1)
     """
     require_polynomial(a)
-    poly = DensePoly(_expand(a))
-    if poly.degree != a.degree():
-        raise InternalError("expansion degree mismatch")
-    return poly
-
-
-def _expand(a: CycloProduct) -> list[int]:
-    """The coefficients of a polynomial-valued a, as `expand` describes."""
-    rest = a.as_dict()
-    e1 = rest.pop(1, 0)
-    for m0, e0 in sorted(((m, e) for m, e in rest.items() if e > 0), key=lambda f: (-f[1], f[0])):
-        others = {m: e for m, e in rest.items() if m != m0}
-        g = math.gcd(*others)
-        if g > 1:
-            r = CycloProduct({m // g: e for m, e in others.items()})
-            if negative_order(r) is None:
-                return _stride_product(m0, e0, g, _expand(r), e1)
-    return _expand_by_passes(a)
-
-
-def _stride_product(m0: int, e0: int, g: int, r: list[int], e1: int) -> list[int]:
-    """(t - 1)^e1 (t^m0 - 1)^e0 R(t^g), with r the coefficients of R."""
-    row = _binomial_power(1, e0)
-    span = m0 * e0 + 1
-    coeffs = [0] * (g * (len(r) - 1) + span)
-    for i, c in enumerate(r):
-        if c:
-            s = slice(g * i, g * i + span, m0)
-            coeffs[s] = map(add, coeffs[s], map(c.__mul__, row))
-    for _ in range(-e1):
-        coeffs = _div_by_tm_minus_1(coeffs, 1)
-    for _ in range(e1):
-        coeffs = _mul_by_tm_minus_1(coeffs, 1)
-    return coeffs
-
-
-def _expand_by_passes(a: CycloProduct) -> list[int]:
-    """The coefficients of a polynomial-valued a, one dense pass per
-    unit of every exponent but the largest one's."""
-    numerator = [(m, e) for m, e in a.factors if e > 0]
-    owed = {m: -e for m, e in a.factors if e < 0}
-    orders = {m: divisors(m) for m, _ in a.factors}  # t^m - 1 = prod_{n | m} Phi_n
-    content: dict[int, int] = {}  # Phi_n -> its multiplicity in coeffs
-
-    def record(m: int, e: int) -> None:
-        for n in orders[m]:
-            content[n] = content.get(n, 0) + e
-
-    def divide_out(coeffs: list[int]) -> list[int]:
-        for m in owed:
-            while owed[m] and all(content.get(n, 0) > 0 for n in orders[m]):
-                coeffs = _div_by_tm_minus_1(coeffs, m)
-                record(m, -1)
-                owed[m] -= 1
-        return coeffs
-
-    coeffs = [1]
-    if numerator:
-        first = max(numerator, key=lambda f: (f[1], -f[0]))
-        numerator.remove(first)
-        coeffs = _binomial_power(*first)
-        record(*first)
-    coeffs = divide_out(coeffs)
-    for m, e in numerator:
-        for _ in range(e):
-            coeffs = _mul_by_tm_minus_1(coeffs, m)
-            record(m, 1)
-            coeffs = divide_out(coeffs)
-    return coeffs
+    exps, deg = a.as_dict(), a.degree()
+    low = _series(exps, deg // 2)
+    high = low[::-1] if deg % 2 else low[-2::-1]
+    if sum(exps.values()) % 2:
+        low = list(map(neg, low))
+    if not _takes_its_values(exps, low, deg):
+        raise InternalError(f"expansion of {a} does not take the values at t = 1 and t = -1 its factors give")
+    low += high
+    return _dense(tuple(low))
 
 
 def exact_divide(a: CycloProduct, b: CycloProduct) -> CycloProduct:

@@ -164,11 +164,6 @@ class WeightedPoint:
         return "[" + ":".join(str(x) for x in self.coords) + "]"
 
 
-def _scaled(point: tuple, w: WeightVector, lam: Fraction) -> tuple:
-    a, b, c = point
-    return (lam**w.p * a, lam**w.q * b, lam**w.r * c)
-
-
 def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
     """Check the declared singular points, a sequence of
     :class:`WeightedPoint`, against the comparison form.
@@ -176,8 +171,8 @@ def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
     Computes (d, k) by decomposition, then requires that no declared point
     lies on the zero set of the degree-(d+k) form.  Vanishing on the
     weighted projective plane is representative-independent for a
-    weighted-homogeneous form; this is re-asserted by evaluating a second,
-    scaled representative of each point.
+    weighted-homogeneous form; this is re-asserted by checking that every
+    term of the form has w-degree d + k.
 
     Returns {"admissible": True | False | INDETERMINATE, "d", "k",
     "failures", "parts"}, where "parts" are the (degree, form) pairs of
@@ -189,20 +184,14 @@ def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
     if decomp.k is None:
         failures = ["germ is weighted-homogeneous: no comparison form to evaluate"]
         return {"admissible": INDETERMINATE, "failures": failures, **out}
-    form = decomp.part(decomp.d + decomp.k)
+    degree = decomp.d + decomp.k
+    form = decomp.part(degree)
+    if any(w.degree_of(monomial) != degree for monomial, _ in form.terms):
+        raise InternalError(f"C_{degree} is not w-homogeneous: vanishing on it depends on the representative")
     failures = []
     for point in declared_sing:
-        value = form.evaluate(*point.coords)
-        scaled_value = form.evaluate(*_scaled(point.coords, w, Fraction(2)))
-        if (value == 0) != (scaled_value == 0):
-            raise InternalError(
-                f"vanishing at {point.label()} depends on the representative"
-            )
-        if value == 0:
-            failures.append(
-                f"point {point.label()} (clause {point.clause}) lies on "
-                f"C_{decomp.d + decomp.k}"
-            )
+        if form.evaluate(*point.coords) == 0:
+            failures.append(f"point {point.label()} (clause {point.clause}) lies on C_{degree}")
     return {"admissible": not failures, "failures": failures, **out}
 
 

@@ -5,6 +5,7 @@ the error paths are checked for the documented exit codes: 1 for bad
 input, 2 for valid-but-unsupported input, 3 for internal inconsistencies.
 """
 
+import dataclasses
 import enum
 import json
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from singcalc import cli, cyclo
+from singcalc import cli, cyclo, wlys
 from singcalc.errors import NotPolynomial
 
 DATA = Path(__file__).parent / "data"
@@ -304,6 +305,35 @@ def test_wlys_text(capsys, tmp_path, make, text):
     assert run_cli(capsys, "wlys", "--input", str(path), "--format", "text") == (0, text, "")
 
 
+def test_wlys_with_a_huge_weight(capsys, tmp_path):
+    # the same verdict as weights (2, 2, 3), without raising 2 to any weight
+    data = json.loads((DATA / "wlys_s10.json").read_text())
+    data["weights"] = [2, 2**40, 3]
+    path = tmp_path / "wlys.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "wlys", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert json.loads(out)["admissible"] is True
+
+
+def test_non_homogeneous_comparison_form_exits_3(capsys, monkeypatch):
+    real = wlys.wdecompose
+
+    def mixed(f, w):
+        # a term of w-degree 2 in the degree-18 form; it vanishes at [0:0:1]
+        decomp = real(f, w)
+        (low, lowest), (degree, form), *rest = decomp.parts
+        stray = wlys.TrivarPoly({**form.as_dict(), (1, 0, 0): 1})
+        return dataclasses.replace(decomp, parts=((low, lowest), (degree, stray), *rest))
+
+    monkeypatch.setattr(wlys, "wdecompose", mixed)
+    code, out, err = run_cli(capsys, "wlys", "--input", str(DATA / "wlys_s10.json"))
+    assert (code, out) == (3, "")
+    assert err == "error: C_18 is not w-homogeneous: vanishing on it depends on the representative\n"
+
+
 def test_local_dot(capsys):
     code, out, _ = run_cli(
         capsys, "local", "--input", str(DATA / "cusp_germ.json"), "--format", "dot"
@@ -398,6 +428,24 @@ def test_zeta_text_with_a_smooth_huge_multiplicity(capsys, tmp_path):
     assert time.perf_counter() - start < 1
     assert (code, err) == (0, "")
     assert out.endswith(f"Delta (n=1) = (t-1)*(t^{2**50}-1)\n")
+
+
+def test_zeta_text_with_a_prime_huge_multiplicity(capsys, tmp_path):
+    # polynomiality is read off the gcd closure {1, 10^15 + 37}: no factoring
+    data = {
+        "vertices": [
+            {"id": "E1", "multiplicity": 10**15 + 37, "chi_open": -1},
+            {"id": "S1", "multiplicity": 1, "chi_open": 1},
+        ],
+        "strict": ["S1"],
+    }
+    path = tmp_path / "prime.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "zeta", "--input", str(path), "--format", "text")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.endswith(f"Delta (n=1) = (t-1)*(t^{10**15 + 37}-1)\n")
 
 
 def test_malformed_json_exits_1(capsys, tmp_path):
@@ -1227,8 +1275,15 @@ def test_adversarial_vertex_id_keeps_stock_encoder_bytes(capsys, monkeypatch, tm
 
 
 def test_non_palindromic_expansion_exits_3(capsys, monkeypatch):
-    real = cyclo.expand
-    monkeypatch.setattr(cli, "expand", lambda c: cyclo.DensePoly(real(c).coeffs + (0, 2)))
+    # a corrupted low half, mirrored into the high half, fails the value check
+    real = cyclo._series
+
+    def corrupt(factors, n):
+        coeffs = real(factors, n)
+        coeffs[0] += 2
+        return coeffs
+
+    monkeypatch.setattr(cyclo, "_series", corrupt)
     code, out, err = run_cli(capsys, "zeta", "--input", str(DATA / "zeta_cusp.json"))
     assert (code, out) == (3, "")
     assert err.startswith("error: expansion of ") and err.count("\n") == 1

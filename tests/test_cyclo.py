@@ -20,8 +20,9 @@ from singcalc import cyclo
 from singcalc.cyclo import (
     CycloProduct,
     DensePoly,
-    _div_by_tm_minus_1,
+    _exquo,
     _phi,
+    _times,
     combine,
     cyclotomic,
     divisors,
@@ -233,6 +234,16 @@ def test_negative_order_matches_exact_divide_witness():
 def test_negative_order_of_polynomials_is_none():
     assert negative_order(CycloProduct({})) is None
     assert negative_order(CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})) is None
+
+
+def test_polynomiality_from_the_gcd_closure_agrees_with_the_divisor_map():
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(5000):
+        a = CycloProduct({rng.randint(1, 200): rng.randint(-4, 4) for _ in range(rng.randint(1, 6))})
+        verdicts.append(negative_order(a) is None)
+        assert verdicts[-1] == all(c >= 0 for c in product_to_divisor(a).values()), a
+    assert 500 < sum(verdicts) < 4500
 
 
 def test_divisor_round_trip_known_value():
@@ -492,14 +503,45 @@ def cone_products(draw):
     return combine(CycloProduct({1: -1, d: e}), points, +1), d
 
 
+def _expand_by_dense_poly(a: CycloProduct) -> tuple:
+    """Reference expansion: the DensePoly product of the numerator factors
+    t^m - 1, divided exactly by each denominator factor with _exquo."""
+    numerator = DensePoly((1,))
+    for m, e in a.factors:
+        for _ in range(e):
+            numerator = DensePoly((-1,) + (0,) * (m - 1) + (1,)) * numerator
+    coeffs = list(numerator.coeffs)
+    for m, e in a.factors:
+        for _ in range(-e):
+            coeffs = _exquo(coeffs, [-1] + [0] * (m - 1) + [1])
+    return tuple(coeffs)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(effective_products, dominated_products(), cone_products().map(lambda case: case[0])))
+def test_expand_matches_dense_poly_products_and_exact_division(a):
+    assert expand(a).coeffs == _expand_by_dense_poly(a)
+
+
+def _series_calls(a: CycloProduct) -> list:
+    """The (factors, n) of each _series call expanding a, outermost first."""
+    with mock.patch.object(cyclo, "_series", wraps=cyclo._series) as spy:
+        _assert_expands_exactly(a)
+    return [call.args for call in spy.call_args_list]
+
+
 @settings(deadline=None, max_examples=60)
 @given(cone_products())
 def test_expand_cone_products_on_the_stride_path(case):
     a, d = case
-    with mock.patch.object(cyclo, "_stride_product", wraps=cyclo._stride_product) as spy:
-        _assert_expands_exactly(a)
-    # the outermost split is the last call: its R is expanded first
-    assert spy.call_args.args[0] == d
+    calls = _series_calls(a)
+    h = a.degree() // 2
+    points = {m: e for m, e in a.factors if m not in (1, d) and m <= h}
+    if points:  # (t^d - 1)^E splits off, and R is expanded up to h // g
+        g = math.gcd(*points)
+        assert calls[1] == ({m // g: e for m, e in points.items()}, h // g)
+    else:  # every point factor is 1 modulo t^(h+1)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -510,38 +552,97 @@ def test_expand_cone_products_on_the_stride_path(case):
         ({1: -1, 12: 31, 13: 40, 78: 40, 26: -40, 39: -40}, (12, 31, 13)),
         ({1: 2, 4: 3, 6: 1}, (4, 3, 6)),
         ({2: 2, 3: 1}, (2, 2, 3)),
+        # (t^4-1)^3 / (t^2-1)^2 splits with R(u) = (u - 1)^-2, a power series
+        ({2: -2, 4: 3}, (4, 3, 2)),
     ],
-    ids=["scaled-down-d60-cone", "t-1-in-numerator", "no-t-1"],
+    ids=["scaled-down-d60-cone", "t-1-in-numerator", "no-t-1", "R-not-a-polynomial"],
 )
 def test_expand_takes_the_first_factor_whose_complement_has_a_stride(factors, split):
-    with mock.patch.object(cyclo, "_stride_product", wraps=cyclo._stride_product) as spy:
-        _assert_expands_exactly(CycloProduct(factors))
-    assert [call.args[:3] for call in spy.call_args_list] == [split]
+    a = CycloProduct(factors)
+    m0, _, g = split
+    h = a.degree() // 2
+    r = {m // g: e for m, e in a.factors if m not in (1, m0) and m <= h}
+    assert _series_calls(a)[1:2] == [(r, h // g)]
 
 
 @pytest.mark.parametrize(
     "factors",
-    [{4: 1, 2: -1}, {1: -1, 2: 3, 3: 1, 5: 1}, {1: 3, 6: 2}],
-    ids=["R-not-a-polynomial", "no-common-stride", "nothing-besides-t^m0-1"],
+    [{1: -1, 2: 3, 3: 1, 5: 1}, {1: 3, 6: 2}],
+    ids=["no-common-stride", "nothing-besides-t^m0-1"],
 )
 def test_expand_falls_back_to_dense_passes(factors):
-    with mock.patch.object(cyclo, "_stride_product", wraps=cyclo._stride_product) as spy:
-        _assert_expands_exactly(CycloProduct(factors))
-    assert not spy.called
+    assert len(_series_calls(CycloProduct(factors))) == 1
 
 
-@pytest.mark.parametrize(
-    "coeffs,m",
-    [([1, 1], 1), ([0, 5, 0, 1], 2), ([3, 0, 0, 1], 3), ([-1, 7, 0, 1], 3), ([1], 1)],
-)
-def test_division_by_tm_minus_1_rejects_a_remainder(coeffs, m):
-    with pytest.raises(InternalError):
-        _div_by_tm_minus_1(coeffs, m)
+@settings(deadline=None, max_examples=200)
+@given(any_products, st.integers(min_value=0, max_value=80))
+def test_series_matches_one_pass_per_unit_of_each_exponent(a, n):
+    # any product, polynomial or not, split or not
+    coeffs = [1] + [0] * n
+    for m, e in a.factors:
+        _times(coeffs, m, e)
+    assert cyclo._series(a.as_dict(), n) == coeffs
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_division_by_tm_minus_1_inverts_multiplication(m):
-    q = list(range(1, 50))
-    assert _div_by_tm_minus_1(cyclo._mul_by_tm_minus_1(q, m), m) == q
-    with pytest.raises(InternalError):
-        _div_by_tm_minus_1([1] * 80, m)
+    # lengths on both sides of m^2: a running sum per residue class, and
+    # one per m-wide block
+    for n in sorted({m + 1, m * m, m * m + 1, 50} - {m}):
+        q = list(range(1, n + 1))
+        coeffs = list(q)
+        _times(coeffs, m, 2)
+        assert coeffs != q
+        _times(coeffs, m, -2)
+        assert coeffs == q
+
+
+# by the parities of (sum of exponents, degree): a small product and a cone's
+VALUE_CHECK_CLASSES = {
+    (0, 0): ({1: -1, 2: 2, 3: 1}, {1: -1, 6: 40, 9: 1}),
+    (0, 1): ({1: 1, 4: 1}, {1: -1, 6: 41, 9: 2}),
+    (1, 0): ({2: 3}, {1: -1, 6: 40, 9: -1, 18: 1}),
+    (1, 1): ({1: 2, 5: 1}, {1: -1, 6: 40, 9: 2}),
+}
+
+
+def _corrupting_series(at: int, by: int):
+    """A _series that adds by to coefficient at of the outermost series."""
+    real = cyclo._series
+    calls = []
+
+    def corrupt(factors, n):
+        outermost = not calls
+        calls.append(n)
+        coeffs = real(factors, n)
+        if outermost:
+            coeffs[at] += by
+        return coeffs
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "parities",
+    VALUE_CHECK_CLASSES,
+    ids=lambda p: "{}-sum-{}-degree".format(*("odd" if x else "even" for x in p)),
+)
+def test_value_check_catches_any_corrupted_low_coefficient(parities):
+    for factors in VALUE_CHECK_CLASSES[parities]:
+        a = CycloProduct(factors)
+        assert (sum(factors.values()) % 2, a.degree() % 2) == parities
+        for at in range(a.degree() // 2 + 1):
+            for by in (1, -1, 7):
+                with mock.patch.object(cyclo, "_series", _corrupting_series(at, by)):
+                    with pytest.raises(InternalError, match="does not take the values"):
+                        expand(a)
+
+
+def test_value_check_catches_seeded_mutants():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        a = cyclotomic({n: rng.randint(1, 3) for n in rng.sample(range(1, 40), 3)})
+        at, by = rng.randint(0, a.degree() // 2), rng.choice([-3, -1, 1, 2, 10**20])
+        with mock.patch.object(cyclo, "_series", _corrupting_series(at, by)):
+            with pytest.raises(InternalError, match="does not take the values"):
+                expand(a)
