@@ -177,6 +177,21 @@ def product_to_divisor(a: CycloProduct) -> dict[int, int]:
     return {n: c for n, c in orders.items() if c}
 
 
+def _gcd_closure(indices) -> set[int]:
+    """The indices together with the gcd of every nonempty subset of them."""
+    closure: set[int] = set()
+    for m in indices:
+        closure |= {math.gcd(m, g) for g in closure}
+        closure.add(m)
+    return closure
+
+
+def _order_multiplicity(a: CycloProduct, n: int) -> int:
+    """c_n = sum of e_m over the indices m that n divides: the exponent of
+    Phi_n in a."""
+    return sum(e for m, e in a.factors if m % n == 0)
+
+
 def negative_order(a: CycloProduct) -> int | None:
     """None if a is a polynomial, else the smallest n with Phi_n^{-1} in a.
 
@@ -184,11 +199,7 @@ def negative_order(a: CycloProduct) -> int | None:
     and their gcd g divides the same ones; so a is a polynomial exactly
     when c_g >= 0 for every g in the gcd closure of the indices.  Only a
     product that is not one is factored, for its witness."""
-    closure: set[int] = set()
-    for m, _ in a.factors:
-        closure |= {math.gcd(m, g) for g in closure}
-        closure.add(m)
-    if all(sum(e for m, e in a.factors if m % g == 0) >= 0 for g in closure):
+    if all(_order_multiplicity(a, g) >= 0 for g in _gcd_closure(m for m, _ in a.factors)):
         return None
     return min(n for n, c in product_to_divisor(a).items() if c < 0)
 
@@ -234,7 +245,7 @@ def root_multiplicity(a: CycloProduct, n: int) -> int:
     """
     if not (isinstance(n, int) and n >= 1):
         raise InputError(f"root order must be a positive integer, got {n!r}")
-    return sum(e for m, e in a.factors if m % n == 0)
+    return _order_multiplicity(a, n)
 
 
 def power_char(a: CycloProduct, k: int) -> CycloProduct:
@@ -269,8 +280,12 @@ def power_char(a: CycloProduct, k: int) -> CycloProduct:
 def gcd_cyclo(a: CycloProduct, b: CycloProduct) -> CycloProduct:
     """Greatest common divisor of two polynomial-valued products.
 
-    Computed in the cyclotomic basis by taking the minimum
-    multiplicity of each Phi_n.  Both inputs must be polynomials.
+    The exponent of Phi_n in the gcd is v_n = min(c_a(n), c_b(n)), and c_n
+    of either input depends only on the indices of both that n divides;
+    their gcd g lies in the gcd closure G of both index sets and divides
+    the same ones, so v_n = v_g.  The gcd is then prod_{g in G} (t^g-1)^f_g
+    with f_g = v_g - sum f_m over the m in G above g that g divides, solved
+    from the top of G down.  Both inputs must be polynomials.
 
     >>> gcd_cyclo(CycloProduct({1: 5}), CycloProduct({2: 1, 1: 1})).as_dict()
     {1: 2}
@@ -279,8 +294,11 @@ def gcd_cyclo(a: CycloProduct, b: CycloProduct) -> CycloProduct:
         bad = negative_order(p)
         if bad is not None:
             raise NotPolynomial(bad, f"gcd_cyclo {name} argument is not a polynomial (Phi_{bad})")
-    adict, bdict = product_to_divisor(a), product_to_divisor(b)
-    return cyclotomic({n: min(adict[n], bdict[n]) for n in adict.keys() & bdict.keys()})
+    exps: dict[int, int] = {}
+    for g in sorted(_gcd_closure(m for p in (a, b) for m, _ in p.factors), reverse=True):
+        common = min(_order_multiplicity(a, g), _order_multiplicity(b, g))
+        exps[g] = common - sum(f for m, f in exps.items() if m % g == 0)
+    return CycloProduct(exps)
 
 
 @dataclass(frozen=True)

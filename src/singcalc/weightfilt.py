@@ -23,13 +23,19 @@ them, and Fractions appear only in the canonical echelon bases.
 Matrices are tuples of row tuples.  `mat` and `matrix_from_json` give
 Fraction entries, and the arithmetic helpers take int and Fraction
 entries alike.  `analyze` clears denominators once, h = H / d with H an
-integer matrix, and from there computes on Python ints only: the
-characteristic polynomial, Phi_o(h) up to the scale d^deg, the rank
-sequences and h^m as (integer matrix, denominator); a rank does not
-change under a nonzero scale factor.  Every rank, echelon form, kernel
-and solution comes from one fraction-free Gauss-Jordan (Bareiss) loop
-over integer rows, `_eliminate`; `rref` divides by its last pivot once
-at the end.
+integer matrix, and from there computes on Python ints only; a rank
+does not change under a nonzero scale factor.  It builds one table of
+powers H^0, H^1, ... and takes the rest from it.  The characteristic
+polynomial comes from the traces tr H^k = tr(H^floor(k/2) H^ceil(k/2))
+by Newton's identities, ceil(n/2) - 1 matrix products for dimension n;
+Phi_o(h) up to the scale d^deg is a sum of table powers, which grows
+the table past H^ceil(n/2) only when deg Phi_o needs it.  Each rank
+sequence walks the row spaces, row(A^(j+1)) = row(A^j) A, multiplying
+and eliminating only the rank A^j rows of the step before; h^m, as
+(integer matrix, denominator), is computed apart by squaring.  Every
+rank, echelon form, kernel and solution comes from one fraction-free
+Gauss-Jordan (Bareiss) loop over integer rows, `_eliminate`; `rref`
+divides by its last pivot once at the end.
 """
 
 from __future__ import annotations
@@ -155,17 +161,18 @@ def _primitive(row) -> list:
 
 
 def _eliminate(rows) -> tuple:
-    """Fraction-free Gauss-Jordan (Bareiss) elimination of rational rows.
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of integer rows.
 
-    Each row is first scaled to integers.  Returns (reduced, pivots,
-    last): the nonzero reduced rows as int lists, their pivot columns and
-    the last pivot (1 if there is none).  Each reduced row holds ``last``
-    at its own pivot column and 0 at the other pivot columns, so dividing
-    by ``last`` gives the reduced row echelon form.  Every division is
-    exact: after each step the entries are minors of the scaled input and
-    the previous pivot divides them (Sylvester's identity; Bareiss 1968).
+    Returns (reduced, pivots, last): the nonzero reduced rows, their pivot
+    columns and the last pivot (1 if there is none).  Each reduced row
+    holds ``last`` at its own pivot column and 0 at the other pivot
+    columns, so dividing by ``last`` gives the reduced row echelon form.
+    Every division is exact: after each step the entries are minors of the
+    input and the previous pivot divides them (Sylvester's identity;
+    Bareiss 1968).  The entry points that take Fractions, `rref`,
+    `mat_rank` and `_kernel_rows`, scale each row to integers first.
     """
-    work = [_integer_row(row) for row in rows]
+    work = list(rows)
     pivots = []
     last = 1
     for col in range(len(work[0]) if work else 0):
@@ -189,12 +196,12 @@ def _eliminate(rows) -> tuple:
 
 def rref(rows) -> tuple:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    reduced, pivots, last = _eliminate(rows)
+    reduced, pivots, last = _eliminate([_integer_row(row) for row in rows])
     return tuple(tuple(Fraction(x, last) for x in row) for row in reduced), pivots
 
 
 def mat_rank(a: tuple) -> int:
-    return len(_eliminate(a)[1])
+    return len(_eliminate([_integer_row(row) for row in a])[1])
 
 
 def _kernel_rows(a) -> list:
@@ -203,7 +210,7 @@ def _kernel_rows(a) -> list:
     The vector of a free column j holds the last pivot at j, 0 at the other
     free columns and -row[j] at the pivot column of each reduced row.
     """
-    reduced, pivots, last = _eliminate(a)
+    reduced, pivots, last = _eliminate([_integer_row(row) for row in a])
     ncols = len(a[0])
     out = []
     for j in sorted(set(range(ncols)) - set(pivots)):
@@ -243,23 +250,52 @@ def solve_coordinates(basis: tuple, v: tuple):
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial (exact, Faddeev-LeVerrier)
+# the power table and the characteristic polynomial (Newton's identities)
 # ---------------------------------------------------------------------------
 
 
-def _int_charpoly(h: tuple) -> list:
-    """det(tI - h) of an integer matrix, integer coefficients low-first.
+def _power_table(h: tuple) -> list:
+    """[h^0, h^1] for an integer matrix h, the start of the table that
+    `_grow` extends."""
+    return [mat_identity(len(h)), h]
 
-    Faddeev-LeVerrier: with M_0 = 0 and c_n = 1, M_k = h M_{k-1} + c_{n-k+1} I
-    and c_{n-k} = -tr(h M_k) / k.  Every M_k is an integer matrix and the
-    division by k is exact.
+
+def _grow(powers: list, k: int) -> None:
+    """Extend the table [h^0, h^1, ...] in place up to h^k, one product
+    h^j = h^(j-1) h per missing power."""
+    while len(powers) <= k:
+        powers.append(mat_mul(powers[-1], powers[1]))
+
+
+def _trace_of_product(a: tuple, b: tuple) -> int:
+    """tr(a b), from the n^2 products of a's rows with b's columns."""
+    return sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*b)))
+
+
+def _int_charpoly(powers: list) -> list:
+    """det(tI - h) of an integer matrix h, integer coefficients low-first.
+
+    ``powers`` is the table [h^0, h^1, ...] of h; it is extended to
+    h^ceil(n/2), which takes ceil(n/2) - 1 matrix products at most.
+    Newton's identities give the coefficients from the power traces
+    p_k = tr h^k: with c_n = 1, k c_{n-k} = -(c_{n-k+1} p_1 + ... + c_n p_k).
+    Each p_k is tr(h^floor(k/2) h^ceil(k/2)), n^2 products of entries.  The
+    coefficients of an integer matrix are integers, so each division by k
+    is exact; a remainder raises InternalError.
     """
-    n = len(h)
+    n = len(powers[0])
+    _grow(powers, (n + 1) // 2)
     coeffs = [0] * n + [1]
-    hm = tuple((0,) * n for _ in range(n))  # h M_0
+    traces = []
     for k in range(1, n + 1):
-        hm = mat_mul(h, _add_scalar(hm, coeffs[n - k + 1]))
-        coeffs[n - k] = -(sum(hm[i][i] for i in range(n)) // k)
+        traces.append(_trace_of_product(powers[k // 2], powers[k - k // 2]))
+        total = -sum(map(mul, coeffs[n - k + 1 :], traces))
+        coeffs[n - k], remainder = divmod(total, k)
+        if remainder:
+            raise InternalError(
+                f"Newton's identity at k = {k} leaves remainder {remainder}: "
+                "the power traces do not fit an integer characteristic polynomial"
+            )
     return coeffs
 
 
@@ -271,7 +307,7 @@ def charpoly(a: tuple) -> list:
     """
     h, d = _integer_form(a)
     n = len(h)
-    return [Fraction(c, d ** (n - k)) for k, c in enumerate(_int_charpoly(h))]
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(_int_charpoly(_power_table(h)))]
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +470,20 @@ def _assert_weight_properties(powers: list, filt: WeightFiltration):
 
 
 def _rank_sequence(a: tuple, floor: int) -> tuple:
-    """rank a^0, rank a^1, ... until the rank reaches floor or stops dropping."""
+    """rank a^0, rank a^1, ... of an integer matrix a, until the rank
+    reaches floor or stops dropping.
+
+    The row space of a^(j+1) is that of a^j times a.  So each step takes
+    the r_j primitive echelon rows spanning row(a^j), multiplies them by a
+    and eliminates them: r_j n^2 products of entries and r_j rows, where
+    a^(j+1) itself would cost n^3 and an n-row elimination.
+    """
     ranks = [len(a)]
-    power = None
+    reduced = None
     while ranks[-1] > floor and (len(ranks) < 2 or ranks[-1] < ranks[-2]):
-        power = a if power is None else mat_mul(power, a)
-        ranks.append(mat_rank(power))
+        rows = a if reduced is None else mat_mul([_primitive(row) for row in reduced], a)
+        reduced = _eliminate(rows)[0]
+        ranks.append(len(reduced))
     return tuple(ranks)
 
 
@@ -461,7 +505,11 @@ def jordan_blocks(n_mat) -> tuple:
 
     The number of blocks of size >= j is rank(N^{j-1}) - rank(N^j).
     """
-    n_mat, _ = _integer_form(n_mat)  # the same ranks, scaled to integers
+    return _nilpotent_blocks(_integer_form(n_mat)[0])  # the same ranks, scaled to integers
+
+
+def _nilpotent_blocks(n_mat: tuple) -> tuple:
+    """`jordan_blocks` of a nilpotent integer matrix."""
     dim = len(n_mat)
     ranks = _rank_sequence(n_mat, 0)
     if ranks[-1]:
@@ -478,23 +526,28 @@ def jordan_blocks(n_mat) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_poly_at(coeffs, h: tuple, d: int) -> tuple:
+def _scaled_poly_at(coeffs, powers: list, d: int) -> tuple:
     """d^deg p(h / d) for an integer matrix h and p given by low-first
-    integer coefficients: an integer matrix, by Horner's rule."""
-    n = len(h)
+    integer coefficients c_i: the integer matrix sum_i c_i d^(deg-i) h^i.
+
+    It combines the powers in the table [h^0, h^1, ...] of h, extended to
+    h^deg if it is shorter; the sum itself takes no matrix product.
+    """
     deg = len(coeffs) - 1
-    out = tuple((0,) * n for _ in range(n))
-    for i in range(deg, -1, -1):
-        out = _add_scalar(mat_mul(out, h), coeffs[i] * d ** (deg - i))
-    return out
+    _grow(powers, deg)
+    weights, terms = zip(*((c * d ** (deg - i), powers[i]) for i, c in enumerate(coeffs) if c))
+    return tuple(
+        tuple(sum(map(mul, weights, entries)) for entries in zip(*rows)) for rows in zip(*terms)
+    )
 
 
-def _quasi_unipotent_content(h: tuple, d: int) -> tuple:
+def _quasi_unipotent_content(powers: list, d: int) -> tuple:
     """Cyclotomic content of charpoly(h / d) and the lcm of its orders, or
-    reject h / d.  Its charpoly is integral when d^(n-k) divides c_k(h)."""
-    n = len(h)
+    reject h / d; ``powers`` is the table [h^0, h^1, ...] of the integer
+    matrix h.  Its charpoly is integral when d^(n-k) divides c_k(h)."""
+    n = len(powers[0])
     scales = [d ** (n - k) for k in range(n + 1)]
-    coeffs = _int_charpoly(h)
+    coeffs = _int_charpoly(powers)
     if any(c % s for c, s in zip(coeffs, scales)):
         raise InputError(
             "matrix is not quasi-unipotent: characteristic polynomial is not integral"
@@ -509,7 +562,8 @@ def _quasi_unipotent_content(h: tuple, d: int) -> tuple:
 
 def default_power(h) -> int:
     """The default power m for delta_k: lcm of the cyclotomic orders."""
-    return _quasi_unipotent_content(*_integer_form(h))[1]
+    h, d = _integer_form(h)
+    return _quasi_unipotent_content(_power_table(h), d)[1]
 
 
 @dataclass(frozen=True)
@@ -572,7 +626,8 @@ def analyze(h, m: int = None) -> Census:
     """
     h, d = _integer_form(h)  # h / d is the automorphism
     n = len(h)
-    content, default_m = _quasi_unipotent_content(h, d)
+    powers = _power_table(h)
+    content, default_m = _quasi_unipotent_content(powers, d)
     if m is None:
         m = default_m
     elif m < 1:
@@ -585,7 +640,7 @@ def analyze(h, m: int = None) -> Census:
     ranks = {}
     blocks = {}
     for order, mult in content.items():
-        phi_h = _scaled_poly_at(_cyclo_coeffs(order), h, d)
+        phi_h = _scaled_poly_at(_cyclo_coeffs(order), powers, d)
         ranks[order] = _rank_sequence(phi_h, n - mult * _phi(order))
         blocks[order] = _block_counts(ranks[order], _phi(order))
     census = Census(content, m, ranks, blocks)
@@ -596,7 +651,8 @@ def analyze(h, m: int = None) -> Census:
 
 
 def _assert_census(census: Census, n_mat: tuple):
-    """Check the rank sequences against the content and against N = I - h^m."""
+    """Check the rank sequences against the content and against the
+    integer matrix n_mat, a nonzero multiple of N = I - h^m."""
     for order, ranks in census.ranks.items():
         width = _phi(order)
         drops = [r - s for r, s in zip(ranks, ranks[1:])]
@@ -613,7 +669,7 @@ def _assert_census(census: Census, n_mat: tuple):
                 f"but Phi_{order} has multiplicity {census.content[order]}"
             )
     pooled = census.jordan_blocks()
-    if pooled != jordan_blocks(n_mat):
+    if pooled != _nilpotent_blocks(n_mat):
         raise InternalError(
             f"census blocks {pooled} differ from the Jordan blocks of I - h^m"
         )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from singcalc import cli, cyclo, wlys
+from singcalc import cli, cyclo, weightfilt, wlys
 from singcalc.errors import NotPolynomial
 
 DATA = Path(__file__).parent / "data"
@@ -1287,6 +1287,21 @@ def test_non_palindromic_expansion_exits_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "zeta", "--input", str(DATA / "zeta_cusp.json"))
     assert (code, out) == (3, "")
     assert err.startswith("error: expansion of ") and err.count("\n") == 1
+
+
+def test_newton_remainder_exits_3(capsys, monkeypatch):
+    # p_2 one off makes 2 c_{n-2} odd: the division by k = 2 leaves a remainder
+    real = weightfilt._trace_of_product
+    calls = []
+
+    def corrupt(a, b):
+        calls.append(None)
+        return real(a, b) + (len(calls) == 2)
+
+    monkeypatch.setattr(weightfilt, "_trace_of_product", corrupt)
+    code, out, err = run_cli(capsys, "weightfilt", "--input", str(DATA / "unipotent2.json"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Newton's identity at k = 2 ") and err.count("\n") == 1
 
 
 class _Level(enum.IntEnum):

@@ -246,6 +246,33 @@ def test_polynomiality_from_the_gcd_closure_agrees_with_the_divisor_map():
     assert 500 < sum(verdicts) < 4500
 
 
+def _random_polynomial_product(rng):
+    """A seeded polynomial product: a cyclotomic content, or a product of
+    t^m - 1 with some negative exponents that happens to be a polynomial."""
+    while True:
+        if rng.random() < 0.5:
+            orders = {rng.randint(1, 24): rng.randint(0, 3) for _ in range(rng.randint(0, 4))}
+            return cyclotomic(orders)
+        exps = {rng.randint(1, 60): rng.randint(-2, 4) for _ in range(rng.randint(1, 6))}
+        a = CycloProduct(exps)
+        if negative_order(a) is None:
+            return a
+
+
+def test_gcd_from_the_gcd_closure_agrees_with_the_divisor_map():
+    rng = random.Random(20261020)
+    proper = 0
+    for _ in range(5000):
+        common = _random_polynomial_product(rng)
+        a = common * _random_polynomial_product(rng)
+        b = common * _random_polynomial_product(rng)
+        adict, bdict = product_to_divisor(a), product_to_divisor(b)
+        expected = cyclotomic({n: min(adict[n], bdict[n]) for n in adict.keys() & bdict.keys()})
+        assert gcd_cyclo(a, b) == expected, (a, b)
+        proper += expected not in (CycloProduct({}), a, b)
+    assert proper > 2000
+
+
 def test_divisor_round_trip_known_value():
     cusp = CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})
     assert product_to_divisor(cusp) == {6: 1}

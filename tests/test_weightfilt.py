@@ -7,14 +7,19 @@ from fractions import Fraction
 
 import pytest
 
+from singcalc import weightfilt
 from singcalc.cyclo import CycloProduct, cyclotomic, expand, root_multiplicity
 from singcalc.errors import InputError, InternalError
 from singcalc.weightfilt import (
     Census,
     WeightFiltration,
     _assert_weight_properties,
+    _int_charpoly,
     _integer_form,
     _nilpotent_powers,
+    _power_table,
+    _rank_sequence,
+    _scaled_poly_at,
     _scaled_pow,
     analyze,
     charpoly,
@@ -320,6 +325,138 @@ def test_charpoly_dense_random_vs_leibniz():
             assert sum(c * x**i for i, c in enumerate(coeffs)) == leibniz_det(shifted)
 
 
+def faddeev_leverrier(h):
+    """det(tI - h) of an integer matrix, low-first: with M_0 = 0 and c_n = 1,
+    M_k = h M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(h M_k) / k."""
+    n = len(h)
+    coeffs = [0] * n + [1]
+    hm = [[0] * n for _ in range(n)]  # h M_0
+    for k in range(1, n + 1):
+        shifted = [[x + (coeffs[n - k + 1] if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(hm)]
+        hm = mat_mul(h, shifted)
+        trace = sum(hm[i][i] for i in range(n))
+        assert trace % k == 0
+        coeffs[n - k] = -trace // k
+    return coeffs
+
+
+def seeded_integer_matrices(rng):
+    """Integer matrices of dimension 0-10: dense ones, singular ones (one row
+    a combination of two others) and nilpotent ones (strictly upper
+    triangular, conjugated by a unimodular matrix)."""
+    for n in range(11):
+        for kind in ("dense", "singular", "nilpotent"):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if kind == "singular" and n >= 3:
+                rows[0] = [2 * x - y for x, y in zip(rows[1], rows[2])]
+            if kind == "nilpotent":
+                rows = [[x * (j > i) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+                rows = conjugate(mat(rows), random_unimodular(n, rng)) if n else ()
+            yield kind, tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def test_charpoly_by_newton_matches_faddeev_leverrier():
+    rng = random.Random(22)
+    for kind, h in seeded_integer_matrices(rng):
+        powers = _power_table(h)
+        coeffs = _int_charpoly(powers)
+        assert coeffs == faddeev_leverrier(h), (kind, h)
+        # the table stops at h^ceil(n/2): ceil(n/2) - 1 products
+        assert len(powers) == max(2, (len(h) + 1) // 2 + 1)
+        if kind == "nilpotent":
+            assert coeffs == [0] * len(h) + [1]
+        if kind == "singular" and len(h) >= 3:
+            assert coeffs[0] == 0
+
+
+def test_newton_remainder_raises_internal_error(monkeypatch):
+    real = weightfilt._trace_of_product
+    calls = []
+
+    def corrupt(a, b):
+        calls.append(None)
+        return real(a, b) + (len(calls) == 2)  # p_2 one off: 2 c_{n-2} is odd
+
+    monkeypatch.setattr(weightfilt, "_trace_of_product", corrupt)
+    with pytest.raises(InternalError, match="Newton's identity at k = 2"):
+        _int_charpoly(_power_table(((1, 1), (0, 1))))
+
+
+def horner(coeffs, h, d):
+    """d^deg p(h / d) by Horner's rule: out = out h + c_i d^(deg-i) I."""
+    n = len(h)
+    deg = len(coeffs) - 1
+    out = tuple((0,) * n for _ in range(n))
+    for i in range(deg, -1, -1):
+        out = tuple(
+            tuple(x + (coeffs[i] * d ** (deg - i) if r == c else 0) for c, x in enumerate(row))
+            for r, row in enumerate(mat_mul(out, h))
+        )
+    return out
+
+
+def test_scaled_poly_at_matches_horner():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(0, 7)
+        h = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        d = rng.randint(1, 4)
+        coeffs = [rng.choice([0, 0, 1, -1, rng.randint(-5, 5)]) for _ in range(rng.randint(0, 6))]
+        coeffs.append(rng.choice([1, -1, 2]))
+        powers = _power_table(h)
+        assert _scaled_poly_at(coeffs, powers, d) == horner(coeffs, h, d)
+        assert len(powers) == max(2, len(coeffs))  # only the powers it combines
+
+
+def direct_sum(blocks):
+    """The block diagonal matrix of the given square blocks."""
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    return mat(rows)
+
+
+def ranks_of_powers(a, floor):
+    """rank a^0, rank a^1, ... from explicit powers, with `_rank_sequence`'s
+    stopping rule: until the rank reaches floor or stops dropping."""
+    ranks = [len(a)]
+    power = mat_identity(len(a))
+    while ranks[-1] > floor and (len(ranks) < 2 or ranks[-1] < ranks[-2]):
+        power = mat_mul(power, a)
+        ranks.append(mat_rank(power))
+    return tuple(ranks)
+
+
+def test_rank_sequence_matches_ranks_of_explicit_powers():
+    # nilpotent Jordan blocks beside an invertible block, conjugated by a
+    # matrix of determinant +-2 or +-3: rational entries, d > 1
+    rng = random.Random(24)
+    rational = 0
+    for n in range(1, 13):
+        for _ in range(3):
+            sizes, left = [], rng.randint(1, n)
+            while left:
+                sizes.append(rng.randint(1, left))
+                left -= sizes[-1]
+            invertible = n - sum(sizes)
+            unit = random_unimodular(invertible, rng) if invertible else ()
+            blocks = (jordan_nilpotent(sizes), unit)
+            p = [list(row) for row in random_unimodular(n, rng)]
+            row = rng.randrange(n)
+            p[row] = [rng.choice([2, -2, 3, -3]) * x for x in p[row]]
+            a = conjugate(direct_sum(blocks), mat(p))
+            h, d = _integer_form(a)
+            rational += d > 1
+            for floor in {0, invertible}:
+                assert _rank_sequence(h, floor) == ranks_of_powers(a, floor), (sizes, invertible)
+    assert rational >= 25  # the rest conjugate to integers, the zero matrix among them
+
+
 def test_matrix_json_round_trip():
     a = mat([["1/2", 3], [0, "-7/3"]])
     assert matrix_from_json([[str(x) for x in row] for row in a]) == a
@@ -572,15 +709,7 @@ def census_matrices():
             expected[level] = expected.get(level, {})
             expected[level][o] = expected[level].get(o, 0) + 1
             dim += len(poly) - 1
-        n = sum(len(p) for p in pieces)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        off = 0
-        for p in pieces:
-            for i in range(len(p)):
-                for j in range(len(p)):
-                    rows[off + i][off + j] = p[i][j]
-            off += len(p)
-        yield conjugate(mat(rows), random_unimodular(n, rng)), expected
+        yield conjugate(direct_sum(pieces), random_unimodular(dim, rng)), expected
 
 
 def test_delta_k_census_random():
