@@ -7,6 +7,11 @@
     singcalc wlys       --input germ3.json     [--format json|text]
     singcalc zeta       --input graph.json     [--n 1|2] [--format json|text]
 
+An argv that starts with a subcommand is parsed by that subcommand's
+parser alone, with the result and messages the top-level parser would
+give; any other argv goes through the top-level parser.  Inputs are
+UTF-8 JSON files, read as bytes and decoded as UTF-8.
+
 Reports are deterministic: JSON is emitted with sorted keys, and exact
 rationals are serialized as strings "p/q".  Exit codes: 0 success,
 1 input error, 2 valid-but-unsupported input, 3 internal inconsistency.
@@ -85,14 +90,23 @@ def _verdict(value):
 
 
 def _load_json(path: str):
+    """The JSON value in a UTF-8 file.  The bytes are decoded, and CRLF
+    and a lone CR made one newline, as a text-mode read would: JSON error
+    offsets count the characters of that text.  The decoding is done
+    here, not by json.loads, which would also take UTF-16 and UTF-32."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}")
+    except OSError as exc:  # a directory, no permission to read, a failed read
+        raise InputError(f"cannot read input file {path}: {exc.strerror or exc}")
     except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError, bytes that are not UTF-8 and
-        # integer literals past the interpreter's digit limit
+        # ValueError covers JSONDecodeError, bytes that are not UTF-8, a
+        # path with a NUL and integer literals past the interpreter's digit limit
         raise InputError(f"input file {path} is not valid JSON: {exc}")
 
 
@@ -518,7 +532,8 @@ def cmd_zeta(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and {subcommand: its parser}."""
     parser = argparse.ArgumentParser(
         prog="singcalc",
         description="Exact invariants of cone-like surface singularities "
@@ -557,19 +572,34 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_zeta, cmd_zeta)
     p_zeta.add_argument("--n", type=int, default=1, choices=[1, 2], help="cohomology degree")
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses: built on the first call and reused after it,
-    since building one costs more than most reports."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parsers `main` uses: built on the first call and reused after it,
+    since building them costs more than most reports."""
+    return _parsers()
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            # what the top-level parser does with such an argv, without
+            # its own pass over it: the subcommand's parser takes the rest
+            # and the top-level parser rejects what that leaves over
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; that is an input error here.
         return 0 if exc.code == 0 else 1

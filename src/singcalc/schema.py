@@ -2,12 +2,15 @@
 
 Every input parser reads its values here.  An integer is a JSON integer,
 neither a boolean nor a number with a fraction or exponent part (1.0); a
-rational a JSON integer or a string "p" or "p/q" of decimal digits; an
-order, a factor-map key, a string of digits without a leading zero.  The
+rational a JSON integer or a string "p" or "p/q" of decimal digits, read
+as an int, or as a Fraction when written "p/q"; an order, a factor-map
+key, a string of digits without a leading zero.  The
 other kinds are JSON types, and (container, kind) reads the entries of an
 array or object as kind.  An object of a schema has no key the schema does
 not declare.  Off-schema values raise a one-line InputError.
 
+>>> read(7, "rational", "c"), read("-4", "rational", "c"), read("6/4", "rational", "c")
+(7, -4, Fraction(3, 2))
 >>> read(1.0, "integer", "k")
 Traceback (most recent call last):
 ...
@@ -39,7 +42,8 @@ REQUIRED = object()
 
 
 def read(x, kind, where: str):
-    """x as kind: an int for an order, a Fraction for a rational, else x."""
+    """x as kind: an int for an order, an int or (for "p/q") a Fraction for
+    a rational, else x."""
     if _TYPES.get(kind) is type(x):  # type, not isinstance: True is no integer
         return x
     if isinstance(kind, tuple):
@@ -54,10 +58,12 @@ def read(x, kind, where: str):
         x = {k: read(v, inner, name.format(k, where)) for k, v in items}
         return list(x.values()) if outer == "array" else x
     if kind == "rational" and type(x) is int:
-        return Fraction(x)
+        return x
     if kind in _PATTERNS and type(x) is str and (match := _PATTERNS[kind].fullmatch(x)):
         try:
-            return int(x) if kind == "order" else Fraction(int(match[1]), int(match[2] or 1))
+            if kind == "order" or match[2] is None:
+                return int(x)
+            return Fraction(int(match[1]), int(match[2]))
         except ZeroDivisionError as exc:
             raise InputError(f"bad {where}: zero denominator in {json.dumps(x)}") from exc
         except ValueError as exc:  # more digits than the interpreter converts

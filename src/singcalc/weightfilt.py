@@ -20,11 +20,12 @@ the one extra term N^{-k-1} Ker N^{-k-1} is 0.  It scales N to integers
 once; the levels are primitive integer rows, the post-hoc checks run on
 them, and Fractions appear only in the canonical echelon bases.
 
-Matrices are tuples of row tuples.  `mat` and `matrix_from_json` give
-Fraction entries, and the arithmetic helpers take int and Fraction
-entries alike.  `analyze` clears denominators once, h = H / d with H an
-integer matrix, and from there computes on Python ints only; a rank
-does not change under a nonzero scale factor.  It builds one table of
+Matrices are tuples of row tuples.  `mat` gives Fraction entries,
+`matrix_from_json` ints and, for "p/q" strings, Fractions, and the
+arithmetic helpers take int and Fraction entries alike.  `analyze`
+clears denominators once, h = H / d with H an integer matrix, and from
+there computes on Python ints only; a rank does not change under a
+nonzero scale factor.  It builds one table of
 powers H^0, H^1, ... and takes the rest from it.  The characteristic
 polynomial comes from the traces tr H^k = tr(H^floor(k/2) H^ceil(k/2))
 by Newton's identities, ceil(n/2) - 1 matrix products for dimension n;
@@ -702,7 +703,8 @@ def matrix_from_json(data) -> tuple:
     """Parse a matrix as docs/schemas/matrix.schema.json defines it.
 
     A nonempty array of rows; each entry a JSON integer or a string
-    "p" or "p/q" of decimal digits.
+    "p" or "p/q" of decimal digits, read as an int or, for "p/q", a
+    Fraction.
     """
     rows = read(data, ("array", "array"), "matrix")
     if not rows:

@@ -59,10 +59,24 @@ class TrivarPoly:
         return not self.terms
 
     def evaluate(self, a, b, c) -> Fraction:
-        total = Fraction(0)
-        for (i, j, l), coeff in self.terms:
-            total += coeff * Fraction(a) ** i * Fraction(b) ** j * Fraction(c) ** l
-        return total
+        """The value at (a, b, c), summed over ints: with D the lcm of the
+        coefficients' denominators and top_v the largest exponent of each
+        variable v, every term is scaled by D * prod den(v)^top_v."""
+        lcd = math.lcm(*(coeff.denominator for _, coeff in self.terms))
+        scale = lcd
+        powers = []  # per variable, {e: num^e * den^(top_v - e)} over its exponents e
+        for v, x in enumerate(map(Fraction, (a, b, c))):
+            exponents = {key[v] for key, _ in self.terms}
+            top = max(exponents, default=0)
+            num, den = x.numerator, x.denominator
+            powers.append({e: num**e * den ** (top - e) for e in exponents})
+            scale *= den**top
+        pa, pb, pc = powers
+        total = sum(
+            coeff.numerator * (lcd // coeff.denominator) * pa[i] * pb[j] * pc[l]
+            for (i, j, l), coeff in self.terms
+        )
+        return Fraction(total, scale)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from singcalc import cli, cyclo, weightfilt, wlys
-from singcalc.errors import NotPolynomial
+from singcalc.errors import InputError, NotPolynomial, SingcalcError
 
 DATA = Path(__file__).parent / "data"
 
@@ -473,6 +473,139 @@ def test_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "local", "--input", "/no/such/file.json")
     assert code == 1
     assert "not found" in err
+
+
+@pytest.mark.parametrize("suffix", ["", "/cusp_germ.json/"], ids=["directory", "file-as-directory"])
+def test_unreadable_input_path_exits_1(capsys, tmp_path, suffix):
+    shutil.copy(DATA / "cusp_germ.json", tmp_path)
+    path = str(tmp_path) + suffix
+    code, out, err = run_cli(capsys, "local", "--input", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read input file {path}: ")
+    assert len(err.splitlines()) == 1
+
+
+def _lf_germ():
+    """The cusp germ written over several lines, each ended by LF."""
+    return json.dumps(json.loads((DATA / "cusp_germ.json").read_text()), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_give_the_report_of_the_lf_file(capsys, tmp_path, newline):
+    path = tmp_path / "germ.json"
+    (tmp_path / "lf.json").write_text(_lf_germ())
+    path.write_bytes(_lf_germ().replace("\n", newline).encode())
+    twin = run_cli(capsys, "local", "--input", str(tmp_path / "lf.json"))
+    assert run_cli(capsys, "local", "--input", str(path)) == twin
+    assert twin[0] == 0
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_malformed_file_error_reads_as_a_text_mode_load(capsys, tmp_path, newline):
+    # the offsets in the message count characters of the text-mode text,
+    # in which each line end is one "\n"
+    path = tmp_path / "germ.json"
+    path.write_bytes(_lf_germ().replace("}", "", 1).replace("\n", newline).encode())
+    with pytest.raises(json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    assert exc.value.lineno > 1
+    code, out, err = run_cli(capsys, "local", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: input file {path} is not valid JSON: {exc.value}\n"
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        lambda s: s.encode("utf-16"),
+        lambda s: s.encode("utf-16-le"),
+        lambda s: s.encode("utf-32"),
+        lambda s: s.encode("utf-8-sig"),
+        lambda s: s.encode()[:9] + b"\xc3\x28" + s.encode()[9:],
+    ],
+    ids=["utf-16", "utf-16-le", "utf-32", "utf-8-bom", "invalid-utf-8"],
+)
+def test_files_that_are_not_plain_utf8_exit_1(capsys, tmp_path, encode):
+    path = tmp_path / "germ.json"
+    path.write_bytes(encode(_lf_germ()))
+    with pytest.raises(ValueError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    code, out, err = run_cli(capsys, "local", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: input file {path} is not valid JSON: {exc.value}\n"
+
+
+def _reference_main(argv):
+    """main as it was when every argv went through the full parser: the
+    top-level parser, which hands the subcommand's arguments on to the
+    subcommand's parser, then the handler."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 1
+    try:
+        if "input" in vars(args) and not args.input:
+            raise InputError(f"{args.command} needs --input FILE")
+        sys.stdout.write(args.handler(args))
+        return 0
+    except SingcalcError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+# GERM, MATRIX and GRAPH stand for input files of tests/data
+_GERM, _MATRIX, _GRAPH = "GERM", "MATRIX", "GRAPH"
+_FILES = {"GERM": "cusp_germ.json", "MATRIX": "unipotent2.json", "GRAPH": "zeta_cusp.json"}
+_QUOT = ["quotient", "--d", "7", "--beta", "5"]
+ARGV_CORPUS = [
+    # help, before and after a command
+    [], ["--help"], ["-h"], ["--he"], ["-h", "local"], ["--help", "quotient"],
+    ["local", "--help"], ["local", "-h"], ["lys", "--help"], ["weightfilt", "-h"],
+    ["wlys", "-h"], ["zeta", "--help"], ["quotient", "--he"], [*_QUOT, "-h"],
+    ["local", "--input", _GERM, "--help", "--bogus"],
+    # unknown commands and flags
+    ["bogus"], ["bogus", "--input", _GERM], ["LOCAL"], ["loc", "--input", _GERM],
+    ["--bogus"], ["--bogus", "local", "--input", _GERM], ["local", "--bogus"],
+    ["local", "--input", _GERM, "--bogus"], ["local", "--input", _GERM, "extra"],
+    ["local", "--input", _GERM, "-x", "y", "--z=1"], [*_QUOT, "--bogus"],
+    ["quotient", "x", "--d", "7", "--beta", "5"], ["local", "-i", _GERM], ["local", "-hx"],
+    ["--input", _GERM, "local"], ["--format", "text", *_QUOT],
+    # abbreviations and --flag=value
+    ["local", "--inp", _GERM], ["local", "--i", _GERM], ["local", "--in=" + _GERM],
+    ["quotient", "--d", "7", "--be", "5"], ["quotient", "--d=7", "--be=5", "--f", "text"],
+    ["quotient", "--d", "7", "--b", "5"], ["weightfilt", "--input", _MATRIX, "--ce", "1"],
+    ["weightfilt", "--input", _MATRIX, "--c=2"], ["local", "--format=dot", "--input", _GERM],
+    # "--" and repeated flags
+    ["local", "--", "--input", _GERM], ["local", "--input", _GERM, "--"],
+    ["local", "--input", _GERM, "--", "x"], ["--", "local", "--input", _GERM],
+    [*_QUOT, "--"], ["quotient", "--", "--d", "7"], [*_QUOT, "--d", "9"],
+    ["local", "--input", _GRAPH, "--input", _GERM],
+    ["local", "--input", _GERM, "--format", "text", "--format", "dot"],
+    ["local", "--input=" + _GERM, "--format=text"],
+    # missing values, bad choices and bad types
+    ["local", "--input"], ["local", "--format"], ["quotient", "--d", "--beta", "5"],
+    ["quotient", "--beta", "5"], ["quotient"], ["local"], ["local", "--input", ""],
+    [*_QUOT, "--d"], ["local", "--input", _GERM, "--format", "xml"], [*_QUOT, "--format", "dot"],
+    ["zeta", "--input", _GRAPH, "--n", "3"], ["zeta", "--input", _GRAPH, "--n", "x"],
+    ["zeta", "--input", _GRAPH, "--n=2"], ["quotient", "--d", "x", "--beta", "5"],
+    ["quotient", "--d", "-7", "--beta", "5"], ["quotient", "--d", " 7", "--beta", "5"],
+    ["local", "--input", "-5"], ["local", "--input", "--format"],
+    ["weightfilt", "--input", _MATRIX, "--m", "-2"], [*_QUOT, "-"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "empty")
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, file in _FILES.items():
+        argv = [a.replace(name, str(DATA / file)) for a in argv]
+    expected = (_reference_main(list(argv)), *capsys.readouterr())
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_missing_input_flag_exits_1(capsys):

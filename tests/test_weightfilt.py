@@ -468,6 +468,34 @@ def test_matrix_json_round_trip():
         matrix_from_json("nope")
 
 
+def test_matrix_json_reads_integers_as_ints():
+    # JSON integers and "p" strings are ints, "p/q" strings Fractions,
+    # whether a row is all ints or mixed
+    rows = matrix_from_json([[1, -2, 0], ["3", "-4", "8/2"], [5, "6/4", 7]])
+    assert rows == ((1, -2, 0), (3, -4, 4), (5, Fraction(3, 2), 7))
+    assert [[type(x) for x in row] for row in rows] == [
+        [int, int, int],
+        [int, int, Fraction],
+        [int, Fraction, int],
+    ]
+    with pytest.raises(InputError, match=r"matrix entry \[0\]\[1\]"):
+        matrix_from_json([[1, True], [0, 1]])
+    with pytest.raises(InputError, match=r"matrix entry \[1\]\[0\]"):
+        matrix_from_json([[1, 0], [1.0, 1]])
+
+
+def test_integer_form_of_int_rows_is_that_of_their_fractions():
+    rng = random.Random(23)
+    for n in range(1, 7):
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        h, d = _integer_form([[Fraction(x) for x in row] for row in a])
+        assert _integer_form(a) == (h, d) == (tuple(map(tuple, a)), 1)
+        assert all(type(x) is int for row in h for x in row)
+    assert _integer_form([[Fraction(1, 2), 1], [0, Fraction(-2, 3)]]) == (((3, 6), (0, -4)), 6)
+    with pytest.raises(InputError):
+        _integer_form([[1, 2], [3]])
+
+
 # ---------------------------------------------------------- weight filtration
 
 

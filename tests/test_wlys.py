@@ -211,3 +211,31 @@ def test_point_json():
     assert p.flags == (("transversal", True),)
     with pytest.raises(InputError):
         point_from_json({"coords": ["1", "2"]})
+
+
+def _evaluate_term_by_term(f, a, b, c):
+    """The value of f at (a, b, c) as a sum of Fraction terms."""
+    total = Fraction(0)
+    for (i, j, l), coeff in f.terms:
+        total += coeff * Fraction(a) ** i * Fraction(b) ** j * Fraction(c) ** l
+    return total
+
+
+def test_evaluate_matches_term_by_term_fractions():
+    rng = random.Random(23)
+    coordinates = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), "3/4"]
+    for _ in range(400):
+        f = TrivarPoly(
+            {
+                tuple(rng.randint(0, 7) for _ in range(3)): Fraction(
+                    rng.randint(-20, 20), rng.randint(1, 6)
+                )
+                for _ in range(rng.randint(0, 8))
+            }
+        )
+        point = [rng.choice(coordinates) for _ in range(3)]
+        value = f.evaluate(*point)
+        assert type(value) is Fraction
+        assert value == _evaluate_term_by_term(f, *point), (f, point)
+    assert SUSPENSION_GERM.evaluate(0, 0, 0) == 0
+    assert TrivarPoly({(0, 0, 0): 3}).evaluate(0, 0, 0) == 3
