@@ -24,7 +24,6 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
 from .cyclo import CycloProduct, DensePoly, expand, require_polynomial
@@ -36,12 +35,15 @@ from .schema import REQUIRED, field, keyed, monomials, objects, read
 # ---------------------------------------------------------------------------
 
 
-class _Expansion(NamedTuple):
+class _Expansion:
     """A product's expansion as `_write` writes it: the coefficients, and
     whether the sum of the product's exponents is odd."""
 
-    coeffs: tuple[int, ...]
-    odd: bool
+    __slots__ = ("coeffs", "odd")
+
+    def __init__(self, coeffs: tuple[int, ...], odd: bool):
+        self.coeffs = coeffs
+        self.odd = odd
 
 
 def _poly_block(c: CycloProduct) -> dict:
@@ -156,7 +158,7 @@ def _write(value, out: list, indent: str) -> None:
         inner = indent + "  "
         # appended apart: joining them here would copy the decimals, the
         # largest part of a big report, once more before the final join
-        out += ("[", inner, _decimals(*value, "," + inner), indent, "]")
+        out += ("[", inner, _decimals(value.coeffs, value.odd, "," + inner), indent, "]")
     else:  # floats, subclasses of int and str, and types JSON cannot write
         out.append(json.dumps(value))
 
@@ -205,10 +207,16 @@ def _bivar_from_json(data) -> qres2d.BivarPoly:
 def _qgraph_json(g: qres2d.QResolutionGraph) -> dict:
     return {
         "vertices": [
-            {**v.__dict__, "self_int": None if v.self_int is None else str(v.self_int)}
+            {
+                "id": v.id,
+                "multiplicity": v.multiplicity,
+                "self_int": None if v.self_int is None else str(v.self_int),
+                "genus": v.genus,
+                "quotient_points": v.quotient_points,
+            }
             for v in sorted(g.vertices.values(), key=lambda v: v.id)
         ],
-        "edges": [e.__dict__.copy() for e in g.edges],
+        "edges": [{"u": e.u, "v": e.v, "quotient": e.quotient} for e in g.edges],
         "strict": sorted(g.strict_vertices),
         "blowups": g.blowups,
     }
@@ -216,7 +224,16 @@ def _qgraph_json(g: qres2d.QResolutionGraph) -> dict:
 
 def _sgraph_json(g: qres2d.SmoothResolutionGraph) -> dict:
     return {
-        "vertices": [v.__dict__.copy() for v in sorted(g.vertices.values(), key=lambda v: v.id)],
+        "vertices": [
+            {
+                "id": v.id,
+                "multiplicity": v.multiplicity,
+                "self_int": v.self_int,
+                "genus": v.genus,
+                "chi_open": v.chi_open,
+            }
+            for v in sorted(g.vertices.values(), key=lambda v: v.id)
+        ],
         "edges": g.edges,
         "strict": sorted(g.strict_vertices),
     }

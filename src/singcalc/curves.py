@@ -13,9 +13,9 @@ Everything here is arithmetic over exact rationals; no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord, setfield
 from .errors import INDETERMINATE, InputError
 from .schema import field, keyed, objects
 
@@ -98,20 +98,19 @@ def genus_component(degree: int, deltas) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveComponent:
+class CurveComponent(FrozenRecord):
     """One irreducible component: an identifier and its degree."""
 
-    id: str
-    degree: int
+    __slots__ = ("id", "degree")
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise InputError(f"component {self.id!r}: degree must be >= 1, got {self.degree}")
+    def __init__(self, id: str, degree: int):
+        if degree < 1:
+            raise InputError(f"component {id!r}: degree must be >= 1, got {degree}")
+        setfield(self, "id", id)
+        setfield(self, "degree", degree)
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(FrozenRecord):
     """Numerical data of one singular point of the curve.
 
     ``mu`` is the Milnor number, at least 1 at a singular point, and
@@ -119,12 +118,14 @@ class SingularPoint:
     component contributes at this point; the counts must sum to ``r``.
     """
 
-    id: str
-    mu: int
-    r: int
-    branches_on: tuple  # tuple of (component_id, branch_count)
+    __slots__ = ("id", "mu", "r", "branches_on")
 
-    def __post_init__(self):
+    def __init__(self, id: str, mu: int, r: int, branches_on: tuple):
+        # branches_on: the (component_id, branch_count) pairs
+        setfield(self, "id", id)
+        setfield(self, "mu", mu)
+        setfield(self, "r", r)
+        setfield(self, "branches_on", branches_on)
         if self.mu < 1:
             raise InputError(f"point {self.id!r}: mu must be >= 1, got {self.mu}")
         counts = dict(self.branches_on)
@@ -150,8 +151,7 @@ class SingularPoint:
         return tuple(comp for comp, _ in self.branches_on)
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(FrozenRecord):
     """A reduced projective plane curve given by numerical data.
 
     Validation enforces that component degrees sum to the total degree,
@@ -159,11 +159,12 @@ class CurveSpec:
     component whose genus is determined by the data has genus >= 0.
     """
 
-    degree: int
-    components: tuple
-    singular_points: tuple = ()
+    __slots__ = ("degree", "components", "singular_points")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, components: tuple, singular_points: tuple = ()):
+        setfield(self, "degree", degree)
+        setfield(self, "components", components)
+        setfield(self, "singular_points", singular_points)
         if self.degree < 1:
             raise InputError(f"curve degree must be >= 1, got {self.degree}")
         ids = [c.id for c in self.components]
@@ -263,8 +264,7 @@ def surface_intersections(degree: int, k: int, degrees) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphVertex:
+class GraphVertex(FrozenRecord):
     """Decorated vertex of a dual resolution graph.
 
     ``marked`` flags the vertices coming from curve components (as opposed
@@ -272,37 +272,37 @@ class GraphVertex:
     carry positive genus.
     """
 
-    id: str
-    self_int: int
-    marked: bool = False
-    genus: int = 0
+    __slots__ = ("id", "self_int", "marked", "genus")
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise InputError(f"vertex {self.id!r}: genus must be >= 0, got {self.genus}")
-        if not self.marked and self.genus != 0:
-            raise InputError(
-                f"vertex {self.id!r}: unmarked vertices have genus 0, got {self.genus}"
-            )
+    def __init__(self, id: str, self_int: int, marked: bool = False, genus: int = 0):
+        if genus < 0:
+            raise InputError(f"vertex {id!r}: genus must be >= 0, got {genus}")
+        if not marked and genus != 0:
+            raise InputError(f"vertex {id!r}: unmarked vertices have genus 0, got {genus}")
+        setfield(self, "id", id)
+        setfield(self, "self_int", self_int)
+        setfield(self, "marked", marked)
+        setfield(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class Combinatorics:
-    """A decorated graph: vertices with self-intersections, and edges."""
+class Combinatorics(FrozenRecord):
+    """A decorated graph: vertices with self-intersections, and edges,
+    a tuple of (id, id) pairs."""
 
-    vertices: tuple
-    edges: tuple  # tuple of (id, id) pairs
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        ids = [v.id for v in self.vertices]
+    def __init__(self, vertices: tuple, edges: tuple):
+        ids = [v.id for v in vertices]
         if len(set(ids)) != len(ids):
             raise InputError(f"duplicate vertex ids: {ids}")
         known = set(ids)
-        for a, b in self.edges:
+        for a, b in edges:
             if a not in known or b not in known:
                 raise InputError(f"edge ({a!r}, {b!r}) references unknown vertex")
             if a == b:
                 raise InputError(f"loop edge at {a!r} not allowed")
+        setfield(self, "vertices", vertices)
+        setfield(self, "edges", edges)
 
 
 def link_graph_adjust(graph: Combinatorics, degree: int, degrees) -> Combinatorics:
@@ -427,10 +427,13 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
 
 
 def combinatorics_to_dict(graph: Combinatorics) -> dict:
-    """The graph as `combinatorics_from_dict` reads it: each vertex a copy
+    """The graph as `combinatorics_from_dict` reads it: each vertex a dict
     of its record's fields, each edge a list of two ids."""
     return {
-        "vertices": [v.__dict__.copy() for v in graph.vertices],
+        "vertices": [
+            {"id": v.id, "self_int": v.self_int, "marked": v.marked, "genus": v.genus}
+            for v in graph.vertices
+        ],
         "edges": [list(e) for e in graph.edges],
     }
 

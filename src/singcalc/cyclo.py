@@ -28,10 +28,10 @@ per unit of every exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, neg, sub
 
+from ._record import FrozenRecord, setfield
 from .errors import InputError, InternalError, NonDivisible, NotPolynomial
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "require_polynomial",
     "gcd_cyclo",
     "exact_divide",
-    "mu",
     "divisors",
 ]
 
@@ -84,27 +83,18 @@ def divisors(n: int) -> list[int]:
     return divs
 
 
-def mu(n: int) -> int:
-    """Moebius function."""
-    if n < 1:
-        raise InputError(f"mu({n}) undefined")
-    powers = _prime_powers(n)
-    return 0 if any(e > 1 for _, e in powers) else (-1) ** len(powers)
-
-
-@dataclass(frozen=True)
-class CycloProduct:
+class CycloProduct(FrozenRecord):
     """A formal product prod_m (t^m - 1)^{e_m} with integer exponents.
 
-    ``factors`` maps m >= 1 to the exponent e_m; zero exponents are
-    dropped on construction, so equality of the dataclass is equality
-    of the rational functions.
+    ``factors`` holds the pairs (m, e_m), m >= 1 ascending; zero
+    exponents are dropped on construction, so equality of the records is
+    equality of the rational functions.
 
     >>> CycloProduct({6: 1, 1: 1, 2: -1, 3: -1}).degree()
     2
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors",)
 
     def __init__(self, factors=()):
         items = dict(factors)
@@ -113,9 +103,7 @@ class CycloProduct:
                 raise InputError(f"factor index must be a positive integer, got {m!r}")
             if not isinstance(e, int):
                 raise InputError(f"exponent of (t^{m}-1) must be an integer, got {e!r}")
-        object.__setattr__(
-            self, "factors", tuple(sorted((m, e) for m, e in items.items() if e != 0))
-        )
+        setfield(self, "factors", tuple(sorted((m, e) for m, e in items.items() if e != 0)))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
@@ -301,15 +289,14 @@ def gcd_cyclo(a: CycloProduct, b: CycloProduct) -> CycloProduct:
     return CycloProduct(exps)
 
 
-@dataclass(frozen=True)
-class DensePoly:
-    """A polynomial with integer coefficients, constant term first.
+class DensePoly(FrozenRecord):
+    """A polynomial with integer coefficients ``coeffs``, constant term first.
 
     >>> print(DensePoly((1, -1, 1)))
     t^2 - t + 1
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=(0,)):
         # tuple(list) takes its tuple from CPython's free list for that length
@@ -319,7 +306,7 @@ class DensePoly:
         top = len(coeffs) - 1
         while top > 0 and coeffs[top] == 0:
             top -= 1
-        object.__setattr__(self, "coeffs", coeffs[: top + 1])
+        setfield(self, "coeffs", coeffs[: top + 1])
 
     @property
     def degree(self) -> int:
@@ -470,7 +457,7 @@ def _takes_its_values(exps: dict[int, int], low: list[int], deg: int, sign: int 
 def _dense(coeffs: tuple[int, ...]) -> DensePoly:
     """A DensePoly of a tuple of ints with a nonzero last entry, as it is."""
     poly = object.__new__(DensePoly)
-    object.__setattr__(poly, "coeffs", coeffs)
+    setfield(poly, "coeffs", coeffs)
     return poly
 
 

@@ -26,9 +26,7 @@ from the size-two block polynomials Delta^{[1]} of the points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
+from ._record import FrozenRecord, setfield
 from .cyclo import (
     CycloProduct,
     combine,
@@ -40,9 +38,6 @@ from .cyclo import (
     substitute_power,
 )
 from .errors import InputError, InternalError
-
-if TYPE_CHECKING:  # qres2d imports this module
-    from .qres2d import SmoothResolutionGraph
 
 __all__ = [
     "LYSPoint",
@@ -63,7 +58,7 @@ _ONE_MINUS_T = CycloProduct({1: 1})
 # ------------------------------------------------------------------- zeta
 
 
-def acampo_zeta(g: SmoothResolutionGraph) -> CycloProduct:
+def acampo_zeta(g: "SmoothResolutionGraph") -> CycloProduct:  # qres2d's, which imports this module
     """Monodromy zeta function of a smooth resolution graph, as a
     formal product over the exceptional vertices; strict-transform
     vertices carry no factor."""
@@ -93,43 +88,53 @@ def zeta_to_char(z: CycloProduct, n: int) -> CycloProduct:
 # ----------------------------------------------------------------- inputs
 
 
-@dataclass(frozen=True)
-class LYSPoint:
+class LYSPoint(FrozenRecord):
     """One singular point of the tangent cone."""
 
-    mu_p: int
-    r_p: int
-    delta_p_charpoly: CycloProduct
-    jordan1_p: CycloProduct | None = None
+    __slots__ = ("mu_p", "r_p", "delta_p_charpoly", "jordan1_p")
 
-    def __post_init__(self):
-        if self.mu_p < 0 or self.r_p < 1:
-            raise InputError(f"point with mu={self.mu_p}, r={self.r_p}")
-        deg = self.delta_p_charpoly.degree()
-        if deg != self.mu_p:
-            raise InputError(
-                f"deg Delta_p = {deg} does not match mu_p = {self.mu_p}"
-            )
+    def __init__(
+        self,
+        mu_p: int,
+        r_p: int,
+        delta_p_charpoly: CycloProduct,
+        jordan1_p: CycloProduct | None = None,
+    ):
+        if mu_p < 0 or r_p < 1:
+            raise InputError(f"point with mu={mu_p}, r={r_p}")
+        deg = delta_p_charpoly.degree()
+        if deg != mu_p:
+            raise InputError(f"deg Delta_p = {deg} does not match mu_p = {mu_p}")
+        setfield(self, "mu_p", mu_p)
+        setfield(self, "r_p", r_p)
+        setfield(self, "delta_p_charpoly", delta_p_charpoly)
+        setfield(self, "jordan1_p", jordan1_p)
 
 
-@dataclass(frozen=True)
-class LYSInput:
+class LYSInput(FrozenRecord):
     """Tangent-cone data of a Le-Yomdin hypersurface germ: degree-d
     projective curve with isolated singular points, plus the offset k
     (the germ has degree d + k)."""
 
-    d: int
-    k: int
-    points: tuple[LYSPoint, ...] = ()
-    alexander: CycloProduct | None = None
-    delta_cmb_k: CycloProduct | None = None
+    __slots__ = ("d", "k", "points", "alexander", "delta_cmb_k")
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise InputError(f"cone degree d = {self.d}; need d >= 2")
-        if self.k < 1:
-            raise InputError(f"offset k = {self.k}; need k >= 1")
-        object.__setattr__(self, "points", tuple(self.points))
+    def __init__(
+        self,
+        d: int,
+        k: int,
+        points: tuple[LYSPoint, ...] = (),
+        alexander: CycloProduct | None = None,
+        delta_cmb_k: CycloProduct | None = None,
+    ):
+        if d < 2:
+            raise InputError(f"cone degree d = {d}; need d >= 2")
+        if k < 1:
+            raise InputError(f"offset k = {k}; need k >= 1")
+        setfield(self, "d", d)
+        setfield(self, "k", k)
+        setfield(self, "points", tuple(points))
+        setfield(self, "alexander", alexander)
+        setfield(self, "delta_cmb_k", delta_cmb_k)
 
     def mu_cone(self) -> int:
         return sum(p.mu_p for p in self.points)

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import FrozenRecord, Record, setfield
 from .cyclo import _exquo, _utrim, divisors
 from .errors import (
     InputError,
@@ -74,8 +74,7 @@ __all__ = [
 # ----------------------------------------------------------------- BivarPoly
 
 
-@dataclass(frozen=True)
-class BivarPoly:
+class BivarPoly(FrozenRecord):
     """Sparse primitive polynomial in two variables over Z.
 
     A curve germ is defined only up to a unit, so rational input is
@@ -86,7 +85,7 @@ class BivarPoly:
     (((0, 2), 2), ((3, 0), -3))
     """
 
-    terms: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("terms",)  # the sorted ((i, j), c) with c a nonzero int
 
     def __init__(self, terms=()):
         data: dict[tuple[int, int], int | Fraction] = {}
@@ -102,14 +101,14 @@ class BivarPoly:
             data[key] = data[key] + c if key in data else c
         den = math.lcm(*(c.denominator for c in data.values()))
         ints = {k: c.numerator * (den // c.denominator) for k, c in data.items()}
-        object.__setattr__(self, "terms", BivarPoly._primitive(ints).terms)
+        setfield(self, "terms", BivarPoly._primitive(ints).terms)
 
     @staticmethod
     def _primitive(data: dict[tuple[int, int], int]) -> "BivarPoly":
         """The polynomial sum c x^i y^j over data, divided by its positive content."""
         g = math.gcd(*data.values()) or 1
         poly = object.__new__(BivarPoly)
-        object.__setattr__(poly, "terms", tuple(sorted((k, c // g) for k, c in data.items() if c)))
+        setfield(poly, "terms", tuple(sorted((k, c // g) for k, c in data.items() if c)))
         return poly
 
     def is_zero(self) -> bool:
@@ -313,8 +312,7 @@ def newton_weights(f: BivarPoly) -> tuple[int, int]:
 # ------------------------------------------------------------------- charts
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(FrozenRecord):
     """Working state of the resolution walk at one chart.
 
     ``group`` is (d, a, b) for the cyclic group 1/d(a, b) acting
@@ -326,10 +324,19 @@ class Chart:
     axis-shaped strict branches kept.
     """
 
-    group: tuple[int, int, int]
-    equation: BivarPoly
-    x: tuple[str, int] | None = None
-    y: tuple[str, int] | None = None
+    __slots__ = ("group", "equation", "x", "y")
+
+    def __init__(
+        self,
+        group: tuple[int, int, int],
+        equation: BivarPoly,
+        x: tuple[str, int] | None = None,
+        y: tuple[str, int] | None = None,
+    ):
+        setfield(self, "group", group)
+        setfield(self, "equation", equation)
+        setfield(self, "x", x)
+        setfield(self, "y", y)
 
 
 def _check_uniform_character(chart: Chart):
@@ -399,53 +406,81 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str):
 # -------------------------------------------------------------- graph types
 
 
-@dataclass
-class QVertex:
-    id: str
-    multiplicity: int
-    self_int: Fraction | None
-    genus: int = 0
-    # oriented quotient points (d, beta): the HJ chain of 1/d(1,beta)
-    # attaches this vertex at its first curve
-    quotient_points: list[tuple[int, int]] = field(default_factory=list)
+class QVertex(Record):
+    __slots__ = ("id", "multiplicity", "self_int", "genus", "quotient_points")
+
+    def __init__(
+        self,
+        id: str,
+        multiplicity: int,
+        self_int: Fraction | None,
+        genus: int = 0,
+        quotient_points: list[tuple[int, int]] | None = None,
+    ):
+        self.id = id
+        self.multiplicity = multiplicity
+        self.self_int = self_int
+        self.genus = genus
+        # oriented quotient points (d, beta): the HJ chain of 1/d(1,beta)
+        # attaches this vertex at its first curve
+        self.quotient_points = [] if quotient_points is None else quotient_points
 
 
-@dataclass
-class QEdge:
-    u: str
-    v: str
-    # (d, beta): crossing at a 1/d(1,beta)-point whose chain attaches v
-    # first and u last; None for a plain transversal crossing
-    quotient: tuple[int, int] | None = None
+class QEdge(Record):
+    __slots__ = ("u", "v", "quotient")
+
+    def __init__(self, u: str, v: str, quotient: tuple[int, int] | None = None):
+        self.u = u
+        self.v = v
+        # (d, beta): crossing at a 1/d(1,beta)-point whose chain attaches v
+        # first and u last; None for a plain transversal crossing
+        self.quotient = quotient
 
 
-@dataclass
-class QResolutionGraph:
+class QResolutionGraph(Record):
     """Exceptional curves E1, E2, ... in blow-up order and strict branches
     S1, S2, ... in the order the walk meets them, all keyed by id in
     ``vertices``; ``strict_vertices`` lists the strict ids, ``blowups``
     counts the exceptional ones.  `qresolve` fills it in as it walks."""
 
-    vertices: dict[str, QVertex]
-    edges: list[QEdge]
-    strict_vertices: list[str]
-    blowups: int
+    __slots__ = ("vertices", "edges", "strict_vertices", "blowups")
+
+    def __init__(
+        self,
+        vertices: dict[str, QVertex],
+        edges: list[QEdge],
+        strict_vertices: list[str],
+        blowups: int,
+    ):
+        self.vertices = vertices
+        self.edges = edges
+        self.strict_vertices = strict_vertices
+        self.blowups = blowups
 
 
-@dataclass
-class SmoothVertex:
-    id: str
-    multiplicity: int
-    self_int: int | None
-    genus: int
-    chi_open: int
+class SmoothVertex(Record):
+    __slots__ = ("id", "multiplicity", "self_int", "genus", "chi_open")
+
+    def __init__(self, id: str, multiplicity: int, self_int: int | None, genus: int, chi_open: int):
+        self.id = id
+        self.multiplicity = multiplicity
+        self.self_int = self_int
+        self.genus = genus
+        self.chi_open = chi_open
 
 
-@dataclass
-class SmoothResolutionGraph:
-    vertices: dict[str, SmoothVertex]
-    edges: list[tuple[str, str]]
-    strict_vertices: list[str]
+class SmoothResolutionGraph(Record):
+    __slots__ = ("vertices", "edges", "strict_vertices")
+
+    def __init__(
+        self,
+        vertices: dict[str, SmoothVertex],
+        edges: list[tuple[str, str]],
+        strict_vertices: list[str],
+    ):
+        self.vertices = vertices
+        self.edges = edges
+        self.strict_vertices = strict_vertices
 
     def exceptional_ids(self) -> list[str]:
         strict = set(self.strict_vertices)
@@ -710,13 +745,22 @@ def _assert_adjunction(g: SmoothResolutionGraph, nb: dict):
 # ---------------------------------------------------------- local invariants
 
 
-@dataclass(frozen=True)
-class LocalInvariants:
-    mu: int
-    branches: int
-    delta: "CycloProduct"
-    graph: QResolutionGraph
-    smooth_graph: SmoothResolutionGraph
+class LocalInvariants(FrozenRecord):
+    __slots__ = ("mu", "branches", "delta", "graph", "smooth_graph")
+
+    def __init__(
+        self,
+        mu: int,
+        branches: int,
+        delta: "CycloProduct",
+        graph: QResolutionGraph,
+        smooth_graph: SmoothResolutionGraph,
+    ):
+        setfield(self, "mu", mu)
+        setfield(self, "branches", branches)
+        setfield(self, "delta", delta)
+        setfield(self, "graph", graph)
+        setfield(self, "smooth_graph", smooth_graph)
 
 
 def local_invariants(f: BivarPoly) -> LocalInvariants:

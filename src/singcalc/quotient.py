@@ -21,9 +21,9 @@ the curve-resolution engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord, setfield
 from .errors import InputError, NonIntegralMultiplicity, Unsupported
 
 __all__ = [
@@ -98,8 +98,7 @@ def continued_fraction(q: Fraction) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class HJChain:
+class HJChain(FrozenRecord):
     """A Hirzebruch-Jung resolution chain of 1/d(1, beta).
 
     ``b`` are the chain self-intersections (-b_1, .., -b_s) read from
@@ -109,9 +108,12 @@ class HJChain:
     b_s by ``far_correction`` = -beta'/d, beta' = beta^-1 mod d.
     """
 
-    b: tuple[int, ...]
-    correction: Fraction
-    far_correction: Fraction
+    __slots__ = ("b", "correction", "far_correction")
+
+    def __init__(self, b: tuple[int, ...], correction: Fraction, far_correction: Fraction):
+        setfield(self, "b", b)
+        setfield(self, "correction", correction)
+        setfield(self, "far_correction", far_correction)
 
 
 def hj_resolve(d: int, beta: int) -> HJChain:
@@ -156,8 +158,7 @@ def chain_multiplicities(b: tuple[int, ...], m_left: int, m_right: int) -> tuple
     return ms
 
 
-@dataclass(frozen=True)
-class BlowupData:
+class BlowupData(FrozenRecord):
     """Numerical outcome of one weighted blow-up; the caller keeps its weights.
 
     ``self_int`` is E^2 of the new exceptional curve.  ``charts`` holds
@@ -168,8 +169,11 @@ class BlowupData:
     normal form of a chart origin.
     """
 
-    self_int: Fraction
-    charts: tuple[tuple[int, int, int], tuple[int, int, int]]
+    __slots__ = ("self_int", "charts")
+
+    def __init__(self, self_int: Fraction, charts: tuple[tuple[int, int, int], ...]):
+        setfield(self, "self_int", self_int)
+        setfield(self, "charts", charts)
 
 
 def _presentable(d: int, a: int, b: int, p: int, q: int) -> bool:

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from ._record import FrozenRecord, setfield
 from .cyclo import CycloProduct, DensePoly, _exquo, _phi, _utrim, cyclotomic, expand
 from .errors import InputError, InternalError
 from .schema import read
@@ -376,8 +376,7 @@ def _nilpotent_powers(n_mat) -> list:
     return powers
 
 
-@dataclass(frozen=True)
-class WeightFiltration:
+class WeightFiltration(FrozenRecord):
     """Increasing filtration W_k, stored as canonical echelon bases.
 
     ``center`` is the level the filtration is symmetric about.  ``steps``
@@ -386,8 +385,11 @@ class WeightFiltration:
     reduced-echelon row tuples, so filtrations compare by equality.
     """
 
-    center: int
-    steps: tuple  # tuple of (level, basis rows)
+    __slots__ = ("center", "steps")
+
+    def __init__(self, center: int, steps: tuple):
+        setfield(self, "center", center)
+        setfield(self, "steps", steps)
 
     def level_basis(self, k: int) -> tuple:
         """Basis of W_k (levels below the range give the zero space)."""
@@ -567,8 +569,7 @@ def default_power(h) -> int:
     return _quasi_unipotent_content(_power_table(h), d)[1]
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(FrozenRecord):
     """Jordan census of a quasi-unipotent automorphism h, from rank sequences.
 
     ``content`` maps each order o to the multiplicity of Phi_o in
@@ -579,10 +580,13 @@ class Census:
     stands for phi(o) blocks over the complex numbers.
     """
 
-    content: dict
-    m: int
-    ranks: dict
-    blocks: dict
+    __slots__ = ("content", "m", "ranks", "blocks")
+
+    def __init__(self, content: dict, m: int, ranks: dict, blocks: dict):
+        setfield(self, "content", content)
+        setfield(self, "m", m)
+        setfield(self, "ranks", ranks)
+        setfield(self, "blocks", blocks)
 
     def deltas(self) -> dict:
         """All nonzero level polynomials, {k: Delta^[k]} with k ascending."""

@@ -6,15 +6,16 @@ to the next nonzero form, together with non-membership conditions for
 declared singular points on the next form's zero set, decides whether F
 defines a weighted Le-Yomdin singularity for (w, k).
 
-Coefficients are exact rationals throughout.
+Coefficients are exact rationals throughout: ints, and Fractions where
+the input gives them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord, setfield
 from .errors import INDETERMINATE, InputError, InternalError
 from .schema import field, keyed, monomials
 
@@ -35,11 +36,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrivarPoly:
-    """Sparse trivariate polynomial {(i, j, l): coefficient}."""
+class TrivarPoly(FrozenRecord):
+    """Sparse trivariate polynomial {(i, j, l): coefficient}.
 
-    terms: tuple  # tuple of ((i, j, l), Fraction), sorted, coefficients nonzero
+    ``terms`` is the sorted tuple of ((i, j, l), c) with c nonzero: an int
+    as given, any other value as a Fraction.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, data):
         cleaned = {}
@@ -47,10 +51,19 @@ class TrivarPoly:
             i, j, l = key
             if i < 0 or j < 0 or l < 0:
                 raise InputError(f"negative exponent in monomial {key}")
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
             if c != 0:
                 cleaned[(int(i), int(j), int(l))] = c
-        object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
+        setfield(self, "terms", tuple(sorted(cleaned.items())))
+
+    @staticmethod
+    def _clean(terms) -> TrivarPoly:
+        """A TrivarPoly of terms as they are: sorted, each coefficient a
+        nonzero int or Fraction."""
+        poly = object.__new__(TrivarPoly)
+        setfield(poly, "terms", tuple(terms))
+        return poly
 
     def as_dict(self) -> dict:
         return dict(self.terms)
@@ -79,21 +92,19 @@ class TrivarPoly:
         return Fraction(total, scale)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(FrozenRecord):
     """Positive integer weights (p, q, r) with gcd 1."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ("p", "q", "r")
 
-    def __post_init__(self):
-        if min(self.p, self.q, self.r) < 1:
-            raise InputError(f"weights must be positive, got {(self.p, self.q, self.r)}")
-        if math.gcd(math.gcd(self.p, self.q), self.r) != 1:
-            raise InputError(
-                f"weights {(self.p, self.q, self.r)} must have gcd 1"
-            )
+    def __init__(self, p: int, q: int, r: int):
+        if min(p, q, r) < 1:
+            raise InputError(f"weights must be positive, got {(p, q, r)}")
+        if math.gcd(math.gcd(p, q), r) != 1:
+            raise InputError(f"weights {(p, q, r)} must have gcd 1")
+        setfield(self, "p", p)
+        setfield(self, "q", q)
+        setfield(self, "r", r)
 
     def degree_of(self, monomial) -> int:
         i, j, l = monomial
@@ -103,8 +114,7 @@ class WeightVector:
         return (self.p, self.q, self.r)
 
 
-@dataclass(frozen=True)
-class WDecomposition:
+class WDecomposition(FrozenRecord):
     """Decomposition of a germ into weighted-homogeneous forms.
 
     ``d`` is the lowest weighted degree; ``k`` the gap to the next nonzero
@@ -112,9 +122,13 @@ class WDecomposition:
     distinctly, not as an error).
     """
 
-    d: int
-    k: object  # int, or None for a homogeneous germ
-    parts: tuple  # tuple of (degree, TrivarPoly), ascending
+    __slots__ = ("d", "k", "parts")
+
+    def __init__(self, d: int, k: int | None, parts: tuple):
+        # parts: the (degree, TrivarPoly) pairs, degrees ascending
+        setfield(self, "d", d)
+        setfield(self, "k", k)
+        setfield(self, "parts", parts)
 
     def part(self, degree: int) -> TrivarPoly:
         for m, poly in self.parts:
@@ -133,14 +147,13 @@ def wdecompose(f: TrivarPoly, w: WeightVector) -> WDecomposition:
         raise InputError("germ must be nonzero")
     if (0, 0, 0) in f.as_dict():
         raise InputError("germ must vanish at the origin (no constant term)")
-    buckets = {}
-    for key, c in f.terms:
-        m = w.degree_of(key)
-        buckets.setdefault(m, {})[key] = c
+    buckets = {}  # each bucket's terms keep the order of f.terms
+    for term in f.terms:
+        buckets.setdefault(w.degree_of(term[0]), []).append(term)
     degrees = sorted(buckets)
     d = degrees[0]
     k = degrees[1] - d if len(degrees) > 1 else None
-    parts = tuple((m, TrivarPoly(buckets[m])) for m in degrees)
+    parts = tuple((m, TrivarPoly._clean(buckets[m])) for m in degrees)
     return WDecomposition(d=d, k=k, parts=parts)
 
 
@@ -149,8 +162,7 @@ def wdecompose(f: TrivarPoly, w: WeightVector) -> WDecomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightedPoint:
+class WeightedPoint(FrozenRecord):
     """A point of the weighted projective plane, with its clause tag.
 
     ``clause`` records which condition of the weighted Le-Yomdin
@@ -159,20 +171,19 @@ class WeightedPoint:
     which are recorded but not re-derived.
     """
 
-    coords: tuple  # (a, b, c) Fractions, not all zero
-    clause: str = "i"
-    flags: tuple = ()
+    __slots__ = ("coords", "clause", "flags")
 
-    def __post_init__(self):
-        coords = tuple(Fraction(x) for x in self.coords)
+    def __init__(self, coords: tuple, clause: str = "i", flags: tuple = ()):
+        coords = tuple(Fraction(x) for x in coords)  # (a, b, c), not all zero
         if len(coords) != 3:
             raise InputError(f"point needs 3 coordinates, got {len(coords)}")
         if all(x == 0 for x in coords):
             raise InputError("point must have a nonzero coordinate")
-        if self.clause not in ("i", "ii", "iii"):
-            raise InputError(f"clause must be i, ii or iii, got {self.clause!r}")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "flags", tuple(sorted(dict(self.flags).items())))
+        if clause not in ("i", "ii", "iii"):
+            raise InputError(f"clause must be i, ii or iii, got {clause!r}")
+        setfield(self, "coords", coords)
+        setfield(self, "clause", clause)
+        setfield(self, "flags", tuple(sorted(dict(flags).items())))
 
     def label(self) -> str:
         return "[" + ":".join(str(x) for x in self.coords) + "]"

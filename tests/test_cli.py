@@ -5,7 +5,6 @@ the error paths are checked for the documented exit codes: 1 for bad
 input, 2 for valid-but-unsupported input, 3 for internal inconsistencies.
 """
 
-import dataclasses
 import enum
 import json
 import os
@@ -326,7 +325,7 @@ def test_non_homogeneous_comparison_form_exits_3(capsys, monkeypatch):
         decomp = real(f, w)
         (low, lowest), (degree, form), *rest = decomp.parts
         stray = wlys.TrivarPoly({**form.as_dict(), (1, 0, 0): 1})
-        return dataclasses.replace(decomp, parts=((low, lowest), (degree, stray), *rest))
+        return wlys.WDecomposition(decomp.d, decomp.k, ((low, lowest), (degree, stray), *rest))
 
     monkeypatch.setattr(wlys, "wdecompose", mixed)
     code, out, err = run_cli(capsys, "wlys", "--input", str(DATA / "wlys_s10.json"))

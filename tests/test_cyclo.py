@@ -29,7 +29,6 @@ from singcalc.cyclo import (
     exact_divide,
     expand,
     gcd_cyclo,
-    mu,
     negative_order,
     power_char,
     product_to_divisor,
@@ -37,6 +36,20 @@ from singcalc.cyclo import (
     substitute_power,
 )
 from singcalc.errors import InputError, InternalError, NonDivisible, NotPolynomial
+
+
+def mu(n: int) -> int:
+    """Moebius function, by trial division: 0 when a square divides n,
+    else (-1)^(number of prime factors)."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
 
 
 def test_moebius_small_values():
@@ -81,6 +94,13 @@ def test_cyclotomic_against_division():
                 quotient = _long_divide(quotient, phi[d])
         phi[n] = quotient
         assert list(expand(cyclotomic({n: 1})).coeffs) == quotient, n
+
+
+def test_cyclotomic_against_moebius_product():
+    # Phi_n = prod_{d|n} (t^d - 1)^{mu(n/d)}
+    for n in range(1, 301):
+        moebius = {d: mu(n // d) for d in range(1, n + 1) if n % d == 0}
+        assert cyclotomic({n: 1}) == CycloProduct(moebius), n
 
 
 def test_product_to_divisor_of_a_smooth_index_is_fast():

@@ -1,7 +1,8 @@
 """Each singcalc module imports first, on its own, in a fresh interpreter,
 and each module but `cli` declares an `__all__` that lists exactly the
 public names it defines.  Every function the benchmark's tracer wraps
-(perfbench/spans.py) still exists under its name.
+(perfbench/spans.py) still exists under its name.  Starting the CLI loads
+no module that generates code for classes.
 
 A module that imports another only for a type annotation can close an
 import cycle that only shows when the other module is imported first.
@@ -69,3 +70,21 @@ def test_traced_names_exist():
     expand = importlib.import_module("singcalc.cyclo").expand
     for layer in ("cli", "cyclo", "monodromy", "weightfilt"):
         assert getattr(importlib.import_module(f"singcalc.{layer}"), "expand", None) is expand, layer
+
+
+def test_cli_start_up_generates_no_code():
+    # a fresh `singcalc` process imports the CLI and builds its parser;
+    # dataclasses and what it pulls in (inspect, ast, dis, tokenize) and
+    # typing took about half the start-up time of a process
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "import singcalc.cli\n"
+        "singcalc.cli.build_parser()\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "singcalc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}

@@ -1,0 +1,183 @@
+"""The record classes keep the contract of the dataclasses they replace:
+the same positional and keyword signatures and defaults, field-wise ==,
+hash and repr, read-only fields where the class was frozen, and fresh
+mutable defaults.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from singcalc import curves, cyclo, monodromy, qres2d, quotient, weightfilt, wlys
+from singcalc.cyclo import CycloProduct, DensePoly
+from singcalc.qres2d import BivarPoly, QEdge, QResolutionGraph, QVertex, SmoothResolutionGraph
+from singcalc.wlys import TrivarPoly, WeightVector
+
+CUSP = BivarPoly({(2, 0): 1, (0, 3): -1})
+CUSP_DELTA = CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})  # t^2 - t + 1
+
+
+def _frozen():
+    component = curves.CurveComponent("c", 3)
+    vertex = curves.GraphVertex("v", -1)
+    return [
+        component,
+        curves.SingularPoint("p", 2, 1, (("c", 1),)),
+        curves.CurveSpec(3, (component,)),
+        vertex,
+        curves.Combinatorics((vertex,), ()),
+        CUSP_DELTA,
+        DensePoly((1, -1, 1)),
+        monodromy.LYSPoint(2, 1, CUSP_DELTA),
+        monodromy.LYSInput(3, 1),
+        CUSP,
+        qres2d.Chart((1, 0, 0), CUSP),
+        qres2d.LocalInvariants(
+            2, 1, CUSP_DELTA, QResolutionGraph({}, [], [], 0), SmoothResolutionGraph({}, [], [])
+        ),
+        quotient.hj_resolve(7, 5),
+        quotient.wblowup2((1, 0, 0), (2, 3)),
+        weightfilt.WeightFiltration(0, ((0, ()),)),
+        weightfilt.Census({1: 1}, 1, {1: (1, 0)}, {1: {1: 1}}),
+        TrivarPoly({(1, 0, 0): 1}),
+        WeightVector(1, 2, 3),
+        wlys.WDecomposition(1, None, ()),
+        wlys.WeightedPoint((1, 0, 0)),
+    ]
+
+
+FROZEN = _frozen()
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=lambda r: type(r).__name__)
+def test_frozen_records_refuse_assignment(record):
+    for name in type(record).__slots__:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+        assert getattr(record, name) is before
+    with pytest.raises(AttributeError):
+        record.undeclared = 1
+
+
+def test_every_record_class_is_covered():
+    modules = (curves, cyclo, monodromy, qres2d, quotient, weightfilt, wlys)
+    frozen = {type(r) for r in FROZEN}
+    mutable = {QVertex, QEdge, QResolutionGraph, qres2d.SmoothVertex, SmoothResolutionGraph}
+    declared = {
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and "__slots__" in vars(cls)
+    }
+    assert declared == frozen | mutable
+    assert len(frozen) == 20 and len(mutable) == 5
+
+
+@pytest.mark.parametrize(
+    "make, same, other",
+    [
+        (lambda: CycloProduct({1: 1, 2: 0}), CycloProduct({1: 1}), CycloProduct({2: 1})),
+        (lambda: DensePoly([1, 2, 0]), DensePoly((1, 2)), DensePoly((2, 1))),
+        (
+            lambda: BivarPoly({(0, 2): Fraction(1, 2), (3, 0): "-3/4"}),
+            BivarPoly({(0, 2): 2, (3, 0): -3}),
+            BivarPoly({(0, 2): 2, (3, 0): 3}),
+        ),
+        (
+            lambda: TrivarPoly({(1, 0, 0): 3, (0, 1, 0): Fraction(1, 2)}),
+            TrivarPoly({(0, 1, 0): "1/2", (1, 0, 0): Fraction(3)}),
+            TrivarPoly({(1, 0, 0): 3}),
+        ),
+        (lambda: WeightVector(1, 2, 3), WeightVector(p=1, q=2, r=3), WeightVector(1, 3, 2)),
+    ],
+    ids=["CycloProduct", "DensePoly", "BivarPoly", "TrivarPoly", "WeightVector"],
+)
+def test_equality_and_hash_by_fields(make, same, other):
+    record = make()
+    assert record is not same
+    assert record == same and not record != same
+    assert record != other
+    assert hash(record) == hash(same)
+    # the hash a dataclass gives: that of the tuple of fields
+    assert hash(record) == hash(tuple(getattr(record, n) for n in type(record).__slots__))
+    assert len({record, same, other}) == 2
+    assert record != tuple(getattr(record, n) for n in type(record).__slots__)
+
+
+def test_records_of_different_classes_differ():
+    assert QEdge("a", "b") != wlys.WDecomposition("a", "b", None)
+    assert CycloProduct({1: 1}) != DensePoly((1,))
+
+
+def test_repr_lists_the_fields():
+    assert repr(WeightVector(1, 2, 3)) == "WeightVector(p=1, q=2, r=3)"
+    assert repr(QEdge("E1", "S1")) == "QEdge(u='E1', v='S1', quotient=None)"
+    assert repr(quotient.hj_resolve(7, 5)) == (
+        "HJChain(b=(2, 2, 3), correction=Fraction(-5, 7), far_correction=Fraction(-3, 7))"
+    )
+
+
+def test_defaults_and_keywords():
+    line = curves.CurveComponent("c", 1)
+    assert curves.CurveSpec(degree=1, components=(line,)).singular_points == ()
+    vertex = curves.GraphVertex(id="v", self_int=-2)
+    assert (vertex.marked, vertex.genus) == (False, 0)
+    cone = monodromy.LYSInput(3, 1, [monodromy.LYSPoint(2, 1, CUSP_DELTA)])
+    assert type(cone.points) is tuple and (cone.alexander, cone.delta_cmb_k) == (None, None)
+    assert monodromy.LYSPoint(2, 1, CUSP_DELTA).jordan1_p is None
+    chart = qres2d.Chart((1, 0, 0), equation=CUSP)
+    assert (chart.x, chart.y) == (None, None)
+    point = wlys.WeightedPoint(coords=("1/2", 0, 1))
+    assert (point.coords, point.clause, point.flags) == ((Fraction(1, 2), 0, 1), "i", ())
+    assert QEdge("a", "b").quotient is None
+    assert (CycloProduct().factors, DensePoly().coeffs) == ((), (0,))
+
+
+def test_mutable_records_take_in_place_updates():
+    graph = QResolutionGraph({}, [], [], 0)
+    graph.vertices["E1"] = vertex = QVertex("E1", 2, Fraction(-1, 2))
+    graph.blowups += 1
+    vertex.multiplicity += 4
+    vertex.genus += 1
+    vertex.quotient_points.append((3, 1))
+    graph.edges.append(QEdge("E1", "S1"))
+    graph.edges[0].quotient = (2, 1)
+    graph.strict_vertices += ["S1"]
+    assert graph == QResolutionGraph(
+        {"E1": QVertex("E1", 6, Fraction(-1, 2), 1, [(3, 1)])},
+        [QEdge("E1", "S1", (2, 1))],
+        ["S1"],
+        1,
+    )
+    smooth = qres2d.SmoothVertex("E1", 6, -1, 0, -1)
+    smooth.chi_open += 2
+    assert smooth.chi_open == 1
+    with pytest.raises(AttributeError):
+        vertex.undeclared = 1
+    with pytest.raises(TypeError):
+        hash(vertex)  # mutable records are unhashable, as mutable dataclasses are
+
+
+def test_quotient_points_default_is_a_fresh_list():
+    a, b = QVertex("E1", 1, None), QVertex("E2", 1, None)
+    a.quotient_points.append((5, 2))
+    assert b.quotient_points == []
+    assert a.quotient_points is not b.quotient_points
+    assert QVertex("E3", 1, None).quotient_points == []
+
+
+@pytest.mark.parametrize(
+    "record",
+    [*FROZEN, QVertex("E1", 2, Fraction(-1, 2), 0, [(3, 1)])],
+    ids=lambda r: type(r).__name__,
+)
+def test_records_copy_and_pickle(record):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin is not record
+        assert type(twin) is type(record)
+        assert twin == record and repr(twin) == repr(record)

@@ -187,6 +187,27 @@ def test_trivar_json_round_trip():
     assert data[0] == {"i": 0, "j": 0, "l": 6, "c": "1"}
 
 
+def test_integer_coefficients_stay_ints():
+    f = trivar_from_json(
+        [
+            {"i": 2, "j": 0, "l": 0, "c": 3},
+            {"i": 0, "j": 3, "l": 0, "c": "-5"},
+            {"i": 0, "j": 0, "l": 7, "c": "1/2"},
+        ]
+    )
+    assert [type(c) for _, c in f.terms] == [Fraction, int, int]
+    parts = wdecompose(f, WeightVector(3, 2, 1)).parts
+    assert [(m, [type(c) for _, c in part.terms]) for m, part in parts] == [
+        (6, [int, int]),
+        (7, [Fraction]),
+    ]
+    as_fractions = TrivarPoly({key: Fraction(c) for key, c in f.terms})
+    assert as_fractions == f
+    assert hash(as_fractions) == hash(f)
+    assert trivar_to_json(as_fractions) == trivar_to_json(f)
+    assert as_fractions.evaluate(1, "1/2", 2) == f.evaluate(1, "1/2", 2) == Fraction(531, 8)
+
+
 def test_trivar_json_merges_duplicates():
     out = trivar_from_json(
         [
