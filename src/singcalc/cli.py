@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
 from .cyclo import CycloProduct, DensePoly, expand, require_polynomial
 from .errors import INDETERMINATE, InputError, SingcalcError, Unsupported
-from .schema import REQUIRED, field, keyed, monomials, objects, read
+from .schema import rational, validate
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -185,23 +185,17 @@ def _emit(report: dict, fmt: str, text_renderer, dot_renderer=None) -> str:
     return text_renderer(report) if fmt == "text" else dot_renderer()
 
 
-def _factor_map(obj: dict, key: str, where: str, default=REQUIRED):
-    """The factor map obj[key], m -> exponent of (t^m - 1), as a product."""
-    exponents = field(obj, key, ("object", "integer"), where, default)
+def _factor_map(exponents: dict | None, *path) -> CycloProduct | None:
+    """A factor map, m -> exponent of (t^m - 1), at path in its input, as a
+    product; None for an absent map."""
     if exponents is None:
         return None
-    at = f"{key} of {where}"
-    return CycloProduct({read(m, "order", at): e for m, e in exponents.items()})
+    return CycloProduct({rational(m, *path): e for m, e in exponents.items()})
 
 
 # ---------------------------------------------------------------------------
 # local: resolution of a plane-curve germ
 # ---------------------------------------------------------------------------
-
-
-def _bivar_from_json(data) -> qres2d.BivarPoly:
-    germ = field(keyed(data, "germ", "germ input"), "germ", "array", "germ input")
-    return qres2d.BivarPoly(monomials(germ, "ij", "germ"))
 
 
 def _qgraph_json(g: qres2d.QResolutionGraph) -> dict:
@@ -270,7 +264,10 @@ def _local_text(report: dict) -> str:
 
 
 def cmd_local(args) -> str:
-    germ = _bivar_from_json(_load_json(args.input))
+    doc = validate(_load_json(args.input), "germ.schema.json")
+    germ = qres2d.BivarPoly(
+        ((m["i"], m["j"]), rational(m["c"], "germ", n, "c")) for n, m in enumerate(doc["germ"])
+    )
     inv = qres2d.local_invariants(germ)
     report = {
         "mu": inv.mu,
@@ -304,30 +301,25 @@ def _lys_text(report: dict) -> str:
 
 
 def cmd_lys(args) -> str:
-    declared = "curve k points alexander graph genera suspension_flags"
-    data = keyed(_load_json(args.input), declared, "lys input")
-    spec = curves.curve_spec_from_dict(field(data, "curve", "object", "lys input"))
-    k = field(data, "k", "integer", "lys input", 1)
-    k = k if args.k is None else args.k
+    doc = validate(_load_json(args.input), "lys-input.schema.json")
+    spec = curves.curve_spec_from_dict(doc["curve"])
+    k = doc["k"] if args.k is None else args.k
 
     curve_points = {p.id: (p.mu, p.r) for p in spec.singular_points}
     points = []
-    for where, entry in objects(
-        data, "points", "point", "lys input", "id mu r charpoly jordan1", []
-    ):
-        pid = field(entry, "id", "string", where, None)
-        mu, r = field(entry, "mu", "integer", where), field(entry, "r", "integer", where)
+    for n, entry in enumerate(doc["points"]):
+        pid, mu, r = entry.get("id"), entry["mu"], entry["r"]
         if pid is not None and curve_points.get(pid) != (mu, r):
             raise InputError(
-                f"{where} has id {pid!r}, which names no curve singular point "
+                f"point {n} has id {pid!r}, which names no curve singular point "
                 f"with mu = {mu}, r = {r}"
             )
         points.append(
             monodromy.LYSPoint(
                 mu_p=mu,
                 r_p=r,
-                delta_p_charpoly=_factor_map(entry, "charpoly", where),
-                jordan1_p=_factor_map(entry, "jordan1", where, None),
+                delta_p_charpoly=_factor_map(entry["charpoly"], "points", n, "charpoly"),
+                jordan1_p=_factor_map(entry.get("jordan1"), "points", n, "jordan1"),
             )
         )
     on_curve = sorted((p.mu, p.r) for p in spec.singular_points)
@@ -342,7 +334,7 @@ def cmd_lys(args) -> str:
         d=spec.degree,
         k=k,
         points=tuple(points),
-        alexander=_factor_map(data, "alexander", "lys input", None),
+        alexander=_factor_map(doc.get("alexander"), "alexander"),
     )
     char = monodromy.char_poly_lys(lys_input)
     mu_total = monodromy.milnor_number(spec.degree, k, lys_input.mu_cone())
@@ -351,16 +343,12 @@ def cmd_lys(args) -> str:
     vhat, vk = curves.surface_intersections(spec.degree, k, degrees)
 
     adjusted = None
-    graph = field(data, "graph", "object", "lys input", None)
-    if graph is not None:
-        link_graph = curves.combinatorics_from_dict(graph)
+    if "graph" in doc:
+        link_graph = curves.combinatorics_from_dict(doc["graph"])
         adjusted = curves.link_graph_adjust(link_graph, spec.degree, degrees)
 
     qhs = curves.qhs_test(
-        spec,
-        k,
-        genera=field(data, "genera", ("object", "integer"), "lys input", None),
-        suspension_flags=field(data, "suspension_flags", ("object", "boolean"), "lys input", None),
+        spec, k, genera=doc.get("genera"), suspension_flags=doc.get("suspension_flags")
     )
 
     jordan2 = None
@@ -438,7 +426,7 @@ def _weightfilt_text(report: dict) -> str:
 
 
 def cmd_weightfilt(args) -> str:
-    h = weightfilt.matrix_from_json(_load_json(args.input))
+    h = weightfilt.matrix_from_json(validate(_load_json(args.input), "matrix.schema.json"))
     census = weightfilt.analyze(h, args.m)
     report = {
         "dimension": len(h),
@@ -469,14 +457,10 @@ def _wlys_text(report: dict) -> str:
 
 
 def cmd_wlys(args) -> str:
-    data = keyed(_load_json(args.input), "poly weights points", "wlys input")
-    f = wlys.trivar_from_json(field(data, "poly", "array", "wlys input"))
-    weights = field(data, "weights", ("array", "integer"), "wlys input")
-    if len(weights) != 3:
-        raise InputError(f"bad weights of wlys input: expected 3 integers, got {len(weights)}")
-    w = wlys.WeightVector(*weights)
-    entries = field(data, "points", ("array", "object"), "wlys input", [])
-    points = [wlys.point_from_json(p, f"point {n}") for n, p in enumerate(entries)]
+    doc = validate(_load_json(args.input), "wlys-input.schema.json")
+    f = wlys.trivar_from_json(doc["poly"])
+    w = wlys.WeightVector(*doc["weights"])
+    points = [wlys.point_from_json(p, n) for n, p in enumerate(doc["points"])]
     out = wlys.wlys_admissibility(f, w, points)
     report = {
         "weights": list(w.as_tuple()),
@@ -504,35 +488,18 @@ def _zeta_text(report: dict) -> str:
 
 
 def cmd_zeta(args) -> str:
-    data = keyed(_load_json(args.input), "vertices strict", "zeta input")
+    doc = validate(_load_json(args.input), "zeta-graph.schema.json")
     vertices = {}
-    for where, entry in objects(
-        data, "vertices", "vertex", "zeta input", "id multiplicity chi_open genus"
-    ):
-        vid = field(entry, "id", "string", where)
-        if vid in vertices:
+    for n, v in enumerate(doc["vertices"]):
+        if v["id"] in vertices:
             raise InputError(
-                f"bad id of {where}: {json.dumps(vid)} is the id of an earlier vertex"
+                f"bad $.vertices[{n}].id: {json.dumps(v['id'])} is the id of an earlier vertex"
             )
-        multiplicity = field(entry, "multiplicity", "integer", where)
-        if multiplicity < 1:
-            raise InputError(
-                f"bad multiplicity of {where} ({json.dumps(vid)}): {multiplicity}; need >= 1"
-            )
-        genus = field(entry, "genus", "integer", where, 0)
-        if genus < 0:
-            raise InputError(f"bad genus of {where} ({json.dumps(vid)}): {genus}; need >= 0")
-        vertices[vid] = qres2d.SmoothVertex(
-            id=vid,
-            multiplicity=multiplicity,
-            self_int=None,
-            genus=genus,
-            chi_open=field(entry, "chi_open", "integer", where),
-        )
-    strict = field(data, "strict", ("array", "string"), "zeta input", [])
-    for vid in strict:
+        vertices[v["id"]] = qres2d.SmoothVertex(v["id"], v["multiplicity"], None, v["genus"], v["chi_open"])
+    strict = doc["strict"]
+    for n, vid in enumerate(strict):
         if vid not in vertices:
-            raise InputError(f"bad strict of zeta input: {json.dumps(vid)} names no vertex")
+            raise InputError(f"bad $.strict[{n}]: {json.dumps(vid)} names no vertex")
     graph = qres2d.SmoothResolutionGraph(vertices=vertices, edges=[], strict_vertices=strict)
     zeta = monodromy.acampo_zeta(graph)
     char = monodromy.zeta_to_char(zeta, args.n)
@@ -569,7 +536,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
     p_lys = sub.add_parser("lys", help="invariants from tangent-cone data")
     common(p_lys, cmd_lys, dot=True)
-    p_lys.add_argument("--k", type=int, default=None, help="transversality gap (default 1)")
+    p_lys.add_argument("--k", type=int, default=None, help="transversality gap; overrides the input's k")
 
     p_quot = sub.add_parser("quotient", help="resolve a cyclic quotient point")
     p_quot.set_defaults(handler=cmd_quotient)

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from ._record import FrozenRecord, setfield
 from .errors import INDETERMINATE, InputError
-from .schema import field, keyed, objects
 
 __all__ = [
     "delta_invariant",
@@ -439,47 +438,23 @@ def combinatorics_to_dict(graph: Combinatorics) -> dict:
 
 
 def combinatorics_from_dict(data: dict) -> Combinatorics:
-    """Parse a graph as docs/schemas/combinatorics.schema.json defines it."""
-    data = keyed(data, "vertices edges", "graph")
+    """The graph of a document that `schema.validate` accepted against
+    schemas/combinatorics.schema.json."""
     vertices = tuple(
-        GraphVertex(
-            id=field(v, "id", "string", where),
-            self_int=field(v, "self_int", "integer", where),
-            marked=field(v, "marked", "boolean", where, False),
-            genus=field(v, "genus", "integer", where, 0),
-        )
-        for where, v in objects(
-            data, "vertices", "graph vertex", "graph", "id self_int marked genus"
-        )
+        GraphVertex(v["id"], v["self_int"], v["marked"], v["genus"]) for v in data["vertices"]
     )
-    edges = tuple(map(tuple, field(data, "edges", ("array", ("array", "string")), "graph", [])))
-    if any(len(edge) != 2 for edge in edges):
-        raise InputError("bad edges of graph: an edge joins 2 vertex ids")
-    return Combinatorics(vertices, edges)
+    return Combinatorics(vertices, tuple(map(tuple, data["edges"])))
 
 
 def curve_spec_from_dict(data: dict) -> CurveSpec:
-    """Parse the "curve" object of docs/schemas/lys-input.schema.json."""
-    data = keyed(data, "degree components singular_points", "curve")
-    components = tuple(
-        CurveComponent(field(c, "id", "string", where), field(c, "degree", "integer", where))
-        for where, c in objects(data, "components", "curve component", "curve", "id degree")
-    )
+    """The curve of the "curve" object of a document that `schema.validate`
+    accepted against schemas/lys-input.schema.json."""
+    components = tuple(CurveComponent(c["id"], c["degree"]) for c in data["components"])
     points = tuple(
-        SingularPoint(
-            id=field(p, "id", "string", where),
-            mu=field(p, "mu", "integer", where),
-            r=field(p, "r", "integer", where),
-            branches_on=tuple(
-                sorted(field(p, "branches_on", ("object", "integer"), where).items())
-            ),
-        )
-        for where, p in objects(
-            data, "singular_points", "curve singular point", "curve", "id mu r branches_on", []
-        )
+        SingularPoint(p["id"], p["mu"], p["r"], tuple(sorted(p["branches_on"].items())))
+        for p in data["singular_points"]
     )
-    degree = field(data, "degree", "integer", "curve")
-    return CurveSpec(degree=degree, components=components, singular_points=points)
+    return CurveSpec(data["degree"], components, points)
 
 
 def combinatorics_to_dot(graph: Combinatorics) -> str:

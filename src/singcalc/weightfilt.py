@@ -49,7 +49,7 @@ from operator import mul
 from ._record import FrozenRecord, setfield
 from .cyclo import CycloProduct, DensePoly, _exquo, _phi, _utrim, cyclotomic, expand
 from .errors import InputError, InternalError
-from .schema import read
+from .schema import rational
 
 __all__ = [
     "mat",
@@ -704,19 +704,11 @@ def delta_k(h, k: int, m: int = None) -> CycloProduct:
 
 
 def matrix_from_json(data) -> tuple:
-    """Parse a matrix as docs/schemas/matrix.schema.json defines it.
-
-    A nonempty array of rows; each entry a JSON integer or a string
-    "p" or "p/q" of decimal digits, read as an int or, for "p/q", a
-    Fraction.
+    """The square matrix of a document that `schema.validate` accepted
+    against schemas/matrix.schema.json: rows of JSON integers and strings
+    "p" or "p/q" of decimal digits, read as ints or, for "p/q", Fractions.
     """
-    rows = read(data, ("array", "array"), "matrix")
-    if not rows:
-        raise InputError("matrix JSON must be a nonempty array of arrays")
-    rows = tuple(
-        tuple(read(x, "rational", f"matrix entry [{i}][{j}]") for j, x in enumerate(row))
-        for i, row in enumerate(rows)
-    )
+    rows = tuple(tuple(rational(x, i, j) for j, x in enumerate(row)) for i, row in enumerate(data))
     _check_square(rows)
     return rows
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from ._record import FrozenRecord, setfield
 from .errors import INDETERMINATE, InputError, InternalError
-from .schema import field, keyed, monomials
+from .schema import rational
 
 __all__ = [
     "TrivarPoly",
@@ -226,8 +226,14 @@ def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
 
 
 def trivar_from_json(data) -> TrivarPoly:
-    """Parse [{"i": .., "j": .., "l": .., "c": "p/q"}, ...]."""
-    return TrivarPoly(monomials(data, "ijl", "poly"))
+    """The germ of the "poly" array of a document that `schema.validate`
+    accepted against schemas/wlys-input.schema.json; the coefficients of
+    equal monomials add up."""
+    terms = {}
+    for n, m in enumerate(data):
+        key, c = (m["i"], m["j"], m["l"]), rational(m["c"], "poly", n, "c")
+        terms[key] = terms[key] + c if key in terms else c
+    return TrivarPoly(terms)
 
 
 def trivar_to_json(f: TrivarPoly) -> list:
@@ -236,11 +242,9 @@ def trivar_to_json(f: TrivarPoly) -> list:
     ]
 
 
-def point_from_json(data, where: str = "point") -> WeightedPoint:
-    """Parse {"coords": ["a","b","c"], "clause": "i", "flags": [name, ...]};
+def point_from_json(data, n: int = 0) -> WeightedPoint:
+    """The point of entry n of the "points" of a document that
+    `schema.validate` accepted against schemas/wlys-input.schema.json;
     each flag is kept as (name, True)."""
-    data = keyed(data, "coords clause flags", where)
-    coords = field(data, "coords", ("array", "rational"), where)
-    clause = field(data, "clause", "string", where, "i")
-    flags = field(data, "flags", ("array", "string"), where, [])
-    return WeightedPoint(coords=tuple(coords), clause=clause, flags=tuple((f, True) for f in flags))
+    coords = tuple(rational(x, "points", n, "coords", i) for i, x in enumerate(data["coords"]))
+    return WeightedPoint(coords, data["clause"], tuple((flag, True) for flag in data["flags"]))

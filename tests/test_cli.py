@@ -720,12 +720,12 @@ def _as_text(data):
 @pytest.mark.parametrize(
     "command,source,mutate,field",
     [
-        ("weightfilt", "unipotent2.json", _set((0, 0), None), "matrix entry"),
-        ("weightfilt", "unipotent2.json", _set((0, 0), float("inf")), "matrix entry"),
+        ("weightfilt", "unipotent2.json", _set((0, 0), None), "$[0][0]"),
+        ("weightfilt", "unipotent2.json", _set((0, 0), float("inf")), "$[0][0]"),
         ("wlys", "wlys_s10.json", _set(("points",), 5), "points"),
-        ("wlys", "wlys_s10.json", _set(("poly", 0, "c"), float("inf")), "monomial"),
+        ("wlys", "wlys_s10.json", _set(("poly", 0, "c"), float("inf")), "$.poly[0].c"),
         ("zeta", "zeta_cusp.json", _set(("strict",), 5), "strict"),
-        ("zeta", "zeta_cusp.json", _set(("vertices", 0, "multiplicity"), float("inf")), "vertex"),
+        ("zeta", "zeta_cusp.json", _set(("vertices", 0, "multiplicity"), float("inf")), "$.vertices[0]"),
         ("lys", "sextic6_lys.json", _set(("curve", "singular_points", 0, "branches_on"), []), "curve"),
     ],
     ids=[
@@ -768,22 +768,22 @@ def _renamed(path, key, new_key):
     [
         (
             _renamed(("points", 2), "jordan1", "jordan"),
-            'undeclared key "jordan" in point 2; declared: id mu r charpoly jordan1',
+            'undeclared key "jordan" in $.points[2]; declared: id mu r charpoly jordan1',
         ),
         (
             _set(("sufspension_flags",), {"p1": True}),
-            'undeclared key "sufspension_flags" in lys input; '
+            'undeclared key "sufspension_flags" in $; '
             "declared: curve k points alexander graph genera suspension_flags",
         ),
         (
             _set(("curve", "degre"), 6),
-            'undeclared key "degre" in curve; declared: degree components singular_points',
+            'undeclared key "degre" in $.curve; declared: degree components singular_points',
         ),
     ],
     ids=["jordan", "sufspension-flags", "degre"],
 )
 def test_undeclared_key_exits_1(capsys, tmp_path, mutate, line):
-    # every object of docs/schemas/ has additionalProperties false: a
+    # every object of the schemas has additionalProperties false: a
     # misspelt key would otherwise drop the data under it unnoticed
     data = json.loads((DATA / "sextic6_lys.json").read_text())
     mutate(data)
@@ -819,14 +819,18 @@ def test_unknown_point_id_exits_1(capsys, tmp_path, mutate, line):
 @pytest.mark.parametrize(
     "mutate,line",
     [
-        (_set(("genera",), {"c": -1}), "bad genus of component 'c' in genera: -1; need >= 0"),
-        (_set(("curve", "singular_points", 0, "mu"), 0), "point 'p1': mu must be >= 1, got 0"),
+        (_set(("genera",), {"c": -1}), "bad $.genera.c: expected >= 0, got -1"),
+        (_set(("k",), 0), "bad $.k: expected >= 1, got 0"),
+        (
+            _set(("curve", "singular_points", 0, "mu"), 0),
+            "bad $.curve.singular_points[0].mu: expected >= 1, got 0",
+        ),
     ],
-    ids=["negative-genus", "mu-0"],
+    ids=["negative-genus", "k-0", "mu-0"],
 )
 def test_below_schema_minimum_exits_1(capsys, tmp_path, mutate, line):
-    # lys-input.schema.json gives genera a minimum of 0 and a curve
-    # singular point's mu a minimum of 1
+    # lys-input.schema.json gives genera a minimum of 0, and k and a curve
+    # singular point's mu a minimum of 1; no sample input has genera or k
     data = json.loads((DATA / "sextic6_lys.json").read_text())
     mutate(data)
     path = tmp_path / "minimum.json"
@@ -844,21 +848,30 @@ _LINK_VERTEX = {"id": "c", "self_int": 36, "marked": True, "genus": 4}
             _set(("curve", "components"), [{"id": "c", "degree": 3}, {"id": "c", "degree": 3}]),
             "duplicate component ids: ['c', 'c']",
         ),
-        (_set(("curve", "components", 0, "degree"), 0), "component 'c': degree must be >= 1, got 0"),
-        (_set(("curve", "degree"), 0), "curve degree must be >= 1, got 0"),
+        (
+            _set(("curve", "components", 0, "degree"), 0),
+            "bad $.curve.components[0].degree: expected >= 1, got 0",
+        ),
+        (_set(("curve", "degree"), 0), "bad $.curve.degree: expected >= 1, got 0"),
         (
             _set(("curve", "singular_points", 1, "id"), "p1"),
             "duplicate singular point ids: ['p1', 'p1', 'p3', 'p4', 'p5', 'p6']",
         ),
         (
             _set(("curve", "singular_points", 0, "branches_on"), {"c": 0}),
-            "point 'p1': branch count for 'c' must be >= 1, got 0",
+            "bad $.curve.singular_points[0].branches_on.c: expected >= 1, got 0",
         ),
-        (_set(("graph", "vertices", 0, "genus"), -1), "vertex 'c': genus must be >= 0, got -1"),
+        (
+            _set(("graph", "vertices", 0, "genus"), -1),
+            "bad $.graph.vertices[0].genus: expected >= 0, got -1",
+        ),
         (_set(("graph", "vertices"), [_LINK_VERTEX] * 2), "duplicate vertex ids: ['c', 'c']"),
         (_set(("graph", "edges"), [["c", "x"]]), "edge ('c', 'x') references unknown vertex"),
         (_set(("graph", "edges"), [["c", "c"]]), "loop edge at 'c' not allowed"),
-        (_set(("graph", "edges"), [["c"] * 3]), "bad edges of graph: an edge joins 2 vertex ids"),
+        (
+            _set(("graph", "edges"), [["c"] * 3]),
+            'bad $.graph.edges[0]: expected 2 or fewer entries, got ["c", "c", "c"]',
+        ),
         (_set(("genera",), {"z": 0}), "genera given for unknown components: ['z']"),
     ],
     ids=[
@@ -904,7 +917,7 @@ def test_lys_names_components_that_miss_the_common_point(capsys, tmp_path):
     assert json.loads(out)["qhs"] == {"is_qhs": False, "reasons": reasons}
 
 
-# Matrices that docs/schemas/matrix.schema.json rejects, with the part of
+# Matrices that matrix.schema.json rejects, with the part of
 # the one error line that locates the fault.
 OFF_SCHEMA_MATRICES = [
     ([[True, True], [False, True]], "[0][0]"),
@@ -912,7 +925,7 @@ OFF_SCHEMA_MATRICES = [
     ([[1, 0], [" 1 ", 1]], "[1][0]"),
     ([[1, 0], [0, "1.5"]], "[1][1]"),
     ([["1e2"]], "[0][0]"),
-    ([], "nonempty"),
+    ([], "1 or more entries"),
 ]
 OFF_SCHEMA_IDS = ["boolean", "float", "padded-string", "decimal-string", "exponent-string", "empty"]
 
@@ -922,7 +935,7 @@ def test_weightfilt_zero_denominator_exits_1(capsys, tmp_path):
     path.write_text('[["1", "0"], ["0", "1/0"]]')
     code, out, err = run_cli(capsys, "weightfilt", "--input", str(path))
     assert (code, out) == (1, "")
-    assert err == 'error: bad matrix entry [1][1]: zero denominator in "1/0"\n'
+    assert err == 'error: bad $[1][1]: zero denominator in "1/0"\n'
 
 
 @pytest.mark.parametrize("matrix,field", OFF_SCHEMA_MATRICES, ids=OFF_SCHEMA_IDS)
@@ -941,7 +954,7 @@ INPUT_CASES = [
     (argv, Path(argv[argv.index("--input") + 1]).name) for argv, _ in GOLDEN_CASES if "--input" in argv
 ]
 MUTANTS = (None, float("inf"), [], {}, 5, "x", True)
-SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
+SCHEMAS = Path(cli.__file__).parent / "schemas"
 SCHEMA_OF = {
     "local": "germ", "lys": "lys-input", "weightfilt": "matrix", "wlys": "wlys-input", "zeta": "zeta-graph"
 }
@@ -1070,10 +1083,10 @@ def _repeat_vertex(data):
     [
         (_repeat_vertex, '"E1"'),
         (_set(("strict",), ["S1", "X9"]), '"X9"'),
-        (_set(("vertices", 3, "multiplicity"), -7), '"S1"'),
-        (_set(("vertices", 3, "multiplicity"), 0), '"S1"'),
-        (_set(("vertices", 0, "multiplicity"), 0), '"E1"'),
-        (_set(("vertices", 1, "genus"), -1), '"C1"'),
+        (_set(("vertices", 3, "multiplicity"), -7), "$.vertices[3].multiplicity"),
+        (_set(("vertices", 3, "multiplicity"), 0), "$.vertices[3].multiplicity"),
+        (_set(("vertices", 0, "multiplicity"), 0), "$.vertices[0].multiplicity"),
+        (_set(("vertices", 1, "genus"), -1), "$.vertices[1].genus"),
     ],
     ids=[
         "repeated-id",
@@ -1180,7 +1193,7 @@ def test_module_exit_codes(tmp_path, argv, code, message):
 # published schemas describe the shipped inputs
 # ---------------------------------------------------------------------------
 
-SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
+SCHEMAS = Path(cli.__file__).parent / "schemas"
 
 SCHEMA_CASES = [
     ("germ.schema.json", "cusp_germ.json"),
@@ -1216,8 +1229,8 @@ def test_matrix_schema_rejects_off_schema_samples(matrix):
 
 # Values that each node of a sample stands in for, one at a time: numbers
 # that are no integers, booleans, strings that are no numbers, containers
-# of the wrong type, and null.
-TYPE_MUTANTS = (2.5, 1.0, True, False, "0.1", "1e2", "3", ["s"], {}, None, "x")
+# of the wrong type, null, and integers at and below every minimum.
+TYPE_MUTANTS = (2.5, 1.0, True, False, "0.1", "1e2", "3", ["s"], {}, None, "x", 0, -1, -(10**30))
 SCHEMA_COMMANDS = {
     "germ.schema.json": "local",
     "lys-input.schema.json": "lys",

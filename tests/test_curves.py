@@ -23,6 +23,7 @@ from singcalc.curves import (
 )
 from singcalc.errors import INDETERMINATE, InputError
 from singcalc.qres2d import BivarPoly, local_invariants
+from singcalc.schema import validate
 
 
 def cusp_point(pid, comp="c"):
@@ -344,8 +345,10 @@ def test_curve_spec_from_dict():
 
 
 def test_curve_spec_malformed():
-    with pytest.raises(InputError):
-        curve_spec_from_dict({"degree": 4, "components": [{"id": "c"}]})
+    # the schema rejects what the converter would not know how to read
+    curve = {"degree": 4, "components": [{"id": "c"}]}
+    with pytest.raises(InputError, match=r"no degree in \$\.components\[0\]"):
+        curve_spec_from_dict(validate(curve, "lys-input.schema.json#/properties/curve"))
 
 
 def test_dot_export():

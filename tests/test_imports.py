@@ -2,7 +2,7 @@
 and each module but `cli` declares an `__all__` that lists exactly the
 public names it defines.  Every function the benchmark's tracer wraps
 (perfbench/spans.py) still exists under its name.  Starting the CLI loads
-no module that generates code for classes.
+no module that generates code for classes and opens no schema file.
 
 A module that imports another only for a type annotation can close an
 import cycle that only shows when the other module is imported first.
@@ -11,6 +11,7 @@ import cycle that only shows when the other module is imported first.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -88,3 +89,32 @@ def test_cli_start_up_generates_no_code():
     loaded = set(run.stdout.split())
     assert "singcalc.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+def test_schemas_load_on_first_use_once():
+    # importing the CLI and building its parser opens no schema file; the
+    # first validation opens each file its schema needs, and no later one
+    # opens any
+    sample = Path(__file__).parent / "data" / "sextic6_lys.json"
+    code = (
+        "import json, os, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "opened = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'open' and isinstance(args[0], str):\n"
+        "        folder, name = os.path.split(args[0])\n"
+        "        if os.path.basename(folder) == 'schemas':\n"
+        "            opened.append(name)\n"
+        "sys.addaudithook(hook)\n"
+        "import singcalc.cli\n"
+        "singcalc.cli.build_parser()\n"
+        "print(json.dumps(opened))\n"
+        "for _ in range(3):\n"
+        f"    singcalc.schema.validate(json.loads(open({str(sample)!r}).read()), 'lys-input.schema.json')\n"
+        "print(json.dumps(sorted(opened)))\n"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    at_start, after = map(json.loads, run.stdout.splitlines())
+    assert at_start == []
+    assert after == ["combinatorics.schema.json", "lys-input.schema.json"]

@@ -10,6 +10,7 @@ import pytest
 from singcalc import weightfilt
 from singcalc.cyclo import CycloProduct, cyclotomic, expand, root_multiplicity
 from singcalc.errors import InputError, InternalError
+from singcalc.schema import validate
 from singcalc.weightfilt import (
     Census,
     WeightFiltration,
@@ -465,7 +466,7 @@ def test_matrix_json_round_trip():
     with pytest.raises(InputError):
         matrix_from_json([["1/0"]])
     with pytest.raises(InputError):
-        matrix_from_json("nope")
+        matrix_from_json(validate("nope", "matrix.schema.json"))
 
 
 def test_matrix_json_reads_integers_as_ints():
@@ -478,10 +479,10 @@ def test_matrix_json_reads_integers_as_ints():
         [int, int, Fraction],
         [int, Fraction, int],
     ]
-    with pytest.raises(InputError, match=r"matrix entry \[0\]\[1\]"):
-        matrix_from_json([[1, True], [0, 1]])
-    with pytest.raises(InputError, match=r"matrix entry \[1\]\[0\]"):
-        matrix_from_json([[1, 0], [1.0, 1]])
+    with pytest.raises(InputError, match=r"\$\[0\]\[1\]"):
+        matrix_from_json(validate([[1, True], [0, 1]], "matrix.schema.json"))
+    with pytest.raises(InputError, match=r"\$\[1\]\[0\]"):
+        matrix_from_json(validate([[1, 0], [1.0, 1]], "matrix.schema.json"))
 
 
 def test_integer_form_of_int_rows_is_that_of_their_fractions():

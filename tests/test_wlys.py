@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from singcalc.errors import INDETERMINATE, InputError
+from singcalc.schema import validate
 from singcalc.wlys import (
     TrivarPoly,
     WeightedPoint,
@@ -219,10 +220,16 @@ def test_trivar_json_merges_duplicates():
 
 
 def test_trivar_json_malformed():
-    with pytest.raises(InputError):
-        trivar_from_json([{"i": 1, "j": 0, "c": "1"}])
-    with pytest.raises(InputError):
-        trivar_from_json({"i": 1})
+    # the schema rejects what the converter would not know how to read
+    poly = "wlys-input.schema.json#/properties/poly"
+    with pytest.raises(InputError, match=r"no l in \$\[0\]"):
+        trivar_from_json(validate([{"i": 1, "j": 0, "c": "1"}], poly))
+    with pytest.raises(InputError, match="expected a JSON array"):
+        trivar_from_json(validate({"i": 1}, poly))
+    # a converter locates its errors in the whole wlys input
+    terms = [{"i": 1, "j": 0, "l": 0, "c": 1}, {"i": 0, "j": 1, "l": 0, "c": "1/0"}]
+    with pytest.raises(InputError, match=r'bad \$\.poly\[1\]\.c: zero denominator in "1/0"'):
+        trivar_from_json(validate(terms, poly))
 
 
 def test_point_json():
@@ -230,8 +237,12 @@ def test_point_json():
     assert p.coords == (0, 0, 1)
     assert p.clause == "ii"
     assert p.flags == (("transversal", True),)
-    with pytest.raises(InputError):
-        point_from_json({"coords": ["1", "2"]})
+    # clause and flags take the schema's defaults
+    point = "wlys-input.schema.json#/properties/points/items"
+    p = point_from_json(validate({"coords": [1, "1/2", 0]}, point))
+    assert (p.coords, p.clause, p.flags) == ((1, Fraction(1, 2), 0), "i", ())
+    with pytest.raises(InputError, match=r"bad \$\.coords: expected 3 or more entries"):
+        validate({"coords": ["1", "2"]}, point)
 
 
 def _evaluate_term_by_term(f, a, b, c):
