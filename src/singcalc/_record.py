@@ -1,23 +1,21 @@
 """Records: classes whose instances compare, hash and print by their fields.
 
-A record class lists its fields in ``__slots__`` and sets them in its own
-``__init__``.  Instances of one class are equal when their fields are, in
-the order of ``__slots__``, and print as ``Name(field=value, ...)``.  A
-`Record` is mutable and unhashable; a `FrozenRecord` refuses assignment,
-so its ``__init__`` sets each field with `setfield`, and it hashes as the
-tuple of its fields.  Both copy and pickle.  These are the methods
-``@dataclass`` would generate per class, written once: defining a record
-class runs no generated code.
+A record class subclasses `FrozenRecord`, lists its fields in
+``__slots__`` and sets each in its own ``__init__`` with `setfield`, since
+a record refuses assignment.  Instances of one class are equal when their
+fields are, in the order of ``__slots__``, hash as the tuple of their
+fields, print as ``Name(field=value, ...)``, and copy and pickle.  These
+are the methods ``@dataclass(frozen=True)`` would generate per class,
+written once: defining a record class runs no generated code.
 """
 
-__all__ = ["Record", "FrozenRecord", "setfield"]
+__all__ = ["FrozenRecord", "setfield"]
 
 setfield = object.__setattr__
 
 
-class Record:
+class FrozenRecord:
     __slots__ = ()
-    __hash__ = None
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -27,16 +25,12 @@ class Record:
             return self._fields() == other._fields()
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

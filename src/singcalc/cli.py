@@ -12,8 +12,9 @@ parser alone, with the result and messages the top-level parser would
 give; any other argv goes through the top-level parser.  Inputs are
 UTF-8 JSON files, read as bytes and decoded as UTF-8.
 
-Reports are deterministic: JSON is emitted with sorted keys, and exact
-rationals are serialized as strings "p/q".  Exit codes: 0 success,
+Reports are deterministic: JSON is emitted with sorted keys.  Handlers
+put exact rationals in a report as Fractions, and the writer spells each
+as the string of its str(), "p/q" or "n".  Exit codes: 0 success,
 1 input error, 2 valid-but-unsupported input, 3 internal inconsistency.
 """
 
@@ -23,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
@@ -122,12 +124,15 @@ def _products(value, convert):
 def _write(value, out: list, indent: str) -> None:
     """Append to out the pieces of the text json.dumps(value, sort_keys=True,
     indent=2) writes, at the nesting whose line break and indent is indent.
-    Containers are the plain dicts, lists and tuples reports are built of."""
+    Containers are the plain dicts, lists and tuples reports are built of;
+    a Fraction is written as the string of its str()."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
     elif kind is int:
         out.append(int.__repr__(value))
+    elif kind is Fraction:  # tested early: a lys report holds a matrix of them
+        out.append(encode_basestring_ascii(str(value)))
     elif kind is dict:
         if not value:
             out.append("{}")
@@ -198,36 +203,10 @@ def _factor_map(exponents: dict | None, *path) -> CycloProduct | None:
 # ---------------------------------------------------------------------------
 
 
-def _qgraph_json(g: qres2d.QResolutionGraph) -> dict:
+def _graph_json(g) -> dict:
+    """A resolution graph as the report writes it: vertices and strict ids sorted."""
     return {
-        "vertices": [
-            {
-                "id": v.id,
-                "multiplicity": v.multiplicity,
-                "self_int": None if v.self_int is None else str(v.self_int),
-                "genus": v.genus,
-                "quotient_points": v.quotient_points,
-            }
-            for v in sorted(g.vertices.values(), key=lambda v: v.id)
-        ],
-        "edges": [{"u": e.u, "v": e.v, "quotient": e.quotient} for e in g.edges],
-        "strict": sorted(g.strict_vertices),
-        "blowups": g.blowups,
-    }
-
-
-def _sgraph_json(g: qres2d.SmoothResolutionGraph) -> dict:
-    return {
-        "vertices": [
-            {
-                "id": v.id,
-                "multiplicity": v.multiplicity,
-                "self_int": v.self_int,
-                "genus": v.genus,
-                "chi_open": v.chi_open,
-            }
-            for v in sorted(g.vertices.values(), key=lambda v: v.id)
-        ],
+        "vertices": [g.vertices[vid] for vid in sorted(g.vertices)],
         "edges": g.edges,
         "strict": sorted(g.strict_vertices),
     }
@@ -238,9 +217,9 @@ def _sgraph_dot(g: qres2d.SmoothResolutionGraph) -> str:
     nodes = []
     for vid in sorted(g.vertices):
         v = g.vertices[vid]
-        label = f"{vid}\nN={v.multiplicity}"
-        if v.self_int is not None:
-            label += f"\ne={v.self_int}"
+        label = f"{vid}\nN={v['multiplicity']}"
+        if v["self_int"] is not None:
+            label += f"\ne={v['self_int']}"
         nodes.append((vid, label, vid in strict))
     return curves.dot_graph("resolution", nodes, g.edges)
 
@@ -274,8 +253,8 @@ def cmd_local(args) -> str:
         "r": inv.branches,
         "delta": curves.delta_invariant(inv.mu, inv.branches),
         "char_poly": inv.delta,
-        "graph": _qgraph_json(inv.graph),
-        "smooth_graph": _sgraph_json(inv.smooth_graph),
+        "graph": {**_graph_json(inv.graph), "blowups": inv.graph.blowups},
+        "smooth_graph": _graph_json(inv.smooth_graph),
     }
     return _emit(report, args.format, _local_text, lambda: _sgraph_dot(inv.smooth_graph))
 
@@ -361,7 +340,7 @@ def cmd_lys(args) -> str:
         "milnor_number": mu_total,
         "char_poly": char,
         "intersections": {
-            "vhat": [[str(x) for x in row] for row in vhat],
+            "vhat": vhat,
             "vhat_k": [[str(x) for x in row] for row in vk],
         },
         "link_graph": None if adjusted is None else curves.combinatorics_to_dict(adjusted),
@@ -400,7 +379,7 @@ def cmd_quotient(args) -> str:
         "beta": args.beta,
         "type": quotient.symbol(normal),
         "chain_self_intersections": [-b for b in chain.b],
-        "correction": str(chain.correction),
+        "correction": chain.correction,
     }
     return _emit(report, args.format, _quotient_text)
 
@@ -495,7 +474,7 @@ def cmd_zeta(args) -> str:
             raise InputError(
                 f"bad $.vertices[{n}].id: {json.dumps(v['id'])} is the id of an earlier vertex"
             )
-        vertices[v["id"]] = qres2d.SmoothVertex(v["id"], v["multiplicity"], None, v["genus"], v["chi_open"])
+        vertices[v["id"]] = v
     strict = doc["strict"]
     for n, vid in enumerate(strict):
         if vid not in vertices:

@@ -61,14 +61,16 @@ _ONE_MINUS_T = CycloProduct({1: 1})
 def acampo_zeta(g: "SmoothResolutionGraph") -> CycloProduct:  # qres2d's, which imports this module
     """Monodromy zeta function of a smooth resolution graph, as a
     formal product over the exceptional vertices; strict-transform
-    vertices carry no factor."""
+    vertices carry no factor.  A vertex is read for its ``multiplicity``
+    and ``chi_open`` keys."""
     acc: dict[int, int] = {}
     for vid in g.exceptional_ids():
         v = g.vertices[vid]
-        if v.multiplicity <= 0:
+        m, chi = v["multiplicity"], v["chi_open"]
+        if m <= 0:
             raise InputError(f"vertex {vid} has non-positive multiplicity")
-        if v.chi_open:
-            acc[v.multiplicity] = acc.get(v.multiplicity, 0) + v.chi_open
+        if chi:
+            acc[m] = acc.get(m, 0) + chi
     return CycloProduct(acc)
 
 

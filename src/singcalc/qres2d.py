@@ -42,7 +42,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from ._record import FrozenRecord, Record, setfield
+from ._record import FrozenRecord, setfield
 from .cyclo import _exquo, _utrim, divisors
 from .errors import (
     InputError,
@@ -57,10 +57,7 @@ from .quotient import chain_multiplicities, hj_resolve, wblowup2
 __all__ = [
     "BivarPoly",
     "Chart",
-    "QVertex",
-    "QEdge",
     "QResolutionGraph",
-    "SmoothVertex",
     "SmoothResolutionGraph",
     "newton_weights",
     "qblowup_step",
@@ -406,81 +403,42 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str):
 # -------------------------------------------------------------- graph types
 
 
-class QVertex(Record):
-    __slots__ = ("id", "multiplicity", "self_int", "genus", "quotient_points")
-
-    def __init__(
-        self,
-        id: str,
-        multiplicity: int,
-        self_int: Fraction | None,
-        genus: int = 0,
-        quotient_points: list[tuple[int, int]] | None = None,
-    ):
-        self.id = id
-        self.multiplicity = multiplicity
-        self.self_int = self_int
-        self.genus = genus
-        # oriented quotient points (d, beta): the HJ chain of 1/d(1,beta)
-        # attaches this vertex at its first curve
-        self.quotient_points = [] if quotient_points is None else quotient_points
-
-
-class QEdge(Record):
-    __slots__ = ("u", "v", "quotient")
-
-    def __init__(self, u: str, v: str, quotient: tuple[int, int] | None = None):
-        self.u = u
-        self.v = v
-        # (d, beta): crossing at a 1/d(1,beta)-point whose chain attaches v
-        # first and u last; None for a plain transversal crossing
-        self.quotient = quotient
-
-
-class QResolutionGraph(Record):
+class QResolutionGraph(FrozenRecord):
     """Exceptional curves E1, E2, ... in blow-up order and strict branches
-    S1, S2, ... in the order the walk meets them, all keyed by id in
-    ``vertices``; ``strict_vertices`` lists the strict ids, ``blowups``
-    counts the exceptional ones.  `qresolve` fills it in as it walks."""
+    S1, S2, ... in the order the walk meets them, keyed by id in
+    ``vertices``; ``strict_vertices`` lists the strict ids.  A vertex is
+    the dict the report writes: id, multiplicity, self_int (a Fraction;
+    None on a strict branch), genus and quotient_points, the points
+    (d, beta) whose HJ chain of 1/d(1,beta) attaches it at its first curve.
+    An edge {u, v, quotient} has quotient (d, beta) at a 1/d(1,beta)-point
+    whose chain attaches v first and u last, None at a transversal crossing."""
 
-    __slots__ = ("vertices", "edges", "strict_vertices", "blowups")
+    __slots__ = ("vertices", "edges", "strict_vertices")
 
-    def __init__(
-        self,
-        vertices: dict[str, QVertex],
-        edges: list[QEdge],
-        strict_vertices: list[str],
-        blowups: int,
-    ):
-        self.vertices = vertices
-        self.edges = edges
-        self.strict_vertices = strict_vertices
-        self.blowups = blowups
+    def __init__(self, vertices: dict[str, dict], edges: list[dict], strict_vertices: list[str]):
+        setfield(self, "vertices", vertices)
+        setfield(self, "edges", edges)
+        setfield(self, "strict_vertices", strict_vertices)
 
-
-class SmoothVertex(Record):
-    __slots__ = ("id", "multiplicity", "self_int", "genus", "chi_open")
-
-    def __init__(self, id: str, multiplicity: int, self_int: int | None, genus: int, chi_open: int):
-        self.id = id
-        self.multiplicity = multiplicity
-        self.self_int = self_int
-        self.genus = genus
-        self.chi_open = chi_open
+    @property
+    def blowups(self) -> int:  # each adds one exceptional vertex
+        return len(self.vertices) - len(self.strict_vertices)
 
 
-class SmoothResolutionGraph(Record):
+class SmoothResolutionGraph(FrozenRecord):
+    """Smooth vertices keyed by id, each the dict the report writes: id,
+    multiplicity, self_int (an int; None on a strict branch), genus and
+    chi_open, the Euler characteristic of the curve minus its points on
+    other curves; edges are (u, v) pairs."""
+
     __slots__ = ("vertices", "edges", "strict_vertices")
 
     def __init__(
-        self,
-        vertices: dict[str, SmoothVertex],
-        edges: list[tuple[str, str]],
-        strict_vertices: list[str],
+        self, vertices: dict[str, dict], edges: list[tuple[str, str]], strict_vertices: list[str]
     ):
-        self.vertices = vertices
-        self.edges = edges
-        self.strict_vertices = strict_vertices
+        setfield(self, "vertices", vertices)
+        setfield(self, "edges", edges)
+        setfield(self, "strict_vertices", strict_vertices)
 
     def exceptional_ids(self) -> list[str]:
         strict = set(self.strict_vertices)
@@ -498,7 +456,8 @@ _MAX_CHARTS = 400
 def _new_strict(graph: QResolutionGraph) -> str:
     """Add the next strict branch to the graph and return its id."""
     vid = f"S{len(graph.strict_vertices) + 1}"
-    graph.vertices[vid] = QVertex(vid, 1, None)
+    graph.vertices[vid] = {"id": vid, "multiplicity": 1, "self_int": None, "genus": 0,
+                           "quotient_points": []}
     graph.strict_vertices.append(vid)
     return vid
 
@@ -543,12 +502,13 @@ def _analyze_origin(
             v = _new_strict(graph)
     d, a, b = chart.group
     if u is not None and v is not None:
-        graph.edges.append(QEdge(u, v, (d, (pow(a, -1, d) * b) % d) if d > 1 else None))
+        quotient = (d, (pow(a, -1, d) * b) % d) if d > 1 else None
+        graph.edges.append({"u": u, "v": v, "quotient": quotient})
     elif u is None and v is None:
         raise InternalError("chart origin with no components after a blow-up")
     elif d > 1:
         host, w_host, w_other = (u, a, b) if v is None else (v, b, a)
-        graph.vertices[host].quotient_points.append((d, (pow(w_other, -1, d) * w_host) % d))
+        graph.vertices[host]["quotient_points"].append((d, (pow(w_other, -1, d) * w_host) % d))
     return True
 
 
@@ -578,7 +538,7 @@ def _scan_exceptional(graph: QResolutionGraph, record, chart1: Chart, chart2: Ch
     multiple_distinct = len(_uexquo(T, _ugcd(T, _uderiv(T)))) - 1
     simple = distinct - multiple_distinct
     for _ in range(simple):
-        graph.edges.append(QEdge(exc_id, _new_strict(graph), None))
+        graph.edges.append({"u": exc_id, "v": _new_strict(graph), "quotient": None})
     if multiple_distinct == 0:
         return out_charts
     rational = _urational_roots(T)
@@ -607,7 +567,7 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
         raise InputError("the zero polynomial does not define a curve germ")
     if f.is_unit_at_origin():
         raise InputError("the germ is a unit: no curve through the origin")
-    graph = QResolutionGraph({}, [], [], 0)
+    graph = QResolutionGraph({}, [], [])
     worklist = deque([Chart((1, 0, 0), f)])
     processed = 0
     while worklist:
@@ -625,10 +585,10 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
         # qblowup_step raises Unsupported when (p, q) cannot present the chart group
         exc_id = f"E{graph.blowups + 1}"
         record, (chart1, chart2) = qblowup_step(chart, weights, exc_id)
-        graph.blowups += 1
-        graph.vertices[exc_id] = QVertex(exc_id, record["multiplicity"], record["self_int"])
+        graph.vertices[exc_id] = {"id": exc_id, "multiplicity": record["multiplicity"],
+                                  "self_int": record["self_int"], "genus": 0, "quotient_points": []}
         for cid, corr in record["corrections"].items():
-            graph.vertices[cid].self_int += corr
+            graph.vertices[cid]["self_int"] += corr
         worklist.extend(_scan_exceptional(graph, record, chart1, chart2, exc_id))
         worklist.extend((chart1, chart2))
     _assert_connected(graph)
@@ -659,7 +619,7 @@ def _connected(ids, adjacency) -> bool:
 def _assert_connected(g: QResolutionGraph):
     if not g.vertices:
         raise InternalError("empty resolution graph")
-    if not _connected(g.vertices, _neighbours(g.vertices, [(e.u, e.v) for e in g.edges])):
+    if not _connected(g.vertices, _neighbours(g.vertices, [(e["u"], e["v"]) for e in g.edges])):
         raise InternalError("resolution graph is disconnected")
 
 
@@ -673,8 +633,8 @@ def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
     come from `hj_resolve`.  Chain multiplicities solve the pullback
     relation with the adjacent components as boundary values.
     """
-    self_int = {vid: v.self_int for vid, v in g.vertices.items()}
-    mult = {vid: v.multiplicity for vid, v in g.vertices.items()}
+    self_int = {vid: v["self_int"] for vid, v in g.vertices.items()}
+    mult = {vid: v["multiplicity"] for vid, v in g.vertices.items()}
     new_edges: list[tuple[str, str]] = []
     chain_vertices: dict[str, tuple[int, int]] = {}  # id -> (m_i, b_i)
     counter = 0
@@ -698,16 +658,16 @@ def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
             self_int[last_id] += chain.far_correction
 
     for vid, v in g.vertices.items():
-        for d, beta in v.quotient_points:
+        for d, beta in v["quotient_points"]:
             add_chain(d, beta, vid, None)
     for e in g.edges:
-        if e.quotient is None:
-            new_edges.append((e.u, e.v))
+        if e["quotient"] is None:
+            new_edges.append((e["u"], e["v"]))
         else:
-            d, beta = e.quotient
-            add_chain(d, beta, e.v, e.u)
+            d, beta = e["quotient"]
+            add_chain(d, beta, e["v"], e["u"])
 
-    vertices: dict[str, SmoothVertex] = {}
+    vertices: dict[str, dict] = {}
     strict_set = set(g.strict_vertices)
     nb = _neighbours([*g.vertices, *chain_vertices], new_edges)
     for vid, v in g.vertices.items():
@@ -716,12 +676,12 @@ def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
             raise NonIntegralMultiplicity(
                 f"self-intersection of {vid} is {e2}, not an integer after smoothing"
             )
-        chi = 2 - 2 * v.genus - len(nb[vid])
-        final_e2 = None if vid in strict_set else int(e2)
-        vertices[vid] = SmoothVertex(vid, v.multiplicity, final_e2, v.genus, chi)
+        vertices[vid] = {"id": vid, "multiplicity": v["multiplicity"],
+                         "self_int": None if vid in strict_set else int(e2), "genus": v["genus"],
+                         "chi_open": 2 - 2 * v["genus"] - len(nb[vid])}
     for cid, (m_i, b_i) in chain_vertices.items():
-        chi = 2 - len(nb[cid])
-        vertices[cid] = SmoothVertex(cid, m_i, -b_i, 0, chi)
+        vertices[cid] = {"id": cid, "multiplicity": m_i, "self_int": -b_i, "genus": 0,
+                         "chi_open": 2 - len(nb[cid])}
 
     out = SmoothResolutionGraph(vertices, new_edges, list(g.strict_vertices))
     _assert_adjunction(out, nb)
@@ -733,8 +693,8 @@ def _assert_adjunction(g: SmoothResolutionGraph, nb: dict):
     N_j E_j^2 + sum over neighbors of N = 0; ``nb`` is the adjacency of g."""
     for vid in g.exceptional_ids():
         v = g.vertices[vid]
-        total = v.multiplicity * v.self_int + sum(
-            g.vertices[w].multiplicity for w in nb[vid]
+        total = v["multiplicity"] * v["self_int"] + sum(
+            g.vertices[w]["multiplicity"] for w in nb[vid]
         )
         if total != 0:
             raise InternalError(

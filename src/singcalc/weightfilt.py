@@ -336,9 +336,13 @@ def cyclotomic_content(coeffs: list):
 
     Returns (content dict {order: multiplicity}, remainder coefficients).
     The remainder is [1] exactly when the polynomial is a product of
-    cyclotomic polynomials.
+    cyclotomic polynomials.  A coefficient is an int or an integral
+    Fraction; a bool, a float or a non-integral Fraction raises InputError.
     """
-    work = _utrim([int(c) for c in coeffs])
+    work = [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in coeffs]
+    if any(type(c) is not int for c in work):
+        raise InputError(f"cyclotomic content needs integer coefficients, got {coeffs}")
+    work = _utrim(work)
     if not work or work[-1] != 1:
         raise InputError("cyclotomic content needs a monic integer polynomial")
     content = {}

@@ -6,6 +6,8 @@ input, 2 for valid-but-unsupported input, 3 for internal inconsistencies.
 """
 
 import enum
+import importlib.util
+import io
 import json
 import os
 import random
@@ -13,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -1111,6 +1114,63 @@ def test_zeta_bad_vertex_data_exits_1(capsys, tmp_path, mutate, named):
 
 
 # ---------------------------------------------------------------------------
+# local and zeta agree: the smooth graph of a local report as zeta input
+# ---------------------------------------------------------------------------
+
+
+def _quiet_main(argv) -> str:
+    """stdout of a report that must exit 0 with nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def local_zeta_pairs(tmp_path_factory):
+    """(local report, zeta input) for each tests/data germ and each `local`
+    input of perfbench's small_mix workload at seed 1; the zeta input is
+    the report's smooth graph without its self-intersections and edges."""
+    root = tmp_path_factory.mktemp("small_mix")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = workloads.generate("small_mix", 1, root, DATA)
+    germs = sorted(DATA.glob("*_germ.json")) + [root / a[2] for a, _ in cases if a[0] == "local"]
+    pairs = []
+    for germ in germs:
+        report = json.loads(_quiet_main(["local", "--input", str(germ)]))
+        graph = report["smooth_graph"]
+        del graph["edges"]
+        for v in graph["vertices"]:
+            del v["self_int"]
+        pairs.append((report, graph))
+    return pairs
+
+
+def _zeta(graph, path) -> str:
+    path.write_text(json.dumps(graph))
+    return _quiet_main(["zeta", "--input", str(path), "--n", "1"])
+
+
+def test_zeta_of_the_local_graph_gives_its_char_poly(local_zeta_pairs, tmp_path):
+    assert len(local_zeta_pairs) == 169
+    for report, graph in local_zeta_pairs:
+        assert json.loads(_zeta(graph, tmp_path / "graph.json"))["char_poly"] == report["char_poly"]
+
+
+def test_zeta_ignores_the_vertex_order(local_zeta_pairs, tmp_path):
+    rng = random.Random(12)
+    for _, graph in local_zeta_pairs:
+        before = _zeta(graph, tmp_path / "graph.json")
+        shuffled = dict(graph, vertices=rng.sample(graph["vertices"], len(graph["vertices"])))
+        assert _zeta(shuffled, tmp_path / "shuffled.json") == before
+
+
+# ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------
 
@@ -1334,7 +1394,13 @@ def test_non_polynomial_product_exits_1_in_every_format(capsys, tmp_path, fmt):
 
 
 def _stock_json(report) -> str:
-    """The report as json.dumps writes it with every expansion a plain list."""
+    """The report as json.dumps writes it with every expansion a plain list
+    and every Fraction the string of its str(), as `cli._write` spells it."""
+
+    def fraction(value):
+        if type(value) is Fraction:
+            return str(value)
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
     def block(c):
         dense = cyclo.expand(c)
@@ -1345,7 +1411,7 @@ def _stock_json(report) -> str:
             "text": cli._poly_text(c, dense),
         }
 
-    return json.dumps(cli._products(report, block), sort_keys=True, indent=2) + "\n"
+    return json.dumps(cli._products(report, block), default=fraction, sort_keys=True, indent=2) + "\n"
 
 
 def _recording_emit(monkeypatch):
@@ -1386,7 +1452,7 @@ def test_emit_matches_stock_encoder_on_random_reports():
     for n in range(300):
         products = fixed if n == 0 else [_random_product(rng) for _ in range(rng.randint(1, 6))]
         parities |= {sum(e for _, e in c.factors) % 2 for c in products}
-        report = {"n": n, "note": "expansion", "empty": None, "list": [1, "a"]}
+        report = {"n": n, "note": "expansion", "empty": None, "list": [1, "a"], "q": Fraction(n - 150, 7)}
         split = rng.randint(0, len(products))
         for i, c in enumerate(products[:split]):
             report[f"p{i}"] = c

@@ -280,7 +280,7 @@ def test_tree_rational_cusp_graph():
             seen.add(vid)
             stack.extend(v for e in g.edges if vid in e for v in e)
     assert seen == set(g.vertices)
-    assert all(v.genus == 0 for v in g.vertices.values())
+    assert all(v["genus"] == 0 for v in g.vertices.values())
 
 
 # ------------------------------------------------------------ CurveSpec

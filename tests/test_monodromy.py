@@ -78,7 +78,7 @@ def test_pipeline_coherence():
 
 def test_acampo_rejects_bad_multiplicity():
     g = smoothen(qresolve(BivarPoly({(1, 1): 1})))
-    g.vertices["E1"].multiplicity = 0
+    g.vertices["E1"]["multiplicity"] = 0
     with pytest.raises(InputError):
         acampo_zeta(g)
 

@@ -1,7 +1,6 @@
-"""The record classes keep the contract of the dataclasses they replace:
-the same positional and keyword signatures and defaults, field-wise ==,
-hash and repr, read-only fields where the class was frozen, and fresh
-mutable defaults.
+"""The record classes keep the contract of the frozen dataclasses they
+replace: the same positional and keyword signatures and defaults,
+field-wise ==, hash and repr, and read-only fields.
 """
 
 import copy
@@ -12,7 +11,7 @@ import pytest
 
 from singcalc import curves, cyclo, monodromy, qres2d, quotient, weightfilt, wlys
 from singcalc.cyclo import CycloProduct, DensePoly
-from singcalc.qres2d import BivarPoly, QEdge, QResolutionGraph, QVertex, SmoothResolutionGraph
+from singcalc.qres2d import BivarPoly, QResolutionGraph, SmoothResolutionGraph
 from singcalc.wlys import TrivarPoly, WeightVector
 
 CUSP = BivarPoly({(2, 0): 1, (0, 3): -1})
@@ -34,8 +33,10 @@ def _frozen():
         monodromy.LYSInput(3, 1),
         CUSP,
         qres2d.Chart((1, 0, 0), CUSP),
+        QResolutionGraph({"S1": {"id": "S1"}}, [], ["S1"]),
+        SmoothResolutionGraph({}, [("E1", "S1")], []),
         qres2d.LocalInvariants(
-            2, 1, CUSP_DELTA, QResolutionGraph({}, [], [], 0), SmoothResolutionGraph({}, [], [])
+            2, 1, CUSP_DELTA, QResolutionGraph({}, [], []), SmoothResolutionGraph({}, [], [])
         ),
         quotient.hj_resolve(7, 5),
         quotient.wblowup2((1, 0, 0), (2, 3)),
@@ -67,15 +68,14 @@ def test_frozen_records_refuse_assignment(record):
 def test_every_record_class_is_covered():
     modules = (curves, cyclo, monodromy, qres2d, quotient, weightfilt, wlys)
     frozen = {type(r) for r in FROZEN}
-    mutable = {QVertex, QEdge, QResolutionGraph, qres2d.SmoothVertex, SmoothResolutionGraph}
     declared = {
         cls
         for module in modules
         for cls in vars(module).values()
         if isinstance(cls, type) and cls.__module__ == module.__name__ and "__slots__" in vars(cls)
     }
-    assert declared == frozen | mutable
-    assert len(frozen) == 20 and len(mutable) == 5
+    assert declared == frozen
+    assert len(frozen) == 22
 
 
 @pytest.mark.parametrize(
@@ -110,13 +110,15 @@ def test_equality_and_hash_by_fields(make, same, other):
 
 
 def test_records_of_different_classes_differ():
-    assert QEdge("a", "b") != wlys.WDecomposition("a", "b", None)
+    assert QResolutionGraph({}, [], []) != SmoothResolutionGraph({}, [], [])
     assert CycloProduct({1: 1}) != DensePoly((1,))
 
 
 def test_repr_lists_the_fields():
     assert repr(WeightVector(1, 2, 3)) == "WeightVector(p=1, q=2, r=3)"
-    assert repr(QEdge("E1", "S1")) == "QEdge(u='E1', v='S1', quotient=None)"
+    assert repr(QResolutionGraph({}, [], ["S1"])) == (
+        "QResolutionGraph(vertices={}, edges=[], strict_vertices=['S1'])"
+    )
     assert repr(quotient.hj_resolve(7, 5)) == (
         "HJChain(b=(2, 2, 3), correction=Fraction(-5, 7), far_correction=Fraction(-3, 7))"
     )
@@ -134,48 +136,10 @@ def test_defaults_and_keywords():
     assert (chart.x, chart.y) == (None, None)
     point = wlys.WeightedPoint(coords=("1/2", 0, 1))
     assert (point.coords, point.clause, point.flags) == ((Fraction(1, 2), 0, 1), "i", ())
-    assert QEdge("a", "b").quotient is None
     assert (CycloProduct().factors, DensePoly().coeffs) == ((), (0,))
 
 
-def test_mutable_records_take_in_place_updates():
-    graph = QResolutionGraph({}, [], [], 0)
-    graph.vertices["E1"] = vertex = QVertex("E1", 2, Fraction(-1, 2))
-    graph.blowups += 1
-    vertex.multiplicity += 4
-    vertex.genus += 1
-    vertex.quotient_points.append((3, 1))
-    graph.edges.append(QEdge("E1", "S1"))
-    graph.edges[0].quotient = (2, 1)
-    graph.strict_vertices += ["S1"]
-    assert graph == QResolutionGraph(
-        {"E1": QVertex("E1", 6, Fraction(-1, 2), 1, [(3, 1)])},
-        [QEdge("E1", "S1", (2, 1))],
-        ["S1"],
-        1,
-    )
-    smooth = qres2d.SmoothVertex("E1", 6, -1, 0, -1)
-    smooth.chi_open += 2
-    assert smooth.chi_open == 1
-    with pytest.raises(AttributeError):
-        vertex.undeclared = 1
-    with pytest.raises(TypeError):
-        hash(vertex)  # mutable records are unhashable, as mutable dataclasses are
-
-
-def test_quotient_points_default_is_a_fresh_list():
-    a, b = QVertex("E1", 1, None), QVertex("E2", 1, None)
-    a.quotient_points.append((5, 2))
-    assert b.quotient_points == []
-    assert a.quotient_points is not b.quotient_points
-    assert QVertex("E3", 1, None).quotient_points == []
-
-
-@pytest.mark.parametrize(
-    "record",
-    [*FROZEN, QVertex("E1", 2, Fraction(-1, 2), 0, [(3, 1)])],
-    ids=lambda r: type(r).__name__,
-)
+@pytest.mark.parametrize("record", FROZEN, ids=lambda r: type(r).__name__)
 def test_records_copy_and_pickle(record):
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert twin is not record

@@ -654,6 +654,22 @@ def test_content_non_cyclotomic():
     assert rem == [-2, 0, 1]
 
 
+def test_content_takes_integral_fractions():
+    # charpoly returns Fractions
+    content, rem = cyclotomic_content([Fraction(1), Fraction(-1), Fraction(1)])
+    assert (content, rem) == ({6: 1}, [1])
+    assert all(type(c) is int for c in cyclotomic_content([Fraction(-2), 0, 1])[1])
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[Fraction(-3, 2), 1], [True, 1], [-1.0, 1]], ids=["fraction", "bool", "float"]
+)
+def test_content_rejects_non_integers(coeffs):
+    # t - 3/2 was once read as t - 1, True as 1 and -1.0 as -1
+    with pytest.raises(InputError, match="integer coefficients"):
+        cyclotomic_content(coeffs)
+
+
 # ------------------------------------------------------------------ delta_k
 
 

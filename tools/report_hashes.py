@@ -1,0 +1,120 @@
+"""Hash every report of a fixed corpus, to show that a change keeps them.
+
+    python3 tools/report_hashes.py CHECKOUT_ROOT
+
+runs `singcalc.cli.main` from CHECKOUT_ROOT/src on each argv of the
+corpus, in this process, and prints one line per argv: the sha256 of
+(exit code, stdout, stderr) and the argv.  The last line is the sha256
+of all the lines before it.  Two checkouts that print the same last
+line wrote the same bytes and exit codes for every argv.
+
+The corpus comes from the repository this script sits in, so that it is
+the same whichever checkout is hashed:
+
+- every case of the perfbench workloads (perfbench/workloads.py) at seeds
+  1-3, as generated, then with --format text, then for `local` and `lys`
+  with --format dot;
+- every input in tests/data under each subcommand that reads a file, in
+  each of its formats;
+- three `zeta` graphs that the schema accepts but `zeta` must reject.
+
+Inputs are written to a temporary directory, which is the working
+directory while the reports run, so paths in messages are relative.
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+DATA = REPO / "tests" / "data"
+SEEDS = (1, 2, 3)
+FORMATS = {"local": ("json", "text", "dot"), "lys": ("json", "text", "dot"),
+           "weightfilt": ("json", "text"), "wlys": ("json", "text"), "zeta": ("json", "text")}
+BAD_ZETA = {
+    "zeta_duplicate_id.json": {"vertices": [{"id": "E1", "multiplicity": 2, "chi_open": -1},
+                                            {"id": "E1", "multiplicity": 3, "chi_open": 1}]},
+    "zeta_unknown_strict.json": {"vertices": [{"id": "E1", "multiplicity": 2, "chi_open": 1}],
+                                 "strict": ["S1"]},
+    "zeta_not_polynomial.json": {"vertices": [{"id": "E1", "multiplicity": 1, "chi_open": 2}]},
+}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def corpus(directory: Path) -> list[list[str]]:
+    """The argvs, with their inputs written under directory."""
+    workloads = _workloads()
+    argvs = []
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            sub = f"{workload}-{seed}"
+            (directory / sub).mkdir()
+            for argv, _ in workloads.generate(workload, seed, directory / sub, DATA):
+                argv = list(argv)
+                if "--input" in argv:
+                    i = argv.index("--input") + 1
+                    argv[i] = f"{sub}/{argv[i]}"
+                argvs += [argv, argv + ["--format", "text"]]
+                if argv[0] in ("local", "lys"):
+                    argvs.append(argv + ["--format", "dot"])
+    (directory / "data").mkdir()
+    for path in sorted(DATA.glob("*.json")):
+        if path.name.endswith(".golden.json"):
+            continue
+        (directory / "data" / path.name).write_bytes(path.read_bytes())
+        for command, formats in FORMATS.items():
+            argvs += [[command, "--input", f"data/{path.name}", "--format", f] for f in formats]
+    for name, graph in BAD_ZETA.items():
+        (directory / "data" / name).write_text(json.dumps(graph))
+        argvs.append(["zeta", "--input", f"data/{name}"])
+    return argvs
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src = Path(args[0]).resolve() / "src"
+    sys.path.insert(0, str(src))
+    from singcalc import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        print(f"singcalc was imported from {cli.__file__}, not {src}", file=sys.stderr)
+        return 2
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for report_argv in corpus(Path(tmp)):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(report_argv)
+                blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode("utf-8", "surrogatepass")
+                line = f"{hashlib.sha256(blob).hexdigest()}  {' '.join(report_argv)}\n"
+                total.update(line.encode())
+                sys.stdout.write(line)
+        finally:
+            os.chdir(cwd)
+    print(f"digest {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
