@@ -321,10 +321,9 @@ def cmd_lys(args) -> str:
     degrees = [c.degree for c in spec.components]
     vhat, vk = curves.surface_intersections(spec.degree, k, degrees)
 
-    adjusted = None
+    link_graph = None
     if "graph" in doc:
-        link_graph = curves.combinatorics_from_dict(doc["graph"])
-        adjusted = curves.link_graph_adjust(link_graph, spec.degree, degrees)
+        link_graph = curves.link_graph_adjust(doc["graph"], spec.degree, degrees)
 
     qhs = curves.qhs_test(
         spec, k, genera=doc.get("genera"), suspension_flags=doc.get("suspension_flags")
@@ -343,16 +342,16 @@ def cmd_lys(args) -> str:
             "vhat": vhat,
             "vhat_k": [[str(x) for x in row] for row in vk],
         },
-        "link_graph": None if adjusted is None else curves.combinatorics_to_dict(adjusted),
+        "link_graph": link_graph,
         "qhs": {"is_qhs": _verdict(qhs["is_qhs"]), "reasons": qhs["reasons"]},
         "jordan2": jordan2,
         "alexander": lys_input.alexander,
     }
 
     def render_dot():
-        if adjusted is None:
+        if link_graph is None:
             raise InputError("dot output needs a link graph in the input")
-        return curves.combinatorics_to_dot(adjusted)
+        return curves.combinatorics_to_dot(link_graph)
 
     return _emit(report, args.format, _lys_text, render_dot)
 
@@ -439,7 +438,12 @@ def cmd_wlys(args) -> str:
     doc = validate(_load_json(args.input), "wlys-input.schema.json")
     f = wlys.trivar_from_json(doc["poly"])
     w = wlys.WeightVector(*doc["weights"])
-    points = [wlys.point_from_json(p, n) for n, p in enumerate(doc["points"])]
+    points = []
+    for n, p in enumerate(doc["points"]):
+        coords = tuple(rational(x, "points", n, "coords", i) for i, x in enumerate(p["coords"]))
+        if not any(coords):
+            raise InputError("point must have a nonzero coordinate")
+        points.append((coords, p["clause"]))  # the flags are accepted and ignored
     out = wlys.wlys_admissibility(f, w, points)
     report = {
         "weights": list(w.as_tuple()),

@@ -25,12 +25,8 @@ __all__ = [
     "SingularPoint",
     "CurveSpec",
     "surface_intersections",
-    "GraphVertex",
-    "Combinatorics",
     "link_graph_adjust",
     "qhs_test",
-    "combinatorics_to_dict",
-    "combinatorics_from_dict",
     "curve_spec_from_dict",
     "combinatorics_to_dot",
     "dot_graph",
@@ -263,72 +259,51 @@ def surface_intersections(degree: int, k: int, degrees) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class GraphVertex(FrozenRecord):
-    """Decorated vertex of a dual resolution graph.
-
-    ``marked`` flags the vertices coming from curve components (as opposed
-    to exceptional curves of the resolution); only marked vertices may
-    carry positive genus.
-    """
-
-    __slots__ = ("id", "self_int", "marked", "genus")
-
-    def __init__(self, id: str, self_int: int, marked: bool = False, genus: int = 0):
-        if genus < 0:
-            raise InputError(f"vertex {id!r}: genus must be >= 0, got {genus}")
-        if not marked and genus != 0:
-            raise InputError(f"vertex {id!r}: unmarked vertices have genus 0, got {genus}")
-        setfield(self, "id", id)
-        setfield(self, "self_int", self_int)
-        setfield(self, "marked", marked)
-        setfield(self, "genus", genus)
-
-
-class Combinatorics(FrozenRecord):
-    """A decorated graph: vertices with self-intersections, and edges,
-    a tuple of (id, id) pairs."""
-
-    __slots__ = ("vertices", "edges")
-
-    def __init__(self, vertices: tuple, edges: tuple):
-        ids = [v.id for v in vertices]
-        if len(set(ids)) != len(ids):
-            raise InputError(f"duplicate vertex ids: {ids}")
-        known = set(ids)
-        for a, b in edges:
-            if a not in known or b not in known:
-                raise InputError(f"edge ({a!r}, {b!r}) references unknown vertex")
-            if a == b:
-                raise InputError(f"loop edge at {a!r} not allowed")
-        setfield(self, "vertices", vertices)
-        setfield(self, "edges", edges)
-
-
-def link_graph_adjust(graph: Combinatorics, degree: int, degrees) -> Combinatorics:
+def link_graph_adjust(graph: dict, degree: int, degrees) -> dict:
     """Rewrite self-intersections when the curve moves to the cone surface.
 
+    ``graph`` is a link graph that `schema.validate` accepted against
+    schemas/combinatorics.schema.json: vertices with ``id``, ``self_int``,
+    ``marked`` and ``genus``, and ``edges``, pairs of ids.  Marked vertices
+    are curve components, unmarked ones exceptional curves of genus 0.
     The i-th marked vertex (in vertex order) corresponds to the degree-d_i
-    component; its self-intersection drops by d_i * (d + 1).  Unmarked
-    vertices are untouched.
+    component; the result holds a new dict for it whose self-intersection
+    is d_i * (d + 1) lower.  Unmarked vertices and the edges are the
+    graph's own.
 
-    >>> g = Combinatorics((GraphVertex("c", 36, marked=True),), ())
-    >>> link_graph_adjust(g, 6, [6]).vertices[0].self_int
+    >>> g = {"vertices": [{"id": "c", "self_int": 36, "marked": True, "genus": 0}], "edges": []}
+    >>> link_graph_adjust(g, 6, [6])["vertices"][0]["self_int"]
     -6
     """
+    vertices = graph["vertices"]
+    for v in vertices:
+        if not v["marked"] and v["genus"] != 0:
+            raise InputError(
+                f"vertex {v['id']!r}: unmarked vertices have genus 0, got {v['genus']}"
+            )
+    ids = [v["id"] for v in vertices]
+    if len(set(ids)) != len(ids):
+        raise InputError(f"duplicate vertex ids: {ids}")
+    known = set(ids)
+    for a, b in graph["edges"]:
+        if a not in known or b not in known:
+            raise InputError(f"edge ({a!r}, {b!r}) references unknown vertex")
+        if a == b:
+            raise InputError(f"loop edge at {a!r} not allowed")
     degrees = list(degrees)
-    marked = [v for v in graph.vertices if v.marked]
+    marked = [v["id"] for v in vertices if v["marked"]]
     if len(marked) != len(degrees):
         raise InputError(
             f"{len(marked)} marked vertices but {len(degrees)} component degrees"
         )
-    shift = {v.id: d * (degree + 1) for v, d in zip(marked, degrees)}
-    new_vertices = tuple(
-        GraphVertex(v.id, v.self_int - shift[v.id], v.marked, v.genus)
-        if v.id in shift
-        else v
-        for v in graph.vertices
-    )
-    return Combinatorics(new_vertices, graph.edges)
+    shift = {vid: d * (degree + 1) for vid, d in zip(marked, degrees)}
+    return {
+        "vertices": [
+            {**v, "self_int": v["self_int"] - shift[v["id"]]} if v["marked"] else v
+            for v in vertices
+        ],
+        "edges": graph["edges"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -425,27 +400,6 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
 # ---------------------------------------------------------------------------
 
 
-def combinatorics_to_dict(graph: Combinatorics) -> dict:
-    """The graph as `combinatorics_from_dict` reads it: each vertex a dict
-    of its record's fields, each edge a list of two ids."""
-    return {
-        "vertices": [
-            {"id": v.id, "self_int": v.self_int, "marked": v.marked, "genus": v.genus}
-            for v in graph.vertices
-        ],
-        "edges": [list(e) for e in graph.edges],
-    }
-
-
-def combinatorics_from_dict(data: dict) -> Combinatorics:
-    """The graph of a document that `schema.validate` accepted against
-    schemas/combinatorics.schema.json."""
-    vertices = tuple(
-        GraphVertex(v["id"], v["self_int"], v["marked"], v["genus"]) for v in data["vertices"]
-    )
-    return Combinatorics(vertices, tuple(map(tuple, data["edges"])))
-
-
 def curve_spec_from_dict(data: dict) -> CurveSpec:
     """The curve of the "curve" object of a document that `schema.validate`
     accepted against schemas/lys-input.schema.json."""
@@ -457,13 +411,15 @@ def curve_spec_from_dict(data: dict) -> CurveSpec:
     return CurveSpec(data["degree"], components, points)
 
 
-def combinatorics_to_dot(graph: Combinatorics) -> str:
-    """Render the decorated graph in DOT format for graphviz."""
+def combinatorics_to_dot(graph: dict) -> str:
+    """Render a link graph, as `link_graph_adjust` takes and returns it, in
+    DOT format for graphviz."""
     nodes = [
-        (v.id, f"{v.id}\n{v.self_int}" + (f"\ng={v.genus}" if v.genus else ""), v.marked)
-        for v in graph.vertices
+        (v["id"], f"{v['id']}\n{v['self_int']}" + (f"\ng={v['genus']}" if v["genus"] else ""),
+         v["marked"])
+        for v in graph["vertices"]
     ]
-    return dot_graph("link", nodes, graph.edges)
+    return dot_graph("link", nodes, graph["edges"])
 
 
 def _dot_string(s: str) -> str:

@@ -22,13 +22,10 @@ from .schema import rational
 __all__ = [
     "TrivarPoly",
     "WeightVector",
-    "WDecomposition",
     "wdecompose",
-    "WeightedPoint",
     "wlys_admissibility",
     "trivar_from_json",
     "trivar_to_json",
-    "point_from_json",
 ]
 
 # ---------------------------------------------------------------------------
@@ -114,34 +111,14 @@ class WeightVector(FrozenRecord):
         return (self.p, self.q, self.r)
 
 
-class WDecomposition(FrozenRecord):
-    """Decomposition of a germ into weighted-homogeneous forms.
-
-    ``d`` is the lowest weighted degree; ``k`` the gap to the next nonzero
-    form, or None when the germ is weighted-homogeneous (reported
-    distinctly, not as an error).
-    """
-
-    __slots__ = ("d", "k", "parts")
-
-    def __init__(self, d: int, k: int | None, parts: tuple):
-        # parts: the (degree, TrivarPoly) pairs, degrees ascending
-        setfield(self, "d", d)
-        setfield(self, "k", k)
-        setfield(self, "parts", parts)
-
-    def part(self, degree: int) -> TrivarPoly:
-        for m, poly in self.parts:
-            if m == degree:
-                return poly
-        return TrivarPoly({})
-
-
-def wdecompose(f: TrivarPoly, w: WeightVector) -> WDecomposition:
+def wdecompose(f: TrivarPoly, w: WeightVector) -> dict:
     """Bucket the monomials of f by weighted degree.
 
-    Requires f nonzero with f(0,0,0) = 0.  The gap k is the difference
-    between the two lowest weighted degrees present, None if only one is.
+    Requires f nonzero with f(0,0,0) = 0.  Returns {"d", "k", "parts"}:
+    ``parts`` are the (degree, TrivarPoly) pairs of the w-homogeneous
+    forms, degrees ascending; ``d`` is the lowest degree and ``k`` the gap
+    to the next, None when the germ is weighted-homogeneous (reported
+    distinctly, not as an error).
     """
     if f.is_zero():
         raise InputError("germ must be nonzero")
@@ -154,7 +131,7 @@ def wdecompose(f: TrivarPoly, w: WeightVector) -> WDecomposition:
     d = degrees[0]
     k = degrees[1] - d if len(degrees) > 1 else None
     parts = tuple((m, TrivarPoly._clean(buckets[m])) for m in degrees)
-    return WDecomposition(d=d, k=k, parts=parts)
+    return {"d": d, "k": k, "parts": parts}
 
 
 # ---------------------------------------------------------------------------
@@ -162,62 +139,38 @@ def wdecompose(f: TrivarPoly, w: WeightVector) -> WDecomposition:
 # ---------------------------------------------------------------------------
 
 
-class WeightedPoint(FrozenRecord):
-    """A point of the weighted projective plane, with its clause tag.
-
-    ``clause`` records which condition of the weighted Le-Yomdin
-    definition the point instantiates ("i", "ii", or "iii"); ``flags``
-    carries any user-supplied local conditions (e.g. transversality),
-    which are recorded but not re-derived.
-    """
-
-    __slots__ = ("coords", "clause", "flags")
-
-    def __init__(self, coords: tuple, clause: str = "i", flags: tuple = ()):
-        coords = tuple(Fraction(x) for x in coords)  # (a, b, c), not all zero
-        if len(coords) != 3:
-            raise InputError(f"point needs 3 coordinates, got {len(coords)}")
-        if all(x == 0 for x in coords):
-            raise InputError("point must have a nonzero coordinate")
-        if clause not in ("i", "ii", "iii"):
-            raise InputError(f"clause must be i, ii or iii, got {clause!r}")
-        setfield(self, "coords", coords)
-        setfield(self, "clause", clause)
-        setfield(self, "flags", tuple(sorted(dict(flags).items())))
-
-    def label(self) -> str:
-        return "[" + ":".join(str(x) for x in self.coords) + "]"
-
-
 def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
-    """Check the declared singular points, a sequence of
-    :class:`WeightedPoint`, against the comparison form.
+    """Check the declared singular points against the comparison form.
 
-    Computes (d, k) by decomposition, then requires that no declared point
-    lies on the zero set of the degree-(d+k) form.  Vanishing on the
-    weighted projective plane is representative-independent for a
-    weighted-homogeneous form; this is re-asserted by checking that every
-    term of the form has w-degree d + k.
+    Each point is a (coords, clause) pair: coords (a, b, c), exact
+    rationals not all zero, represent a point of the weighted projective
+    plane, and clause names the condition of the weighted Le-Yomdin
+    definition it instantiates ("i", "ii" or "iii").  Computes (d, k) by
+    decomposition, then requires that no declared point lies on the zero
+    set of the degree-(d+k) form.  Vanishing on the weighted projective
+    plane is representative-independent for a weighted-homogeneous form;
+    this is re-asserted by checking that every term of the form has
+    w-degree d + k.
 
-    Returns {"admissible": True | False | INDETERMINATE, "d", "k",
-    "failures", "parts"}, where "parts" are the (degree, form) pairs of
-    the decomposition; a weighted-homogeneous germ (k = None) has no
-    comparison form, so the verdict is INDETERMINATE.
+    Returns the dict of `wdecompose` with "admissible": True | False |
+    INDETERMINATE and "failures" added; a weighted-homogeneous germ
+    (k = None) has no comparison form, so the verdict is INDETERMINATE.
     """
-    decomp = wdecompose(f, w)
-    out = {"d": decomp.d, "k": decomp.k, "parts": decomp.parts}
-    if decomp.k is None:
+    out = wdecompose(f, w)
+    if out["k"] is None:
         failures = ["germ is weighted-homogeneous: no comparison form to evaluate"]
-        return {"admissible": INDETERMINATE, "failures": failures, **out}
-    degree = decomp.d + decomp.k
-    form = decomp.part(degree)
+        out.update(admissible=INDETERMINATE, failures=failures)
+        return out
+    degree, form = out["parts"][1]
     if any(w.degree_of(monomial) != degree for monomial, _ in form.terms):
         raise InternalError(f"C_{degree} is not w-homogeneous: vanishing on it depends on the representative")
     failures = []
-    for point in declared_sing:
-        if form.evaluate(*point.coords) == 0:
-            failures.append(f"point {point.label()} (clause {point.clause}) lies on C_{degree}")
-    return {"admissible": not failures, "failures": failures, **out}
+    for coords, clause in declared_sing:
+        if form.evaluate(*coords) == 0:
+            label = "[" + ":".join(map(str, coords)) + "]"
+            failures.append(f"point {label} (clause {clause}) lies on C_{degree}")
+    out.update(admissible=not failures, failures=failures)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +193,3 @@ def trivar_to_json(f: TrivarPoly) -> list:
     return [
         {"i": i, "j": j, "l": l, "c": str(c)} for (i, j, l), c in f.terms
     ]
-
-
-def point_from_json(data, n: int = 0) -> WeightedPoint:
-    """The point of entry n of the "points" of a document that
-    `schema.validate` accepted against schemas/wlys-input.schema.json;
-    each flag is kept as (name, True)."""
-    coords = tuple(rational(x, "points", n, "coords", i) for i, x in enumerate(data["coords"]))
-    return WeightedPoint(coords, data["clause"], tuple((flag, True) for flag in data["flags"]))

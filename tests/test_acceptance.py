@@ -24,7 +24,7 @@ from singcalc.monodromy import (
 from singcalc.qres2d import BivarPoly, local_invariants
 from singcalc.quotient import continued_fraction, hj_resolve
 from singcalc.weightfilt import jordan_blocks, mat_mul, weight_filtration
-from singcalc.wlys import TrivarPoly, WeightedPoint, WeightVector, wdecompose, wlys_admissibility
+from singcalc.wlys import TrivarPoly, WeightVector, wdecompose, wlys_admissibility
 
 # (mu, r, characteristic polynomial) of the standard plane-curve germs
 CATALOG = {
@@ -324,8 +324,8 @@ def test_criterion_8_weighted_decomposition():
     )
     w = WeightVector(2, 2, 3)
     dec = wdecompose(suspension, w)
-    assert (dec.d, dec.k) == (16, 2)
-    points = [WeightedPoint((0, 0, 1), "ii", ())]
+    assert (dec["d"], dec["k"]) == (16, 2)
+    points = [((0, 0, 1), "ii")]
     verdict = wlys_admissibility(suspension, w, points)
     assert verdict["admissible"] is True
     assert (verdict["d"], verdict["k"]) == (16, 2)
@@ -337,9 +337,9 @@ def test_criterion_8_weighted_decomposition():
 
     luengo = TrivarPoly({(5, 0, 0): 1, (0, 3, 1): 1, (0, 0, 11): 1, (2, 2, 0): 1})
     first = wdecompose(luengo, WeightVector(33, 50, 15))
-    assert (first.d, first.k) == (165, 1)
+    assert (first["d"], first["k"]) == (165, 1)
     second = wdecompose(luengo, WeightVector(2, 3, 1))
-    assert (second.d, second.k) == (10, 1)
+    assert (second["d"], second["k"]) == (10, 1)
     _report(8, "d=16/k=2 admissible, inadmissible without z^6; "
                "Luengo readings (165,1) and (10,1)")
 

@@ -326,9 +326,9 @@ def test_non_homogeneous_comparison_form_exits_3(capsys, monkeypatch):
     def mixed(f, w):
         # a term of w-degree 2 in the degree-18 form; it vanishes at [0:0:1]
         decomp = real(f, w)
-        (low, lowest), (degree, form), *rest = decomp.parts
+        lowest, (degree, form), *rest = decomp["parts"]
         stray = wlys.TrivarPoly({**form.as_dict(), (1, 0, 0): 1})
-        return wlys.WDecomposition(decomp.d, decomp.k, ((low, lowest), (degree, stray), *rest))
+        return {**decomp, "parts": (lowest, (degree, stray), *rest)}
 
     monkeypatch.setattr(wlys, "wdecompose", mixed)
     code, out, err = run_cli(capsys, "wlys", "--input", str(DATA / "wlys_s10.json"))
@@ -351,6 +351,24 @@ def test_lys_dot_uses_link_graph(capsys):
     )
     assert code == 0
     assert '"c"' in out and "-6" in out
+
+
+def test_lys_link_graph_is_graph_input(capsys, tmp_path):
+    # the report's link graph, given back as the input's graph, is adjusted
+    # once more: each marked self-intersection drops by d(d+1) again
+    data = json.loads((DATA / "sextic6_lys.json").read_text())
+    code, out, err = run_cli(capsys, "lys", "--input", str(DATA / "sextic6_lys.json"))
+    assert (code, err) == (0, "")
+    data["graph"] = json.loads(out)["link_graph"]
+    assert data["graph"] == {
+        "vertices": [{"id": "c", "self_int": -6, "marked": True, "genus": 4}],
+        "edges": [],
+    }
+    path = tmp_path / "again.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lys", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["link_graph"]["vertices"][0]["self_int"] == -48
 
 
 def test_lys_dot_without_graph_fails(capsys, tmp_path):
@@ -876,6 +894,14 @@ _LINK_VERTEX = {"id": "c", "self_int": 36, "marked": True, "genus": 4}
             'bad $.graph.edges[0]: expected 2 or fewer entries, got ["c", "c", "c"]',
         ),
         (_set(("genera",), {"z": 0}), "genera given for unknown components: ['z']"),
+        (
+            _set(("graph", "vertices"), [_LINK_VERTEX, {"id": "e", "self_int": -2, "genus": 1}]),
+            "vertex 'e': unmarked vertices have genus 0, got 1",
+        ),
+        (
+            _set(("graph", "vertices"), [_LINK_VERTEX, {**_LINK_VERTEX, "id": "d"}]),
+            "2 marked vertices but 1 component degrees",
+        ),
     ],
     ids=[
         "duplicate-component",
@@ -889,6 +915,8 @@ _LINK_VERTEX = {"id": "c", "self_int": 36, "marked": True, "genus": 4}
         "loop-edge",
         "edge-of-three-ids",
         "genus-of-unknown-component",
+        "unmarked-vertex-of-genus-1",
+        "marked-count-mismatch",
     ],
 )
 def test_lys_broken_curve_or_graph_invariant_exits_1(capsys, tmp_path, mutate, line):
@@ -897,6 +925,23 @@ def test_lys_broken_curve_or_graph_invariant_exits_1(capsys, tmp_path, mutate, l
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     assert run_cli(capsys, "lys", "--input", str(path)) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: json.loads((DATA / "wlys_s10.json").read_text()), _fermat_cubic],
+    ids=["wlys_s10", "weighted-homogeneous"],
+)
+def test_wlys_broken_point_invariant_exits_1(capsys, tmp_path, make):
+    # the points are read before the decomposition, so a weighted-homogeneous
+    # germ, which has no comparison form, rejects the point too
+    data = make()
+    data["points"] = [{"coords": ["0", "0", "0"]}]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "wlys", "--input", str(path)) == (
+        1, "", "error: point must have a nonzero coordinate\n"
+    )
 
 
 def test_lys_names_components_that_miss_the_common_point(capsys, tmp_path):
@@ -1090,6 +1135,8 @@ def _repeat_vertex(data):
         (_set(("vertices", 3, "multiplicity"), 0), "$.vertices[3].multiplicity"),
         (_set(("vertices", 0, "multiplicity"), 0), "$.vertices[0].multiplicity"),
         (_set(("vertices", 1, "genus"), -1), "$.vertices[1].genus"),
+        (_set(("edges",), [["E1", "S1", "C1"]]), "$.edges[0]"),
+        (_set(("vertices", 0, "self_int"), "-1"), "$.vertices[0].self_int"),
     ],
     ids=[
         "repeated-id",
@@ -1098,11 +1145,15 @@ def _repeat_vertex(data):
         "strict-zero",
         "exceptional-zero",
         "negative-genus",
+        "edge-of-three-ids",
+        "self-int-string",
     ],
 )
 def test_zeta_bad_vertex_data_exits_1(capsys, tmp_path, mutate, named):
-    # each used to exit 0 except the exceptional multiplicity: a repeated id
-    # replaced the earlier vertex, strict vertices and genera were never checked
+    # of the first six, each but the exceptional multiplicity used to exit 0:
+    # a repeated id replaced the earlier vertex, strict vertices and genera
+    # were never checked; the edges and self-intersections that zeta ignores
+    # must still have their schema's shape
     data = json.loads((DATA / "zeta_cusp.json").read_text())
     mutate(data)
     path = tmp_path / "graph.json"
@@ -1127,27 +1178,28 @@ def _quiet_main(argv) -> str:
     return out.getvalue()
 
 
-@pytest.fixture(scope="module")
-def local_zeta_pairs(tmp_path_factory):
-    """(local report, zeta input) for each tests/data germ and each `local`
-    input of perfbench's small_mix workload at seed 1; the zeta input is
-    the report's smooth graph without its self-intersections and edges."""
-    root = tmp_path_factory.mktemp("small_mix")
+def _seed_1_cases(workload, root):
+    """The argvs of a perfbench workload at seed 1, inputs written under root."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    cases = workloads.generate("small_mix", 1, root, DATA)
-    germs = sorted(DATA.glob("*_germ.json")) + [root / a[2] for a, _ in cases if a[0] == "local"]
+    return [argv for argv, _ in workloads.generate(workload, 1, root, DATA)]
+
+
+@pytest.fixture(scope="module")
+def local_zeta_pairs(tmp_path_factory):
+    """(local report, zeta input) for each tests/data germ and each `local`
+    input of perfbench's small_mix workload at seed 1; the zeta input is
+    the report's smooth graph as it is."""
+    root = tmp_path_factory.mktemp("small_mix")
+    cases = _seed_1_cases("small_mix", root)
+    germs = sorted(DATA.glob("*_germ.json")) + [root / a[2] for a in cases if a[0] == "local"]
     pairs = []
     for germ in germs:
         report = json.loads(_quiet_main(["local", "--input", str(germ)]))
-        graph = report["smooth_graph"]
-        del graph["edges"]
-        for v in graph["vertices"]:
-            del v["self_int"]
-        pairs.append((report, graph))
+        pairs.append((report, report["smooth_graph"]))
     return pairs
 
 
@@ -1168,6 +1220,30 @@ def test_zeta_ignores_the_vertex_order(local_zeta_pairs, tmp_path):
         before = _zeta(graph, tmp_path / "graph.json")
         shuffled = dict(graph, vertices=rng.sample(graph["vertices"], len(graph["vertices"])))
         assert _zeta(shuffled, tmp_path / "shuffled.json") == before
+
+
+def test_lys_ignores_the_order_of_the_points(tmp_path_factory, tmp_path):
+    # the same cone with its local data and its singular points listed in
+    # another order: every report field is the same, except that the QHS
+    # reasons follow the order of the singular points
+    root = tmp_path_factory.mktemp("cone")
+    inputs = sorted(DATA.glob("*_lys.json")) + [root / a[2] for a in _seed_1_cases("cone", root)]
+    rng = random.Random(27)
+    reordered = 0
+    for path in inputs:
+        data = json.loads(path.read_text())
+        curve = data["curve"]
+        data["points"] = rng.sample(data["points"], len(data["points"]))
+        curve["singular_points"] = rng.sample(curve["singular_points"], len(curve["singular_points"]))
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(data))
+        before = json.loads(_quiet_main(["lys", "--input", str(path)]))
+        after = json.loads(_quiet_main(["lys", "--input", str(shuffled)]))
+        reasons, shuffled_reasons = before["qhs"].pop("reasons"), after["qhs"].pop("reasons")
+        assert sorted(shuffled_reasons) == sorted(reasons), path.name
+        assert after == before, path.name
+        reordered += shuffled_reasons != reasons
+    assert len(inputs) == 42 and reordered > 0
 
 
 # ---------------------------------------------------------------------------

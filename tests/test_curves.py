@@ -1,18 +1,15 @@
 """Tests for plane-curve data, intersection matrices, and link criteria."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
 from singcalc.curves import (
-    Combinatorics,
     CurveComponent,
     CurveSpec,
-    GraphVertex,
     SingularPoint,
-    combinatorics_from_dict,
-    combinatorics_to_dict,
     combinatorics_to_dot,
     curve_spec_from_dict,
     delta_invariant,
@@ -161,35 +158,47 @@ def test_intersections_bad_input():
 # ---------------------------------------------------------- graph adjust
 
 
+def link_graph(*vertices, edges=()):
+    """A link graph as `schema.validate` gives it: defaults filled in."""
+    return validate(
+        {"vertices": list(vertices), "edges": [list(e) for e in edges]},
+        "combinatorics.schema.json",
+    )
+
+
 def test_adjust_single_marked():
-    g = Combinatorics((GraphVertex("c", 36, marked=True),), ())
+    g = link_graph({"id": "c", "self_int": 36, "marked": True})
     out = link_graph_adjust(g, 6, [6])
-    assert out.vertices[0].self_int == -6
+    assert out["vertices"][0]["self_int"] == -6
 
 
 def test_adjust_line_in_cubic():
-    g = Combinatorics((GraphVertex("l", 1, marked=True),), ())
-    assert link_graph_adjust(g, 3, [1]).vertices[0].self_int == -3
+    g = link_graph({"id": "l", "self_int": 1, "marked": True})
+    assert link_graph_adjust(g, 3, [1])["vertices"][0]["self_int"] == -3
 
 
 def test_adjust_leaves_unmarked_alone():
-    g = Combinatorics(
-        (
-            GraphVertex("c", 36, marked=True),
-            GraphVertex("e", -2),
-        ),
-        (("c", "e"),),
+    g = link_graph(
+        {"id": "c", "self_int": 36, "marked": True},
+        {"id": "e", "self_int": -2},
+        edges=[("c", "e")],
     )
     out = link_graph_adjust(g, 6, [6])
-    by_id = {v.id: v for v in out.vertices}
-    assert by_id["e"].self_int == -2
-    assert by_id["c"].self_int == -6
-    assert out.edges == (("c", "e"),)
+    assert out == {
+        "vertices": [
+            {"id": "c", "self_int": -6, "marked": True, "genus": 0},
+            {"id": "e", "self_int": -2, "marked": False, "genus": 0},
+        ],
+        "edges": [["c", "e"]],
+    }
+    # the unmarked vertex and the edges are the input's; the input is unchanged
+    assert out["vertices"][1] is g["vertices"][1] and out["edges"] is g["edges"]
+    assert g["vertices"][0]["self_int"] == 36
 
 
 def test_adjust_count_mismatch():
-    g = Combinatorics((GraphVertex("c", 36, marked=True),), ())
-    with pytest.raises(InputError):
+    g = link_graph({"id": "c", "self_int": 36, "marked": True})
+    with pytest.raises(InputError, match="1 marked vertices but 2 component degrees"):
         link_graph_adjust(g, 6, [3, 3])
 
 
@@ -314,19 +323,27 @@ def test_spec_shared_point_genus_indeterminate():
 
 
 def test_spec_unmarked_vertex_genus():
-    with pytest.raises(InputError, match="unmarked"):
-        GraphVertex("e", -2, marked=False, genus=1)
+    g = link_graph(
+        {"id": "c", "self_int": 36, "marked": True}, {"id": "e", "self_int": -2, "genus": 1}
+    )
+    with pytest.raises(InputError, match="vertex 'e': unmarked vertices have genus 0, got 1"):
+        link_graph_adjust(g, 6, [6])
 
 
 # -------------------------------------------------------- serialization
 
 
 def test_combinatorics_round_trip():
-    g = Combinatorics(
-        (GraphVertex("c", -6, marked=True, genus=1), GraphVertex("e", -2)),
-        (("c", "e"),),
+    # the adjusted graph is again a valid link graph, which the schema
+    # passes as it is: every default is already filled in
+    g = link_graph(
+        {"id": "c", "self_int": -6, "marked": True, "genus": 1},
+        {"id": "e", "self_int": -2},
+        edges=[("c", "e")],
     )
-    assert combinatorics_from_dict(combinatorics_to_dict(g)) == g
+    out = link_graph_adjust(g, 1, [1])
+    assert validate(copy.deepcopy(out), "combinatorics.schema.json") == out
+    assert out["vertices"][0] == {"id": "c", "self_int": -8, "marked": True, "genus": 1}
 
 
 def test_curve_spec_from_dict():
@@ -352,9 +369,10 @@ def test_curve_spec_malformed():
 
 
 def test_dot_export():
-    g = Combinatorics(
-        (GraphVertex("c", -6, marked=True), GraphVertex("e", -2)),
-        (("c", "e"),),
+    g = link_graph(
+        {"id": "c", "self_int": -6, "marked": True},
+        {"id": "e", "self_int": -2},
+        edges=[("c", "e")],
     )
     dot = combinatorics_to_dot(g)
     assert '"c" -- "e";' in dot
@@ -366,7 +384,11 @@ def test_dot_escapes_quotes_and_backslashes():
     # vertex ids are any JSON strings: a quote or a backslash in one must
     # neither end its DOT string early nor inject attributes
     c, e = 'c"] x [y="', "e\\"
-    g = Combinatorics((GraphVertex(c, -6, marked=True, genus=1), GraphVertex(e, -2)), ((c, e),))
+    g = link_graph(
+        {"id": c, "self_int": -6, "marked": True, "genus": 1},
+        {"id": e, "self_int": -2},
+        edges=[(c, e)],
+    )
     assert combinatorics_to_dot(g).splitlines() == [
         "graph link {",
         "  node [shape=circle];",

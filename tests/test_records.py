@@ -20,13 +20,10 @@ CUSP_DELTA = CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})  # t^2 - t + 1
 
 def _frozen():
     component = curves.CurveComponent("c", 3)
-    vertex = curves.GraphVertex("v", -1)
     return [
         component,
         curves.SingularPoint("p", 2, 1, (("c", 1),)),
         curves.CurveSpec(3, (component,)),
-        vertex,
-        curves.Combinatorics((vertex,), ()),
         CUSP_DELTA,
         DensePoly((1, -1, 1)),
         monodromy.LYSPoint(2, 1, CUSP_DELTA),
@@ -44,8 +41,6 @@ def _frozen():
         weightfilt.Census({1: 1}, 1, {1: (1, 0)}, {1: {1: 1}}),
         TrivarPoly({(1, 0, 0): 1}),
         WeightVector(1, 2, 3),
-        wlys.WDecomposition(1, None, ()),
-        wlys.WeightedPoint((1, 0, 0)),
     ]
 
 
@@ -75,7 +70,7 @@ def test_every_record_class_is_covered():
         if isinstance(cls, type) and cls.__module__ == module.__name__ and "__slots__" in vars(cls)
     }
     assert declared == frozen
-    assert len(frozen) == 22
+    assert len(frozen) == 18
 
 
 @pytest.mark.parametrize(
@@ -127,15 +122,11 @@ def test_repr_lists_the_fields():
 def test_defaults_and_keywords():
     line = curves.CurveComponent("c", 1)
     assert curves.CurveSpec(degree=1, components=(line,)).singular_points == ()
-    vertex = curves.GraphVertex(id="v", self_int=-2)
-    assert (vertex.marked, vertex.genus) == (False, 0)
     cone = monodromy.LYSInput(3, 1, [monodromy.LYSPoint(2, 1, CUSP_DELTA)])
     assert type(cone.points) is tuple and (cone.alexander, cone.delta_cmb_k) == (None, None)
     assert monodromy.LYSPoint(2, 1, CUSP_DELTA).jordan1_p is None
     chart = qres2d.Chart((1, 0, 0), equation=CUSP)
     assert (chart.x, chart.y) == (None, None)
-    point = wlys.WeightedPoint(coords=("1/2", 0, 1))
-    assert (point.coords, point.clause, point.flags) == ((Fraction(1, 2), 0, 1), "i", ())
     assert (CycloProduct().factors, DensePoly().coeffs) == ((), (0,))
 
 

@@ -1,17 +1,17 @@
 """Tests for weighted-homogeneous decomposition and admissibility."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from singcalc import cli
 from singcalc.errors import INDETERMINATE, InputError
-from singcalc.schema import validate
+from singcalc.schema import rational, validate
 from singcalc.wlys import (
     TrivarPoly,
-    WeightedPoint,
     WeightVector,
-    point_from_json,
     trivar_from_json,
     trivar_to_json,
     wdecompose,
@@ -45,34 +45,34 @@ QUINTIC_GERM = TrivarPoly(
 
 def test_decompose_suspension_germ():
     out = wdecompose(SUSPENSION_GERM, WeightVector(2, 2, 3))
-    assert out.d == 16
-    assert out.k == 2
-    assert [m for m, _ in out.parts] == [16, 18]
-    assert out.part(16) == TrivarPoly({(0, 2, 4): 1, (5, 0, 2): -1, (0, 8, 0): 1})
-    assert out.part(18) == TrivarPoly({(9, 0, 0): 1, (0, 0, 6): 1})
+    assert out == {
+        "d": 16,
+        "k": 2,
+        "parts": (
+            (16, TrivarPoly({(0, 2, 4): 1, (5, 0, 2): -1, (0, 8, 0): 1})),
+            (18, TrivarPoly({(9, 0, 0): 1, (0, 0, 6): 1})),
+        ),
+    }
 
 
 def test_decompose_quintic_heavy_weights():
     out = wdecompose(QUINTIC_GERM, WeightVector(33, 50, 15))
-    assert out.d == 165
-    assert out.k == 1
+    assert (out["d"], out["k"]) == (165, 1)
     # the x^2 y^2 term sits at weight 166
-    assert out.part(166) == TrivarPoly({(2, 2, 0): 1})
+    assert out["parts"][1] == (166, TrivarPoly({(2, 2, 0): 1}))
 
 
 def test_decompose_quintic_light_weights():
     out = wdecompose(QUINTIC_GERM, WeightVector(2, 3, 1))
-    assert out.d == 10
-    assert out.k == 1
+    assert (out["d"], out["k"]) == (10, 1)
     # z^11 is the only weight-11 monomial
-    assert out.part(11) == TrivarPoly({(0, 0, 11): 1})
+    assert out["parts"][1] == (11, TrivarPoly({(0, 0, 11): 1}))
 
 
 def test_decompose_homogeneous_reports_none():
     f = TrivarPoly({(3, 0, 0): 1, (0, 3, 0): -2})
     out = wdecompose(f, WeightVector(1, 1, 1))
-    assert out.d == 3
-    assert out.k is None
+    assert out == {"d": 3, "k": None, "parts": ((3, f),)}
 
 
 def test_decompose_rejects_zero_and_units():
@@ -98,17 +98,17 @@ def test_decompose_parts_resum_and_homogeneous():
         w = WeightVector(*rng.choice([(1, 1, 1), (2, 2, 3), (2, 3, 1), (5, 3, 1)]))
         out = wdecompose(f, w)
         total = {}
-        for m, part in out.parts:
+        for m, part in out["parts"]:
             assert not part.is_zero()
             for key, c in part.terms:
                 assert w.degree_of(key) == m
                 assert key not in total, f"monomial {key} in two parts"
                 total[key] = c
         assert TrivarPoly(total) == f
-        degrees = [m for m, _ in out.parts]
-        assert out.d == degrees[0]
-        if out.k is not None:
-            assert out.k == degrees[1] - degrees[0]
+        degrees = [m for m, _ in out["parts"]]
+        assert out["d"] == degrees[0]
+        if out["k"] is not None:
+            assert out["k"] == degrees[1] - degrees[0]
         else:
             assert len(degrees) == 1
 
@@ -117,18 +117,15 @@ def test_decompose_parts_resum_and_homogeneous():
 
 
 def test_admissibility_suspension_example():
-    points = [
-        WeightedPoint(coords=(0, 0, 1), clause="ii"),
-        WeightedPoint(coords=(1, 0, 0), clause="ii"),
-    ]
+    points = [((0, 0, 1), "ii"), ((1, 0, 0), "ii")]
     out = wlys_admissibility(SUSPENSION_GERM, WeightVector(2, 2, 3), points)
-    assert out.pop("parts") == wdecompose(SUSPENSION_GERM, WeightVector(2, 2, 3)).parts
+    assert out.pop("parts") == wdecompose(SUSPENSION_GERM, WeightVector(2, 2, 3))["parts"]
     assert out == {"admissible": True, "d": 16, "k": 2, "failures": []}
 
 
 def test_admissibility_fails_without_z6():
     f = TrivarPoly({k: c for k, c in SUSPENSION_GERM.as_dict().items() if k != (0, 0, 6)})
-    points = [WeightedPoint(coords=(0, 0, 1), clause="ii")]
+    points = [((0, 0, 1), "ii")]
     out = wlys_admissibility(f, WeightVector(2, 2, 3), points)
     assert out["admissible"] is False
     assert out["d"] == 16 and out["k"] == 2
@@ -137,13 +134,13 @@ def test_admissibility_fails_without_z6():
 
 def test_admissibility_vacuous():
     out = wlys_admissibility(QUINTIC_GERM, WeightVector(2, 3, 1), [])
-    assert out.pop("parts") == wdecompose(QUINTIC_GERM, WeightVector(2, 3, 1)).parts
+    assert out.pop("parts") == wdecompose(QUINTIC_GERM, WeightVector(2, 3, 1))["parts"]
     assert out == {"admissible": True, "d": 10, "k": 1, "failures": []}
 
 
 def test_admissibility_homogeneous_indeterminate():
     f = TrivarPoly({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-    out = wlys_admissibility(f, WeightVector(1, 1, 1), [WeightedPoint(coords=(1, -1, 0))])
+    out = wlys_admissibility(f, WeightVector(1, 1, 1), [((1, -1, 0), "i")])
     assert out["admissible"] is INDETERMINATE
     assert out["k"] is None
 
@@ -155,7 +152,7 @@ def test_admissibility_reduces_to_sis_criterion():
     cusp_cone = {(3, 0, 0): 1, (0, 2, 1): -1}
     good = TrivarPoly({**cusp_cone, (0, 0, 4): 1})  # z^4 misses the point
     bad = TrivarPoly({**cusp_cone, (4, 0, 0): 1})  # x^4 vanishes there
-    p = WeightedPoint(coords=(0, 0, 1), clause="i")
+    p = ((0, 0, 1), "i")
     w = WeightVector(1, 1, 1)
     assert wlys_admissibility(good, w, [p])["admissible"] is True
     out = wlys_admissibility(bad, w, [p])
@@ -163,13 +160,19 @@ def test_admissibility_reduces_to_sis_criterion():
     assert out["failures"] == ["point [0:0:1] (clause i) lies on C_4"]
 
 
-def test_weighted_point_validation():
-    with pytest.raises(InputError, match="nonzero"):
-        WeightedPoint(coords=(0, 0, 0))
-    with pytest.raises(InputError, match="clause"):
-        WeightedPoint(coords=(1, 0, 0), clause="iv")
-    with pytest.raises(InputError, match="3 coordinates"):
-        WeightedPoint(coords=(1, 0))
+def test_weighted_point_validation(capsys, tmp_path):
+    # the schema rejects a clause other than i, ii, iii and a point without
+    # 3 coordinates; `wlys` rejects the all-zero point
+    point = "wlys-input.schema.json#/properties/points/items"
+    with pytest.raises(InputError, match=r'bad \$\.clause: expected one of "i", "ii", "iii"'):
+        validate({"coords": [1, 0, 0], "clause": "iv"}, point)
+    with pytest.raises(InputError, match=r"bad \$\.coords: expected 3 or more entries"):
+        validate({"coords": [1, 0]}, point)
+    doc = {"poly": trivar_to_json(SUSPENSION_GERM), "weights": [2, 2, 3]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({**doc, "points": [{"coords": [0, "0", "0/3"]}]}))
+    assert cli.main(["wlys", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: point must have a nonzero coordinate\n"
 
 
 def test_weight_vector_validation():
@@ -197,7 +200,7 @@ def test_integer_coefficients_stay_ints():
         ]
     )
     assert [type(c) for _, c in f.terms] == [Fraction, int, int]
-    parts = wdecompose(f, WeightVector(3, 2, 1)).parts
+    parts = wdecompose(f, WeightVector(3, 2, 1))["parts"]
     assert [(m, [type(c) for _, c in part.terms]) for m, part in parts] == [
         (6, [int, int]),
         (7, [Fraction]),
@@ -233,16 +236,17 @@ def test_trivar_json_malformed():
 
 
 def test_point_json():
-    p = point_from_json({"coords": ["0", "0", "1"], "clause": "ii", "flags": ["transversal"]})
-    assert p.coords == (0, 0, 1)
-    assert p.clause == "ii"
-    assert p.flags == (("transversal", True),)
     # clause and flags take the schema's defaults
     point = "wlys-input.schema.json#/properties/points/items"
-    p = point_from_json(validate({"coords": [1, "1/2", 0]}, point))
-    assert (p.coords, p.clause, p.flags) == ((1, Fraction(1, 2), 0), "i", ())
-    with pytest.raises(InputError, match=r"bad \$\.coords: expected 3 or more entries"):
-        validate({"coords": ["1", "2"]}, point)
+    p = validate({"coords": [1, "1/2", 0]}, point)
+    assert p == {"coords": [1, "1/2", 0], "clause": "i", "flags": []}
+    # a point of a report is (coords, clause), coords read as exact rationals;
+    # its label writes each as its str()
+    coords = tuple(rational(x) for x in p["coords"])
+    assert coords == (1, Fraction(1, 2), 0)
+    f = TrivarPoly({(0, 0, 2): 1, (3, 0, 0): 1, (0, 3, 0): -8})  # z^2 + x^3 - 8y^3
+    out = wlys_admissibility(f, WeightVector(1, 1, 1), [(coords, p["clause"])])
+    assert out["failures"] == ["point [1:1/2:0] (clause i) lies on C_3"]
 
 
 def _evaluate_term_by_term(f, a, b, c):

@@ -16,7 +16,12 @@ the same whichever checkout is hashed:
   with --format dot;
 - every input in tests/data under each subcommand that reads a file, in
   each of its formats;
-- three `zeta` graphs that the schema accepts but `zeta` must reject.
+- three `zeta` graphs that the schema accepts but `zeta` must reject;
+- `lys` link graphs that the schema accepts but `lys` must reject, one of
+  them with two faults, to pin which line wins;
+- `wlys` inputs with an all-zero point, on a germ with a comparison form,
+  on a weighted-homogeneous one, and next to a point whose coordinate has
+  a zero denominator, in both orders.
 
 Inputs are written to a temporary directory, which is the working
 directory while the reports run, so paths in messages are relative.
@@ -46,6 +51,32 @@ BAD_ZETA = {
     "zeta_unknown_strict.json": {"vertices": [{"id": "E1", "multiplicity": 2, "chi_open": 1}],
                                  "strict": ["S1"]},
     "zeta_not_polynomial.json": {"vertices": [{"id": "E1", "multiplicity": 1, "chi_open": 2}]},
+}
+# link graphs put into tests/data/sextic6_lys.json, whose curve has one component
+_MARKED = {"id": "c", "self_int": 36, "marked": True, "genus": 4}
+_EXCEPTIONAL = {"id": "e", "self_int": -2}
+BAD_LYS = {
+    "lys_duplicate_id.json": {"vertices": [_MARKED, _EXCEPTIONAL, _EXCEPTIONAL]},
+    "lys_unknown_edge_end.json": {"vertices": [_MARKED, _EXCEPTIONAL],
+                                  "edges": [["c", "e"], ["e", "x"]]},
+    "lys_loop.json": {"vertices": [_MARKED, _EXCEPTIONAL], "edges": [["c", "e"], ["e", "e"]]},
+    "lys_unmarked_genus.json": {"vertices": [_MARKED, {**_EXCEPTIONAL, "genus": 1}]},
+    "lys_marked_count.json": {"vertices": [_MARKED, {**_MARKED, "id": "d"}], "edges": [["c", "d"]]},
+    # the genus of the last vertex is checked before the duplicate ids
+    "lys_duplicate_id_and_unmarked_genus.json": {
+        "vertices": [_MARKED, _MARKED, {**_EXCEPTIONAL, "genus": 2}]},
+}
+# keys put into tests/data/wlys_s10.json; the weighted-homogeneous Fermat
+# cubic replaces its germ and weights
+_FERMAT = {"poly": [{"i": 3, "j": 0, "l": 0, "c": 1}, {"i": 0, "j": 3, "l": 0, "c": 1},
+                    {"i": 0, "j": 0, "l": 3, "c": 1}], "weights": [1, 1, 1]}
+_ZERO = {"coords": ["0", 0, "0/7"], "clause": "iii"}
+_ZERO_DENOMINATOR = {"coords": ["1/0", 1, 1]}
+BAD_WLYS = {
+    "wlys_zero_point.json": {"points": [{"coords": ["0", "0", "1"]}, _ZERO]},
+    "wlys_zero_point_homogeneous.json": {**_FERMAT, "points": [_ZERO]},
+    "wlys_zero_point_first.json": {"points": [_ZERO, _ZERO_DENOMINATOR]},
+    "wlys_zero_denominator_first.json": {"points": [_ZERO_DENOMINATOR, _ZERO]},
 }
 
 
@@ -82,6 +113,14 @@ def corpus(directory: Path) -> list[list[str]]:
     for name, graph in BAD_ZETA.items():
         (directory / "data" / name).write_text(json.dumps(graph))
         argvs.append(["zeta", "--input", f"data/{name}"])
+    lys = json.loads((DATA / "sextic6_lys.json").read_text())
+    for name, graph in BAD_LYS.items():
+        (directory / "data" / name).write_text(json.dumps({**lys, "graph": graph}))
+        argvs.append(["lys", "--input", f"data/{name}"])
+    s10 = json.loads((DATA / "wlys_s10.json").read_text())
+    for name, keys in BAD_WLYS.items():
+        (directory / "data" / name).write_text(json.dumps({**s10, **keys}))
+        argvs.append(["wlys", "--input", f"data/{name}"])
     return argvs
 
 
