@@ -281,60 +281,53 @@ def _lys_text(report: dict) -> str:
 
 def cmd_lys(args) -> str:
     doc = validate(_load_json(args.input), "lys-input.schema.json")
-    spec = curves.curve_spec_from_dict(doc["curve"])
+    curve = doc["curve"]
+    genera = curves.curve_spec_from_dict(curve)
+    d = curve["degree"]
     k = doc["k"] if args.k is None else args.k
+    points = [
+        {
+            **p,
+            "charpoly": _factor_map(p["charpoly"], "points", n, "charpoly"),
+            "jordan1": _factor_map(p.get("jordan1"), "points", n, "jordan1"),
+        }
+        for n, p in enumerate(doc["points"])
+    ]
+    alexander = _factor_map(doc.get("alexander"), "alexander")
+    cone = {"d": d, "k": k, "points": points, "alexander": alexander}
+    char = monodromy.char_poly_lys(cone)
 
-    curve_points = {p.id: (p.mu, p.r) for p in spec.singular_points}
-    points = []
-    for n, entry in enumerate(doc["points"]):
-        pid, mu, r = entry.get("id"), entry["mu"], entry["r"]
-        if pid is not None and curve_points.get(pid) != (mu, r):
+    on_curve = {p["id"]: (p["mu"], p["r"]) for p in curve["singular_points"]}
+    for n, p in enumerate(points):
+        if "id" in p and on_curve.get(p["id"]) != (p["mu"], p["r"]):
             raise InputError(
-                f"point {n} has id {pid!r}, which names no curve singular point "
-                f"with mu = {mu}, r = {r}"
+                f"point {n} has id {p['id']!r}, which names no curve singular point "
+                f"with mu = {p['mu']}, r = {p['r']}"
             )
-        points.append(
-            monodromy.LYSPoint(
-                mu_p=mu,
-                r_p=r,
-                delta_p_charpoly=_factor_map(entry["charpoly"], "points", n, "charpoly"),
-                jordan1_p=_factor_map(entry.get("jordan1"), "points", n, "jordan1"),
-            )
-        )
-    on_curve = sorted((p.mu, p.r) for p in spec.singular_points)
-    provided = sorted((p.mu_p, p.r_p) for p in points)
-    if on_curve != provided:
+    if sorted(on_curve.values()) != sorted((p["mu"], p["r"]) for p in points):
         raise InputError(
             "points list does not match the curve's singular points "
-            f"(curve has {len(on_curve)}, got {len(provided)})"
+            f"(curve has {len(on_curve)}, got {len(points)})"
         )
+    mu_total = monodromy.milnor_number(d, k, sum(p["mu"] for p in points))
 
-    lys_input = monodromy.LYSInput(
-        d=spec.degree,
-        k=k,
-        points=tuple(points),
-        alexander=_factor_map(doc.get("alexander"), "alexander"),
-    )
-    char = monodromy.char_poly_lys(lys_input)
-    mu_total = monodromy.milnor_number(spec.degree, k, lys_input.mu_cone())
-
-    degrees = [c.degree for c in spec.components]
-    vhat, vk = curves.surface_intersections(spec.degree, k, degrees)
+    degrees = [c["degree"] for c in curve["components"]]
+    vhat, vk = curves.surface_intersections(d, k, degrees)
 
     link_graph = None
     if "graph" in doc:
-        link_graph = curves.link_graph_adjust(doc["graph"], spec.degree, degrees)
+        link_graph = curves.link_graph_adjust(doc["graph"], d, degrees)
 
     qhs = curves.qhs_test(
-        spec, k, genera=doc.get("genera"), suspension_flags=doc.get("suspension_flags")
+        curve, k, {**genera, **doc.get("genera", {})}, doc.get("suspension_flags")
     )
 
     jordan2 = None
-    if points and all(p.jordan1_p is not None for p in points):
-        jordan2 = monodromy.jordan2_sis(lys_input)
+    if points and all(p["jordan1"] is not None for p in points):
+        jordan2 = monodromy.jordan2_sis(cone)
 
     report = {
-        "d": spec.degree,
+        "d": d,
         "k": k,
         "milnor_number": mu_total,
         "char_poly": char,
@@ -345,7 +338,7 @@ def cmd_lys(args) -> str:
         "link_graph": link_graph,
         "qhs": {"is_qhs": _verdict(qhs["is_qhs"]), "reasons": qhs["reasons"]},
         "jordan2": jordan2,
-        "alexander": lys_input.alexander,
+        "alexander": alexander,
     }
 
     def render_dot():

@@ -1,8 +1,9 @@
 """Global plane-curve data and the combinatorics of surface links.
 
-A projective plane curve enters as a :class:`CurveSpec`: its degree, its
-irreducible components, and numerical local data (Milnor number, branch
-count) for each singular point.  From these the module derives
+A projective plane curve enters as the "curve" object of a `singcalc lys`
+input, as `schema.validate` returns it: its degree, its irreducible
+components, and numerical local data (Milnor number, branch count) for
+each singular point.  From these the module derives
 delta invariants and component genera, builds the intersection matrices of
 the cone-like surfaces lying over the curve, rewrites resolution-graph
 decorations when the curve is pushed from the projective plane into such a
@@ -15,15 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import FrozenRecord, setfield
 from .errors import INDETERMINATE, InputError
 
 __all__ = [
     "delta_invariant",
     "genus_component",
-    "CurveComponent",
-    "SingularPoint",
-    "CurveSpec",
     "surface_intersections",
     "link_graph_adjust",
     "qhs_test",
@@ -89,127 +86,66 @@ def genus_component(degree: int, deltas) -> int:
 
 
 # ---------------------------------------------------------------------------
-# curve specifications
+# the curve
 # ---------------------------------------------------------------------------
 
 
-class CurveComponent(FrozenRecord):
-    """One irreducible component: an identifier and its degree."""
+def curve_spec_from_dict(curve: dict) -> dict:
+    """Check a curve and return the geometric genus of each component.
 
-    __slots__ = ("id", "degree")
+    ``curve`` is the "curve" object of a document that `schema.validate`
+    accepted against schemas/lys-input.schema.json: ``degree``,
+    ``components`` with ``id`` and ``degree``, and ``singular_points``
+    with ``id``, ``mu``, ``r`` and ``branches_on``, which maps component
+    ids to the number of local branches there.  The checks the schema
+    cannot make raise InputError on the first fault, in this order: at
+    each point, the branch counts sum to r and delta_invariant accepts
+    (mu, r); component ids are distinct; component degrees sum to the
+    degree; point ids are distinct; every point lies on declared
+    components; and no component has a negative genus.
 
-    def __init__(self, id: str, degree: int):
-        if degree < 1:
-            raise InputError(f"component {id!r}: degree must be >= 1, got {degree}")
-        setfield(self, "id", id)
-        setfield(self, "degree", degree)
+    A point on a single component gives its full delta to that
+    component.  A point shared between components splits its delta in a
+    way the numerical data does not pin down, so a component through a
+    shared point gets INDETERMINATE.
 
-
-class SingularPoint(FrozenRecord):
-    """Numerical data of one singular point of the curve.
-
-    ``mu`` is the Milnor number, at least 1 at a singular point, and
-    ``branches_on`` maps component ids to the number of local branches the
-    component contributes at this point; the counts must sum to ``r``.
+    >>> cusp = {"mu": 2, "r": 1, "branches_on": {"c": 1}}
+    >>> curve_spec_from_dict({"degree": 4, "components": [{"id": "c", "degree": 4}],
+    ...     "singular_points": [{**cusp, "id": p} for p in ("p1", "p2", "p3")]})
+    {'c': 0}
     """
-
-    __slots__ = ("id", "mu", "r", "branches_on")
-
-    def __init__(self, id: str, mu: int, r: int, branches_on: tuple):
-        # branches_on: the (component_id, branch_count) pairs
-        setfield(self, "id", id)
-        setfield(self, "mu", mu)
-        setfield(self, "r", r)
-        setfield(self, "branches_on", branches_on)
-        if self.mu < 1:
-            raise InputError(f"point {self.id!r}: mu must be >= 1, got {self.mu}")
-        counts = dict(self.branches_on)
-        if len(counts) != len(self.branches_on):
-            raise InputError(f"point {self.id!r}: duplicate component in branches_on")
-        for comp, n in counts.items():
-            if n < 1:
-                raise InputError(
-                    f"point {self.id!r}: branch count for {comp!r} must be >= 1, got {n}"
-                )
-        if sum(counts.values()) != self.r:
+    points = curve["singular_points"]
+    deltas = []
+    for p in points:
+        counts = sorted(p["branches_on"].values())
+        if sum(counts) != p["r"]:
             raise InputError(
-                f"point {self.id!r}: branch counts {sorted(counts.values())} sum to "
-                f"{sum(counts.values())}, expected r = {self.r}"
+                f"point {p['id']!r}: branch counts {counts} sum to {sum(counts)}, "
+                f"expected r = {p['r']}"
             )
-        # delta() re-checks parity; trigger the check at construction time.
-        delta_invariant(self.mu, self.r)
-
-    def delta(self) -> int:
-        return delta_invariant(self.mu, self.r)
-
-    def components(self) -> tuple:
-        return tuple(comp for comp, _ in self.branches_on)
-
-
-class CurveSpec(FrozenRecord):
-    """A reduced projective plane curve given by numerical data.
-
-    Validation enforces that component degrees sum to the total degree,
-    that every branch count refers to a declared component, and that each
-    component whose genus is determined by the data has genus >= 0.
-    """
-
-    __slots__ = ("degree", "components", "singular_points")
-
-    def __init__(self, degree: int, components: tuple, singular_points: tuple = ()):
-        setfield(self, "degree", degree)
-        setfield(self, "components", components)
-        setfield(self, "singular_points", singular_points)
-        if self.degree < 1:
-            raise InputError(f"curve degree must be >= 1, got {self.degree}")
-        ids = [c.id for c in self.components]
-        if len(set(ids)) != len(ids):
-            raise InputError(f"duplicate component ids: {ids}")
-        if not self.components:
-            raise InputError("curve needs at least one component")
-        total = sum(c.degree for c in self.components)
-        if total != self.degree:
-            raise InputError(
-                f"component degrees sum to {total}, curve degree is {self.degree}"
-            )
-        known = set(ids)
-        point_ids = [p.id for p in self.singular_points]
-        if len(set(point_ids)) != len(point_ids):
-            raise InputError(f"duplicate singular point ids: {point_ids}")
-        for p in self.singular_points:
-            for comp in p.components():
-                if comp not in known:
-                    raise InputError(
-                        f"point {p.id!r} references unknown component {comp!r}"
-                    )
-        self.genera()  # genus_component rejects a negative genus
-
-    def genera(self) -> dict:
-        """Geometric genus per component, where the data determines it.
-
-        A point lying on a single component contributes its full delta to
-        that component.  A point shared between components splits its delta
-        in a way the numerical data (mu, r, branch counts) does not pin
-        down, so any component through a shared point gets INDETERMINATE.
-        """
-        shared = {
-            p.id for p in self.singular_points if len(p.branches_on) > 1
-        }
-        out = {}
-        for c in self.components:
-            touched_shared = any(
-                p.id in shared and c.id in p.components() for p in self.singular_points
-            )
-            if touched_shared:
-                out[c.id] = INDETERMINATE
-                continue
-            deltas = [
-                p.delta()
-                for p in self.singular_points
-                if p.components() == (c.id,)
-            ]
-            out[c.id] = genus_component(c.degree, deltas)
-        return out
+        deltas.append(delta_invariant(p["mu"], p["r"]))
+    ids = [c["id"] for c in curve["components"]]
+    if len(set(ids)) != len(ids):
+        raise InputError(f"duplicate component ids: {ids}")
+    total = sum(c["degree"] for c in curve["components"])
+    if total != curve["degree"]:
+        raise InputError(f"component degrees sum to {total}, curve degree is {curve['degree']}")
+    point_ids = [p["id"] for p in points]
+    if len(set(point_ids)) != len(point_ids):
+        raise InputError(f"duplicate singular point ids: {point_ids}")
+    known = set(ids)
+    for p in points:
+        for comp in sorted(p["branches_on"]):
+            if comp not in known:
+                raise InputError(f"point {p['id']!r} references unknown component {comp!r}")
+    genera = {}
+    for c in curve["components"]:
+        on_c = [(p, delta) for p, delta in zip(points, deltas) if c["id"] in p["branches_on"]]
+        if any(len(p["branches_on"]) > 1 for p, _ in on_c):
+            genera[c["id"]] = INDETERMINATE
+        else:
+            genera[c["id"]] = genus_component(c["degree"], [delta for _, delta in on_c])
+    return genera
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +247,7 @@ def link_graph_adjust(graph: dict, degree: int, degrees) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dict = None):
+def qhs_test(curve: dict, k: int, genera: dict, suspension_flags: dict = None):
     """Decide whether the link of the cone-like surface is a rational
     homology sphere, from the curve combinatorics.
 
@@ -321,72 +257,67 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
     and, for k > 1, every singular point satisfies the suspension condition
     recorded in ``suspension_flags`` (point id -> bool).
 
-    ``genera`` overrides/extends the genera derived from ``spec``, each
-    >= 0; it is required wherever the derivation leaves a genus
-    INDETERMINATE.  Every key of either map must name a component or
-    singular point of ``spec``.
+    ``curve`` is a curve that `curve_spec_from_dict` accepted, and ``k`` is
+    at least 1.  ``genera`` maps component ids to genera: those
+    `curve_spec_from_dict` returns, with any the caller knows put over
+    them, as it must where the derivation leaves a genus INDETERMINATE.
+    Every key of ``genera`` and ``suspension_flags`` must name a component
+    or singular point of ``curve``.
     For k = 1 the suspension flags are irrelevant and their values never
     consulted; for k > 1 a missing flag makes the verdict INDETERMINATE
     rather than False.
 
     Returns ``{"is_qhs": True | False | INDETERMINATE, "reasons": [...]}``.
     """
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
     reasons = []
     undetermined = 0  # reasons that leave the verdict open; the rest are failures
 
-    derived = spec.genera()
-    if genera:
-        unknown = set(genera) - {c.id for c in spec.components}
-        if unknown:
-            raise InputError(f"genera given for unknown components: {sorted(unknown)}")
-        for comp_id, g in sorted(genera.items()):
-            if g < 0:
-                raise InputError(f"bad genus of component {comp_id!r} in genera: {g}; need >= 0")
-        derived = {**derived, **genera}
+    unknown = set(genera) - {c["id"] for c in curve["components"]}
+    if unknown:
+        raise InputError(f"genera given for unknown components: {sorted(unknown)}")
+    points = curve["singular_points"]
     flags = suspension_flags or {}
-    unknown = set(flags) - {p.id for p in spec.singular_points}
+    unknown = set(flags) - {p["id"] for p in points}
     if unknown:
         raise InputError(f"suspension flags given for unknown points: {sorted(unknown)}")
-    for comp_id, g in sorted(derived.items()):
+    for comp_id, g in sorted(genera.items()):
         if g is INDETERMINATE:
             undetermined += 1
             reasons.append(f"genus of component {comp_id!r} not determined by the data")
         elif g != 0:
             reasons.append(f"component {comp_id!r} has genus {g} != 0")
 
-    for p in spec.singular_points:
-        for comp, count in p.branches_on:
+    for p in points:
+        for comp, count in sorted(p["branches_on"].items()):
             if count > 1:
                 reasons.append(
-                    f"component {comp!r} has {count} branches at point {p.id!r}; "
+                    f"component {comp!r} has {count} branches at point {p['id']!r}; "
                     "need unibranch components"
                 )
 
-    if len(spec.components) > 1:
-        meeting = [p for p in spec.singular_points if len(p.branches_on) > 1]
-        all_ids = {c.id for c in spec.components}
+    if len(curve["components"]) > 1:
+        meeting = [p for p in points if len(p["branches_on"]) > 1]
+        all_ids = {c["id"] for c in curve["components"]}
         if len(meeting) != 1:
-            where = sorted(p.id for p in meeting)
+            where = sorted(p["id"] for p in meeting)
             reasons.append(
                 f"components meet at {len(meeting)} points {where}; need exactly one"
             )
-        elif set(meeting[0].components()) != all_ids:
-            missing = sorted(all_ids - set(meeting[0].components()))
+        elif set(meeting[0]["branches_on"]) != all_ids:
+            missing = sorted(all_ids - set(meeting[0]["branches_on"]))
             reasons.append(
-                f"components {missing} miss the common point {meeting[0].id!r}"
+                f"components {missing} miss the common point {meeting[0]['id']!r}"
             )
 
     if k > 1:
-        for p in spec.singular_points:
-            if p.id not in flags:
+        for p in points:
+            if p["id"] not in flags:
                 undetermined += 1
                 reasons.append(
-                    f"suspension condition unknown at point {p.id!r} (k = {k})"
+                    f"suspension condition unknown at point {p['id']!r} (k = {k})"
                 )
-            elif not flags[p.id]:
-                reasons.append(f"suspension condition fails at point {p.id!r} (k = {k})")
+            elif not flags[p["id"]]:
+                reasons.append(f"suspension condition fails at point {p['id']!r} (k = {k})")
 
     if len(reasons) > undetermined:
         return {"is_qhs": False, "reasons": reasons}
@@ -398,17 +329,6 @@ def qhs_test(spec: CurveSpec, k: int, genera: dict = None, suspension_flags: dic
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def curve_spec_from_dict(data: dict) -> CurveSpec:
-    """The curve of the "curve" object of a document that `schema.validate`
-    accepted against schemas/lys-input.schema.json."""
-    components = tuple(CurveComponent(c["id"], c["degree"]) for c in data["components"])
-    points = tuple(
-        SingularPoint(p["id"], p["mu"], p["r"], tuple(sorted(p["branches_on"].items())))
-        for p in data["singular_points"]
-    )
-    return CurveSpec(data["degree"], components, points)
 
 
 def combinatorics_to_dot(graph: dict) -> str:

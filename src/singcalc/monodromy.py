@@ -26,7 +26,6 @@ from the size-two block polynomials Delta^{[1]} of the points.
 
 from __future__ import annotations
 
-from ._record import FrozenRecord, setfield
 from .cyclo import (
     CycloProduct,
     combine,
@@ -40,8 +39,6 @@ from .cyclo import (
 from .errors import InputError, InternalError
 
 __all__ = [
-    "LYSPoint",
-    "LYSInput",
     "acampo_zeta",
     "zeta_to_char",
     "milnor_number",
@@ -87,61 +84,6 @@ def zeta_to_char(z: CycloProduct, n: int) -> CycloProduct:
     return require_polynomial(delta)
 
 
-# ----------------------------------------------------------------- inputs
-
-
-class LYSPoint(FrozenRecord):
-    """One singular point of the tangent cone."""
-
-    __slots__ = ("mu_p", "r_p", "delta_p_charpoly", "jordan1_p")
-
-    def __init__(
-        self,
-        mu_p: int,
-        r_p: int,
-        delta_p_charpoly: CycloProduct,
-        jordan1_p: CycloProduct | None = None,
-    ):
-        if mu_p < 0 or r_p < 1:
-            raise InputError(f"point with mu={mu_p}, r={r_p}")
-        deg = delta_p_charpoly.degree()
-        if deg != mu_p:
-            raise InputError(f"deg Delta_p = {deg} does not match mu_p = {mu_p}")
-        setfield(self, "mu_p", mu_p)
-        setfield(self, "r_p", r_p)
-        setfield(self, "delta_p_charpoly", delta_p_charpoly)
-        setfield(self, "jordan1_p", jordan1_p)
-
-
-class LYSInput(FrozenRecord):
-    """Tangent-cone data of a Le-Yomdin hypersurface germ: degree-d
-    projective curve with isolated singular points, plus the offset k
-    (the germ has degree d + k)."""
-
-    __slots__ = ("d", "k", "points", "alexander", "delta_cmb_k")
-
-    def __init__(
-        self,
-        d: int,
-        k: int,
-        points: tuple[LYSPoint, ...] = (),
-        alexander: CycloProduct | None = None,
-        delta_cmb_k: CycloProduct | None = None,
-    ):
-        if d < 2:
-            raise InputError(f"cone degree d = {d}; need d >= 2")
-        if k < 1:
-            raise InputError(f"offset k = {k}; need k >= 1")
-        setfield(self, "d", d)
-        setfield(self, "k", k)
-        setfield(self, "points", tuple(points))
-        setfield(self, "alexander", alexander)
-        setfield(self, "delta_cmb_k", delta_cmb_k)
-
-    def mu_cone(self) -> int:
-        return sum(p.mu_p for p in self.points)
-
-
 # ------------------------------------------------------- global invariants
 
 
@@ -151,19 +93,36 @@ def milnor_number(d: int, k: int, mu_cd: int) -> int:
     return (d - 1) ** 3 + k * mu_cd
 
 
-def char_poly_lys(inp: LYSInput) -> CycloProduct:
+def char_poly_lys(cone: dict) -> CycloProduct:
     """Characteristic polynomial of the monodromy on H^2 of the Milnor
     fiber, from the tangent-cone data.
 
-    The points must fit on a reduced curve of degree d: by the genus
-    formula, sum delta_p <= (d-1)(d-2)/2 + min(d-1, sum (r_p - 1)), where
-    2 delta_p = mu_p + r_p - 1 (Milnor).  d concurrent lines meet the
-    bound with equality.
+    ``cone`` is a dict: the degree ``d`` of the tangent cone C_d, the
+    offset ``k`` (the germ has degree d + k), and ``points``, one dict
+    per singular point of C_d with its Milnor number ``mu``, its number
+    of branches ``r`` and its local characteristic polynomial
+    ``charpoly``, a CycloProduct.  `jordan2_sis` also reads a point's
+    ``jordan1``, and `yau_pair_report` the cone's ``alexander`` and
+    ``delta_cmb_k``, each a CycloProduct or None.
+
+    Raises InputError, in this order, unless deg charpoly = mu at each
+    point, d >= 2 and k >= 1, and unless the points fit on a reduced curve
+    of degree d: by the genus formula, sum delta_p <= (d-1)(d-2)/2 +
+    min(d-1, sum (r_p - 1)), where 2 delta_p = mu_p + r_p - 1 (Milnor).
+    d concurrent lines meet the bound with equality.
     """
-    d = inp.d
-    mu_cd = inp.mu_cone()
-    twice_delta = sum(p.mu_p + p.r_p - 1 for p in inp.points)
-    twice_bound = (d - 1) * (d - 2) + 2 * min(d - 1, sum(p.r_p - 1 for p in inp.points))
+    d, k, points = cone["d"], cone["k"], cone["points"]
+    for p in points:
+        deg = p["charpoly"].degree()
+        if deg != p["mu"]:
+            raise InputError(f"deg Delta_p = {deg} does not match mu_p = {p['mu']}")
+    if d < 2:
+        raise InputError(f"cone degree d = {d}; need d >= 2")
+    if k < 1:
+        raise InputError(f"offset k = {k}; need k >= 1")
+    mu_cd = sum(p["mu"] for p in points)
+    twice_delta = sum(p["mu"] + p["r"] - 1 for p in points)
+    twice_bound = (d - 1) * (d - 2) + 2 * min(d - 1, sum(p["r"] - 1 for p in points))
     if twice_delta > twice_bound:
         raise InputError(
             f"2 sum(delta_p) = {twice_delta} exceeds (d-1)(d-2) + "
@@ -171,10 +130,9 @@ def char_poly_lys(inp: LYSInput) -> CycloProduct:
             f"no reduced curve of degree {d} has these singular points"
         )
     acc = CycloProduct({d: d**2 - 3 * d + 3 - mu_cd, 1: -1})
-    for p in inp.points:
-        local = power_char(p.delta_p_charpoly, inp.k)
-        acc = acc * substitute_power(local, d + inp.k)
-    expected = milnor_number(d, inp.k, mu_cd)
+    for p in points:
+        acc = acc * substitute_power(power_char(p["charpoly"], k), d + k)
+    expected = milnor_number(d, k, mu_cd)
     if acc.degree() != expected:
         raise InternalError(
             f"characteristic polynomial has degree {acc.degree()}, "
@@ -183,15 +141,16 @@ def char_poly_lys(inp: LYSInput) -> CycloProduct:
     return acc
 
 
-def jordan2_sis(inp: LYSInput) -> CycloProduct:
-    """Polynomial of the size-three Jordan blocks for k=1:
+def jordan2_sis(cone: dict) -> CycloProduct:
+    """Polynomial of the size-three Jordan blocks for k=1, from the
+    ``jordan1`` of each point of a cone as `char_poly_lys` takes it:
     gcd((t-1)^m, prod_P Delta_P^{[1]}) with m = 1 + deg prod_P Delta_P^{[1]},
     more than the multiplicity of t-1 in the product."""
     prod = CycloProduct({})
-    for idx, p in enumerate(inp.points):
-        if p.jordan1_p is None:
+    for idx, p in enumerate(cone["points"]):
+        if p.get("jordan1") is None:
             raise InputError(f"point {idx} supplies no Delta_P^[1]")
-        prod = prod * p.jordan1_p
+        prod = prod * p["jordan1"]
     m = 1 + prod.degree()
     if m < 1:
         raise InputError(f"m = {m}; need a positive exponent")
@@ -207,45 +166,43 @@ def jordan1_quotient(delta_cmb_k: CycloProduct, alexander: CycloProduct) -> Cycl
 # ------------------------------------------------------------------ reports
 
 
-def _point_key(p: LYSPoint):
-    return (p.mu_p, p.r_p, p.delta_p_charpoly.factors)
-
-
-def yau_pair_report(a: LYSInput, b: LYSInput) -> dict:
-    """Compare two germs with the same tangent-cone combinatorics.
+def yau_pair_report(a: dict, b: dict) -> dict:
+    """Compare two germs with the same tangent-cone combinatorics, each
+    a cone as `char_poly_lys` takes it.
 
     Their Milnor numbers and characteristic polynomials agree by
     construction; if their Alexander polynomials differ, the Jordan
     structures of the monodromy differ, hence so do the embedded
     topologies."""
-    if a.d != b.d or a.k != b.k:
-        raise InputError(f"(d,k) mismatch: ({a.d},{a.k}) vs ({b.d},{b.k})")
-    if sorted(map(_point_key, a.points)) != sorted(map(_point_key, b.points)):
+    if (a["d"], a["k"]) != (b["d"], b["k"]):
+        raise InputError(f"(d,k) mismatch: ({a['d']},{a['k']}) vs ({b['d']},{b['k']})")
+    key = lambda cone: sorted((p["mu"], p["r"], p["charpoly"].factors) for p in cone["points"])  # noqa: E731
+    if key(a) != key(b):
         raise InputError("tangent-cone singular points differ: not a comparable pair")
 
-    mu = milnor_number(a.d, a.k, a.mu_cone())
     char_a = char_poly_lys(a)
     char_b = char_poly_lys(b)
     if char_a != char_b:
         raise InternalError("equal combinatorics produced different char polys")
 
     report: dict = {
-        "d": a.d,
-        "k": a.k,
-        "milnor_number": mu,
+        "d": a["d"],
+        "k": a["k"],
+        "milnor_number": milnor_number(a["d"], a["k"], sum(p["mu"] for p in a["points"])),
         "milnor_equal": True,
         "char_poly": char_a.as_dict(),
         "char_poly_equal": True,
     }
-    for label, inp in (("a", a), ("b", b)):
-        if inp.alexander is not None:
-            report[f"alexander_{label}"] = inp.alexander.as_dict()
-        if inp.delta_cmb_k is not None and inp.alexander is not None:
-            report[f"jordan1_{label}"] = jordan1_quotient(
-                inp.delta_cmb_k, inp.alexander
-            ).as_dict()
-    if a.alexander is not None and b.alexander is not None:
-        same = a.alexander == b.alexander
+    for label, cone in (("a", a), ("b", b)):
+        alexander = cone.get("alexander")
+        if alexander is not None:
+            report[f"alexander_{label}"] = alexander.as_dict()
+            if cone.get("delta_cmb_k") is not None:
+                report[f"jordan1_{label}"] = jordan1_quotient(
+                    cone["delta_cmb_k"], alexander
+                ).as_dict()
+    if a.get("alexander") is not None and b.get("alexander") is not None:
+        same = a["alexander"] == b["alexander"]
         report["alexander_equal"] = same
         report["verdict"] = (
             "indistinguishable by these invariants"

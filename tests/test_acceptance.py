@@ -14,8 +14,6 @@ from math import gcd
 
 from singcalc.cyclo import CycloProduct, expand, power_char
 from singcalc.monodromy import (
-    LYSInput,
-    LYSPoint,
     char_poly_lys,
     milnor_number,
     render_report,
@@ -107,8 +105,8 @@ def test_criterion_2_degree_identity_200_cases():
             if CATALOG[name][0] <= budget:
                 picked.append(name)
                 budget -= CATALOG[name][0]
-        points = tuple(LYSPoint(*CATALOG[n]) for n in picked)
-        char = char_poly_lys(LYSInput(d, k, points))
+        points = [dict(zip(("mu", "r", "charpoly"), CATALOG[n])) for n in picked]
+        char = char_poly_lys({"d": d, "k": k, "points": points})
         mu_sum = sum(CATALOG[n][0] for n in picked)
         expected = (d - 1) ** 3 + k * mu_sum
         assert expand(char).degree == expected, (d, k, picked)
@@ -351,17 +349,17 @@ def test_criterion_8_weighted_decomposition():
 
 def test_criterion_9_yau_pair_report():
     cusp_delta = CATALOG["cusp"][2]
-    points = tuple(LYSPoint(*CATALOG["cusp"]) for _ in range(6))
-    on_conic = LYSInput(
-        6,
-        1,
-        points,
-        alexander=cusp_delta,  # t^2 - t + 1
-        delta_cmb_k=CycloProduct({6: 2, 1: 2, 2: -2, 3: -2}),
-    )
-    off_conic = LYSInput(6, 1, points, alexander=CycloProduct({}))  # 1
+    points = [dict(zip(("mu", "r", "charpoly"), CATALOG["cusp"])) for _ in range(6)]
+    on_conic = {
+        "d": 6,
+        "k": 1,
+        "points": points,
+        "alexander": cusp_delta,  # t^2 - t + 1
+        "delta_cmb_k": CycloProduct({6: 2, 1: 2, 2: -2, 3: -2}),
+    }
+    off_conic = {"d": 6, "k": 1, "points": points, "alexander": CycloProduct({})}  # 1
 
-    assert milnor_number(6, 1, on_conic.mu_cone()) == 137
+    assert milnor_number(6, 1, sum(p["mu"] for p in on_conic["points"])) == 137
     assert char_poly_lys(on_conic) == char_poly_lys(off_conic)  # exact
 
     report = yau_pair_report(on_conic, off_conic)

@@ -860,6 +860,13 @@ def test_below_schema_minimum_exits_1(capsys, tmp_path, mutate, line):
 
 
 _LINK_VERTEX = {"id": "c", "self_int": 36, "marked": True, "genus": 4}
+# 16 nodes on a sextic: 2 sum(delta_p) = 32 > (d-1)(d-2) + 2 min(d-1, 16) = 30
+_NODES = [{"id": f"n{i}", "mu": 1, "r": 2} for i in range(16)]
+
+
+def _sixteen_nodes(data):
+    data["curve"]["singular_points"] = [{**n, "branches_on": {"c": 2}} for n in _NODES]
+    data["points"] = [{**n, "charpoly": {"1": 1}} for n in _NODES]
 
 
 @pytest.mark.parametrize(
@@ -902,6 +909,38 @@ _LINK_VERTEX = {"id": "c", "self_int": 36, "marked": True, "genus": 4}
             _set(("graph", "vertices"), [_LINK_VERTEX, {**_LINK_VERTEX, "id": "d"}]),
             "2 marked vertices but 1 component degrees",
         ),
+        (
+            _set(("curve", "singular_points", 0, "branches_on"), {"c": 2}),
+            "point 'p1': branch counts [2] sum to 2, expected r = 1",
+        ),
+        (
+            _set(("curve", "components", 0, "degree"), 5),
+            "component degrees sum to 5, curve degree is 6",
+        ),
+        (
+            _set(("curve", "singular_points", 0, "branches_on"), {"z": 1}),
+            "point 'p1' references unknown component 'z'",
+        ),
+        (
+            lambda data: data["curve"].update(degree=3, components=[{"id": "c", "degree": 3}]),
+            "degree-3 component with delta sum 6 would have negative genus -5",
+        ),
+        (
+            _set(("points",), []),
+            "points list does not match the curve's singular points (curve has 6, got 0)",
+        ),
+        (_set(("points", 0, "charpoly"), {"1": 1}), "deg Delta_p = 1 does not match mu_p = 2"),
+        (
+            lambda data: data.update(
+                curve={"degree": 1, "components": [{"id": "c", "degree": 1}]}, points=[]
+            ),
+            "cone degree d = 1; need d >= 2",
+        ),
+        (
+            _sixteen_nodes,
+            "2 sum(delta_p) = 32 exceeds (d-1)(d-2) + 2 min(d-1, sum(r_p-1)) = 30: "
+            "no reduced curve of degree 6 has these singular points",
+        ),
     ],
     ids=[
         "duplicate-component",
@@ -917,6 +956,14 @@ _LINK_VERTEX = {"id": "c", "self_int": 36, "marked": True, "genus": 4}
         "genus-of-unknown-component",
         "unmarked-vertex-of-genus-1",
         "marked-count-mismatch",
+        "branch-sum",
+        "degree-sum",
+        "unknown-component",
+        "negative-genus-from-curve",
+        "points-mismatch",
+        "charpoly-degree",
+        "cone-degree-1",
+        "genus-bound",
     ],
 )
 def test_lys_broken_curve_or_graph_invariant_exits_1(capsys, tmp_path, mutate, line):
@@ -925,6 +972,12 @@ def test_lys_broken_curve_or_graph_invariant_exits_1(capsys, tmp_path, mutate, l
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     assert run_cli(capsys, "lys", "--input", str(path)) == (1, "", f"error: {line}\n")
+
+
+def test_lys_k_0_exits_1(capsys):
+    # --k overrides the input's k, past the schema's minimum of 1
+    argv = ("lys", "--input", str(DATA / "sextic6_lys.json"), "--k", "0")
+    assert run_cli(capsys, *argv) == (1, "", "error: offset k = 0; need k >= 1\n")
 
 
 @pytest.mark.parametrize(
@@ -1244,6 +1297,47 @@ def test_lys_ignores_the_order_of_the_points(tmp_path_factory, tmp_path):
         assert after == before, path.name
         reordered += shuffled_reasons != reasons
     assert len(inputs) == 42 and reordered > 0
+
+
+# (i, j) -> c for c u^i v^j: the normal forms of the germs that the
+# catalogs of tests/test_acceptance.py and tests/test_monodromy.py name
+NORMAL_FORMS = {
+    "node": {(1, 1): 1},
+    "cusp": {(0, 2): 1, (3, 0): -1},
+    "tacnode": {(0, 2): 1, (4, 0): -1},
+    "A4": {(0, 2): 1, (5, 0): -1},
+    "E6": {(3, 0): 1, (0, 4): 1},
+    "E7": {(3, 0): 1, (1, 3): 1},
+    "E8": {(3, 0): 1, (0, 5): 1},
+}
+
+
+def _test_module(name):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_local_normal_forms_match_the_catalogs(capsys, tmp_path):
+    # (mu, r, Delta) that `local` finds for each normal form is the row the
+    # catalogs state, and the local data each tests/data lys input gives
+    found = {}
+    for name, germ in NORMAL_FORMS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"germ": [{"i": i, "j": j, "c": c} for (i, j), c in germ.items()]}))
+        code, out, err = run_cli(capsys, "local", "--input", str(path))
+        assert (code, err) == (0, ""), name
+        report = json.loads(out)
+        found[name] = (report["mu"], report["r"], report["char_poly"]["factors"])
+    for catalog in (_test_module("test_acceptance").CATALOG, _test_module("test_monodromy").LOCAL_CATALOG):
+        stated = {n: (mu, r, {str(m): e for m, e in delta.factors}) for n, (mu, r, delta) in catalog.items()}
+        assert stated == found
+    by_mu_r = {(mu, r): factors for mu, r, factors in found.values()}
+    points = [p for path in sorted(DATA.glob("sextic*_lys.json")) for p in json.loads(path.read_text())["points"]]
+    assert len(points) == 9
+    for p in points:
+        assert p["charpoly"] == by_mu_r[p["mu"], p["r"]], p
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,6 @@ from fractions import Fraction
 import pytest
 
 from singcalc.curves import (
-    CurveComponent,
-    CurveSpec,
-    SingularPoint,
     combinatorics_to_dot,
     curve_spec_from_dict,
     delta_invariant,
@@ -23,27 +20,34 @@ from singcalc.qres2d import BivarPoly, local_invariants
 from singcalc.schema import validate
 
 
+def curve(degree, components, *points):
+    """A curve as `schema.validate` gives it; components are (id, degree) pairs."""
+    return validate(
+        {
+            "degree": degree,
+            "components": [{"id": c, "degree": n} for c, n in components],
+            "singular_points": list(points),
+        },
+        "lys-input.schema.json#/properties/curve",
+    )
+
+
 def cusp_point(pid, comp="c"):
-    return SingularPoint(id=pid, mu=2, r=1, branches_on=((comp, 1),))
+    return {"id": pid, "mu": 2, "r": 1, "branches_on": {comp: 1}}
 
 
 def tricuspidal_quartic():
-    return CurveSpec(
-        degree=4,
-        components=(CurveComponent("c", 4),),
-        singular_points=(cusp_point("p1"), cusp_point("p2"), cusp_point("p3")),
-    )
+    return curve(4, [("c", 4)], cusp_point("p1"), cusp_point("p2"), cusp_point("p3"))
 
 
 def two_conics_two_points():
-    node = lambda pid: SingularPoint(
-        id=pid, mu=1, r=2, branches_on=(("a", 1), ("b", 1))
-    )
-    return CurveSpec(
-        degree=4,
-        components=(CurveComponent("a", 2), CurveComponent("b", 2)),
-        singular_points=(node("p1"), node("p2")),
-    )
+    node = lambda pid: {"id": pid, "mu": 1, "r": 2, "branches_on": {"a": 1, "b": 1}}
+    return curve(4, [("a", 2), ("b", 2)], node("p1"), node("p2"))
+
+
+def qhs(curve, k, genera=None, suspension_flags=None):
+    """qhs_test with the genera curve_spec_from_dict derives, any in genera put over them."""
+    return qhs_test(curve, k, {**curve_spec_from_dict(curve), **(genera or {})}, suspension_flags)
 
 
 # ---------------------------------------------------------------- delta
@@ -206,71 +210,61 @@ def test_adjust_count_mismatch():
 
 
 def test_qhs_tricuspidal_quartic():
-    out = qhs_test(tricuspidal_quartic(), 1)
+    out = qhs(tricuspidal_quartic(), 1)
     assert out == {"is_qhs": True, "reasons": []}
 
 
 def test_qhs_two_conics_two_points():
-    out = qhs_test(two_conics_two_points(), 1, genera={"a": 0, "b": 0})
+    out = qhs(two_conics_two_points(), 1, genera={"a": 0, "b": 0})
     assert out["is_qhs"] is False
     assert any("meet at 2 points" in r for r in out["reasons"])
 
 
 def test_qhs_smooth_conic():
-    spec = CurveSpec(degree=2, components=(CurveComponent("c", 2),))
-    assert qhs_test(spec, 1) == {"is_qhs": True, "reasons": []}
+    assert qhs(curve(2, [("c", 2)]), 1) == {"is_qhs": True, "reasons": []}
 
 
 def test_qhs_positive_genus_fails():
     # 6-cuspidal sextic: genus 10 - 6 = 4.
-    points = tuple(cusp_point(f"p{i}") for i in range(6))
-    spec = CurveSpec(
-        degree=6, components=(CurveComponent("c", 6),), singular_points=points
-    )
-    assert spec.genera() == {"c": 4}
-    out = qhs_test(spec, 1)
+    sextic = curve(6, [("c", 6)], *(cusp_point(f"p{i}") for i in range(6)))
+    assert curve_spec_from_dict(sextic) == {"c": 4}
+    out = qhs(sextic, 1)
     assert out["is_qhs"] is False
     assert any("genus 4" in r for r in out["reasons"])
 
 
 def test_qhs_multibranch_point_fails():
-    p = SingularPoint(id="p", mu=1, r=2, branches_on=(("c", 2),))
-    spec = CurveSpec(
-        degree=3, components=(CurveComponent("c", 3),), singular_points=(p,)
-    )
-    out = qhs_test(spec, 1)
+    p = {"id": "p", "mu": 1, "r": 2, "branches_on": {"c": 2}}
+    out = qhs(curve(3, [("c", 3)], p), 1)
     assert out["is_qhs"] is False
     assert any("unibranch" in r for r in out["reasons"])
 
 
 def test_qhs_k1_never_consults_flags():
     # Flags that would fail for k>1 are irrelevant at k=1.
-    out = qhs_test(tricuspidal_quartic(), 1, suspension_flags={"p1": False})
+    out = qhs(tricuspidal_quartic(), 1, suspension_flags={"p1": False})
     assert out == {"is_qhs": True, "reasons": []}
 
 
 def test_qhs_k2_all_flags_true():
     flags = {"p1": True, "p2": True, "p3": True}
-    out = qhs_test(tricuspidal_quartic(), 2, suspension_flags=flags)
+    out = qhs(tricuspidal_quartic(), 2, suspension_flags=flags)
     assert out == {"is_qhs": True, "reasons": []}
 
 
 def test_qhs_k2_flag_false():
     flags = {"p1": True, "p2": False, "p3": True}
-    out = qhs_test(tricuspidal_quartic(), 2, suspension_flags=flags)
+    out = qhs(tricuspidal_quartic(), 2, suspension_flags=flags)
     assert out["is_qhs"] is False
 
 
 def test_qhs_k2_missing_flags_indeterminate():
-    out = qhs_test(tricuspidal_quartic(), 2, suspension_flags={"p1": True})
+    out = qhs(tricuspidal_quartic(), 2, suspension_flags={"p1": True})
     assert out["is_qhs"] is INDETERMINATE
     assert any("suspension condition unknown" in r for r in out["reasons"])
     # ... but a definite failure on another clause beats indeterminacy.
-    points = tuple(cusp_point(f"p{i}") for i in range(6))
-    sextic = CurveSpec(
-        degree=6, components=(CurveComponent("c", 6),), singular_points=points
-    )
-    assert qhs_test(sextic, 2)["is_qhs"] is False
+    sextic = curve(6, [("c", 6)], *(cusp_point(f"p{i}") for i in range(6)))
+    assert qhs(sextic, 2)["is_qhs"] is False
 
 
 # ----------------------------------------------------------- tree test
@@ -292,34 +286,34 @@ def test_tree_rational_cusp_graph():
     assert all(v["genus"] == 0 for v in g.vertices.values())
 
 
-# ------------------------------------------------------------ CurveSpec
+# ------------------------------------------------------------ curve checks
 
 
 def test_spec_degree_mismatch():
     with pytest.raises(InputError, match="sum to"):
-        CurveSpec(degree=5, components=(CurveComponent("c", 4),))
+        curve_spec_from_dict(curve(5, [("c", 4)]))
 
 
 def test_spec_branch_count_mismatch():
+    p = {"id": "p", "mu": 1, "r": 2, "branches_on": {"c": 3}}
     with pytest.raises(InputError, match="branch counts"):
-        SingularPoint(id="p", mu=1, r=2, branches_on=(("c", 3),))
+        curve_spec_from_dict(curve(3, [("c", 3)], p))
 
 
 def test_spec_unknown_component():
-    p = SingularPoint(id="p", mu=2, r=1, branches_on=(("zzz", 1),))
     with pytest.raises(InputError, match="unknown component"):
-        CurveSpec(degree=4, components=(CurveComponent("c", 4),), singular_points=(p,))
+        curve_spec_from_dict(curve(4, [("c", 4)], cusp_point("p", comp="zzz")))
 
 
 def test_spec_negative_genus_rejected():
-    p = SingularPoint(id="p", mu=8, r=1, branches_on=(("c", 1),))
+    p = {"id": "p", "mu": 8, "r": 1, "branches_on": {"c": 1}}
     with pytest.raises(InputError, match="negative genus"):
-        CurveSpec(degree=2, components=(CurveComponent("c", 2),), singular_points=(p,))
+        curve_spec_from_dict(curve(2, [("c", 2)], p))
 
 
 def test_spec_shared_point_genus_indeterminate():
-    spec = two_conics_two_points()
-    assert spec.genera() == {"a": INDETERMINATE, "b": INDETERMINATE}
+    genera = curve_spec_from_dict(two_conics_two_points())
+    assert genera == {"a": INDETERMINATE, "b": INDETERMINATE}
 
 
 def test_spec_unmarked_vertex_genus():
@@ -347,18 +341,17 @@ def test_combinatorics_round_trip():
 
 
 def test_curve_spec_from_dict():
-    spec = curve_spec_from_dict(
-        {
-            "degree": 4,
-            "components": [{"id": "c", "degree": 4}],
-            "singular_points": [
-                {"id": "p1", "mu": 2, "r": 1, "branches_on": {"c": 1}},
-                {"id": "p2", "mu": 2, "r": 1, "branches_on": {"c": 1}},
-                {"id": "p3", "mu": 2, "r": 1, "branches_on": {"c": 1}},
-            ],
-        }
-    )
-    assert spec == tricuspidal_quartic()
+    data = {
+        "degree": 4,
+        "components": [{"id": "c", "degree": 4}],
+        "singular_points": [
+            {"id": "p1", "mu": 2, "r": 1, "branches_on": {"c": 1}},
+            {"id": "p2", "mu": 2, "r": 1, "branches_on": {"c": 1}},
+            {"id": "p3", "mu": 2, "r": 1, "branches_on": {"c": 1}},
+        ],
+    }
+    assert data == tricuspidal_quartic()
+    assert curve_spec_from_dict(data) == {"c": 0}
 
 
 def test_curve_spec_malformed():

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from singcalc.cyclo import CycloProduct, DensePoly, expand, root_multiplicity
 from singcalc.errors import InputError, NonDivisible, NotPolynomial
 from singcalc.monodromy import (
-    LYSInput,
-    LYSPoint,
     acampo_zeta,
     char_poly_lys,
     jordan1_quotient,
@@ -43,8 +41,13 @@ LOCAL_CATALOG = {
 
 def point(name, jordan1=None):
     mu, r, delta = LOCAL_CATALOG[name]
-    return LYSPoint(mu, r, delta, jordan1)
+    return {"mu": mu, "r": r, "charpoly": delta, "jordan1": jordan1}
 
+
+def cone(d, k, points=(), alexander=None, delta_cmb_k=None):
+    """Tangent-cone data as char_poly_lys takes it."""
+    return {"d": d, "k": k, "points": list(points), "alexander": alexander,
+            "delta_cmb_k": delta_cmb_k}
 
 # ------------------------------------------------------------------- zeta
 
@@ -101,14 +104,14 @@ def test_milnor_number_examples():
 
 
 def test_char_poly_six_cuspidal_sextic():
-    inp = LYSInput(6, 1, tuple(point("cusp") for _ in range(6)))
+    inp = cone(6, 1, [point("cusp") for _ in range(6)])
     out = char_poly_lys(inp)
     assert out == C({6: 9, 1: -1, 42: 6, 7: 6, 14: -6, 21: -6})
     assert out.degree() == 137
 
 
 def test_char_poly_smooth_cubic_cone():
-    out = char_poly_lys(LYSInput(3, 1, ()))
+    out = char_poly_lys(cone(3, 1))
     assert out == C({3: 3, 1: -1})
     assert out.degree() == 8
     # dense-expansion oracle: result * (t-1) == (t^3-1)^3
@@ -119,7 +122,7 @@ def test_char_poly_smooth_cubic_cone():
 def test_char_poly_order_two_offset():
     # degree-8 germ over a sextic cone with one cusp: the local factor
     # is the square of the cusp monodromy, substituted at t^8
-    inp = LYSInput(6, 2, (point("cusp"),))
+    inp = cone(6, 2, [point("cusp")])
     out = char_poly_lys(inp)
     assert out == C({6: 19, 1: -1, 24: 1, 8: -1})
     assert out.degree() == 129 == milnor_number(6, 2, 2)
@@ -128,7 +131,7 @@ def test_char_poly_order_two_offset():
 def test_char_poly_regime_guard():
     # nine cusps push mu(C) past d^2-3d+3 = 12 for d = 4... use d=4:
     # d^2-3d+3 = 7, four cusps give mu = 8 > 7
-    inp = LYSInput(4, 1, tuple(point("cusp") for _ in range(4)))
+    inp = cone(4, 1, [point("cusp") for _ in range(4)])
     with pytest.raises(InputError):
         char_poly_lys(inp)
 
@@ -157,29 +160,30 @@ def test_char_poly_lys_thom_sebastiani(d):
     # and z^(d+k)
     germ = local_invariants(BivarPoly({(d, 0): 1, (0, d): 1}))
     assert germ.delta == C(join_divisor(d, d))
-    cone = (LYSPoint(germ.mu, germ.branches, germ.delta),)
+    points = [{"mu": germ.mu, "r": germ.branches, "charpoly": germ.delta}]
     for k in range(1, 9):
-        assert char_poly_lys(LYSInput(d, k, cone)) == C(join_divisor(d, d, d + k)), k
+        assert char_poly_lys(cone(d, k, points)) == C(join_divisor(d, d, d + k)), k
 
 
 def test_char_poly_genus_bound():
     # four general lines meet in six nodes, the most a reduced quartic has;
     # with 2 delta = mu + r - 1 = 2 per node, seven nodes exceed
     # (d-1)(d-2)/2 + min(d-1, sum(r-1)) = 3 + 3 although mu = 7 = d^2-3d+3
-    six = LYSInput(4, 1, tuple(point("node") for _ in range(6)))
+    six = cone(4, 1, [point("node") for _ in range(6)])
     assert char_poly_lys(six).degree() == milnor_number(4, 1, 6)
-    seven = LYSInput(4, 1, tuple(point("node") for _ in range(7)))
+    seven = cone(4, 1, [point("node") for _ in range(7)])
     with pytest.raises(InputError, match="no reduced curve of degree 4"):
         char_poly_lys(seven)
 
 
 def test_lys_input_validation():
-    with pytest.raises(InputError):
-        LYSPoint(3, 1, CUSP_DELTA)  # degree 2 != mu 3
-    with pytest.raises(InputError):
-        LYSInput(1, 1, ())
-    with pytest.raises(InputError):
-        LYSInput(3, 0, ())
+    cusp_as_mu_3 = {"mu": 3, "r": 1, "charpoly": CUSP_DELTA}
+    with pytest.raises(InputError, match="deg Delta_p = 2 does not match mu_p = 3"):
+        char_poly_lys(cone(3, 1, [cusp_as_mu_3]))
+    with pytest.raises(InputError, match="cone degree d = 1; need d >= 2"):
+        char_poly_lys(cone(1, 1))
+    with pytest.raises(InputError, match="offset k = 0; need k >= 1"):
+        char_poly_lys(cone(3, 0))
 
 
 @st.composite
@@ -193,17 +197,18 @@ def cone_data(draw):
     points = []
     for name in names:
         mu = LOCAL_CATALOG[name][0]
-        if sum(p.mu_p for p in points) + mu > budget:
+        if sum(p["mu"] for p in points) + mu > budget:
             continue
         points.append(point(name))
-    return LYSInput(d, k, tuple(points))
+    return cone(d, k, points)
 
 
 @given(inp=cone_data())
 @settings(max_examples=60, deadline=None)
 def test_property_degree_equals_milnor_number(inp):
     out = char_poly_lys(inp)
-    assert out.degree() == milnor_number(inp.d, inp.k, inp.mu_cone())
+    mu_cone = sum(p["mu"] for p in inp["points"])
+    assert out.degree() == milnor_number(inp["d"], inp["k"], mu_cone)
     # the eigenvalues are roots of unity with nonnegative multiplicity,
     # so the product expands to an honest integer polynomial
     dense = expand(out)
@@ -216,42 +221,42 @@ def test_property_eigenvalue_one_bookkeeping(inp):
     from singcalc.cyclo import power_char
 
     out = char_poly_lys(inp)
-    e0 = inp.d**2 - 3 * inp.d + 3 - inp.mu_cone()
+    e0 = inp["d"] ** 2 - 3 * inp["d"] + 3 - sum(p["mu"] for p in inp["points"])
     locals_at_one = sum(
-        root_multiplicity(power_char(p.delta_p_charpoly, inp.k), 1)
-        for p in inp.points
+        root_multiplicity(power_char(p["charpoly"], inp["k"]), 1)
+        for p in inp["points"]
     )
     assert root_multiplicity(out, 1) == e0 - 1 + locals_at_one
-    if not inp.points:
-        assert root_multiplicity(out, 1) == inp.d**2 - 3 * inp.d + 2
+    if not inp["points"]:
+        assert root_multiplicity(out, 1) == inp["d"] ** 2 - 3 * inp["d"] + 2
 
 
 # -------------------------------------------------------------- jordan data
 
 
 def test_jordan2_sis_examples():
-    cusps = LYSInput(6, 1, tuple(point("cusp", C({})) for _ in range(6)))
+    cusps = cone(6, 1, [point("cusp", C({})) for _ in range(6)])
     assert jordan2_sis(cusps) == C({})
 
-    one = LYSInput(6, 1, (LYSPoint(2, 1, CUSP_DELTA, C({2: 1})),))
+    one = cone(6, 1, [point("cusp", C({2: 1}))])
     assert jordan2_sis(one) == C({1: 1})
 
-    two = LYSInput(
-        6, 1,
-        (LYSPoint(2, 1, CUSP_DELTA, C({1: 1})), LYSPoint(2, 1, CUSP_DELTA, C({1: 1}))),
-    )
+    two = cone(6, 1, [point("cusp", C({1: 1})), point("cusp", C({1: 1}))])
     # m sits above the total degree and keeps the full power
     assert jordan2_sis(two) == C({1: 2})
     # a product of negative degree leaves no positive m
-    negative = LYSInput(6, 1, (LYSPoint(2, 1, CUSP_DELTA, C({2: -3})),))
+    negative = cone(6, 1, [point("cusp", C({2: -3}))])
     with pytest.raises(InputError, match="need a positive exponent"):
         jordan2_sis(negative)
 
 
 def test_jordan2_sis_requires_jordan_data():
-    inp = LYSInput(6, 1, (point("cusp"),))
+    inp = cone(6, 1, [point("cusp")])
     with pytest.raises(InputError):
         jordan2_sis(inp)
+    # a point dict may leave jordan1 out
+    with pytest.raises(InputError, match="point 0 supplies no Delta_P"):
+        jordan2_sis(cone(6, 1, [{"mu": 2, "r": 1, "charpoly": CUSP_DELTA}]))
 
 
 def test_jordan1_quotient_examples():
@@ -265,12 +270,7 @@ def test_jordan1_quotient_examples():
 
 
 def _sextic(alexander, delta_cmb_k=None):
-    return LYSInput(
-        6, 1,
-        tuple(point("cusp") for _ in range(6)),
-        alexander=alexander,
-        delta_cmb_k=delta_cmb_k,
-    )
+    return cone(6, 1, [point("cusp") for _ in range(6)], alexander, delta_cmb_k)
 
 
 def test_yau_pair_distinguished():
@@ -294,11 +294,11 @@ def test_yau_pair_indistinguishable():
 
 def test_yau_pair_requires_matching_combinatorics():
     with pytest.raises(InputError):
-        yau_pair_report(_sextic(C({})), LYSInput(5, 1, ()))
+        yau_pair_report(_sextic(C({})), cone(5, 1))
     with pytest.raises(InputError):
         yau_pair_report(
             _sextic(C({})),
-            LYSInput(6, 1, tuple(point("cusp") for _ in range(5)) + (point("node"),)),
+            cone(6, 1, [point("cusp") for _ in range(5)] + [point("node")]),
         )
 
 

@@ -19,15 +19,9 @@ CUSP_DELTA = CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})  # t^2 - t + 1
 
 
 def _frozen():
-    component = curves.CurveComponent("c", 3)
     return [
-        component,
-        curves.SingularPoint("p", 2, 1, (("c", 1),)),
-        curves.CurveSpec(3, (component,)),
         CUSP_DELTA,
         DensePoly((1, -1, 1)),
-        monodromy.LYSPoint(2, 1, CUSP_DELTA),
-        monodromy.LYSInput(3, 1),
         CUSP,
         qres2d.Chart((1, 0, 0), CUSP),
         QResolutionGraph({"S1": {"id": "S1"}}, [], ["S1"]),
@@ -70,7 +64,7 @@ def test_every_record_class_is_covered():
         if isinstance(cls, type) and cls.__module__ == module.__name__ and "__slots__" in vars(cls)
     }
     assert declared == frozen
-    assert len(frozen) == 18
+    assert len(frozen) == 13
 
 
 @pytest.mark.parametrize(
@@ -120,11 +114,6 @@ def test_repr_lists_the_fields():
 
 
 def test_defaults_and_keywords():
-    line = curves.CurveComponent("c", 1)
-    assert curves.CurveSpec(degree=1, components=(line,)).singular_points == ()
-    cone = monodromy.LYSInput(3, 1, [monodromy.LYSPoint(2, 1, CUSP_DELTA)])
-    assert type(cone.points) is tuple and (cone.alexander, cone.delta_cmb_k) == (None, None)
-    assert monodromy.LYSPoint(2, 1, CUSP_DELTA).jordan1_p is None
     chart = qres2d.Chart((1, 0, 0), equation=CUSP)
     assert (chart.x, chart.y) == (None, None)
     assert (CycloProduct().factors, DensePoly().coeffs) == ((), (0,))

@@ -19,6 +19,9 @@ the same whichever checkout is hashed:
 - three `zeta` graphs that the schema accepts but `zeta` must reject;
 - `lys` link graphs that the schema accepts but `lys` must reject, one of
   them with two faults, to pin which line wins;
+- `lys` curves and points that the schema accepts but `lys` must reject,
+  one for each line of the curve and cone checks, and two with two
+  faults each, to pin which line wins;
 - `wlys` inputs with an all-zero point, on a germ with a comparison form,
   on a weighted-homogeneous one, and next to a point whose coordinate has
   a zero denominator, in both orders.
@@ -65,6 +68,46 @@ BAD_LYS = {
     # the genus of the last vertex is checked before the duplicate ids
     "lys_duplicate_id_and_unmarked_genus.json": {
         "vertices": [_MARKED, _MARKED, {**_EXCEPTIONAL, "genus": 2}]},
+}
+# (key path, value) changes made to tests/data/sextic6_lys.json, and the
+# options after the input
+_P0 = ("curve", "singular_points", 0)
+_NODES = [{"id": f"n{i}", "mu": 1, "r": 2} for i in range(16)]
+BAD_CURVE = {
+    "curve_branch_sum.json": ([(_P0 + ("branches_on",), {"c": 2})], []),
+    "curve_delta_parity.json": ([(_P0 + ("mu",), 3)], []),
+    "curve_delta_sign.json": (
+        [(_P0 + ("mu",), 1), (_P0 + ("r",), 4), (_P0 + ("branches_on",), {"c": 4})], []),
+    "curve_duplicate_component.json": (
+        [(("curve", "components"), [{"id": "c", "degree": 3}] * 2)], []),
+    "curve_degree_sum.json": ([(("curve", "components", 0, "degree"), 5)], []),
+    "curve_duplicate_point.json": ([(("curve", "singular_points", 1, "id"), "p1")], []),
+    "curve_unknown_component.json": ([(_P0 + ("branches_on",), {"z": 1})], []),
+    # a node on two unknown components: the first in sorted order is named
+    "curve_unknown_components.json": (
+        [(_P0, {"id": "p1", "mu": 1, "r": 2, "branches_on": {"z": 1, "a": 1}})], []),
+    "curve_negative_genus.json": (
+        [(("curve", "degree"), 3), (("curve", "components", 0, "degree"), 3)], []),
+    "curve_unknown_genera.json": ([(("genera",), {"z": 0})], []),
+    "curve_point_id.json": ([(("points", 0, "id"), "p9")], []),
+    "curve_points_mismatch.json": ([(("points",), [])], []),
+    "curve_charpoly_degree.json": ([(("points", 0, "charpoly"), {"1": 1})], []),
+    "curve_degree_1.json": (
+        [(("curve",), {"degree": 1, "components": [{"id": "c", "degree": 1}]}), (("points",), [])],
+        []),
+    "curve_k_0.json": ([], ["--k", "0"]),
+    # 16 nodes: 2 sum(delta_p) = 32 > (d-1)(d-2) + 2 min(d-1, 16) = 30
+    "curve_genus_bound.json": (
+        [(("curve", "singular_points"), [{**n, "branches_on": {"c": 2}} for n in _NODES]),
+         (("points",), [{**n, "charpoly": {"1": 1}} for n in _NODES])], []),
+    "curve_unknown_flag.json": ([(("suspension_flags",), {"p66": False})], []),
+    # deg Delta_p != mu_p at point 0 is reported, not the id of point 1
+    "curve_charpoly_degree_and_point_id.json": (
+        [(("points", 0, "charpoly"), {"1": 1}), (("points", 1, "id"), "p9")], []),
+    # the branch sum is reported, not the duplicate component ids
+    "curve_branch_sum_and_duplicate_component.json": (
+        [(_P0 + ("branches_on",), {"c": 2}),
+         (("curve", "components"), [{"id": "c", "degree": 3}] * 2)], []),
 }
 # keys put into tests/data/wlys_s10.json; the weighted-homogeneous Fermat
 # cubic replaces its germ and weights
@@ -117,6 +160,15 @@ def corpus(directory: Path) -> list[list[str]]:
     for name, graph in BAD_LYS.items():
         (directory / "data" / name).write_text(json.dumps({**lys, "graph": graph}))
         argvs.append(["lys", "--input", f"data/{name}"])
+    for name, (changes, options) in BAD_CURVE.items():
+        doc = json.loads(json.dumps(lys))
+        for path, value in changes:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        (directory / "data" / name).write_text(json.dumps(doc))
+        argvs.append(["lys", "--input", f"data/{name}", *options])
     s10 = json.loads((DATA / "wlys_s10.json").read_text())
     for name, keys in BAD_WLYS.items():
         (directory / "data" / name).write_text(json.dumps({**s10, **keys}))
