@@ -7,10 +7,14 @@
     singcalc wlys       --input germ3.json     [--format json|text]
     singcalc zeta       --input graph.json     [--n 1|2] [--format json|text]
 
-An argv that starts with a subcommand is parsed by that subcommand's
-parser alone, with the result and messages the top-level parser would
-give; any other argv goes through the top-level parser.  Inputs are
-UTF-8 JSON files, read as bytes and decoded as UTF-8.
+COMMANDS is the one table of subcommands and their options; the
+argparse parser is built from it.  A plain argv, `command (--option
+value)*` with each option spelled in full and given once and each value
+one that option takes, is read straight from the table into the
+namespace the parser would give.  Every other argv (help, abbreviations,
+--option=value, repeats, values that start with "-", bad values) goes
+to the parser, and only then is argparse imported.  Inputs are UTF-8
+JSON files, read as bytes and decoded as UTF-8.
 
 Reports are deterministic: JSON is emitted with sorted keys.  Handlers
 put exact rationals in a report as Fractions, and the writer spells each
@@ -20,12 +24,12 @@ as the string of its str(), "p/q" or "n".  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import curves, monodromy, qres2d, quotient, weightfilt, wlys
 from .cyclo import CycloProduct, DensePoly, expand, require_polynomial
@@ -492,77 +496,106 @@ def cmd_zeta(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and {subcommand: its parser}."""
+_FORMATS = {"choices": ["json", "text"], "default": "json"}
+_DOT_FORMATS = {"choices": ["json", "text", "dot"], "default": "json"}
+_INPUT = {"help": "input JSON file"}
+
+# subcommand -> (handler, help, {option: add_argument's keywords for it});
+# the options are added, and listed in --help, in this order
+COMMANDS = {
+    "local": (cmd_local, "resolve a plane-curve germ",
+              {"--input": _INPUT, "--format": _DOT_FORMATS}),
+    "lys": (cmd_lys, "invariants from tangent-cone data", {
+        "--input": _INPUT,
+        "--format": _DOT_FORMATS,
+        "--k": {"type": int, "default": None, "help": "transversality gap; overrides the input's k"},
+    }),
+    "quotient": (cmd_quotient, "resolve a cyclic quotient point", {
+        "--d": {"type": int, "required": True, "help": "group order"},
+        "--beta": {"type": int, "required": True, "help": "second weight of 1/d(1,beta)"},
+        "--format": _FORMATS,
+    }),
+    "weightfilt": (cmd_weightfilt, "weight filtration of an automorphism", {
+        "--input": _INPUT,
+        "--format": _FORMATS,
+        "--m": {"type": int, "default": None, "help": "power making h^m unipotent"},
+        "--center": {"type": int, "default": 0, "help": "filtration center"},
+    }),
+    "wlys": (cmd_wlys, "weighted decomposition and admissibility",
+             {"--input": _INPUT, "--format": _FORMATS}),
+    "zeta": (cmd_zeta, "zeta function of a resolution graph", {
+        "--input": _INPUT,
+        "--format": _FORMATS,
+        "--n": {"type": int, "default": 1, "choices": [1, 2], "help": "cohomology degree"},
+    }),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with a subparser for each entry of COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="singcalc",
         description="Exact invariants of cone-like surface singularities "
         "from plane-curve data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, handler, dot=False):
+    for name, (handler, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        p.add_argument("--input", help="input JSON file")
-        formats = ["json", "text", "dot"] if dot else ["json", "text"]
-        p.add_argument("--format", choices=formats, default="json")
-
-    p_local = sub.add_parser("local", help="resolve a plane-curve germ")
-    common(p_local, cmd_local, dot=True)
-
-    p_lys = sub.add_parser("lys", help="invariants from tangent-cone data")
-    common(p_lys, cmd_lys, dot=True)
-    p_lys.add_argument("--k", type=int, default=None, help="transversality gap; overrides the input's k")
-
-    p_quot = sub.add_parser("quotient", help="resolve a cyclic quotient point")
-    p_quot.set_defaults(handler=cmd_quotient)
-    p_quot.add_argument("--d", type=int, required=True, help="group order")
-    p_quot.add_argument("--beta", type=int, required=True, help="second weight of 1/d(1,beta)")
-    p_quot.add_argument("--format", choices=["json", "text"], default="json")
-
-    p_wf = sub.add_parser("weightfilt", help="weight filtration of an automorphism")
-    common(p_wf, cmd_weightfilt)
-    p_wf.add_argument("--m", type=int, default=None, help="power making h^m unipotent")
-    p_wf.add_argument("--center", type=int, default=0, help="filtration center")
-
-    p_wlys = sub.add_parser("wlys", help="weighted decomposition and admissibility")
-    common(p_wlys, cmd_wlys)
-
-    p_zeta = sub.add_parser("zeta", help="zeta function of a resolution graph")
-    common(p_zeta, cmd_zeta)
-    p_zeta.add_argument("--n", type=int, default=1, choices=[1, 2], help="cohomology degree")
-
-    return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
+    return parser
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parsers `main` uses: built on the first call and reused after it,
-    since building them costs more than most reports."""
-    return _parsers()
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call and reused after it,
+    since building it costs more than most reports."""
+    return build_parser()
+
+
+def _plain_args(argv: list) -> SimpleNamespace | None:
+    """The namespace the parser gives an argv `command (--option value)*`
+    in which each option is one of the command's, spelled in full and
+    given once, each value is a string that does not start with "-" and
+    that the option's type and choices take, and every required option
+    is given; None for any other argv, which is left to the parser."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    handler, _, options = COMMANDS[argv[0]]
+    args = {"command": argv[0], "handler": handler}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(option) if type(option) is str else None
+        if keywords is None or option[2:] in args or type(value) is not str or value[:1] == "-":
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except (TypeError, ValueError):
+                return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        args[option[2:]] = value
+    for option, keywords in options.items():
+        if option[2:] not in args:
+            if keywords.get("required"):
+                return None
+            args[option[2:]] = keywords.get("default")
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parser()
-    try:
-        if argv and argv[0] in commands:
-            # what the top-level parser does with such an argv, without
-            # its own pass over it: the subcommand's parser takes the rest
-            # and the top-level parser rejects what that leaves over
-            args, extras = commands[argv[0]].parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            args.command = argv[0]
-        else:
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags; that is an input error here.
-        return 0 if exc.code == 0 else 1
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad flags; that is an input error here.
+            return 0 if exc.code == 0 else 1
     try:
         if "input" in vars(args) and not args.input:
             raise InputError(f"{args.command} needs --input FILE")

@@ -578,11 +578,24 @@ def _reference_main(argv):
         return 3
 
 
-# GERM, MATRIX and GRAPH stand for input files of tests/data
-_GERM, _MATRIX, _GRAPH = "GERM", "MATRIX", "GRAPH"
-_FILES = {"GERM": "cusp_germ.json", "MATRIX": "unipotent2.json", "GRAPH": "zeta_cusp.json"}
+# GERM, MATRIX, GRAPH, CONE and TRIVAR stand for input files of tests/data
+_GERM, _MATRIX, _GRAPH, _CONE, _TRIVAR = "GERM", "MATRIX", "GRAPH", "CONE", "TRIVAR"
+_FILES = {"GERM": "cusp_germ.json", "MATRIX": "unipotent2.json", "GRAPH": "zeta_cusp.json",
+          "CONE": "sextic6_lys.json", "TRIVAR": "wlys_s10.json"}
 _QUOT = ["quotient", "--d", "7", "--beta", "5"]
-ARGV_CORPUS = [
+# every option of every subcommand in its plain form, `--option value`
+PLAIN_ARGVS = [
+    _QUOT, ["quotient", "--beta", "5", "--d", "7"], [*_QUOT, "--format", "text"],
+    ["local", "--input", _GERM], ["local", "--input", _GERM, "--format", "dot"],
+    ["lys", "--input", _CONE, "--k", "2", "--format", "text"],
+    ["weightfilt", "--input", _MATRIX, "--m", "2", "--center", "1", "--format", "text"],
+    ["zeta", "--input", _GRAPH, "--n", "2", "--format", "text"],
+    ["wlys", "--input", _TRIVAR, "--format", "text"],
+    # spellings int() takes
+    ["zeta", "--input", _GRAPH, "--n", "01"], ["quotient", "--d", "\u0667", "--beta", "+5"],
+    ["quotient", "--d", "7_0", "--beta", " 1"],
+]
+ARGV_CORPUS = PLAIN_ARGVS + [
     # help, before and after a command
     [], ["--help"], ["-h"], ["--he"], ["-h", "local"], ["--help", "quotient"],
     ["local", "--help"], ["local", "-h"], ["lys", "--help"], ["weightfilt", "-h"],
@@ -616,16 +629,53 @@ ARGV_CORPUS = [
     ["quotient", "--d", "-7", "--beta", "5"], ["quotient", "--d", " 7", "--beta", "5"],
     ["local", "--input", "-5"], ["local", "--input", "--format"],
     ["weightfilt", "--input", _MATRIX, "--m", "-2"], [*_QUOT, "-"],
+    ["zeta", "--input", _GRAPH, "--n", "+3"], ["zeta", "--input", _GRAPH, "--n", "\u0667"],
+    ["zeta", "--input", _GRAPH, "--n", "7_0"], [*_QUOT, "--format", "JSON"],
+    ["quotient", "--d", "7_", "--beta", "5"],
 ]
+
+
+def _with_files(argv) -> list:
+    """argv with each stand-in replaced by the path of its tests/data file."""
+    for name, file in _FILES.items():
+        argv = [a.replace(name, str(DATA / file)) for a in argv]
+    return argv
 
 
 @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "empty")
 def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    for name, file in _FILES.items():
-        argv = [a.replace(name, str(DATA / file)) for a in argv]
+    argv = _with_files(argv)
     expected = (_reference_main(list(argv)), *capsys.readouterr())
     assert run_cli(capsys, *argv) == expected
+
+
+def test_plain_reader_gives_the_parsers_namespace():
+    # main reads a plain argv from the option table, without argparse: it
+    # takes every argv of PLAIN_ARGVS, and wherever it takes an argv its
+    # namespace is the one the full parser gives
+    parser = cli.build_parser()
+    taken = []
+    for argv in map(_with_files, ARGV_CORPUS):
+        args = cli._plain_args(argv)
+        if args is not None:
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+            taken.append(argv)
+    assert all(_with_files(argv) in taken for argv in PLAIN_ARGVS)
+    assert len(taken) < len(ARGV_CORPUS)
+
+
+@pytest.mark.parametrize("workload", ["filtration", "cone", "small_mix"])
+def test_plain_reader_takes_every_benchmark_argv(tmp_path, workload):
+    # a benchmark argv that fell back to argparse would read the same
+    # reports, only slower
+    parser = cli.build_parser()
+    argvs = [list(argv) for argv in _seed_1_cases(workload, tmp_path)]
+    assert argvs
+    for argv in argvs:
+        args = cli._plain_args(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(parser.parse_args(argv)), argv
 
 
 def test_missing_input_flag_exits_1(capsys):
@@ -1358,13 +1408,15 @@ def test_console_script():
 
 def test_reused_parser_reports_as_fresh_parsers(capsys):
     # main builds its parser once per process; a run of calls on it gives
-    # the exit codes, stdout and stderr of calls that each build their own
+    # the exit codes, stdout and stderr of calls that each build their own.
+    # None of these argvs is plain, so each goes to the parser.
     runs = [
         ("quotient", "--d", "7", "--beta", "5", "--bogus"),
         ("--help",),
-        ("quotient", "--d", "7", "--beta", "5", "--format", "text"),
-        ("weightfilt", "--input", str(DATA / "unipotent2.json"), "--center", "2"),
+        ("quotient", "--d", "7", "--beta", "5", "--format=text"),
+        ("weightfilt", "--input", str(DATA / "unipotent2.json"), "--cent", "2"),
     ]
+    assert all(cli._plain_args(list(argv)) is None for argv in runs)
     cli._parser.cache_clear()
     reused = [run_cli(capsys, *argv) for argv in runs]
     fresh = []

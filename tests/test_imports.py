@@ -2,7 +2,8 @@
 and each module but `cli` declares an `__all__` that lists exactly the
 public names it defines.  Every function the benchmark's tracer wraps
 (perfbench/spans.py) still exists under its name.  Starting the CLI loads
-no module that generates code for classes and opens no schema file.
+no module that generates code for classes and opens no schema file, and
+a report on a plain argv loads no argparse.
 
 A module that imports another only for a type annotation can close an
 import cycle that only shows when the other module is imported first.
@@ -118,3 +119,26 @@ def test_schemas_load_on_first_use_once():
     at_start, after = map(json.loads, run.stdout.splitlines())
     assert at_start == []
     assert after == ["combinatorics.schema.json", "lys-input.schema.json"]
+
+
+def test_plain_argv_loads_no_argparse():
+    # a plain argv is read from the CLI's option table; argparse, and the
+    # gettext, locale and shutil it loads, come in only for other argvs
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "import singcalc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = singcalc.cli.main(['quotient', '--d', '7', '--beta', '5'])\n"
+        "print(code, ' '.join(sorted(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = singcalc.cli.main(['--help'])\n"
+        "print(code, out.getvalue().startswith('usage: singcalc'))\n"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    plain, help_run = run.stdout.splitlines()
+    code, loaded = plain.split(" ", 1)
+    assert code == "0"
+    assert not set(loaded.split()) & {"argparse", "gettext", "locale", "shutil"}
+    assert help_run == "0 True"

@@ -16,6 +16,9 @@ the same whichever checkout is hashed:
   with --format dot;
 - every input in tests/data under each subcommand that reads a file, in
   each of its formats;
+- a few argvs that `cli.main` leaves to argparse rather than read from
+  its option table: an abbreviated option, `--option=value`, a repeated
+  option, a negative number and an abbreviated `quotient` option;
 - three `zeta` graphs that the schema accepts but `zeta` must reject;
 - `lys` link graphs that the schema accepts but `lys` must reject, one of
   them with two faults, to pin which line wins;
@@ -123,6 +126,17 @@ BAD_WLYS = {
 }
 
 
+# argvs on the files of tests/data that are not of the plain form
+# `command (--option value)*` with every option spelled in full and given once
+FALLBACK = [
+    ["local", "--inp", "data/cusp_germ.json"],
+    ["lys", "--input=data/sextic6_lys.json", "--format", "text"],
+    ["zeta", "--input", "data/zeta_cusp.json", "--format", "json", "--format", "text"],
+    ["weightfilt", "--input", "data/unipotent2.json", "--center", "-1"],
+    ["quotient", "--d", "7", "--b", "5"],
+]
+
+
 def _workloads():
     spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
@@ -153,6 +167,7 @@ def corpus(directory: Path) -> list[list[str]]:
         (directory / "data" / path.name).write_bytes(path.read_bytes())
         for command, formats in FORMATS.items():
             argvs += [[command, "--input", f"data/{path.name}", "--format", f] for f in formats]
+    argvs += FALLBACK
     for name, graph in BAD_ZETA.items():
         (directory / "data" / name).write_text(json.dumps(graph))
         argvs.append(["zeta", "--input", f"data/{name}"])
