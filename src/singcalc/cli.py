@@ -252,15 +252,14 @@ def cmd_local(args) -> str:
         ((m["i"], m["j"]), rational(m["c"], "germ", n, "c")) for n, m in enumerate(doc["germ"])
     )
     inv = qres2d.local_invariants(germ)
+    graph, smooth = inv["graph"], inv["smooth_graph"]
     report = {
-        "mu": inv.mu,
-        "r": inv.branches,
-        "delta": curves.delta_invariant(inv.mu, inv.branches),
-        "char_poly": inv.delta,
-        "graph": {**_graph_json(inv.graph), "blowups": inv.graph.blowups},
-        "smooth_graph": _graph_json(inv.smooth_graph),
+        **inv,
+        "delta": curves.delta_invariant(inv["mu"], inv["r"]),
+        "graph": {**_graph_json(graph), "blowups": graph.blowups},
+        "smooth_graph": _graph_json(smooth),
     }
-    return _emit(report, args.format, _local_text, lambda: _sgraph_dot(inv.smooth_graph))
+    return _emit(report, args.format, _local_text, lambda: _sgraph_dot(smooth))
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +368,13 @@ def _quotient_text(report: dict) -> str:
 
 def cmd_quotient(args) -> str:
     normal = quotient.normalize_type(args.d, 1, args.beta)
-    chain = quotient.hj_resolve(args.d, args.beta)
+    b, correction, _ = quotient.hj_resolve(args.d, args.beta)
     report = {
         "d": args.d,
         "beta": args.beta,
         "type": quotient.symbol(normal),
-        "chain_self_intersections": [-b for b in chain.b],
-        "correction": chain.correction,
+        "chain_self_intersections": [-b_i for b_i in b],
+        "correction": correction,
     }
     return _emit(report, args.format, _quotient_text)
 
@@ -434,16 +433,15 @@ def _wlys_text(report: dict) -> str:
 def cmd_wlys(args) -> str:
     doc = validate(_load_json(args.input), "wlys-input.schema.json")
     f = wlys.trivar_from_json(doc["poly"])
-    w = wlys.WeightVector(*doc["weights"])
     points = []
     for n, p in enumerate(doc["points"]):
         coords = tuple(rational(x, "points", n, "coords", i) for i, x in enumerate(p["coords"]))
         if not any(coords):
             raise InputError("point must have a nonzero coordinate")
         points.append((coords, p["clause"]))  # the flags are accepted and ignored
-    out = wlys.wlys_admissibility(f, w, points)
+    out = wlys.wlys_admissibility(f, doc["weights"], points)
     report = {
-        "weights": list(w.as_tuple()),
+        "weights": doc["weights"],
         "d": out["d"],
         "k": out["k"],
         "admissible": _verdict(out["admissible"]),

@@ -163,20 +163,15 @@ def surface_intersections(degree: int, k: int, degrees) -> tuple:
                   d_i * d_j / k, diagonal -d_i * (d - d_i + k) / k;
     * ``Vk``   -- the integral matrix k * V, entries int.
 
+    ``degree`` and ``k`` are at least 1, and ``degrees`` is a nonempty
+    list of positive ints that sum to ``degree``: those of a curve that
+    `curve_spec_from_dict` accepted.
+
     >>> surface_intersections(6, 1, [6])[0]
     [[Fraction(-6, 1)]]
     >>> surface_intersections(3, 2, [3])[1]
     [[-6]]
     """
-    if degree < 1 or k < 1:
-        raise InputError(f"need degree >= 1 and k >= 1, got degree={degree}, k={k}")
-    degrees = list(degrees)
-    if not degrees or any(d < 1 for d in degrees):
-        raise InputError(f"component degrees must be positive, got {degrees}")
-    if sum(degrees) != degree:
-        raise InputError(
-            f"component degrees {degrees} sum to {sum(degrees)}, expected {degree}"
-        )
     n = len(degrees)
     v = [[Fraction(0)] * n for _ in range(n)]
     vk = [[0] * n for _ in range(n)]

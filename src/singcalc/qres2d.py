@@ -64,7 +64,6 @@ __all__ = [
     "qresolve",
     "smoothen",
     "local_invariants",
-    "LocalInvariants",
 ]
 
 
@@ -362,7 +361,7 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str):
     """
     p, q = weights
     d = c.group[0]
-    base = wblowup2(c.group, (p, q))
+    self_int, (group_x, group_y) = wblowup2(c.group, (p, q))
 
     m = c.equation.weighted_order(p, q)
     n_up = p * (c.x[1] if c.x else 0) + q * (c.y[1] if c.y else 0) + m
@@ -381,8 +380,8 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str):
 
     exc = (exc_id, n_exc)
     charts = [
-        Chart(base.charts[0], transform(True), x=exc, y=c.y),
-        Chart(base.charts[1], transform(False), x=c.x, y=exc),
+        Chart(group_x, transform(True), x=exc, y=c.y),
+        Chart(group_y, transform(False), x=c.x, y=exc),
     ]
     for chart in charts:
         _check_uniform_character(chart)
@@ -393,7 +392,7 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str):
         corrections[c.y[0]] = Fraction(-q, d * p)
     record = {
         "multiplicity": n_exc,
-        "self_int": base.self_int,
+        "self_int": self_int,
         "weights": (p, q),
         "corrections": corrections,
     }
@@ -641,11 +640,11 @@ def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
 
     def add_chain(d: int, beta: int, first_id: str, last_id: str | None):
         nonlocal counter
-        chain = hj_resolve(d, beta)
+        b, correction, far_correction = hj_resolve(d, beta)
         m_right = mult[last_id] if last_id is not None else 0
-        ms = chain_multiplicities(chain.b, mult[first_id], m_right)
+        ms = chain_multiplicities(b, mult[first_id], m_right)
         ids = []
-        for b_i, m_i in zip(chain.b, ms):
+        for b_i, m_i in zip(b, ms):
             counter += 1
             cid = f"C{counter}"
             chain_vertices[cid] = (m_i, b_i)
@@ -653,9 +652,9 @@ def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
         path = [first_id, *ids] + ([] if last_id is None else [last_id])
         new_edges.extend(zip(path, path[1:]))
         if self_int[first_id] is not None:
-            self_int[first_id] += chain.correction
+            self_int[first_id] += correction
         if last_id is not None and self_int[last_id] is not None:
-            self_int[last_id] += chain.far_correction
+            self_int[last_id] += far_correction
 
     for vid, v in g.vertices.items():
         for d, beta in v["quotient_points"]:
@@ -705,33 +704,20 @@ def _assert_adjunction(g: SmoothResolutionGraph, nb: dict):
 # ---------------------------------------------------------- local invariants
 
 
-class LocalInvariants(FrozenRecord):
-    __slots__ = ("mu", "branches", "delta", "graph", "smooth_graph")
-
-    def __init__(
-        self,
-        mu: int,
-        branches: int,
-        delta: "CycloProduct",
-        graph: QResolutionGraph,
-        smooth_graph: SmoothResolutionGraph,
-    ):
-        setfield(self, "mu", mu)
-        setfield(self, "branches", branches)
-        setfield(self, "delta", delta)
-        setfield(self, "graph", graph)
-        setfield(self, "smooth_graph", smooth_graph)
-
-
-def local_invariants(f: BivarPoly) -> LocalInvariants:
+def local_invariants(f: BivarPoly) -> dict:
     """Milnor number, branch count and monodromy characteristic
-    polynomial of a plane-curve germ, via the resolution pipeline."""
+    polynomial of a plane-curve germ, via the resolution pipeline.
+
+    Returns the dict {"mu", "r", "char_poly", "graph", "smooth_graph"}
+    under the keys of the `local` report: ``char_poly`` is Delta(t) as a
+    CycloProduct, ``graph`` the QResolutionGraph and ``smooth_graph`` the
+    SmoothResolutionGraph.
+    """
     graph = qresolve(f)
     smooth = smoothen(graph)
-    zeta = acampo_zeta(smooth)
-    delta = zeta_to_char(zeta, 1)
-    mu = delta.degree()
+    char_poly = zeta_to_char(acampo_zeta(smooth), 1)
+    mu = char_poly.degree()
     r = len(graph.strict_vertices)
     if (mu - r + 1) % 2:
         raise InternalError(f"mu - r + 1 = {mu - r + 1} is odd; delta invariant broken")
-    return LocalInvariants(mu, r, delta, graph, smooth)
+    return {"mu": mu, "r": r, "char_poly": char_poly, "graph": graph, "smooth_graph": smooth}

@@ -11,11 +11,15 @@ zeta a primitive d-th root of unity, and is written as the ints
 (1, 0) for a smooth point; its minimal resolution is the
 Hirzebruch-Jung chain read off the ceiling continued-fraction expansion
 of e/beta.  `hj_resolve` builds every such chain, the ones the
-curve-resolution engine inserts included.
+curve-resolution engine inserts included, and returns it as the tuple
+(b, correction, far_correction): the chain and the self-intersection
+corrections owed to the curves at its two ends.
 
 Weighted blow-ups with coprime weights (p, q) produce exactly these
 quotient points on the two charts, which is what ties this module to
-the curve-resolution engine.
+the curve-resolution engine: `wblowup2` returns the tuple (self_int,
+charts) of the new exceptional curve's self-intersection and the groups
+(d, a, b) of its two chart origins.
 """
 
 from __future__ import annotations
@@ -23,12 +27,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._record import FrozenRecord, setfield
 from .errors import InputError, NonIntegralMultiplicity, Unsupported
 
 __all__ = [
-    "HJChain",
-    "BlowupData",
     "normalize_type",
     "symbol",
     "continued_fraction",
@@ -98,29 +99,17 @@ def continued_fraction(q: Fraction) -> list[int]:
     return out
 
 
-class HJChain(FrozenRecord):
-    """A Hirzebruch-Jung resolution chain of 1/d(1, beta).
-
-    ``b`` are the chain self-intersections (-b_1, .., -b_s) read from
-    the continued fraction of d/beta.  A curve through the singular
-    point that meets the chain at b_1 has its self-intersection drop by
-    ``correction`` = -beta/d on the resolution, and one meeting it at
-    b_s by ``far_correction`` = -beta'/d, beta' = beta^-1 mod d.
-    """
-
-    __slots__ = ("b", "correction", "far_correction")
-
-    def __init__(self, b: tuple[int, ...], correction: Fraction, far_correction: Fraction):
-        setfield(self, "b", b)
-        setfield(self, "correction", correction)
-        setfield(self, "far_correction", far_correction)
-
-
-def hj_resolve(d: int, beta: int) -> HJChain:
+def hj_resolve(d: int, beta: int) -> tuple[tuple[int, ...], Fraction, Fraction]:
     """Resolution chain of the cyclic quotient singularity 1/d(1, beta).
 
-    >>> chain = hj_resolve(7, 5)
-    >>> chain.b, chain.correction, chain.far_correction
+    Returns (b, correction, far_correction).  ``b`` are the chain
+    self-intersections (-b_1, .., -b_s) read from the continued fraction
+    of d/beta.  A curve through the singular point that meets the chain
+    at b_1 has its self-intersection drop by ``correction`` = -beta/d on
+    the resolution, and one meeting it at b_s by ``far_correction`` =
+    -beta'/d, beta' = beta^-1 mod d.
+
+    >>> hj_resolve(7, 5)
     ((2, 2, 3), Fraction(-5, 7), Fraction(-3, 7))
     """
     if not (0 < beta < d):
@@ -128,7 +117,7 @@ def hj_resolve(d: int, beta: int) -> HJChain:
     if math.gcd(d, beta) != 1:
         raise InputError(f"1/{d}(1,{beta}) is not a quotient singularity symbol: gcd > 1")
     b = continued_fraction(Fraction(d, beta))
-    return HJChain(tuple(b), Fraction(-beta, d), Fraction(-pow(beta, -1, d), d))
+    return tuple(b), Fraction(-beta, d), Fraction(-pow(beta, -1, d), d)
 
 
 def chain_multiplicities(b: tuple[int, ...], m_left: int, m_right: int) -> tuple[int, ...]:
@@ -158,24 +147,6 @@ def chain_multiplicities(b: tuple[int, ...], m_left: int, m_right: int) -> tuple
     return ms
 
 
-class BlowupData(FrozenRecord):
-    """Numerical outcome of one weighted blow-up; the caller keeps its weights.
-
-    ``self_int`` is E^2 of the new exceptional curve.  ``charts`` holds
-    the groups (d, a, b) of the origin-x and origin-y charts as written
-    on the chart coordinates, weights reduced mod d and (1, 0, 0) for a
-    smooth chart; at the origin-x chart the first coordinate is local
-    to E, at origin-y the second.  ``normalize_type(*group)`` gives the
-    normal form of a chart origin.
-    """
-
-    __slots__ = ("self_int", "charts")
-
-    def __init__(self, self_int: Fraction, charts: tuple[tuple[int, int, int], ...]):
-        setfield(self, "self_int", self_int)
-        setfield(self, "charts", charts)
-
-
 def _presentable(d: int, a: int, b: int, p: int, q: int) -> bool:
     """Can 1/d(a,b) be written with weights (p, q), i.e. (a,b) = l(p,q) mod d
     for a unit l?  Needs gcd(p, d) = 1."""
@@ -183,19 +154,24 @@ def _presentable(d: int, a: int, b: int, p: int, q: int) -> bool:
     return (lam * q - b) % d == 0 and math.gcd(lam, d) == 1
 
 
-def wblowup2(ambient: tuple[int, int, int], weights: tuple[int, int]) -> BlowupData:
+def wblowup2(
+    ambient: tuple[int, int, int], weights: tuple[int, int]
+) -> tuple[Fraction, tuple[tuple[int, int, int], ...]]:
     """(p, q)-weighted blow-up of the origin of C^2 or of a point 1/d(a, b).
 
     ``ambient`` is the group (d, a, b) of the point, (1, 0, 0) for a
     smooth point.  Requires d, p, q pairwise coprime and (a, b) a
-    unit multiple of (p, q) mod d.  The new exceptional curve E has
-    E^2 = -d/(pq); the two chart origins carry the groups 1/p(-d, q)
-    and 1/q(p, -d).
+    unit multiple of (p, q) mod d.  Returns (self_int, charts): the new
+    exceptional curve E has E^2 = self_int = -d/(pq), and ``charts``
+    holds the groups 1/p(-d, q) and 1/q(p, -d) of the origin-x and
+    origin-y charts as written on the chart coordinates, weights reduced
+    mod d and (1, 0, 0) for a smooth chart; at the origin-x chart the
+    first coordinate is local to E, at origin-y the second.
+    ``normalize_type(*group)`` gives the normal form of a chart origin.
 
-    >>> data = wblowup2((1, 0, 0), (2, 3))
-    >>> data.self_int, data.charts
+    >>> wblowup2((1, 0, 0), (2, 3))
     (Fraction(-1, 6), ((2, 1, 1), (3, 2, 2)))
-    >>> [symbol(normalize_type(*g)) for g in data.charts]
+    >>> [symbol(normalize_type(*g)) for g in wblowup2((1, 0, 0), (2, 3))[1]]
     ['1/2(1,1)', '1/3(1,1)']
     """
     p, q = weights
@@ -209,4 +185,4 @@ def wblowup2(ambient: tuple[int, int, int], weights: tuple[int, int]) -> BlowupD
             raise Unsupported(f"weights {weights} share a factor with the group order {d}")
         if not _presentable(d, a, b, p, q):
             raise Unsupported(f"ambient 1/{d}({a},{b}) is not presentable as 1/{d}({p},{q})")
-    return BlowupData(Fraction(-d, p * q), ((p, -d % p, q % p), (q, p % q, -d % q)))
+    return Fraction(-d, p * q), ((p, -d % p, q % p), (q, p % q, -d % q))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from ._record import FrozenRecord, setfield
 from .errors import INDETERMINATE, InputError, InternalError
@@ -21,7 +22,7 @@ from .schema import rational
 
 __all__ = [
     "TrivarPoly",
-    "WeightVector",
+    "degree_of",
     "wdecompose",
     "wlys_admissibility",
     "trivar_from_json",
@@ -89,44 +90,32 @@ class TrivarPoly(FrozenRecord):
         return Fraction(total, scale)
 
 
-class WeightVector(FrozenRecord):
-    """Positive integer weights (p, q, r) with gcd 1."""
-
-    __slots__ = ("p", "q", "r")
-
-    def __init__(self, p: int, q: int, r: int):
-        if min(p, q, r) < 1:
-            raise InputError(f"weights must be positive, got {(p, q, r)}")
-        if math.gcd(math.gcd(p, q), r) != 1:
-            raise InputError(f"weights {(p, q, r)} must have gcd 1")
-        setfield(self, "p", p)
-        setfield(self, "q", q)
-        setfield(self, "r", r)
-
-    def degree_of(self, monomial) -> int:
-        i, j, l = monomial
-        return self.p * i + self.q * j + self.r * l
-
-    def as_tuple(self) -> tuple:
-        return (self.p, self.q, self.r)
+def degree_of(w, monomial) -> int:
+    """The w-degree of a monomial (i, j, l)."""
+    return sum(map(mul, w, monomial))
 
 
-def wdecompose(f: TrivarPoly, w: WeightVector) -> dict:
+def wdecompose(f: TrivarPoly, w) -> dict:
     """Bucket the monomials of f by weighted degree.
 
-    Requires f nonzero with f(0,0,0) = 0.  Returns {"d", "k", "parts"}:
+    Requires positive integer weights w = [p, q, r] with gcd 1, and f
+    nonzero with f(0,0,0) = 0.  Returns {"d", "k", "parts"}:
     ``parts`` are the (degree, TrivarPoly) pairs of the w-homogeneous
     forms, degrees ascending; ``d`` is the lowest degree and ``k`` the gap
     to the next, None when the germ is weighted-homogeneous (reported
     distinctly, not as an error).
     """
+    if min(w) < 1:
+        raise InputError(f"weights must be positive, got {tuple(w)}")
+    if math.gcd(*w) != 1:
+        raise InputError(f"weights {tuple(w)} must have gcd 1")
     if f.is_zero():
         raise InputError("germ must be nonzero")
     if (0, 0, 0) in f.as_dict():
         raise InputError("germ must vanish at the origin (no constant term)")
     buckets = {}  # each bucket's terms keep the order of f.terms
     for term in f.terms:
-        buckets.setdefault(w.degree_of(term[0]), []).append(term)
+        buckets.setdefault(degree_of(w, term[0]), []).append(term)
     degrees = sorted(buckets)
     d = degrees[0]
     k = degrees[1] - d if len(degrees) > 1 else None
@@ -139,7 +128,7 @@ def wdecompose(f: TrivarPoly, w: WeightVector) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
+def wlys_admissibility(f: TrivarPoly, w, declared_sing) -> dict:
     """Check the declared singular points against the comparison form.
 
     Each point is a (coords, clause) pair: coords (a, b, c), exact
@@ -162,7 +151,7 @@ def wlys_admissibility(f: TrivarPoly, w: WeightVector, declared_sing) -> dict:
         out.update(admissible=INDETERMINATE, failures=failures)
         return out
     degree, form = out["parts"][1]
-    if any(w.degree_of(monomial) != degree for monomial, _ in form.terms):
+    if any(degree_of(w, monomial) != degree for monomial, _ in form.terms):
         raise InternalError(f"C_{degree} is not w-homogeneous: vanishing on it depends on the representative")
     failures = []
     for coords, clause in declared_sing:

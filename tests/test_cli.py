@@ -1030,14 +1030,20 @@ def test_lys_k_0_exits_1(capsys):
     assert run_cli(capsys, *argv) == (1, "", "error: offset k = 0; need k >= 1\n")
 
 
+def _s10_with_weights_of_gcd_2():
+    return {**json.loads((DATA / "wlys_s10.json").read_text()), "weights": [2, 2, 4]}
+
+
 @pytest.mark.parametrize(
     "make",
-    [lambda: json.loads((DATA / "wlys_s10.json").read_text()), _fermat_cubic],
-    ids=["wlys_s10", "weighted-homogeneous"],
+    [lambda: json.loads((DATA / "wlys_s10.json").read_text()), _fermat_cubic,
+     _s10_with_weights_of_gcd_2],
+    ids=["wlys_s10", "weighted-homogeneous", "weights-gcd-2"],
 )
 def test_wlys_broken_point_invariant_exits_1(capsys, tmp_path, make):
     # the points are read before the decomposition, so a weighted-homogeneous
-    # germ, which has no comparison form, rejects the point too
+    # germ, which has no comparison form, rejects the point too, and so do
+    # weights that the decomposition rejects
     data = make()
     data["points"] = [{"coords": ["0", "0", "0"]}]
     path = tmp_path / "broken.json"
@@ -1045,6 +1051,22 @@ def test_wlys_broken_point_invariant_exits_1(capsys, tmp_path, make):
     assert run_cli(capsys, "wlys", "--input", str(path)) == (
         1, "", "error: point must have a nonzero coordinate\n"
     )
+
+
+@pytest.mark.parametrize(
+    "weights, line",
+    [
+        ([2, 2, 4], "weights (2, 2, 4) must have gcd 1"),
+        ([0, 1, 1], "bad $.weights[0]: expected >= 1, got 0"),
+    ],
+    ids=["gcd-2", "zero-weight"],
+)
+def test_wlys_bad_weights_exit_1(capsys, tmp_path, weights, line):
+    data = json.loads((DATA / "wlys_s10.json").read_text())
+    data["weights"] = weights
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "wlys", "--input", str(path)) == (1, "", f"error: {line}\n")
 
 
 def test_lys_names_components_that_miss_the_common_point(capsys, tmp_path):
@@ -1347,6 +1369,26 @@ def test_lys_ignores_the_order_of_the_points(tmp_path_factory, tmp_path):
         assert after == before, path.name
         reordered += shuffled_reasons != reasons
     assert len(inputs) == 42 and reordered > 0
+
+
+def test_weightfilt_report_is_that_of_the_transpose_and_of_conjugates(tmp_path_factory, tmp_path):
+    # h, its transpose and P h P^-1 for unimodular P have one Jordan form,
+    # so one report, byte for byte
+    helpers = _test_module("test_weightfilt")
+    root = tmp_path_factory.mktemp("filtration")
+    inputs = [root / a[2] for a in _seed_1_cases("filtration", root)]
+    rng = random.Random(29)
+    for path in inputs:
+        h = helpers.matrix_from_json(json.loads(path.read_text()))
+        report = _quiet_main(["weightfilt", "--input", str(path)])
+        n = len(h)
+        others = [[list(col) for col in zip(*h)]]
+        others += [helpers.conjugate(h, helpers.random_unimodular(n, rng)) for _ in range(2)]
+        for other in others:
+            moved = tmp_path / "moved.json"
+            moved.write_text(json.dumps([[str(x) for x in row] for row in other]))
+            assert _quiet_main(["weightfilt", "--input", str(moved)]) == report, path.name
+    assert len(inputs) == 34
 
 
 # (i, j) -> c for c u^i v^j: the normal forms of the germs that the

@@ -150,15 +150,6 @@ def test_intersections_scaling_and_row_sums():
                 assert sum(v[j]) == -degrees[j]
 
 
-def test_intersections_bad_input():
-    with pytest.raises(InputError):
-        surface_intersections(5, 1, [2, 2])
-    with pytest.raises(InputError):
-        surface_intersections(4, 0, [4])
-    with pytest.raises(InputError):
-        surface_intersections(4, 1, [])
-
-
 # ---------------------------------------------------------- graph adjust
 
 
@@ -272,7 +263,7 @@ def test_qhs_k2_missing_flags_indeterminate():
 
 def test_tree_rational_cusp_graph():
     germ = BivarPoly({(0, 2): 1, (3, 0): -1})
-    g = local_invariants(germ).smooth_graph
+    g = local_invariants(germ)["smooth_graph"]
     assert len(g.vertices) == 4
     # a rational tree: |E| = |V| - 1, connected, genus 0 everywhere
     assert len(g.edges) == len(g.vertices) - 1

@@ -76,7 +76,7 @@ def test_pipeline_coherence():
     for germ in ({(0, 2): 1, (3, 0): -1}, {(0, 2): 1, (5, 0): -1}):
         f = BivarPoly(germ)
         inv = local_invariants(f)
-        assert zeta_to_char(acampo_zeta(smoothen(qresolve(f))), 1) == inv.delta
+        assert zeta_to_char(acampo_zeta(smoothen(qresolve(f))), 1) == inv["char_poly"]
 
 
 def test_acampo_rejects_bad_multiplicity():
@@ -159,8 +159,8 @@ def test_char_poly_lys_thom_sebastiani(d):
     # for d >= 3; its monodromy is the Thom-Sebastiani join of x^d + y^d
     # and z^(d+k)
     germ = local_invariants(BivarPoly({(d, 0): 1, (0, d): 1}))
-    assert germ.delta == C(join_divisor(d, d))
-    points = [{"mu": germ.mu, "r": germ.branches, "charpoly": germ.delta}]
+    assert germ["char_poly"] == C(join_divisor(d, d))
+    points = [{"mu": germ["mu"], "r": germ["r"], "charpoly": germ["char_poly"]}]
     for k in range(1, 9):
         assert char_poly_lys(cone(d, k, points)) == C(join_divisor(d, d, d + k)), k
 

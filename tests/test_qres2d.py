@@ -2,9 +2,11 @@
 oracle for torus germs, and structural invariants of the output."""
 
 import cmath
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -299,14 +301,14 @@ QUOTIENT_CROSSING = {
 def test_local_invariants_catalog(name):
     germ, mu, r, delta = CATALOG[name]
     inv = local_invariants(P(germ))
-    assert inv.mu == mu
-    assert inv.branches == r
-    assert inv.delta.as_dict() == delta
+    assert inv["mu"] == mu
+    assert inv["r"] == r
+    assert inv["char_poly"].as_dict() == delta
 
 
 @pytest.mark.parametrize("name", sorted(QUOTIENT_CROSSING))
 def test_two_face_germ_crosses_at_a_quotient_point(name):
-    graph = local_invariants(P(CATALOG[name][0])).graph
+    graph = local_invariants(P(CATALOG[name][0]))["graph"]
     crossings = [e["quotient"] for e in graph.edges if {e["u"], e["v"]} == {"E1", "E2"}]
     assert graph.blowups == 2 and crossings == [QUOTIENT_CROSSING[name]]
 
@@ -326,10 +328,10 @@ def test_torus_germ_root_oracle(p, q):
     """The monodromy eigenvalues of x^p + y^q are exactly
     exp(2*pi*i*(a/p + b/q)), 1 <= a < p, 1 <= b < q."""
     inv = local_invariants(P({(p, 0): 1, (0, q): 1}))
-    assert inv.mu == (p - 1) * (q - 1)
-    assert inv.branches == 1
-    coeffs = expand(inv.delta).coeffs
-    assert len(coeffs) - 1 == inv.mu
+    assert inv["mu"] == (p - 1) * (q - 1)
+    assert inv["r"] == 1
+    coeffs = expand(inv["char_poly"]).coeffs
+    assert len(coeffs) - 1 == inv["mu"]
     roots = [
         cmath.exp(2j * cmath.pi * (a / p + b / q))
         for a in range(1, p)
@@ -361,7 +363,7 @@ def _det(rows):
 def test_structural_invariants(name):
     germ, _, _, _ = CATALOG[name]
     inv = local_invariants(P(germ))
-    s = inv.smooth_graph
+    s = inv["smooth_graph"]
     nb = {v: [] for v in s.vertices}
     for u, v in s.edges:
         nb[u].append(v)
@@ -399,16 +401,16 @@ def test_structural_invariants(name):
     # the dual graph is a tree: chi adds up to 2 - #branches
     assert sum(s.vertices[v]["chi_open"] for v in s.exceptional_ids()) == 2 - len(strict)
     # delta invariant is a nonnegative integer
-    assert (inv.mu - inv.branches + 1) % 2 == 0
-    assert inv.mu - inv.branches + 1 >= 0
+    assert (inv["mu"] - inv["r"] + 1) % 2 == 0
+    assert inv["mu"] - inv["r"] + 1 >= 0
 
 
 def test_pipeline_determinism():
     a = local_invariants(P(SHIFTED_A4))
     b = local_invariants(P(SHIFTED_A4))
-    assert a.delta == b.delta
-    assert list(a.graph.vertices.values()) == list(b.graph.vertices.values())
-    assert a.graph.edges == b.graph.edges
+    assert a["char_poly"] == b["char_poly"]
+    assert list(a["graph"].vertices.values()) == list(b["graph"].vertices.values())
+    assert a["graph"].edges == b["graph"].edges
 
 
 # ------------------------------------------- integer helpers against Q[z]
@@ -546,7 +548,7 @@ def test_translation_by_a_fraction(monkeypatch, name):
         BivarPoly, "translate", lambda self, v, a: moves.append((v, a)) or original(self, v, a)
     )
     inv = local_invariants(P(germ))
-    assert (inv.mu, inv.branches) == (mu, r)
+    assert (inv["mu"], inv["r"]) == (mu, r)
     assert moves == [(shift, "xy".index(axis))]
 
 
@@ -599,8 +601,8 @@ def test_property_torus_milnor_number(p, q, a, b):
     if math.gcd(p, q) != 1:
         return
     inv = local_invariants(P({(p, 0): a, (0, q): b}))
-    assert inv.mu == (p - 1) * (q - 1)
-    assert inv.branches == 1
+    assert inv["mu"] == (p - 1) * (q - 1)
+    assert inv["r"] == 1
 
 
 def test_kouchnirenko_newton_number():
@@ -622,7 +624,7 @@ def test_kouchnirenko_newton_number():
                     except Unsupported:
                         continue  # outside what the resolution supports
                     two_v = a * j + i * b
-                    assert inv.mu == two_v - a - b + 1, (a, b, i, j)
+                    assert inv["mu"] == two_v - a - b + 1, (a, b, i, j)
                     checked += 1
     assert checked >= 20
 
@@ -643,7 +645,94 @@ def test_property_ordinary_multiple_point(slopes):
             out[(i + 1, j)] = out.get((i + 1, j), 0) - a * c
         germ = out
     inv = local_invariants(P(germ))
-    assert inv.mu == (m - 1) ** 2
-    assert inv.branches == m
+    assert inv["mu"] == (m - 1) ** 2
+    assert inv["r"] == m
     expected = CycloProduct({1: 1} if m == 2 else {1: 1, m: m - 2})
-    assert inv.delta == expected
+    assert inv["char_poly"] == expected
+
+
+# ------------------------------------------------------ coordinate changes
+# mu, r and Delta of a plane-curve germ are topological invariants, so an
+# analytic change of coordinates leaves them where it leaves the germ
+# resolvable.
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out = {}
+    for (i, j), c in a.items():
+        for (k, l), d in b.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def _substitute(germ: dict, x: dict, y: dict) -> dict:
+    """germ(x, y) with the polynomials x and y put in for the variables."""
+    x_powers, y_powers = [{(0, 0): 1}], [{(0, 0): 1}]
+    out = {}
+    for (i, j), c in germ.items():
+        while len(x_powers) <= i:
+            x_powers.append(_mul(x_powers[-1], x))
+        while len(y_powers) <= j:
+            y_powers.append(_mul(y_powers[-1], y))
+        for key, d in _mul(x_powers[i], y_powers[j]).items():
+            out[key] = out.get(key, 0) + c * d
+    return out
+
+
+_X, _Y = {(1, 0): 1}, {(0, 1): 1}
+# name -> (image of x, image of y)
+COORDINATE_CHANGES = {
+    "x<->y": (_Y, _X),
+    "x->x+y": ({(1, 0): 1, (0, 1): 1}, _Y),
+    "y->y+x": (_X, {(0, 1): 1, (1, 0): 1}),
+    "(x,y)->(x+2y,y-x)": ({(1, 0): 1, (0, 1): 2}, {(0, 1): 1, (1, 0): -1}),
+    "y->y+x^2": (_X, {(0, 1): 1, (2, 0): 1}),
+    "x->x+y^2": ({(1, 0): 1, (0, 2): 1}, _Y),
+    "y->y+3x^2-x^3": (_X, {(0, 1): 1, (2, 0): 3, (3, 0): -1}),
+    "x->x/2+y/3": ({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}, _Y),
+}
+# Both faces of each polygon tie at the lowest weighted order, and
+# `newton_weights` breaks the tie by the smaller p: the germ resolves,
+# its x<->y mirror picks a face that does not (exit 2).
+TIE_GERMS = [{(1, 2): 1, (4, 0): -1, (0, 8): -2}, {(3, 0): -2, (0, 9): -2, (1, 3): 1}]
+
+
+def _perfbench_local_germs(seeds) -> list[dict]:
+    """The germs perfbench's `_local_germ` draws from random.Random(seed)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    germs = []
+    for seed in seeds:
+        doc, _ = workloads._local_germ(random.Random(seed))
+        germs.append({(m["i"], m["j"]): Fraction(m["c"]) for m in doc["germ"]})
+    return germs
+
+
+def _mu_r_delta(germ: dict):
+    """(mu, r, Delta) of the germ, or None where `local` exits 2."""
+    try:
+        inv = local_invariants(P(germ))
+    except Unsupported:
+        return None
+    return inv["mu"], inv["r"], inv["char_poly"]
+
+
+def test_coordinate_changes_keep_mu_r_and_delta():
+    germs = [germ for germ, *_ in CATALOG.values()] + _perfbench_local_germs(range(100))
+    germs += TIE_GERMS
+    agree, exit_2 = 0, []
+    for germ in germs:
+        before = _mu_r_delta(germ)
+        for name, (x, y) in COORDINATE_CHANGES.items():
+            after = _mu_r_delta(_substitute(germ, x, y))
+            if before is None or after is None:
+                exit_2.append(name)
+            else:
+                assert after == before, (germ, name)
+                agree += 1
+    assert len(germs) == 17 + 100 + 2
+    assert exit_2 == ["x<->y", "x<->y"]
+    assert agree == 8 * len(germs) - 2

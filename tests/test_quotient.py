@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from singcalc.errors import InputError, NonIntegralMultiplicity, Unsupported
 from singcalc.quotient import (
-    HJChain,
     chain_multiplicities,
     continued_fraction,
     hj_resolve,
@@ -84,19 +83,20 @@ def test_far_correction_is_the_correction_of_the_inverse():
     for d in range(2, 61):
         for beta in range(1, d):
             if math.gcd(d, beta) == 1:
-                chain, inverse = hj_resolve(d, beta), hj_resolve(d, pow(beta, -1, d))
-                assert chain.far_correction == inverse.correction, (d, beta)
-                assert chain.b == inverse.b[::-1], (d, beta)
+                b, _, far_correction = hj_resolve(d, beta)
+                inverse_b, inverse_correction, _ = hj_resolve(d, pow(beta, -1, d))
+                assert far_correction == inverse_correction, (d, beta)
+                assert b == inverse_b[::-1], (d, beta)
 
 
 def test_hj_resolve_examples():
-    c = hj_resolve(7, 5)
-    assert c.b == (2, 2, 3)
-    assert c.correction == Fraction(-5, 7)
-    assert c.far_correction == Fraction(-3, 7)
-    assert hj_resolve(2, 1).b == (2,)
-    assert hj_resolve(2, 1).correction == Fraction(-1, 2)
-    assert hj_resolve(5, 1).b == (5,)
+    b, correction, far_correction = hj_resolve(7, 5)
+    assert b == (2, 2, 3)
+    assert correction == Fraction(-5, 7)
+    assert far_correction == Fraction(-3, 7)
+    assert hj_resolve(2, 1)[0] == (2,)
+    assert hj_resolve(2, 1)[1] == Fraction(-1, 2)
+    assert hj_resolve(5, 1)[0] == (5,)
     with pytest.raises(InputError):
         hj_resolve(6, 4)
     with pytest.raises(InputError):
@@ -120,8 +120,8 @@ def test_hj_determinant_is_plus_minus_d():
         if math.gcd(d, beta) != 1:
             continue
         seen += 1
-        chain = hj_resolve(d, beta)
-        assert abs(_tridiagonal_det(chain.b)) == d, (d, beta, chain.b)
+        b = hj_resolve(d, beta)[0]
+        assert abs(_tridiagonal_det(b)) == d, (d, beta, b)
 
 
 def test_chain_multiplicities_solvable_cases():
@@ -231,27 +231,27 @@ def test_normalize_matches_invariant_oracle():
 
 
 def test_wblowup2_examples():
-    def chart_symbols(data):
-        return [symbol(normalize_type(*g)) for g in data.charts]
+    def chart_symbols(charts):
+        return [symbol(normalize_type(*g)) for g in charts]
 
-    d = wblowup2((1, 0, 0), (2, 3))
-    assert d.self_int == Fraction(-1, 6)
-    assert chart_symbols(d) == ["1/2(1,1)", "1/3(1,1)"]
-    d = wblowup2((1, 0, 0), (1, 1))
-    assert d.self_int == Fraction(-1)
-    assert chart_symbols(d) == ["smooth", "smooth"]
-    d = wblowup2((1, 0, 0), (5, 2))
-    assert d.self_int == Fraction(-1, 10)
-    assert chart_symbols(d) == ["1/5(1,2)", "1/2(1,1)"]
+    self_int, charts = wblowup2((1, 0, 0), (2, 3))
+    assert self_int == Fraction(-1, 6)
+    assert chart_symbols(charts) == ["1/2(1,1)", "1/3(1,1)"]
+    self_int, charts = wblowup2((1, 0, 0), (1, 1))
+    assert self_int == Fraction(-1)
+    assert chart_symbols(charts) == ["smooth", "smooth"]
+    self_int, charts = wblowup2((1, 0, 0), (5, 2))
+    assert self_int == Fraction(-1, 10)
+    assert chart_symbols(charts) == ["1/5(1,2)", "1/2(1,1)"]
 
 
 def test_wblowup2_on_quotient_point():
     # 1/5(2,3)-point blown up with weights (2,3)
-    d = wblowup2((5, 2, 3), (2, 3))
-    assert d.self_int == Fraction(-5, 6)
+    self_int, _ = wblowup2((5, 2, 3), (2, 3))
+    assert self_int == Fraction(-5, 6)
     # 1/5(4,1) is the same germ written with lambda=2, still presentable
-    d2 = wblowup2((5, 4, 6), (2, 3))
-    assert d2.self_int == Fraction(-5, 6)
+    self_int2, _ = wblowup2((5, 4, 6), (2, 3))
+    assert self_int2 == Fraction(-5, 6)
     with pytest.raises(Unsupported):
         wblowup2((5, 2, 2), (2, 3))
     with pytest.raises(Unsupported):
@@ -265,8 +265,8 @@ def test_wblowup2_smooth_property():
         q = rng.randint(1, 9)
         if math.gcd(p, q) != 1:
             continue
-        d = wblowup2((1, 0, 0), (p, q))
-        assert -d.self_int * p * q == 1
+        self_int, _ = wblowup2((1, 0, 0), (p, q))
+        assert -self_int * p * q == 1
 
 
 def test_wblowup2_rejects_bad_weights():

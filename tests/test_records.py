@@ -5,14 +5,18 @@ field-wise ==, hash and repr, and read-only fields.
 
 import copy
 import pickle
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from singcalc import curves, cyclo, monodromy, qres2d, quotient, weightfilt, wlys
 from singcalc.cyclo import CycloProduct, DensePoly
 from singcalc.qres2d import BivarPoly, QResolutionGraph, SmoothResolutionGraph
-from singcalc.wlys import TrivarPoly, WeightVector
+from singcalc.wlys import TrivarPoly
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CUSP = BivarPoly({(2, 0): 1, (0, 3): -1})
 CUSP_DELTA = CycloProduct({6: 1, 1: 1, 2: -1, 3: -1})  # t^2 - t + 1
@@ -26,15 +30,9 @@ def _frozen():
         qres2d.Chart((1, 0, 0), CUSP),
         QResolutionGraph({"S1": {"id": "S1"}}, [], ["S1"]),
         SmoothResolutionGraph({}, [("E1", "S1")], []),
-        qres2d.LocalInvariants(
-            2, 1, CUSP_DELTA, QResolutionGraph({}, [], []), SmoothResolutionGraph({}, [], [])
-        ),
-        quotient.hj_resolve(7, 5),
-        quotient.wblowup2((1, 0, 0), (2, 3)),
         weightfilt.WeightFiltration(0, ((0, ()),)),
         weightfilt.Census({1: 1}, 1, {1: (1, 0)}, {1: {1: 1}}),
         TrivarPoly({(1, 0, 0): 1}),
-        WeightVector(1, 2, 3),
     ]
 
 
@@ -54,17 +52,32 @@ def test_frozen_records_refuse_assignment(record):
         record.undeclared = 1
 
 
-def test_every_record_class_is_covered():
+def _declared():
     modules = (curves, cyclo, monodromy, qres2d, quotient, weightfilt, wlys)
-    frozen = {type(r) for r in FROZEN}
-    declared = {
+    return {
         cls
         for module in modules
         for cls in vars(module).values()
         if isinstance(cls, type) and cls.__module__ == module.__name__ and "__slots__" in vars(cls)
     }
-    assert declared == frozen
-    assert len(frozen) == 13
+
+
+def test_every_record_class_is_covered():
+    frozen = {type(r) for r in FROZEN}
+    assert _declared() == frozen
+    assert len(frozen) == 9
+
+
+def test_readme_counts_and_names_every_record():
+    # the Start-up section's sentence "The package's N records are ...",
+    # up to its full stop, gives the count and names each class
+    text = " ".join(README.read_text().split())
+    match = re.search(r"The package's (\d+) records are (.*?)\. ", text)
+    assert match, "README has no sentence 'The package's N records are ...'"
+    declared = _declared()
+    assert int(match.group(1)) == len(declared)
+    named = set(re.findall(r"`(\w+)`", match.group(2)))
+    assert {cls.__name__ for cls in declared} <= named
 
 
 @pytest.mark.parametrize(
@@ -82,9 +95,8 @@ def test_every_record_class_is_covered():
             TrivarPoly({(0, 1, 0): "1/2", (1, 0, 0): Fraction(3)}),
             TrivarPoly({(1, 0, 0): 3}),
         ),
-        (lambda: WeightVector(1, 2, 3), WeightVector(p=1, q=2, r=3), WeightVector(1, 3, 2)),
     ],
-    ids=["CycloProduct", "DensePoly", "BivarPoly", "TrivarPoly", "WeightVector"],
+    ids=["CycloProduct", "DensePoly", "BivarPoly", "TrivarPoly"],
 )
 def test_equality_and_hash_by_fields(make, same, other):
     record = make()
@@ -104,12 +116,12 @@ def test_records_of_different_classes_differ():
 
 
 def test_repr_lists_the_fields():
-    assert repr(WeightVector(1, 2, 3)) == "WeightVector(p=1, q=2, r=3)"
+    assert repr(TrivarPoly({(1, 2, 3): 1})) == "TrivarPoly(terms=(((1, 2, 3), 1),))"
     assert repr(QResolutionGraph({}, [], ["S1"])) == (
         "QResolutionGraph(vertices={}, edges=[], strict_vertices=['S1'])"
     )
-    assert repr(quotient.hj_resolve(7, 5)) == (
-        "HJChain(b=(2, 2, 3), correction=Fraction(-5, 7), far_correction=Fraction(-3, 7))"
+    assert repr(qres2d.Chart((2, 1, 1), CUSP, x=("E1", 3))) == (
+        f"Chart(group=(2, 1, 1), equation={CUSP!r}, x=('E1', 3), y=None)"
     )
 
 

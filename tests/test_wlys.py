@@ -11,7 +11,7 @@ from singcalc.errors import INDETERMINATE, InputError
 from singcalc.schema import rational, validate
 from singcalc.wlys import (
     TrivarPoly,
-    WeightVector,
+    degree_of,
     trivar_from_json,
     trivar_to_json,
     wdecompose,
@@ -44,7 +44,7 @@ QUINTIC_GERM = TrivarPoly(
 
 
 def test_decompose_suspension_germ():
-    out = wdecompose(SUSPENSION_GERM, WeightVector(2, 2, 3))
+    out = wdecompose(SUSPENSION_GERM, [2, 2, 3])
     assert out == {
         "d": 16,
         "k": 2,
@@ -56,14 +56,14 @@ def test_decompose_suspension_germ():
 
 
 def test_decompose_quintic_heavy_weights():
-    out = wdecompose(QUINTIC_GERM, WeightVector(33, 50, 15))
+    out = wdecompose(QUINTIC_GERM, [33, 50, 15])
     assert (out["d"], out["k"]) == (165, 1)
     # the x^2 y^2 term sits at weight 166
     assert out["parts"][1] == (166, TrivarPoly({(2, 2, 0): 1}))
 
 
 def test_decompose_quintic_light_weights():
-    out = wdecompose(QUINTIC_GERM, WeightVector(2, 3, 1))
+    out = wdecompose(QUINTIC_GERM, [2, 3, 1])
     assert (out["d"], out["k"]) == (10, 1)
     # z^11 is the only weight-11 monomial
     assert out["parts"][1] == (11, TrivarPoly({(0, 0, 11): 1}))
@@ -71,15 +71,15 @@ def test_decompose_quintic_light_weights():
 
 def test_decompose_homogeneous_reports_none():
     f = TrivarPoly({(3, 0, 0): 1, (0, 3, 0): -2})
-    out = wdecompose(f, WeightVector(1, 1, 1))
+    out = wdecompose(f, [1, 1, 1])
     assert out == {"d": 3, "k": None, "parts": ((3, f),)}
 
 
 def test_decompose_rejects_zero_and_units():
     with pytest.raises(InputError, match="nonzero"):
-        wdecompose(TrivarPoly({}), WeightVector(1, 1, 1))
+        wdecompose(TrivarPoly({}), [1, 1, 1])
     with pytest.raises(InputError, match="origin"):
-        wdecompose(TrivarPoly({(0, 0, 0): 1, (1, 0, 0): 1}), WeightVector(1, 1, 1))
+        wdecompose(TrivarPoly({(0, 0, 0): 1, (1, 0, 0): 1}), [1, 1, 1])
 
 
 def test_decompose_parts_resum_and_homogeneous():
@@ -95,13 +95,13 @@ def test_decompose_parts_resum_and_homogeneous():
         if not terms:
             continue
         f = TrivarPoly(terms)
-        w = WeightVector(*rng.choice([(1, 1, 1), (2, 2, 3), (2, 3, 1), (5, 3, 1)]))
+        w = rng.choice([(1, 1, 1), (2, 2, 3), (2, 3, 1), (5, 3, 1)])
         out = wdecompose(f, w)
         total = {}
         for m, part in out["parts"]:
             assert not part.is_zero()
             for key, c in part.terms:
-                assert w.degree_of(key) == m
+                assert degree_of(w, key) == m
                 assert key not in total, f"monomial {key} in two parts"
                 total[key] = c
         assert TrivarPoly(total) == f
@@ -118,29 +118,29 @@ def test_decompose_parts_resum_and_homogeneous():
 
 def test_admissibility_suspension_example():
     points = [((0, 0, 1), "ii"), ((1, 0, 0), "ii")]
-    out = wlys_admissibility(SUSPENSION_GERM, WeightVector(2, 2, 3), points)
-    assert out.pop("parts") == wdecompose(SUSPENSION_GERM, WeightVector(2, 2, 3))["parts"]
+    out = wlys_admissibility(SUSPENSION_GERM, [2, 2, 3], points)
+    assert out.pop("parts") == wdecompose(SUSPENSION_GERM, [2, 2, 3])["parts"]
     assert out == {"admissible": True, "d": 16, "k": 2, "failures": []}
 
 
 def test_admissibility_fails_without_z6():
     f = TrivarPoly({k: c for k, c in SUSPENSION_GERM.as_dict().items() if k != (0, 0, 6)})
     points = [((0, 0, 1), "ii")]
-    out = wlys_admissibility(f, WeightVector(2, 2, 3), points)
+    out = wlys_admissibility(f, [2, 2, 3], points)
     assert out["admissible"] is False
     assert out["d"] == 16 and out["k"] == 2
     assert out["failures"] == ["point [0:0:1] (clause ii) lies on C_18"]
 
 
 def test_admissibility_vacuous():
-    out = wlys_admissibility(QUINTIC_GERM, WeightVector(2, 3, 1), [])
-    assert out.pop("parts") == wdecompose(QUINTIC_GERM, WeightVector(2, 3, 1))["parts"]
+    out = wlys_admissibility(QUINTIC_GERM, [2, 3, 1], [])
+    assert out.pop("parts") == wdecompose(QUINTIC_GERM, [2, 3, 1])["parts"]
     assert out == {"admissible": True, "d": 10, "k": 1, "failures": []}
 
 
 def test_admissibility_homogeneous_indeterminate():
     f = TrivarPoly({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-    out = wlys_admissibility(f, WeightVector(1, 1, 1), [((1, -1, 0), "i")])
+    out = wlys_admissibility(f, [1, 1, 1], [((1, -1, 0), "i")])
     assert out["admissible"] is INDETERMINATE
     assert out["k"] is None
 
@@ -153,7 +153,7 @@ def test_admissibility_reduces_to_sis_criterion():
     good = TrivarPoly({**cusp_cone, (0, 0, 4): 1})  # z^4 misses the point
     bad = TrivarPoly({**cusp_cone, (4, 0, 0): 1})  # x^4 vanishes there
     p = ((0, 0, 1), "i")
-    w = WeightVector(1, 1, 1)
+    w = [1, 1, 1]
     assert wlys_admissibility(good, w, [p])["admissible"] is True
     out = wlys_admissibility(bad, w, [p])
     assert out["admissible"] is False
@@ -177,9 +177,9 @@ def test_weighted_point_validation(capsys, tmp_path):
 
 def test_weight_vector_validation():
     with pytest.raises(InputError, match="gcd"):
-        WeightVector(2, 2, 4)
+        wdecompose(SUSPENSION_GERM, [2, 2, 4])
     with pytest.raises(InputError, match="positive"):
-        WeightVector(0, 1, 1)
+        wdecompose(SUSPENSION_GERM, [0, 1, 1])
 
 
 # -------------------------------------------------------------- serialization
@@ -200,7 +200,7 @@ def test_integer_coefficients_stay_ints():
         ]
     )
     assert [type(c) for _, c in f.terms] == [Fraction, int, int]
-    parts = wdecompose(f, WeightVector(3, 2, 1))["parts"]
+    parts = wdecompose(f, [3, 2, 1])["parts"]
     assert [(m, [type(c) for _, c in part.terms]) for m, part in parts] == [
         (6, [int, int]),
         (7, [Fraction]),
@@ -245,7 +245,7 @@ def test_point_json():
     coords = tuple(rational(x) for x in p["coords"])
     assert coords == (1, Fraction(1, 2), 0)
     f = TrivarPoly({(0, 0, 2): 1, (3, 0, 0): 1, (0, 3, 0): -8})  # z^2 + x^3 - 8y^3
-    out = wlys_admissibility(f, WeightVector(1, 1, 1), [(coords, p["clause"])])
+    out = wlys_admissibility(f, [1, 1, 1], [(coords, p["clause"])])
     assert out["failures"] == ["point [1:1/2:0] (clause i) lies on C_3"]
 
 

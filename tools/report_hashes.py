@@ -27,7 +27,8 @@ the same whichever checkout is hashed:
   faults each, to pin which line wins;
 - `wlys` inputs with an all-zero point, on a germ with a comparison form,
   on a weighted-homogeneous one, and next to a point whose coordinate has
-  a zero denominator, in both orders.
+  a zero denominator, in both orders; and with weights of gcd 2 or with a
+  zero weight.
 
 Inputs are written to a temporary directory, which is the working
 directory while the reports run, so paths in messages are relative.
@@ -123,6 +124,8 @@ BAD_WLYS = {
     "wlys_zero_point_homogeneous.json": {**_FERMAT, "points": [_ZERO]},
     "wlys_zero_point_first.json": {"points": [_ZERO, _ZERO_DENOMINATOR]},
     "wlys_zero_denominator_first.json": {"points": [_ZERO_DENOMINATOR, _ZERO]},
+    "wlys_weights_gcd.json": {"weights": [2, 2, 4]},
+    "wlys_weight_zero.json": {"weights": [0, 1, 1]},
 }
 
 
