@@ -312,8 +312,6 @@ def cmd_lys(args) -> str:
             "points list does not match the curve's singular points "
             f"(curve has {len(on_curve)}, got {len(points)})"
         )
-    mu_total = monodromy.milnor_number(d, k, sum(p["mu"] for p in points))
-
     degrees = [c["degree"] for c in curve["components"]]
     vhat, vk = curves.surface_intersections(d, k, degrees)
 
@@ -332,7 +330,7 @@ def cmd_lys(args) -> str:
     report = {
         "d": d,
         "k": k,
-        "milnor_number": mu_total,
+        "milnor_number": char.degree(),  # char_poly_lys checked it against the Milnor number
         "char_poly": char,
         "intersections": {
             "vhat": vhat,
@@ -403,12 +401,12 @@ def cmd_weightfilt(args) -> str:
     h = weightfilt.matrix_from_json(validate(_load_json(args.input), "matrix.schema.json"))
     census = weightfilt.analyze(h, args.m)
     report = {
+        **census,
         "dimension": len(h),
-        "m": census.m,
         "center": args.center,
-        "gr_dims": {str(level): dim for level, dim in census.gr_dims(args.center).items()},
-        "jordan_blocks": list(census.jordan_blocks()),
-        "delta": {str(k): p for k, p in census.deltas().items()},
+        "gr_dims": {str(level + args.center): dim for level, dim in census["gr_dims"].items()},
+        "jordan_blocks": list(census["jordan_blocks"]),
+        "delta": {str(k): p for k, p in census["delta"].items()},
     }
     return _emit(report, args.format, _weightfilt_text)
 
@@ -478,8 +476,7 @@ def cmd_zeta(args) -> str:
     for n, vid in enumerate(strict):
         if vid not in vertices:
             raise InputError(f"bad $.strict[{n}]: {json.dumps(vid)} names no vertex")
-    graph = qres2d.SmoothResolutionGraph(vertices=vertices, edges=[], strict_vertices=strict)
-    zeta = monodromy.acampo_zeta(graph)
+    zeta = monodromy.acampo_zeta(vertices, strict)
     char = monodromy.zeta_to_char(zeta, args.n)
     report = {
         "n": args.n,

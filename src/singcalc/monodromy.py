@@ -55,14 +55,17 @@ _ONE_MINUS_T = CycloProduct({1: 1})
 # ------------------------------------------------------------------- zeta
 
 
-def acampo_zeta(g: "SmoothResolutionGraph") -> CycloProduct:  # qres2d's, which imports this module
-    """Monodromy zeta function of a smooth resolution graph, as a
-    formal product over the exceptional vertices; strict-transform
-    vertices carry no factor.  A vertex is read for its ``multiplicity``
-    and ``chi_open`` keys."""
+def acampo_zeta(vertices: dict, strict) -> CycloProduct:
+    """Monodromy zeta function of a smooth resolution graph, as a formal
+    product over its exceptional vertices.  ``vertices`` maps each id to
+    its vertex dict, read for its ``multiplicity`` and ``chi_open`` keys;
+    ``strict`` lists the ids of the strict-transform vertices, which carry
+    no factor."""
+    strict = set(strict)
     acc: dict[int, int] = {}
-    for vid in g.exceptional_ids():
-        v = g.vertices[vid]
+    for vid, v in vertices.items():
+        if vid in strict:
+            continue
         m, chi = v["multiplicity"], v["chi_open"]
         if m <= 0:
             raise InputError(f"vertex {vid} has non-positive multiplicity")

@@ -715,7 +715,7 @@ def local_invariants(f: BivarPoly) -> dict:
     """
     graph = qresolve(f)
     smooth = smoothen(graph)
-    char_poly = zeta_to_char(acampo_zeta(smooth), 1)
+    char_poly = zeta_to_char(acampo_zeta(smooth.vertices, smooth.strict_vertices), 1)
     mu = char_poly.degree()
     r = len(graph.strict_vertices)
     if (mu - r + 1) % 2:

@@ -4,10 +4,11 @@ For a quasi-unipotent automorphism h, `analyze` factors charpoly(h) into
 cyclotomic polynomials Phi_o and counts Jordan blocks from the rank
 sequence of each Phi_o(h): the blocks of size >= j at a primitive o-th
 root of unity number (rank Phi_o(h)^{j-1} - rank Phi_o(h)^j) / phi(o).
-From that census come the level polynomials Delta^[k] (the product of
-Phi_o over the blocks of size k+1, so deg Delta^[k] counts those blocks
-and its roots are their eigenvalues), the Jordan blocks of N = I - h^m
-and the graded dimensions of N's weight filtration.
+From that census it returns the values of the `weightfilt` report, as
+one dict: the level polynomials Delta^[k] (the product of Phi_o over the
+blocks of size k+1, so deg Delta^[k] counts those blocks and its roots
+are their eigenvalues), the Jordan blocks of N = I - h^m and the graded
+dimensions of N's weight filtration.
 
 The weight filtration itself, centered at 0, is the unique increasing
 filtration W with N(W_k) contained in W_{k-2} such that N^k induces
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -65,7 +67,6 @@ __all__ = [
     "weight_filtration",
     "jordan_blocks",
     "default_power",
-    "Census",
     "analyze",
     "delta_k",
     "matrix_from_json",
@@ -573,65 +574,25 @@ def default_power(h) -> int:
     return _quasi_unipotent_content(_power_table(h), d)[1]
 
 
-class Census(FrozenRecord):
-    """Jordan census of a quasi-unipotent automorphism h, from rank sequences.
+def analyze(h, m: int = None) -> dict:
+    """Jordan census of a quasi-unipotent automorphism h, as the values of
+    the `weightfilt` report, {"m", "jordan_blocks", "gr_dims", "delta"}:
+    ``m`` is the power with h^m unipotent, by default the lcm of the
+    cyclotomic orders in charpoly(h); ``jordan_blocks`` the Jordan block
+    sizes of h over C, which are those of N = I - h^m, descending;
+    ``gr_dims`` the graded dimensions {level: dim} of N's weight
+    filtration centered at 0, where a block of size s fills levels
+    -(s-1), -(s-3), ..., s-1; ``delta`` the nonzero level polynomials
+    {k: Delta^[k]}, k ascending.
 
-    ``content`` maps each order o to the multiplicity of Phi_o in
-    charpoly(h); ``m`` is the power with h^m unipotent; ``ranks`` maps o
-    to (rank Phi_o(h)^0, rank Phi_o(h)^1, ...); ``blocks`` maps o to
-    {s: number of Jordan blocks of size s at one primitive o-th root of
-    unity}.  Galois-conjugate roots carry the same blocks, so each one
-    stands for phi(o) blocks over the complex numbers.
-    """
-
-    __slots__ = ("content", "m", "ranks", "blocks")
-
-    def __init__(self, content: dict, m: int, ranks: dict, blocks: dict):
-        setfield(self, "content", content)
-        setfield(self, "m", m)
-        setfield(self, "ranks", ranks)
-        setfield(self, "blocks", blocks)
-
-    def deltas(self) -> dict:
-        """All nonzero level polynomials, {k: Delta^[k]} with k ascending."""
-        levels = {}
-        for order, counts in self.blocks.items():
-            for size, count in counts.items():
-                levels.setdefault(size - 1, {})[order] = count
-        return {k: cyclotomic(levels[k]) for k in sorted(levels)}
-
-    def jordan_blocks(self) -> tuple:
-        """Jordan block sizes of h over C, which are those of I - h^m, descending."""
-        sizes = (
-            size
-            for order, counts in self.blocks.items()
-            for size, count in counts.items()
-            for _ in range(count * _phi(order))
-        )
-        return tuple(sorted(sizes, reverse=True))
-
-    def gr_dims(self, center: int) -> dict:
-        """Graded dimensions of the weight filtration of I - h^m.
-
-        A block of size s fills levels center-(s-1), center-(s-3), ...,
-        center+(s-1).
-        """
-        out = {}
-        for size in self.jordan_blocks():
-            for level in range(center - size + 1, center + size, 2):
-                out[level] = out.get(level, 0) + 1
-        return dict(sorted(out.items()))
-
-
-def analyze(h, m: int = None) -> Census:
-    """Jordan census of a quasi-unipotent automorphism h.
-
-    Factors charpoly(h) into cyclotomics once, picks m (default: the lcm
-    of the orders found), checks that charpoly(h^m) is a power of t-1 --
-    it is prod (t - lambda^m), so exactly when every order divides m --
-    and for each order o counts Jordan blocks from the rank sequence of
-    Phi_o(h): the blocks of size >= j at a primitive o-th root number
-    (rank Phi_o(h)^{j-1} - rank Phi_o(h)^j) / phi(o).
+    Factors charpoly(h) into cyclotomics once, checks that charpoly(h^m)
+    is a power of t-1 -- it is prod (t - lambda^m), so exactly when every
+    order divides m -- and for each order o counts Jordan blocks from the
+    rank sequence of Phi_o(h): the blocks of size >= j at a primitive o-th
+    root number (rank Phi_o(h)^{j-1} - rank Phi_o(h)^j) / phi(o).
+    Galois-conjugate roots carry the same blocks, so each stands for
+    phi(o) blocks over C, and Delta^[k] is the product of Phi_o over the
+    blocks of size k+1 at one root.
     """
     h, d = _integer_form(h)  # h / d is the automorphism
     n = len(h)
@@ -646,41 +607,51 @@ def analyze(h, m: int = None) -> Census:
             f"m = {m} does not work: characteristic polynomial of h^{m} "
             "is not a power of t-1"
         )
-    ranks = {}
-    blocks = {}
+    ranks, blocks, sizes, levels = {}, {}, [], {}
     for order, mult in content.items():
+        width = _phi(order)
         phi_h = _scaled_poly_at(_cyclo_coeffs(order), powers, d)
-        ranks[order] = _rank_sequence(phi_h, n - mult * _phi(order))
-        blocks[order] = _block_counts(ranks[order], _phi(order))
-    census = Census(content, m, ranks, blocks)
+        ranks[order] = _rank_sequence(phi_h, n - mult * width)
+        blocks[order] = _block_counts(ranks[order], width)
+        for size, count in blocks[order].items():
+            sizes += [size] * (count * width)
+            levels.setdefault(size - 1, {})[order] = count
+    sizes = tuple(sorted(sizes, reverse=True))
     power, power_d = _scaled_pow(h, d, m)
     # power_d (I - h^m) has the Jordan blocks of I - h^m
-    _assert_census(census, _add_scalar(tuple(tuple(-x for x in row) for row in power), power_d))
-    return census
+    _assert_census(content, ranks, blocks, sizes,
+                   _add_scalar(tuple(tuple(-x for x in row) for row in power), power_d))
+    gr_dims = Counter(level for size in sizes for level in range(1 - size, size, 2))
+    return {
+        "m": m,
+        "jordan_blocks": sizes,
+        "gr_dims": dict(sorted(gr_dims.items())),
+        "delta": {k: cyclotomic(levels[k]) for k in sorted(levels)},
+    }
 
 
-def _assert_census(census: Census, n_mat: tuple):
-    """Check the rank sequences against the content and against the
-    integer matrix n_mat, a nonzero multiple of N = I - h^m."""
-    for order, ranks in census.ranks.items():
+def _assert_census(content: dict, ranks: dict, blocks: dict, sizes: tuple, n_mat: tuple):
+    """Check the rank sequences against the content and the pooled block
+    sizes against the integer matrix n_mat, a nonzero multiple of
+    N = I - h^m."""
+    for order, seq in ranks.items():
         width = _phi(order)
-        drops = [r - s for r, s in zip(ranks, ranks[1:])]
+        drops = [r - s for r, s in zip(seq, seq[1:])]
         if any(d < 0 or d % width for d in drops) or any(
             d < e for d, e in zip(drops, drops[1:])
         ):
             raise InternalError(
-                f"rank sequence {ranks} of Phi_{order}(h) is not a block census"
+                f"rank sequence {seq} of Phi_{order}(h) is not a block census"
             )
-        filled = sum(size * count for size, count in census.blocks[order].items())
-        if filled != census.content[order]:
+        filled = sum(size * count for size, count in blocks[order].items())
+        if filled != content[order]:
             raise InternalError(
                 f"blocks at order {order} fill {filled}, "
-                f"but Phi_{order} has multiplicity {census.content[order]}"
+                f"but Phi_{order} has multiplicity {content[order]}"
             )
-    pooled = census.jordan_blocks()
-    if pooled != _nilpotent_blocks(n_mat):
+    if sizes != _nilpotent_blocks(n_mat):
         raise InternalError(
-            f"census blocks {pooled} differ from the Jordan blocks of I - h^m"
+            f"census blocks {sizes} differ from the Jordan blocks of I - h^m"
         )
 
 
@@ -699,7 +670,7 @@ def delta_k(h, k: int, m: int = None) -> CycloProduct:
     """
     if k < 0:
         raise InputError(f"level k must be >= 0, got {k}")
-    return analyze(h, m).deltas().get(k, CycloProduct({}))
+    return analyze(h, m)["delta"].get(k, CycloProduct({}))
 
 
 # ---------------------------------------------------------------------------

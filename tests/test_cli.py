@@ -74,6 +74,30 @@ def test_translated_germ_golden(capsys):
     assert (report["mu"], report["r"], report["graph"]["blowups"]) == (6, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "name, mu, r, char_poly",
+    [
+        # y^4 + 2xy^2 + 2x^3, an ordinary triple point (D4): its walk blows
+        # up the quotient point 1/2(1,1) of the first chart with weights
+        # (1, 1).  Kouchnirenko: the polygon (0,4), (1,2), (3,0) bounds area
+        # 5 with the axes, so mu = 2*5 - 3 - 4 + 1 = 4, and Delta =
+        # (t - 1)(t^3 - 1) as for any ordinary triple point.  Its "delta" is that
+        # of today's formula, (mu - r + 1)/2 = 1; Noether's is 3.
+        ("d4_quotient_point", 4, 3, {"1": 1, "3": 1}),
+        # (x - y^3)^2 + y^7, A6 with Delta = Phi_14: resolved through a
+        # translation along x, the q == 1 branch of qres2d._scan_exceptional
+        ("a6_translated_x", 6, 1, {"1": 1, "14": 1, "2": -1, "7": -1}),
+    ],
+)
+def test_germ_golden_reaching_a_branch_of_the_walk(capsys, name, mu, r, char_poly):
+    # kept apart from GOLDEN_CASES, whose list the benchmark replays
+    code, out, err = run_cli(capsys, "local", "--input", str(DATA / f"{name}_germ.json"))
+    assert code == 0, err
+    assert out == (DATA / f"{name}_local.golden.json").read_text()
+    report = json.loads(out)
+    assert (report["mu"], report["r"], report["char_poly"]["factors"]) == (mu, r, char_poly)
+
+
 SCALED_GERMS = {
     "cusp": {(0, 2): 1, (3, 0): -1},
     "two cusps": {(0, 4): 1, (3, 2): -5, (6, 0): 4},
@@ -1334,7 +1358,7 @@ def _zeta(graph, path) -> str:
 
 
 def test_zeta_of_the_local_graph_gives_its_char_poly(local_zeta_pairs, tmp_path):
-    assert len(local_zeta_pairs) == 169
+    assert len(local_zeta_pairs) == 171
     for report, graph in local_zeta_pairs:
         assert json.loads(_zeta(graph, tmp_path / "graph.json"))["char_poly"] == report["char_poly"]
 

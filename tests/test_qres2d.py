@@ -25,6 +25,7 @@ from singcalc.qres2d import (
     BivarPoly,
     Chart,
     QResolutionGraph,
+    SmoothResolutionGraph,
     _check_uniform_character,
     _uderiv,
     _uexquo,
@@ -736,3 +737,101 @@ def test_coordinate_changes_keep_mu_r_and_delta():
     assert len(germs) == 17 + 100 + 2
     assert exit_2 == ["x<->y", "x<->y"]
     assert agree == 8 * len(germs) - 2
+
+
+# ------------------------------------------------------------- blow-down
+
+
+def blow_down(graph) -> list:
+    """The multiplicities e_P of the germ's strict transform at the points
+    blown up, read off a smooth resolution graph by contracting one
+    exceptional -1 curve at a time (Castelnuovo's criterion), the last
+    blow-up first.
+
+    A -1 curve E with at most two exceptional neighbours F comes from
+    blowing up a point P that lies on the curves F, and the total
+    transform's multiplicity on E is N_E = sum_F N_F + e_P.  Contracting E
+    raises each F's self-intersection by 1 and makes two F's meet at P.
+    Strict branches take no part.  Fails when no such E is left before the
+    exceptional curves are all gone, or when some e_P is negative.
+    """
+    strict = set(graph.strict_vertices)
+    mult = {vid: v["multiplicity"] for vid, v in graph.vertices.items()}
+    self_int = {vid: v["self_int"] for vid, v in graph.vertices.items() if vid not in strict}
+    nb = {vid: [] for vid in self_int}
+    for u, v in graph.edges:
+        if u in nb and v in nb:
+            nb[u].append(v)
+            nb[v].append(u)
+    points = []
+    while self_int:
+        e = next((v for v, s in self_int.items() if s == -1 and len(nb[v]) <= 2), None)
+        assert e is not None, f"no exceptional -1 curve to contract among {sorted(self_int)}"
+        far = nb.pop(e)
+        del self_int[e]
+        e_p = mult[e] - sum(mult[f] for f in far)
+        assert e_p >= 0, f"{e} gives the negative multiplicity {e_p}"
+        points.append(e_p)
+        for f in far:
+            nb[f].remove(e)
+            self_int[f] += 1
+        if len(far) == 2:
+            nb[far[0]].append(far[1])
+            nb[far[1]].append(far[0])
+    return points
+
+
+def _certified(germ: dict, graph, mu: int, r: int) -> bool:
+    """Whether the graph contracts fully, to a first point whose e_P is the
+    order of the germ, with 2 delta = sum e_P (e_P - 1) = mu + r - 1
+    (Noether's formula for delta, Milnor's for mu)."""
+    try:
+        points = blow_down(graph)
+    except AssertionError:
+        return False
+    order = min(i + j for i, j in germ)
+    return points[-1] == order and sum(e * (e - 1) for e in points) == mu + r - 1
+
+
+def _blow_down_germs() -> list:
+    return [germ for germ, *_ in CATALOG.values()] + _perfbench_local_germs(range(300))
+
+
+def test_every_smooth_graph_blows_down():
+    germs = _blow_down_germs()
+    for germ in germs:
+        inv = local_invariants(P(germ))
+        assert _certified(germ, inv["smooth_graph"], inv["mu"], inv["r"]), germ
+    assert len(germs) == 17 + 300
+
+
+def _mutants(graph):
+    """(kind, copy) of a smooth graph with two or more exceptional vertices,
+    each copy with one fault: one exceptional self-intersection lowered by
+    1, or one end of an edge between exceptional vertices moved to another
+    exceptional vertex that it does not already meet."""
+    strict = set(graph.strict_vertices)
+    exceptional = [vid for vid in graph.vertices if vid not in strict]
+    if len(exceptional) < 2:
+        return
+    for vid in exceptional:
+        vertices = {k: dict(v) for k, v in graph.vertices.items()}
+        vertices[vid]["self_int"] -= 1
+        yield "self_int", SmoothResolutionGraph(vertices, graph.edges, graph.strict_vertices)
+    for n, (u, v) in enumerate(graph.edges):
+        if u in strict or v in strict:
+            continue
+        for w in exceptional:
+            if w not in (u, v) and (u, w) not in graph.edges and (w, u) not in graph.edges:
+                edges = [*graph.edges[:n], (u, w), *graph.edges[n + 1 :]]
+                yield "edge", SmoothResolutionGraph(graph.vertices, edges, graph.strict_vertices)
+
+
+def test_blow_down_catches_a_changed_self_intersection_or_a_moved_edge():
+    caught = {"self_int": 0, "edge": 0}
+    for germ in _blow_down_germs():
+        inv = local_invariants(P(germ))
+        for kind, mutant in _mutants(inv["smooth_graph"]):
+            assert not _certified(germ, mutant, inv["mu"], inv["r"]), (germ, kind)
+            caught[kind] += 1
+    assert caught["self_int"] > 1000 and caught["edge"] > 1000, caught

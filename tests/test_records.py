@@ -31,7 +31,6 @@ def _frozen():
         QResolutionGraph({"S1": {"id": "S1"}}, [], ["S1"]),
         SmoothResolutionGraph({}, [("E1", "S1")], []),
         weightfilt.WeightFiltration(0, ((0, ()),)),
-        weightfilt.Census({1: 1}, 1, {1: (1, 0)}, {1: {1: 1}}),
         TrivarPoly({(1, 0, 0): 1}),
     ]
 
@@ -65,7 +64,7 @@ def _declared():
 def test_every_record_class_is_covered():
     frozen = {type(r) for r in FROZEN}
     assert _declared() == frozen
-    assert len(frozen) == 9
+    assert len(frozen) == 8
 
 
 def test_readme_counts_and_names_every_record():

@@ -12,7 +12,6 @@ from singcalc.cyclo import CycloProduct, cyclotomic, expand, root_multiplicity
 from singcalc.errors import InputError, InternalError
 from singcalc.schema import validate
 from singcalc.weightfilt import (
-    Census,
     WeightFiltration,
     _assert_weight_properties,
     _int_charpoly,
@@ -101,11 +100,12 @@ def expected_gr_dims(sizes):
 def assert_census_matches_filtration(h):
     """The rank census agrees with the explicit filtration of N = I - h^m."""
     census = analyze(h)
-    power, d = _scaled_pow(*_integer_form(h), census.m)
+    power, d = _scaled_pow(*_integer_form(h), census["m"])
     n_mat = identity_minus([[Fraction(x, d) for x in row] for row in power])
     for center in (0, 2):
-        assert census.gr_dims(center) == weight_filtration(n_mat, center).gr_dims()
-    assert census.jordan_blocks() == jordan_blocks(n_mat)
+        shifted = {level + center: dim for level, dim in census["gr_dims"].items()}
+        assert shifted == weight_filtration(n_mat, center).gr_dims()
+    assert census["jordan_blocks"] == jordan_blocks(n_mat)
 
 
 def leibniz_det(a):
@@ -602,6 +602,34 @@ def test_filtration_self_check_fires(n_mat, steps, message):
     assert str(err.value) == message
 
 
+# one J2 block at eigenvalue 1: Phi_1 = t - 1 twice in charpoly, rank
+# sequence (2, 1, 0) of h - I, and I - h^m a nonzero nilpotent
+J2_CENSUS = ({1: 2}, {1: (2, 1, 0)}, {1: {2: 1}}, (2,), ((0, 1), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({1: {1: (2, 0, 1)}}, "rank sequence (2, 0, 1) of Phi_1(h) is not a block census"),
+        ({1: {1: (3, 2, 0)}}, "rank sequence (3, 2, 0) of Phi_1(h) is not a block census"),
+        ({0: {1: 3}}, "blocks at order 1 fill 2, but Phi_1 has multiplicity 3"),
+        ({3: (1, 1)}, "census blocks (1, 1) differ from the Jordan blocks of I - h^m"),
+        # two faults: the rank sequence is checked before the content
+        ({0: {1: 3}, 1: {1: (2, 0, 1)}}, "rank sequence (2, 0, 1) of Phi_1(h) is not a block census"),
+        # the content before the pooled sizes
+        ({0: {1: 3}, 3: (1, 1)}, "blocks at order 1 fill 2, but Phi_1 has multiplicity 3"),
+    ],
+)
+def test_census_self_check_fires(changes, message):
+    args = list(J2_CENSUS)
+    weightfilt._assert_census(*args)  # the census itself passes
+    for index, value in changes.items():
+        args[index] = value
+    with pytest.raises(InternalError) as err:
+        weightfilt._assert_census(*args)
+    assert str(err.value) == message
+
+
 def test_filtration_rejects_non_nilpotent():
     with pytest.raises(InputError, match="nilpotent"):
         weight_filtration(mat([[0, 1], [1, 0]]), 0)
@@ -696,14 +724,14 @@ def test_delta_k_order6_companion():
     h = companion([1, -1, 1])  # t^2 - t + 1
     assert default_power(h) == 6
     assert _scaled_pow(*_integer_form(h), 6) == (mat_identity(2), 1)
-    out = analyze(h).deltas()
+    out = analyze(h)["delta"]
     assert out == {0: cyclotomic({6: 1})}
     assert list(expand(out[0]).coeffs) == [1, -1, 1]
 
 
 def test_delta_k_unipotent_2x2():
     h = mat([[1, 1], [0, 1]])
-    out = analyze(h).deltas()
+    out = analyze(h)["delta"]
     assert out == {1: CycloProduct({1: 1})}
     assert delta_k(h, 0).factors == ()
 
@@ -716,7 +744,7 @@ def test_delta_k_identity():
 
 def test_delta_k_eigenvalue_minus_one():
     h = mat([[-1, 1], [0, -1]])
-    out = analyze(h).deltas()
+    out = analyze(h)["delta"]
     assert out == {1: cyclotomic({2: 1})}
 
 
@@ -725,7 +753,7 @@ def test_delta_k_overlapping_blocks():
     # polynomial sees only the size-1 block even though gr_0 is
     # 2-dimensional.
     h = mat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    out = analyze(h).deltas()
+    out = analyze(h)["delta"]
     assert out == {0: CycloProduct({1: 1}), 2: CycloProduct({1: 1})}
 
 
@@ -760,7 +788,7 @@ def census_matrices():
 def test_delta_k_census_random():
     for h, expected in census_matrices():
         n = len(h)
-        out = analyze(h).deltas()
+        out = analyze(h)["delta"]
         assert_census_matches_filtration(h)
         assert out == {level: cyclotomic(orders) for level, orders in expected.items()}
         # degree bookkeeping: sum over levels of (k+1) * deg = dimension
@@ -791,7 +819,12 @@ def test_analyze_rational_huge_power():
     m = 10**8
     half = m // 2
     assert _scaled_pow(*_integer_form(h), m) == (((1 - half, half), (-half, 1 + half)), 1)
-    assert analyze(h, m) == Census({2: 2}, m, {2: (2, 1, 0)}, {2: {2: 1}})
+    assert analyze(h, m) == {
+        "m": m, "jordan_blocks": (2,), "gr_dims": {-1: 1, 1: 1}, "delta": {1: cyclotomic({2: 1})}
+    }
+    # the rank sequence of Phi_2(h) = h + I, scaled to the integer matrix H + 2I
+    big, d = _integer_form(h)
+    assert _rank_sequence(_scaled_poly_at([1, 1], _power_table(big), d), 0) == (2, 1, 0)
 
 
 def test_delta_k_rejects_non_quasi_unipotent():
@@ -820,7 +853,7 @@ def test_analyze_accepts_m_exactly_when_h_power_is_unipotent():
             h_m = mat_mul(h_m, h)
             unipotent = charpoly(h_m) == t_minus_1_to_n
             try:
-                accepted = analyze(h, m).m == m
+                accepted = analyze(h, m)["m"] == m
             except InputError as exc:
                 assert "power of t-1" in str(exc)
                 accepted = False
@@ -836,7 +869,7 @@ def test_monodromy_theorem_check():
     # On the cohomology of an n-dimensional Milnor fiber, Delta^[k] = 1 for
     # k > n and 1 is not a root of Delta^[n]; the levels of J_2(1) meet both
     # bounds for n = 2 only.
-    deltas = analyze(mat([[1, 1], [0, 1]])).deltas()
+    deltas = analyze(mat([[1, 1], [0, 1]]))["delta"]
     assert deltas == {1: CycloProduct({1: 1})}
 
     def bounds_hold(n):

@@ -27,8 +27,13 @@ the same whichever checkout is hashed:
   faults each, to pin which line wins;
 - `wlys` inputs with an all-zero point, on a germ with a comparison form,
   on a weighted-homogeneous one, and next to a point whose coordinate has
-  a zero denominator, in both orders; and with weights of gcd 2 or with a
-  zero weight.
+  a zero denominator, in both orders; with weights of gcd 2 or with a
+  zero weight; and with a zero germ or a constant term;
+- inputs of their own (INPUTS) and options on the files of tests/data
+  (OPTIONS) for the classes the rest leaves out: `--m`, `--center` and
+  `--n 2`; a reducible `lys` curve, with the `indeterminate` verdict; a
+  weighted-homogeneous `wlys` germ; and the input errors of `local`,
+  `quotient` and `weightfilt`.  Each gives the exit code it must have.
 
 Inputs are written to a temporary directory, which is the working
 directory while the reports run, so paths in messages are relative.
@@ -112,6 +117,9 @@ BAD_CURVE = {
     "curve_branch_sum_and_duplicate_component.json": (
         [(_P0 + ("branches_on",), {"c": 2}),
          (("curve", "components"), [{"id": "c", "degree": 3}] * 2)], []),
+    # Phi_2 divides (t - 1)(t^3 - 1)/(t^2 - 1) only as a denominator
+    "curve_power_char.json": ([(("points", 0, "charpoly"), {"1": 1, "2": -1, "3": 1})], []),
+    "curve_jordan1_negative.json": ([(("points", n, "jordan1"), {"1": -1}) for n in range(6)], []),
 }
 # keys put into tests/data/wlys_s10.json; the weighted-homogeneous Fermat
 # cubic replaces its germ and weights
@@ -126,7 +134,60 @@ BAD_WLYS = {
     "wlys_zero_denominator_first.json": {"points": [_ZERO_DENOMINATOR, _ZERO]},
     "wlys_weights_gcd.json": {"weights": [2, 2, 4]},
     "wlys_weight_zero.json": {"weights": [0, 1, 1]},
+    "wlys_zero_germ.json": {"poly": [{"i": 1, "j": 0, "l": 0, "c": 0}]},
+    "wlys_constant_term.json": {"poly": [{"i": 0, "j": 0, "l": 0, "c": 1},
+                                         {"i": 2, "j": 0, "l": 0, "c": 1}]},
 }
+
+
+def _germ(*terms):
+    """A `local` input with the monomials c x^i y^j given as (i, j, c)."""
+    return {"germ": [{"i": i, "j": j, "c": c} for i, j, c in terms]}
+
+
+# a conic c and its tangent line l, which meet in a tacnode
+_TANGENT = {
+    "curve": {"degree": 3, "components": [{"id": "c", "degree": 2}, {"id": "l", "degree": 1}],
+              "singular_points": [{"id": "p1", "mu": 3, "r": 2, "branches_on": {"c": 1, "l": 1}}]},
+    "points": [{"id": "p1", "mu": 3, "r": 2, "charpoly": {"1": 1, "2": -1, "4": 1}}],
+}
+_RATIONAL = {"genera": {"c": 0, "l": 0}}
+# inputs of their own:
+# name -> (command, document, ((options after the input, exit code), ...))
+INPUTS = {
+    "matrix_rotation.json": ("weightfilt", [[0, -1], [1, 0]], ((["--m", "2"], 1), (["--m", "8"], 0))),
+    "matrix_not_square.json": ("weightfilt", [[1, 2]], (([], 1),)),
+    "matrix_not_cyclotomic.json": ("weightfilt", [[2]], (([], 1),)),
+    "matrix_not_integral.json": ("weightfilt", [["1/2"]], (([], 1),)),
+    "zeta_one_vertex.json": ("zeta", {"vertices": [{"id": "E1", "multiplicity": 2, "chi_open": 1}]},
+                             ((["--n", "2"], 0),)),
+    "lys_tangent_line.json": ("lys", _TANGENT, (([], 0), (["--format", "text"], 0))),
+    "lys_tangent_line_rational.json": ("lys", {**_TANGENT, **_RATIONAL},
+                                       (([], 0), (["--k", "2", "--format", "text"], 0))),
+    "lys_tangent_line_suspension.json": ("lys", {**_TANGENT, **_RATIONAL,
+                                                 "suspension_flags": {"p1": True}},
+                                         ((["--k", "2", "--format", "text"], 0),)),
+    "wlys_fermat.json": ("wlys", _FERMAT, (([], 0), (["--format", "text"], 0))),
+    "local_unit.json": ("local", _germ((0, 0, 1), (1, 0, 1)), (([], 1),)),
+    "local_zero.json": ("local", _germ((1, 0, 0)), (([], 1),)),
+    # (y - x)^2
+    "local_not_reduced.json": ("local", _germ((0, 2, 1), (1, 1, -2), (2, 0, 1)), (([], 2),)),
+    # (y^2 - 2x^2)^2 + y^5
+    "local_irrational_point.json": ("local", _germ((0, 4, 1), (2, 2, -4), (4, 0, 4), (0, 5, 1)),
+                                    (([], 2),)),
+    # (y^2 - x^3)^2 + y^5
+    "local_isotropy.json": ("local", _germ((0, 4, 1), (3, 2, -2), (6, 0, 1), (0, 5, 1)), (([], 2),)),
+}
+# argvs on the files of tests/data with options no other argv gives, and their exit codes
+OPTIONS = [
+    (["weightfilt", "--input", "data/unipotent2.json", "--m", "2"], 0),
+    (["weightfilt", "--input", "data/unipotent2.json", "--m", "0"], 1),
+    (["weightfilt", "--input", "data/unipotent2.json", "--center", "3", "--format", "text"], 0),
+    (["zeta", "--input", "data/zeta_cusp.json", "--n", "2"], 1),
+    (["quotient", "--d", "7", "--beta", "7"], 1),
+    (["quotient", "--d", "6", "--beta", "4"], 1),
+    (["quotient", "--d", "0", "--beta", "1"], 1),
+]
 
 
 # argvs on the files of tests/data that are not of the plain form
@@ -191,7 +252,10 @@ def corpus(directory: Path) -> list[list[str]]:
     for name, keys in BAD_WLYS.items():
         (directory / "data" / name).write_text(json.dumps({**s10, **keys}))
         argvs.append(["wlys", "--input", f"data/{name}"])
-    return argvs
+    for name, (command, doc, runs) in INPUTS.items():
+        (directory / "data" / name).write_text(json.dumps(doc))
+        argvs += [[command, "--input", f"data/{name}", *options] for options, _ in runs]
+    return argvs + [argv for argv, _ in OPTIONS]
 
 
 def main(argv=None) -> int:
