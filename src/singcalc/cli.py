@@ -199,7 +199,7 @@ def _factor_map(exponents: dict | None, *path) -> CycloProduct | None:
     product; None for an absent map."""
     if exponents is None:
         return None
-    return CycloProduct({rational(m, *path): e for m, e in exponents.items()})
+    return CycloProduct({rational(m, *path, m): e for m, e in exponents.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,8 @@ def rational(x, *path):
 
 def _where(path) -> str:
     """The JSONPath of a location: $, then [n], .key, or ["key"] for a key
-    that is no identifier."""
-    key = lambda s: f".{s}" if s.isidentifier() and s.isascii() else f"[{json.dumps(s)}]"  # noqa: E731
+    that is no identifier, each key cut to 40 characters as `_shown` cuts."""
+    key = lambda s: f".{s:.40}" if s.isidentifier() and s.isascii() else f"[{_shown(s)}]"  # noqa: E731
     return "$" + "".join(f"[{s}]" if type(s) is int else key(s) for s in path)
 
 

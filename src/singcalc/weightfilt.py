@@ -33,8 +33,9 @@ by Newton's identities, ceil(n/2) - 1 matrix products for dimension n;
 Phi_o(h) up to the scale d^deg is a sum of table powers, which grows
 the table past H^ceil(n/2) only when deg Phi_o needs it.  Each rank
 sequence walks the row spaces, row(A^(j+1)) = row(A^j) A, multiplying
-and eliminating only the rank A^j rows of the step before; h^m, as
-(integer matrix, denominator), is computed apart by squaring.  Every
+and eliminating only the rank A^j rows of the step before.  h^m, as
+(integer matrix, denominator), comes from the same table: an entry, a
+product of two, or for a larger m the square of h^floor(m/2).  Every
 rank, echelon form, kernel and solution comes from one fraction-free
 Gauss-Jordan (Bareiss) loop over integer rows, `_eliminate`; `rref`
 divides by its last pivot once at the end.
@@ -112,7 +113,7 @@ def mat_identity(n: int) -> tuple:
 def mat_mul(a: tuple, b: tuple) -> tuple:
     n = len(a)
     bt = tuple(zip(*b)) if n else ()
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def _cancel(a: tuple, d: int) -> tuple:
@@ -123,19 +124,25 @@ def _cancel(a: tuple, d: int) -> tuple:
     return tuple(tuple(x // g for x in row) for row in a), d // g
 
 
-def _scaled_pow(h: tuple, d: int, e: int) -> tuple:
-    """(h / d)^e for an integer matrix h, as (integer matrix, denominator).
+def _scaled_pow(powers: list, d: int, e: int) -> tuple:
+    """(h / d)^e for an integer matrix h, as (integer matrix, denominator),
+    from the table [h^0, h^1, ...] of h.
 
-    Repeated squaring with each product cancelled by its gcd, so the
-    denominator stays that of the power itself, not d^e.
+    A power the table holds is read off it, one below h^(2 len(powers) - 1)
+    is the product of two entries, and a higher one is the square of the
+    power at e // 2, taken the same way, times h when e is odd.  Each
+    result is cancelled by its gcd, so the denominator stays that of the
+    power itself, not d^e.
     """
-    result, result_d = mat_identity(len(h)), 1
-    while e:
-        if e & 1:
-            result, result_d = _cancel(mat_mul(result, h), result_d * d)
-        e >>= 1
-        if e:
-            h, d = _cancel(mat_mul(h, h), d * d)
+    top = len(powers) - 1
+    if e <= top:
+        return _cancel(powers[e], d ** e)
+    if e <= 2 * top:
+        return _cancel(mat_mul(powers[top], powers[e - top]), d ** e)
+    half, half_d = _scaled_pow(powers, d, e // 2)
+    result, result_d = _cancel(mat_mul(half, half), half_d * half_d)
+    if e & 1:
+        result, result_d = _cancel(mat_mul(result, powers[1]), result_d * d)
     return result, result_d
 
 
@@ -545,7 +552,7 @@ def _scaled_poly_at(coeffs, powers: list, d: int) -> tuple:
     _grow(powers, deg)
     weights, terms = zip(*((c * d ** (deg - i), powers[i]) for i, c in enumerate(coeffs) if c))
     return tuple(
-        tuple(sum(map(mul, weights, entries)) for entries in zip(*rows)) for rows in zip(*terms)
+        tuple([sum(map(mul, weights, entries)) for entries in zip(*rows)]) for rows in zip(*terms)
     )
 
 
@@ -617,7 +624,7 @@ def analyze(h, m: int = None) -> dict:
             sizes += [size] * (count * width)
             levels.setdefault(size - 1, {})[order] = count
     sizes = tuple(sorted(sizes, reverse=True))
-    power, power_d = _scaled_pow(h, d, m)
+    power, power_d = _scaled_pow(powers, d, m)
     # power_d (I - h^m) has the Jordan blocks of I - h^m
     _assert_census(content, ranks, blocks, sizes,
                    _add_scalar(tuple(tuple(-x for x in row) for row in power), power_d))

@@ -846,6 +846,24 @@ def test_malformed_field_exits_1(capsys, tmp_path, command, source, mutate, fiel
     assert field in lines[0]
 
 
+@pytest.mark.parametrize("where", [("points", 1, "charpoly"), ("alexander",)],
+                         ids=["charpoly", "alexander"])
+def test_factor_map_key_past_the_digit_limit_is_located_at_the_key(capsys, tmp_path, where):
+    # more digits than the interpreter converts: the message names the key,
+    # cut to the first 40 characters of its JSON text
+    data = json.loads((DATA / "sextic6_lys.json").read_text())
+    _set(where, {"1" * 5000: 1})(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lys", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 300, err
+    map_at = "$" + "".join(f"[{s}]" if type(s) is int else f".{s}" for s in where)
+    assert lines[0].startswith(f'error: bad {map_at}["{"1" * 39}]: '), err
+
+
 def _renamed(path, key, new_key):
     """Mutation that renames the key of the object at the key path."""
 

@@ -14,6 +14,8 @@ from singcalc.schema import validate
 from singcalc.weightfilt import (
     WeightFiltration,
     _assert_weight_properties,
+    _cancel,
+    _grow,
     _int_charpoly,
     _integer_form,
     _nilpotent_powers,
@@ -97,11 +99,19 @@ def expected_gr_dims(sizes):
     return out
 
 
+def power_by_products(a, e):
+    """a^e over Fractions, as e matrix products from the identity."""
+    a = mat(a)
+    power = mat_identity(len(a))
+    for _ in range(e):
+        power = mat_mul(power, a)
+    return power
+
+
 def assert_census_matches_filtration(h):
     """The rank census agrees with the explicit filtration of N = I - h^m."""
     census = analyze(h)
-    power, d = _scaled_pow(*_integer_form(h), census["m"])
-    n_mat = identity_minus([[Fraction(x, d) for x in row] for row in power])
+    n_mat = identity_minus(power_by_products(h, census["m"]))
     for center in (0, 2):
         shifted = {level + center: dim for level, dim in census["gr_dims"].items()}
         assert shifted == weight_filtration(n_mat, center).gr_dims()
@@ -723,7 +733,8 @@ def int_poly_mul(a, b):
 def test_delta_k_order6_companion():
     h = companion([1, -1, 1])  # t^2 - t + 1
     assert default_power(h) == 6
-    assert _scaled_pow(*_integer_form(h), 6) == (mat_identity(2), 1)
+    big, d = _integer_form(h)
+    assert _scaled_pow(_power_table(big), d, 6) == (mat_identity(2), 1)
     out = analyze(h)["delta"]
     assert out == {0: cyclotomic({6: 1})}
     assert list(expand(out[0]).coeffs) == [1, -1, 1]
@@ -818,13 +829,57 @@ def test_analyze_rational_huge_power():
     h = mat([["-1/2", "-1/2"], ["1/2", "-3/2"]])
     m = 10**8
     half = m // 2
-    assert _scaled_pow(*_integer_form(h), m) == (((1 - half, half), (-half, 1 + half)), 1)
+    big, d = _integer_form(h)
+    assert _scaled_pow(_power_table(big), d, m) == (((1 - half, half), (-half, 1 + half)), 1)
     assert analyze(h, m) == {
         "m": m, "jordan_blocks": (2,), "gr_dims": {-1: 1, 1: 1}, "delta": {1: cyclotomic({2: 1})}
     }
     # the rank sequence of Phi_2(h) = h + I, scaled to the integer matrix H + 2I
-    big, d = _integer_form(h)
     assert _rank_sequence(_scaled_poly_at([1, 1], _power_table(big), d), 0) == (2, 1, 0)
+
+
+# an integer matrix, and two rational ones with d = 2 and d = 6; the first
+# rational one is quasi-unipotent, so its powers cancel to denominator 1 or 2
+SCALED_POW_MATRICES = [
+    [[1, 2, 0], [-1, 0, 3], [2, 1, -1]],
+    [["-1/2", "-1/2"], ["1/2", "-3/2"]],
+    [["1/2", 1, 0], ["-1/3", 2, "1/6"], [0, "5/3", -1]],
+]
+
+
+@pytest.mark.parametrize("a", SCALED_POW_MATRICES)
+def test_scaled_pow_matches_repeated_products(a):
+    # tables grown to H^1 .. H^4 send e = 0..40 through each branch: a
+    # table entry, a product of two entries, and the square of a smaller power
+    big, d = _integer_form(a)
+    expected = [(mat_identity(len(big)), 1)]
+    for _ in range(40):
+        power, power_d = expected[-1]
+        expected.append(_cancel(mat_mul(power, big), power_d * d))
+    for e, (power, power_d) in enumerate(expected):
+        assert power_by_products(a, e) == mat([[Fraction(x, power_d) for x in row] for row in power])
+    for top in range(1, 5):
+        powers = _power_table(big)
+        _grow(powers, top)
+        for e in range(41):
+            assert _scaled_pow(powers, d, e) == expected[e], (top, e)
+
+
+def test_scaled_pow_reads_a_table_power_without_a_product(monkeypatch):
+    big, d = _integer_form(SCALED_POW_MATRICES[2])
+    powers = _power_table(big)
+    _grow(powers, 4)
+    products = []
+
+    def counting_mat_mul(a, b):
+        products.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(weightfilt, "mat_mul", counting_mat_mul)
+    for e, cost in [(0, 0), (1, 0), (3, 0), (4, 0), (5, 1), (8, 1), (9, 2), (10, 2), (21, 4)]:
+        products.clear()
+        _scaled_pow(powers, d, e)
+        assert len(products) == cost, e
 
 
 def test_delta_k_rejects_non_quasi_unipotent():

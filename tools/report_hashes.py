@@ -31,7 +31,8 @@ the same whichever checkout is hashed:
   zero weight; and with a zero germ or a constant term;
 - inputs of their own (INPUTS) and options on the files of tests/data
   (OPTIONS) for the classes the rest leaves out: `--m`, `--center` and
-  `--n 2`; a reducible `lys` curve, with the `indeterminate` verdict; a
+  `--n 2`; a `weightfilt` matrix with a denominator, whose powers h^m
+  cancel; a reducible `lys` curve, with the `indeterminate` verdict; a
   weighted-homogeneous `wlys` germ; and the input errors of `local`,
   `quotient` and `weightfilt`.  Each gives the exit code it must have.
 
@@ -159,6 +160,9 @@ INPUTS = {
     "matrix_not_square.json": ("weightfilt", [[1, 2]], (([], 1),)),
     "matrix_not_cyclotomic.json": ("weightfilt", [[2]], (([], 1),)),
     "matrix_not_integral.json": ("weightfilt", [["1/2"]], (([], 1),)),
+    # d = 2: h^2 is a power table entry, h^1000003 a square of cancelled powers
+    "matrix_rational_unipotent.json": ("weightfilt", [[1, "1/2"], [0, 1]],
+                                       ((["--m", "2"], 0), (["--m", "1000003"], 0))),
     "zeta_one_vertex.json": ("zeta", {"vertices": [{"id": "E1", "multiplicity": 2, "chi_open": 1}]},
                              ((["--n", "2"], 0),)),
     "lys_tangent_line.json": ("lys", _TANGENT, (([], 0), (["--format", "text"], 0))),
