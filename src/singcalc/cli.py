@@ -216,7 +216,7 @@ def _graph_json(g) -> dict:
     }
 
 
-def _sgraph_dot(g: qres2d.SmoothResolutionGraph) -> str:
+def _sgraph_dot(g: qres2d.ResolutionGraph) -> str:
     strict = set(g.strict_vertices)
     nodes = []
     for vid in sorted(g.vertices):

@@ -315,22 +315,6 @@ class DensePoly(FrozenRecord):
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
 
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other: "DensePoly") -> "DensePoly":
-        if self.is_zero() or other.is_zero():
-            return DensePoly((0,))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return DensePoly(out)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

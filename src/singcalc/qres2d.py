@@ -9,11 +9,14 @@ creates one exceptional curve E with
 
 and two new charts with cyclic groups 1/p(-d, q) and 1/q(p, -d), whose
 formula `quotient.wblowup2` owns; strict transforms are computed
-monomially.  A chart carries its group as the integers (d, a, b) of
-1/d(a, b), and (1, 0, 0) when it is smooth, and the exceptional curves
-through its origin: at most one on each coordinate axis, as (id,
-multiplicity).  Each chart a blow-up creates is checked once, there,
-to have a semi-invariant equation.  The walk stops
+monomially.  A chart is the tuple (group, equation, x, y): its group as
+the integers (d, a, b) of 1/d(a, b) acting diagonally, weights reduced
+mod d, and (1, 0, 0) when it is smooth; its equation, the strict
+transform with exceptional factors removed and axis-shaped strict
+branches kept; and the exceptional curves through its origin, x the one
+on {x = 0} and y the one on {y = 0}, each as (id, multiplicity), or
+None where the axis carries none.  Each chart a blow-up creates is
+checked once, there, to have a semi-invariant equation.  The walk stops
 at a chart origin once the local picture is a normal crossing of at
 most two components (exceptional curves, strict branches), possibly at
 a cyclic quotient point.  Points of E away from the chart origins are
@@ -28,10 +31,10 @@ Face polynomials are split by primitive remainder sequences over Z.
 Fractions remain only in the reported self-intersections and
 corrections, and in the rational positions that charts are moved to.
 
-The resulting graph of exceptional curves with multiplicities,
-self-intersections and quotient points converts to a smooth resolution
-graph by replacing every quotient point with its Hirzebruch-Jung chain,
-taken with the self-intersection corrections at its two ends from
+The resulting `ResolutionGraph` of exceptional curves with
+multiplicities, self-intersections and quotient points converts to a
+smooth one by replacing every quotient point with its Hirzebruch-Jung
+chain, taken with the self-intersection corrections at its two ends from
 `quotient.hj_resolve`, and solving the pullback relation
 m_{i-1} - b_i m_i + m_{i+1} = 0 for the chain multiplicities.
 """
@@ -56,9 +59,7 @@ from .quotient import chain_multiplicities, hj_resolve, wblowup2
 
 __all__ = [
     "BivarPoly",
-    "Chart",
-    "QResolutionGraph",
-    "SmoothResolutionGraph",
+    "ResolutionGraph",
     "newton_weights",
     "qblowup_step",
     "qresolve",
@@ -308,70 +309,44 @@ def newton_weights(f: BivarPoly) -> tuple[int, int]:
 # ------------------------------------------------------------------- charts
 
 
-class Chart(FrozenRecord):
-    """Working state of the resolution walk at one chart.
-
-    ``group`` is (d, a, b) for the cyclic group 1/d(a, b) acting
-    diagonally on the chart coordinates, weights reduced mod d, and
-    (1, 0, 0) for a smooth chart.  ``x`` is the exceptional component
-    {x = 0} through the chart origin as (component id, multiplicity),
-    ``y`` the component {y = 0}, and None where the axis carries none.
-    The equation is the strict transform: exceptional factors removed,
-    axis-shaped strict branches kept.
-    """
-
-    __slots__ = ("group", "equation", "x", "y")
-
-    def __init__(
-        self,
-        group: tuple[int, int, int],
-        equation: BivarPoly,
-        x: tuple[str, int] | None = None,
-        y: tuple[str, int] | None = None,
-    ):
-        setfield(self, "group", group)
-        setfield(self, "equation", equation)
-        setfield(self, "x", x)
-        setfield(self, "y", y)
-
-
-def _check_uniform_character(chart: Chart):
+def _check_uniform_character(chart: tuple):
     """All monomials of the chart equation share one character of its group."""
-    d, a, b = chart.group
-    if d == 1 or chart.equation.is_zero():
+    (d, a, b), equation, _, _ = chart
+    if d == 1 or equation.is_zero():
         return
-    chars = {(a * i + b * j) % d for (i, j), _ in chart.equation.terms}
+    chars = {(a * i + b * j) % d for (i, j), _ in equation.terms}
     if len(chars) != 1:
         raise InternalError(
             f"equation is not semi-invariant under 1/{d}({a},{b}): characters {sorted(chars)}"
         )
 
 
-def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str):
-    """One weighted blow-up at the chart origin.
+def qblowup_step(chart: tuple, weights: tuple[int, int], exc_id: str):
+    """One weighted blow-up at the origin of the chart (group, equation, x, y).
 
-    Returns (exceptional record, [origin-x chart, origin-y chart]).
-    The record is a dict with the new component's multiplicity,
-    self-intersection and weights, and the self-intersection
-    corrections owed to the components through the center.  The new
-    component, which the caller names ``exc_id``, is {x = 0} in the
-    first chart and {y = 0} in the second; ``c.y`` survives into the
-    first, ``c.x`` into the second.  The charts take their groups from
-    `wblowup2`, and each is checked to have a semi-invariant equation.
+    Returns (exceptional record, [origin-x chart, origin-y chart]), each
+    chart a tuple of the same form.  The record is a dict with the new
+    component's multiplicity, self-intersection and weights, and the
+    self-intersection corrections owed to the components through the
+    center.  The new component, which the caller names ``exc_id``, is
+    {x = 0} in the first chart and {y = 0} in the second; ``y`` survives
+    into the first, ``x`` into the second.  The charts take their groups
+    from `wblowup2`, and each is checked to have a semi-invariant equation.
     """
+    group, equation, x, y = chart
     p, q = weights
-    d = c.group[0]
-    self_int, (group_x, group_y) = wblowup2(c.group, (p, q))
+    d = group[0]
+    self_int, (group_x, group_y) = wblowup2(group, (p, q))
 
-    m = c.equation.weighted_order(p, q)
-    n_up = p * (c.x[1] if c.x else 0) + q * (c.y[1] if c.y else 0) + m
+    m = equation.weighted_order(p, q)
+    n_up = p * (x[1] if x else 0) + q * (y[1] if y else 0) + m
     if n_up % d:
         raise InternalError(f"upstairs multiplicity {n_up} not divisible by the group order {d}")
     n_exc = n_up // d
 
     def transform(chart_one: bool) -> BivarPoly:
         out = {}  # the monomial map is injective: no two terms meet
-        for (i, j), coef in c.equation.terms:
+        for (i, j), coef in equation.terms:
             s = p * i + q * j - m
             if s % d:
                 raise InternalError("monomial transform produced a fractional exponent")
@@ -379,17 +354,14 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str):
         return BivarPoly._primitive(out)
 
     exc = (exc_id, n_exc)
-    charts = [
-        Chart(group_x, transform(True), x=exc, y=c.y),
-        Chart(group_y, transform(False), x=c.x, y=exc),
-    ]
-    for chart in charts:
-        _check_uniform_character(chart)
+    charts = [(group_x, transform(True), exc, y), (group_y, transform(False), x, exc)]
+    for new in charts:
+        _check_uniform_character(new)
     corrections = {}
-    if c.x:
-        corrections[c.x[0]] = Fraction(-p, d * q)
-    if c.y:
-        corrections[c.y[0]] = Fraction(-q, d * p)
+    if x:
+        corrections[x[0]] = Fraction(-p, d * q)
+    if y:
+        corrections[y[0]] = Fraction(-q, d * p)
     record = {
         "multiplicity": n_exc,
         "self_int": self_int,
@@ -399,42 +371,27 @@ def qblowup_step(c: Chart, weights: tuple[int, int], exc_id: str):
     return record, charts
 
 
-# -------------------------------------------------------------- graph types
+# --------------------------------------------------------------- graph type
 
 
-class QResolutionGraph(FrozenRecord):
-    """Exceptional curves E1, E2, ... in blow-up order and strict branches
-    S1, S2, ... in the order the walk meets them, keyed by id in
-    ``vertices``; ``strict_vertices`` lists the strict ids.  A vertex is
-    the dict the report writes: id, multiplicity, self_int (a Fraction;
-    None on a strict branch), genus and quotient_points, the points
-    (d, beta) whose HJ chain of 1/d(1,beta) attaches it at its first curve.
-    An edge {u, v, quotient} has quotient (d, beta) at a 1/d(1,beta)-point
-    whose chain attaches v first and u last, None at a transversal crossing."""
+class ResolutionGraph(FrozenRecord):
+    """Vertices keyed by id, edges, and the ids of the strict branches.
 
-    __slots__ = ("vertices", "edges", "strict_vertices")
-
-    def __init__(self, vertices: dict[str, dict], edges: list[dict], strict_vertices: list[str]):
-        setfield(self, "vertices", vertices)
-        setfield(self, "edges", edges)
-        setfield(self, "strict_vertices", strict_vertices)
-
-    @property
-    def blowups(self) -> int:  # each adds one exceptional vertex
-        return len(self.vertices) - len(self.strict_vertices)
-
-
-class SmoothResolutionGraph(FrozenRecord):
-    """Smooth vertices keyed by id, each the dict the report writes: id,
-    multiplicity, self_int (an int; None on a strict branch), genus and
-    chi_open, the Euler characteristic of the curve minus its points on
-    other curves; edges are (u, v) pairs."""
+    A vertex is the dict the report writes.  On the graph `qresolve`
+    builds, exceptional curves E1, E2, ... come in blow-up order and strict
+    branches S1, S2, ... in the order the walk meets them; a vertex has id,
+    multiplicity, self_int (a Fraction; None on a strict branch), genus and
+    quotient_points, the points (d, beta) whose HJ chain of 1/d(1,beta)
+    attaches it at its first curve.  An edge {u, v, quotient} has quotient
+    (d, beta) at a 1/d(1,beta)-point whose chain attaches v first and u
+    last, None at a transversal crossing.  On the graph `smoothen` builds,
+    a vertex has id, multiplicity, self_int (an int; None on a strict
+    branch), genus and chi_open, the Euler characteristic of the curve
+    minus its points on other curves; edges are (u, v) pairs."""
 
     __slots__ = ("vertices", "edges", "strict_vertices")
 
-    def __init__(
-        self, vertices: dict[str, dict], edges: list[tuple[str, str]], strict_vertices: list[str]
-    ):
+    def __init__(self, vertices: dict[str, dict], edges: list, strict_vertices: list[str]):
         setfield(self, "vertices", vertices)
         setfield(self, "edges", edges)
         setfield(self, "strict_vertices", strict_vertices)
@@ -442,6 +399,12 @@ class SmoothResolutionGraph(FrozenRecord):
     def exceptional_ids(self) -> list[str]:
         strict = set(self.strict_vertices)
         return [v for v in self.vertices if v not in strict]
+
+    @property
+    def blowups(self) -> int:
+        """The exceptional vertices, one for each blow-up: weighted ones on
+        the walk's graph, point blow-ups on the smooth graph."""
+        return len(self.vertices) - len(self.strict_vertices)
 
 
 # ----------------------------------------------------------------- qresolve
@@ -452,7 +415,7 @@ class SmoothResolutionGraph(FrozenRecord):
 _MAX_CHARTS = 400
 
 
-def _new_strict(graph: QResolutionGraph) -> str:
+def _new_strict(graph: ResolutionGraph) -> str:
     """Add the next strict branch to the graph and return its id."""
     vid = f"S{len(graph.strict_vertices) + 1}"
     graph.vertices[vid] = {"id": vid, "multiplicity": 1, "self_int": None, "genus": 0,
@@ -461,24 +424,24 @@ def _new_strict(graph: QResolutionGraph) -> str:
     return vid
 
 
-def _prepare_origin(chart: Chart) -> tuple:
+def _prepare_origin(chart: tuple) -> tuple:
     """(ax, ay, core) with the chart equation x^ax y^ay core, checked to be reduced."""
-    if chart.equation.is_zero():
+    _, equation, x, y = chart
+    if equation.is_zero():
         raise InputError("zero equation in chart")
-    ax, ay, core = chart.equation.strip_axes()
+    ax, ay, core = equation.strip_axes()
     if ax >= 2 or ay >= 2:
         raise NotReduced(f"repeated coordinate factor x^{ax} y^{ay} in a chart equation")
-    if (ax and chart.x) or (ay and chart.y):
+    if (ax and x) or (ay and y):
         raise NotReduced("strict transform contains an exceptional component")
     return ax, ay, core
 
 
-def _analyze_origin(
-    graph: QResolutionGraph, chart: Chart, ax: int, ay: int, core: BivarPoly
-) -> bool:
+def _analyze_origin(graph: ResolutionGraph, chart: tuple, ax: int, ay: int, core: BivarPoly) -> bool:
     """Emit final graph data for an NC chart origin, from `_prepare_origin`'s
     (ax, ay, core); return False when the origin still needs a blow-up."""
-    on_x, on_y = bool(chart.x or ax), bool(chart.y or ay)
+    (d, a, b), _, x, y = chart
+    on_x, on_y = bool(x or ax), bool(y or ay)
     core_through = not core.is_unit_at_origin()
     if on_x + on_y + core_through > 2:
         return False
@@ -490,8 +453,8 @@ def _analyze_origin(
             return False
 
     # the origin is final: emit vertices, edges, quotient points
-    u = chart.x[0] if chart.x else _new_strict(graph) if ax else None
-    v = chart.y[0] if chart.y else _new_strict(graph) if ay else None
+    u = x[0] if x else _new_strict(graph) if ax else None
+    v = y[0] if y else _new_strict(graph) if ay else None
     if core_through:
         # the transversal strict branch plays the role of the free
         # coordinate axis in the 1/d(a,b) chart
@@ -499,7 +462,6 @@ def _analyze_origin(
             u = _new_strict(graph)
         else:
             v = _new_strict(graph)
-    d, a, b = chart.group
     if u is not None and v is not None:
         quotient = (d, (pow(a, -1, d) * b) % d) if d > 1 else None
         graph.edges.append({"u": u, "v": v, "quotient": quotient})
@@ -511,13 +473,14 @@ def _analyze_origin(
     return True
 
 
-def _scan_exceptional(graph: QResolutionGraph, record, chart1: Chart, chart2: Chart, exc_id: str):
+def _scan_exceptional(graph: ResolutionGraph, record, chart1: tuple, chart2: tuple, exc_id: str):
     """Handle the points of the new exceptional curve away from the two
     chart origins: transversal crossings become strict branches, worse
     points are translated to fresh smooth charts (returned for the
     worklist) or rejected."""
     p, q = record["weights"]
-    face = chart1.equation.restrict_x0()
+    (_, equation1, _, _), (_, equation2, _, _) = chart1, chart2
+    face = equation1.restrict_x0()
     if not face:
         raise InternalError("strict transform does not meet the new exceptional curve")
     jmin = min(face)
@@ -529,7 +492,7 @@ def _scan_exceptional(graph: QResolutionGraph, record, chart1: Chart, chart2: Ch
         G[(j - jmin) // p] = c
     G = _utrim(G)
 
-    out_charts: list[Chart] = []
+    out_charts: list[tuple] = []
     if len(G) == 1:
         return out_charts
     T = _ugcd(G, _uderiv(G))
@@ -547,11 +510,11 @@ def _scan_exceptional(graph: QResolutionGraph, record, chart1: Chart, chart2: Ch
         )
     for z0 in rational:
         if p == 1:
-            moved = chart1.equation.translate(z0, 1)
-            out_charts.append(Chart((1, 0, 0), moved, x=(exc_id, record["multiplicity"])))
+            moved = equation1.translate(z0, 1)
+            out_charts.append(((1, 0, 0), moved, (exc_id, record["multiplicity"]), None))
         elif q == 1:
-            moved = chart2.equation.translate(1 / z0, 0)
-            out_charts.append(Chart((1, 0, 0), moved, y=(exc_id, record["multiplicity"])))
+            moved = equation2.translate(1 / z0, 0)
+            out_charts.append(((1, 0, 0), moved, None, (exc_id, record["multiplicity"])))
         else:
             raise Unsupported(
                 "non-transversal point of the exceptional curve inside a chart "
@@ -560,14 +523,14 @@ def _scan_exceptional(graph: QResolutionGraph, record, chart1: Chart, chart2: Ch
     return out_charts
 
 
-def qresolve(f: BivarPoly) -> QResolutionGraph:
+def qresolve(f: BivarPoly) -> ResolutionGraph:
     """Resolve a reduced plane-curve germ to Q-normal crossings."""
     if f.is_zero():
         raise InputError("the zero polynomial does not define a curve germ")
     if f.is_unit_at_origin():
         raise InputError("the germ is a unit: no curve through the origin")
-    graph = QResolutionGraph({}, [], [])
-    worklist = deque([Chart((1, 0, 0), f)])
+    graph = ResolutionGraph({}, [], [])
+    worklist = deque([((1, 0, 0), f, None, None)])
     processed = 0
     while worklist:
         chart = worklist.popleft()
@@ -580,7 +543,7 @@ def qresolve(f: BivarPoly) -> QResolutionGraph:
         # the germ's own origin is blown up even where it is a normal crossing
         if graph.blowups and _analyze_origin(graph, chart, ax, ay, core):
             continue
-        weights = (1, 1) if core.is_unit_at_origin() else newton_weights(chart.equation)
+        weights = (1, 1) if core.is_unit_at_origin() else newton_weights(chart[1])
         # qblowup_step raises Unsupported when (p, q) cannot present the chart group
         exc_id = f"E{graph.blowups + 1}"
         record, (chart1, chart2) = qblowup_step(chart, weights, exc_id)
@@ -615,7 +578,7 @@ def _connected(ids, adjacency) -> bool:
     return seen == set(ids)
 
 
-def _assert_connected(g: QResolutionGraph):
+def _assert_connected(g: ResolutionGraph):
     if not g.vertices:
         raise InternalError("empty resolution graph")
     if not _connected(g.vertices, _neighbours(g.vertices, [(e["u"], e["v"]) for e in g.edges])):
@@ -625,7 +588,7 @@ def _assert_connected(g: QResolutionGraph):
 # ----------------------------------------------------------------- smoothen
 
 
-def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
+def smoothen(g: ResolutionGraph) -> ResolutionGraph:
     """Replace quotient points by Hirzebruch-Jung chains.
 
     Each chain and the self-intersection corrections at its two ends
@@ -682,12 +645,12 @@ def smoothen(g: QResolutionGraph) -> SmoothResolutionGraph:
         vertices[cid] = {"id": cid, "multiplicity": m_i, "self_int": -b_i, "genus": 0,
                          "chi_open": 2 - len(nb[cid])}
 
-    out = SmoothResolutionGraph(vertices, new_edges, list(g.strict_vertices))
+    out = ResolutionGraph(vertices, new_edges, list(g.strict_vertices))
     _assert_adjunction(out, nb)
     return out
 
 
-def _assert_adjunction(g: SmoothResolutionGraph, nb: dict):
+def _assert_adjunction(g: ResolutionGraph, nb: dict):
     """The total transform meets every exceptional component trivially:
     N_j E_j^2 + sum over neighbors of N = 0; ``nb`` is the adjacency of g."""
     for vid in g.exceptional_ids():
@@ -710,8 +673,8 @@ def local_invariants(f: BivarPoly) -> dict:
 
     Returns the dict {"mu", "r", "char_poly", "graph", "smooth_graph"}
     under the keys of the `local` report: ``char_poly`` is Delta(t) as a
-    CycloProduct, ``graph`` the QResolutionGraph and ``smooth_graph`` the
-    SmoothResolutionGraph.
+    CycloProduct, ``graph`` the walk's ResolutionGraph from `qresolve` and
+    ``smooth_graph`` the smooth ResolutionGraph from `smoothen`.
     """
     graph = qresolve(f)
     smooth = smoothen(graph)

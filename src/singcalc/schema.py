@@ -25,6 +25,7 @@ import functools
 import json
 import os
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -70,8 +71,11 @@ def rational(x, *path):
         return Fraction(int(p), int(q)) if q else int(p)
     except ZeroDivisionError:
         raise InputError(f"bad {_where(path)}: zero denominator in {json.dumps(x)}") from None
-    except ValueError as exc:  # more digits than the interpreter converts
-        raise InputError(f"bad {_where(path)}: {exc}") from None
+    except ValueError:  # more digits than the interpreter converts
+        raise InputError(
+            f"bad {_where(path)}: more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for reading an integer in decimal"
+        ) from None
 
 
 def _where(path) -> str:

@@ -862,6 +862,23 @@ def test_factor_map_key_past_the_digit_limit_is_located_at_the_key(capsys, tmp_p
     assert len(lines) == 1 and len(lines[0]) < 300, err
     map_at = "$" + "".join(f"[{s}]" if type(s) is int else f".{s}" for s in where)
     assert lines[0].startswith(f'error: bad {map_at}["{"1" * 39}]: '), err
+    assert lines[0].endswith(f"]: {_PAST_THE_DIGIT_LIMIT}"), err
+
+
+# what a rational past the digit limit reads as, in place of the
+# interpreter's advice to raise the limit, which a CLI user cannot follow
+_PAST_THE_DIGIT_LIMIT = (
+    f"more than {sys.get_int_max_str_digits()} digits, "
+    "the interpreter's limit for reading an integer in decimal"
+)
+
+
+def test_germ_coefficient_past_the_digit_limit_exits_1(capsys, tmp_path):
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps({"germ": [{"i": 2, "j": 0, "c": "1" * 5000}, {"i": 0, "j": 3, "c": 1}]}))
+    code, out, err = run_cli(capsys, "local", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: bad $.germ[0].c: {_PAST_THE_DIGIT_LIMIT}\n"
 
 
 def _renamed(path, key, new_key):

@@ -38,6 +38,23 @@ from singcalc.cyclo import (
 from singcalc.errors import InputError, InternalError, NonDivisible, NotPolynomial
 
 
+def evaluate(p: DensePoly, x):
+    """p(x), by Horner's rule."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def multiply(p: DensePoly, q: DensePoly) -> DensePoly:
+    """The product p * q, by the schoolbook convolution of the coefficients."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return DensePoly(out)
+
+
 def mu(n: int) -> int:
     """Moebius function, by trial division: 0 when a square divides n,
     else (-1)^(number of prime factors)."""
@@ -302,7 +319,7 @@ def test_divisor_round_trip_known_value():
 def test_dense_poly_str_and_eval():
     p = DensePoly((1, -1, 1))
     assert str(p) == "t^2 - t + 1"
-    assert p.evaluate(2) == 3
+    assert evaluate(p, 2) == 3
     assert DensePoly((0, 0, 0)).is_zero()
     assert DensePoly((-1, 0, 1)).degree == 2
 
@@ -496,7 +513,7 @@ def _assert_expands_exactly(a: CycloProduct) -> None:
     dense = expand(a)
     assert dense.coeffs == _expand_by_repeated_passes(a)
     for t in (2, 3):
-        assert dense.evaluate(t) == _exact_value(a, t)
+        assert evaluate(dense, t) == _exact_value(a, t)
 
 
 @st.composite
@@ -531,7 +548,7 @@ def test_expand_cone_shaped_product():
     dense = expand(a)
     assert dense.degree == 15655
     assert dense.coeffs == _expand_by_repeated_passes(a)
-    assert dense.evaluate(2) == _exact_value(a, 2)
+    assert evaluate(dense, 2) == _exact_value(a, 2)
 
 
 @st.composite
@@ -556,7 +573,7 @@ def _expand_by_dense_poly(a: CycloProduct) -> tuple:
     numerator = DensePoly((1,))
     for m, e in a.factors:
         for _ in range(e):
-            numerator = DensePoly((-1,) + (0,) * (m - 1) + (1,)) * numerator
+            numerator = multiply(DensePoly((-1,) + (0,) * (m - 1) + (1,)), numerator)
     coeffs = list(numerator.coeffs)
     for m, e in a.factors:
         for _ in range(-e):

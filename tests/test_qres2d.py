@@ -23,9 +23,7 @@ from singcalc.errors import (
 )
 from singcalc.qres2d import (
     BivarPoly,
-    Chart,
-    QResolutionGraph,
-    SmoothResolutionGraph,
+    ResolutionGraph,
     _check_uniform_character,
     _uderiv,
     _uexquo,
@@ -83,52 +81,52 @@ def test_newton_weights_rejections():
 
 
 def test_qblowup_step_cusp():
-    record, (c1, c2) = qblowup_step(Chart((1, 0, 0), P(CUSP)), (2, 3), "E1")
+    record, (c1, c2) = qblowup_step(((1, 0, 0), P(CUSP), None, None), (2, 3), "E1")
     assert record["multiplicity"] == 6
     assert record["self_int"] == Fraction(-1, 6)
-    assert c1.group == (2, 1, 1)
-    assert c2.group == (3, 2, 2)
-    assert dict(c1.equation.terms) == {(0, 2): 1, (0, 0): -1}  # y^2 - 1
-    assert dict(c2.equation.terms) == {(3, 0): -1, (0, 0): 1}  # 1 - x^3
-    assert (c1.x, c1.y) == (("E1", 6), None)
-    assert (c2.x, c2.y) == (None, ("E1", 6))
+    assert c1[0] == (2, 1, 1)
+    assert c2[0] == (3, 2, 2)
+    assert dict(c1[1].terms) == {(0, 2): 1, (0, 0): -1}  # y^2 - 1
+    assert dict(c2[1].terms) == {(3, 0): -1, (0, 0): 1}  # 1 - x^3
+    assert c1[2:] == (("E1", 6), None)
+    assert c2[2:] == (None, ("E1", 6))
 
 
 def test_qblowup_step_node():
-    record, (c1, c2) = qblowup_step(Chart((1, 0, 0), P(NODE)), (1, 1), "E1")
+    record, (c1, c2) = qblowup_step(((1, 0, 0), P(NODE), None, None), (1, 1), "E1")
     assert record["multiplicity"] == 2
     assert record["self_int"] == -1
     # both charts are smooth and keep one transversal strict axis
-    assert c1.group == (1, 0, 0) and c2.group == (1, 0, 0)
-    assert dict(c1.equation.terms) == {(0, 1): 1}
-    assert dict(c2.equation.terms) == {(1, 0): 1}
+    assert c1[0] == (1, 0, 0) and c2[0] == (1, 0, 0)
+    assert dict(c1[1].terms) == {(0, 1): 1}
+    assert dict(c2[1].terms) == {(1, 0): 1}
 
 
 def test_qblowup_step_corrections():
     # center lying on a previous component of multiplicity 2 along {x=0}
     record, (c1, c2) = qblowup_step(
-        Chart((1, 0, 0), P({(0, 2): 1, (3, 0): -1}), x=("E1", 2)), (2, 3), "E2"
+        ((1, 0, 0), P({(0, 2): 1, (3, 0): -1}), ("E1", 2), None), (2, 3), "E2"
     )
     assert record["multiplicity"] == 2 * 2 + 6
     assert record["corrections"] == {"E1": Fraction(-2, 3)}
     # the old {x=0} component leaves chart 1 and survives as chart 2's x
-    assert (c1.x, c1.y) == (("E2", 10), None)
-    assert (c2.x, c2.y) == (("E1", 2), ("E2", 10))
+    assert c1[2:] == (("E2", 10), None)
+    assert c2[2:] == (("E1", 2), ("E2", 10))
     # center at the crossing of E1 = {x=0} and E2 = {y=0}: both are owed
     record, (c1, c2) = qblowup_step(
-        Chart((1, 0, 0), P({(0, 2): 1, (3, 0): -1}), x=("E1", 2), y=("E2", 3)), (2, 3), "E3"
+        ((1, 0, 0), P({(0, 2): 1, (3, 0): -1}), ("E1", 2), ("E2", 3)), (2, 3), "E3"
     )
     assert record["multiplicity"] == 2 * 2 + 3 * 3 + 6
     assert record["corrections"] == {"E1": Fraction(-2, 3), "E2": Fraction(-3, 2)}
-    assert (c1.x, c1.y) == (("E3", 19), ("E2", 3))
-    assert (c2.x, c2.y) == (("E1", 2), ("E3", 19))
+    assert c1[2:] == (("E3", 19), ("E2", 3))
+    assert c2[2:] == (("E1", 2), ("E3", 19))
 
 
 def test_check_uniform_character_rejects_two_characters():
     # under 1/2(1,1) the monomials y^2 and x have characters 0 and 1
     with pytest.raises(InternalError, match="not semi-invariant"):
-        _check_uniform_character(Chart((2, 1, 1), P({(0, 2): 1, (1, 0): -1})))
-    _check_uniform_character(Chart((2, 1, 1), P({(0, 2): 1, (2, 0): -1})))
+        _check_uniform_character(((2, 1, 1), P({(0, 2): 1, (1, 0): -1}), None, None))
+    _check_uniform_character(((2, 1, 1), P({(0, 2): 1, (2, 0): -1}), None, None))
 
 
 # ----------------------------------------------------------------- qresolve
@@ -226,7 +224,7 @@ def test_smoothen_shifted_a4():
 
 
 def test_smoothen_rejects_inconsistent_multiplicity():
-    g = QResolutionGraph(
+    g = ResolutionGraph(
         vertices={
             "E1": {
                 "id": "E1",
@@ -817,14 +815,14 @@ def _mutants(graph):
     for vid in exceptional:
         vertices = {k: dict(v) for k, v in graph.vertices.items()}
         vertices[vid]["self_int"] -= 1
-        yield "self_int", SmoothResolutionGraph(vertices, graph.edges, graph.strict_vertices)
+        yield "self_int", ResolutionGraph(vertices, graph.edges, graph.strict_vertices)
     for n, (u, v) in enumerate(graph.edges):
         if u in strict or v in strict:
             continue
         for w in exceptional:
             if w not in (u, v) and (u, w) not in graph.edges and (w, u) not in graph.edges:
                 edges = [*graph.edges[:n], (u, w), *graph.edges[n + 1 :]]
-                yield "edge", SmoothResolutionGraph(graph.vertices, edges, graph.strict_vertices)
+                yield "edge", ResolutionGraph(graph.vertices, edges, graph.strict_vertices)
 
 
 def test_blow_down_catches_a_changed_self_intersection_or_a_moved_edge():

@@ -2,13 +2,14 @@
 tools/report_hashes.py corpus, or is listed in UNREACHED with its reason.
 
 The corpus holds every perfbench case at seeds 1-3 (so seed-1 `small_mix`
-among them), every tests/data input under each subcommand, and the broken
-and option argvs of the tool's tables.  It runs through `cli.main` under
-`sys.setprofile`, which records call events only, after the package's
-caches are emptied.  A function is a `def` at any depth, named
-module.qualname; lambdas and comprehensions are left out.  The test fails
-on an unlisted function that nothing enters (new dead code, or a path the
-corpus lost) and on a listed one that something now enters (a stale list).
+among them), every tests/data input under each subcommand, the seeded
+convenient germs, and the broken and option argvs of the tool's tables.
+It runs through `cli.main` under `sys.setprofile`, which records call
+events only, after the package's caches are emptied.  A function is a
+`def` at any depth, named module.qualname; lambdas and comprehensions are
+left out.  The test fails on an unlisted function that nothing enters
+(new dead code, or a path the corpus lost) and on a listed one that
+something now enters (a stale list).
 """
 
 import importlib
@@ -37,8 +38,6 @@ UNREACHED = {
     "_record.FrozenRecord.__repr__": _LIBRARY,
     "_record.FrozenRecord.__setstate__": _LIBRARY,
     "_record.FrozenRecord._fields": _LIBRARY,
-    "cyclo.DensePoly.__mul__": _LIBRARY,
-    "cyclo.DensePoly.evaluate": _LIBRARY,
     "cyclo.exact_divide": _TRACED,
     "cyclo.root_multiplicity": _TRACED,
     # raised by exact_divide, which jordan1_quotient calls

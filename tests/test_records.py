@@ -13,7 +13,7 @@ import pytest
 
 from singcalc import curves, cyclo, monodromy, qres2d, quotient, weightfilt, wlys
 from singcalc.cyclo import CycloProduct, DensePoly
-from singcalc.qres2d import BivarPoly, QResolutionGraph, SmoothResolutionGraph
+from singcalc.qres2d import BivarPoly, ResolutionGraph
 from singcalc.wlys import TrivarPoly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -27,9 +27,7 @@ def _frozen():
         CUSP_DELTA,
         DensePoly((1, -1, 1)),
         CUSP,
-        qres2d.Chart((1, 0, 0), CUSP),
-        QResolutionGraph({"S1": {"id": "S1"}}, [], ["S1"]),
-        SmoothResolutionGraph({}, [("E1", "S1")], []),
+        ResolutionGraph({"S1": {"id": "S1"}}, [], ["S1"]),
         weightfilt.WeightFiltration(0, ((0, ()),)),
         TrivarPoly({(1, 0, 0): 1}),
     ]
@@ -64,7 +62,7 @@ def _declared():
 def test_every_record_class_is_covered():
     frozen = {type(r) for r in FROZEN}
     assert _declared() == frozen
-    assert len(frozen) == 8
+    assert len(frozen) == 6
 
 
 def test_readme_counts_and_names_every_record():
@@ -110,23 +108,17 @@ def test_equality_and_hash_by_fields(make, same, other):
 
 
 def test_records_of_different_classes_differ():
-    assert QResolutionGraph({}, [], []) != SmoothResolutionGraph({}, [], [])
     assert CycloProduct({1: 1}) != DensePoly((1,))
 
 
 def test_repr_lists_the_fields():
     assert repr(TrivarPoly({(1, 2, 3): 1})) == "TrivarPoly(terms=(((1, 2, 3), 1),))"
-    assert repr(QResolutionGraph({}, [], ["S1"])) == (
-        "QResolutionGraph(vertices={}, edges=[], strict_vertices=['S1'])"
-    )
-    assert repr(qres2d.Chart((2, 1, 1), CUSP, x=("E1", 3))) == (
-        f"Chart(group=(2, 1, 1), equation={CUSP!r}, x=('E1', 3), y=None)"
+    assert repr(ResolutionGraph({}, [], ["S1"])) == (
+        "ResolutionGraph(vertices={}, edges=[], strict_vertices=['S1'])"
     )
 
 
 def test_defaults_and_keywords():
-    chart = qres2d.Chart((1, 0, 0), equation=CUSP)
-    assert (chart.x, chart.y) == (None, None)
     assert (CycloProduct().factors, DensePoly().coeffs) == ((), (0,))
 
 

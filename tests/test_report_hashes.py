@@ -1,6 +1,7 @@
-"""The inputs that tools/report_hashes.py builds for `lys`, `wlys` and `zeta`
-to reject are rejected: exit 1, nothing on stdout, one line on stderr; and
-each argv of its INPUTS and OPTIONS tables exits with the code it lists."""
+"""The inputs that tools/report_hashes.py builds for `local`, `lys`, `wlys`
+and `zeta` to reject are rejected: exit 1, nothing on stdout, one line on
+stderr; each argv of its INPUTS and OPTIONS tables exits with the code it
+lists; and each of its convenient germs exits 0 or 2."""
 
 import importlib.util
 from pathlib import Path
@@ -21,7 +22,7 @@ def tool():
 
 
 def test_every_bad_input_exits_1_with_one_line(capsys, monkeypatch, tmp_path, tool):
-    bad = {**tool.BAD_ZETA, **tool.BAD_LYS, **tool.BAD_WLYS, **tool.BAD_CURVE}
+    bad = {**tool.BAD_LOCAL, **tool.BAD_ZETA, **tool.BAD_LYS, **tool.BAD_WLYS, **tool.BAD_CURVE}
     monkeypatch.chdir(tmp_path)
     argvs = [a for a in tool.corpus(tmp_path) if a[1] == "--input" and Path(a[2]).name in bad]
     assert len(argvs) == len(bad)
@@ -49,3 +50,20 @@ def test_listed_argvs_exit_with_their_codes(capsys, monkeypatch, tmp_path, tool)
             assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), argv
         else:
             assert out and err == "", argv
+
+
+def test_convenient_germs_exit_0_or_2(capsys, monkeypatch, tmp_path, tool):
+    # a germ is resolved (0) or outside what the walk supports (2), never
+    # malformed (1) or an internal inconsistency (3)
+    monkeypatch.chdir(tmp_path)
+    argvs = [a for a in tool.corpus(tmp_path) if a[2].startswith("convenient/") and a[-1] == "json"]
+    assert len(argvs) == 150
+    codes = []
+    for argv in argvs:
+        codes.append(cli.main(argv))
+        out, err = capsys.readouterr()
+        if codes[-1]:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), argv
+        else:
+            assert out and err == "", argv
+    assert set(codes) == {0, 2}

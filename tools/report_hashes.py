@@ -16,6 +16,8 @@ the same whichever checkout is hashed:
   with --format dot;
 - every input in tests/data under each subcommand that reads a file, in
   each of its formats;
+- seeded convenient germs x^a + y^b, 2 <= a, b <= 14, each with up to
+  three small monomials near its Newton polygon, in each `local` format;
 - a few argvs that `cli.main` leaves to argparse rather than read from
   its option table: an abbreviated option, `--option=value`, a repeated
   option, a negative number and an abbreviated `quotient` option;
@@ -25,6 +27,8 @@ the same whichever checkout is hashed:
 - `lys` curves and points that the schema accepts but `lys` must reject,
   one for each line of the curve and cone checks, and two with two
   faults each, to pin which line wins;
+- two `local` inputs off the germ schema: one without a germ, one with a
+  coefficient of a type no alternative of the schema takes;
 - `wlys` inputs with an all-zero point, on a germ with a comparison form,
   on a weighted-homogeneous one, and next to a point whose coordinate has
   a zero denominator, in both orders; with weights of gcd 2 or with a
@@ -32,9 +36,11 @@ the same whichever checkout is hashed:
 - inputs of their own (INPUTS) and options on the files of tests/data
   (OPTIONS) for the classes the rest leaves out: `--m`, `--center` and
   `--n 2`; a `weightfilt` matrix with a denominator, whose powers h^m
-  cancel; a reducible `lys` curve, with the `indeterminate` verdict; a
-  weighted-homogeneous `wlys` germ; and the input errors of `local`,
-  `quotient` and `weightfilt`.  Each gives the exit code it must have.
+  cancel; a `zeta` graph whose Delta = t^2 - 1 has an odd exponent sum
+  and an even degree; a reducible `lys` curve, with the `indeterminate`
+  verdict; a weighted-homogeneous `wlys` germ; and the input errors of
+  `local`, `quotient` and `weightfilt`.  Each gives the exit code it must
+  have.
 
 Inputs are written to a temporary directory, which is the working
 directory while the reports run, so paths in messages are relative.
@@ -48,6 +54,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -140,6 +147,13 @@ BAD_WLYS = {
                                          {"i": 2, "j": 0, "l": 0, "c": 1}]},
 }
 
+# local inputs off germ.schema.json: a required key missing, and a type
+# that neither alternative of the coefficient's anyOf takes
+BAD_LOCAL = {
+    "local_no_germ.json": {},
+    "local_float_coefficient.json": {"germ": [{"i": 2, "j": 0, "c": 1.5}, {"i": 0, "j": 3, "c": 1}]},
+}
+
 
 def _germ(*terms):
     """A `local` input with the monomials c x^i y^j given as (i, j, c)."""
@@ -163,6 +177,10 @@ INPUTS = {
     # d = 2: h^2 is a power table entry, h^1000003 a square of cancelled powers
     "matrix_rational_unipotent.json": ("weightfilt", [[1, "1/2"], [0, 1]],
                                        ((["--m", "2"], 0), (["--m", "1000003"], 0))),
+    # Delta = t^2 - 1: odd exponent sum, even degree
+    "zeta_odd_sum_even_degree.json": ("zeta", {"vertices": [
+        {"id": "E1", "multiplicity": 1, "chi_open": 1}, {"id": "E2", "multiplicity": 2, "chi_open": -1}]},
+        (([], 0), (["--format", "text"], 0))),
     "zeta_one_vertex.json": ("zeta", {"vertices": [{"id": "E1", "multiplicity": 2, "chi_open": 1}]},
                              ((["--n", "2"], 0),)),
     "lys_tangent_line.json": ("lys", _TANGENT, (([], 0), (["--format", "text"], 0))),
@@ -182,6 +200,26 @@ INPUTS = {
     # (y^2 - x^3)^2 + y^5
     "local_isotropy.json": ("local", _germ((0, 4, 1), (3, 2, -2), (6, 0, 1), (0, 5, 1)), (([], 2),)),
 }
+
+
+def convenient_germs() -> list[dict]:
+    """150 seeded `local` inputs x^a + y^b, 2 <= a, b <= 14, each with up to
+    three monomials c x^i y^j, 0 < |c| <= 3, i <= a, j <= b and i + j >= 2,
+    whose i/a + j/b lies within 1/4 of 1: on, just under or just over the
+    Newton polygon of x^a + y^b."""
+    rng = random.Random(1)
+    germs = []
+    for _ in range(150):
+        a, b = rng.randint(2, 14), rng.randint(2, 14)
+        terms = {(a, 0): 1, (0, b): 1}
+        near = [(i, j) for i in range(a + 1) for j in range(b + 1)
+                if (i, j) not in terms and i + j >= 2 and 4 * abs(i * b + j * a - a * b) <= a * b]
+        for key in rng.sample(near, min(len(near), rng.randint(0, 3))):
+            terms[key] = rng.choice((-3, -2, -1, 1, 2, 3))
+        germs.append(_germ(*((i, j, c) for (i, j), c in terms.items())))
+    return germs
+
+
 # argvs on the files of tests/data with options no other argv gives, and their exit codes
 OPTIONS = [
     (["weightfilt", "--input", "data/unipotent2.json", "--m", "2"], 0),
@@ -235,6 +273,11 @@ def corpus(directory: Path) -> list[list[str]]:
         (directory / "data" / path.name).write_bytes(path.read_bytes())
         for command, formats in FORMATS.items():
             argvs += [[command, "--input", f"data/{path.name}", "--format", f] for f in formats]
+    (directory / "convenient").mkdir()
+    for n, germ in enumerate(convenient_germs()):
+        name = f"convenient/germ{n:03}.json"
+        (directory / name).write_text(json.dumps(germ))
+        argvs += [["local", "--input", name, "--format", f] for f in FORMATS["local"]]
     argvs += FALLBACK
     for name, graph in BAD_ZETA.items():
         (directory / "data" / name).write_text(json.dumps(graph))
@@ -252,6 +295,9 @@ def corpus(directory: Path) -> list[list[str]]:
             node[path[-1]] = value
         (directory / "data" / name).write_text(json.dumps(doc))
         argvs.append(["lys", "--input", f"data/{name}", *options])
+    for name, doc in BAD_LOCAL.items():
+        (directory / "data" / name).write_text(json.dumps(doc))
+        argvs.append(["local", "--input", f"data/{name}"])
     s10 = json.loads((DATA / "wlys_s10.json").read_text())
     for name, keys in BAD_WLYS.items():
         (directory / "data" / name).write_text(json.dumps({**s10, **keys}))
