@@ -114,8 +114,15 @@ def _load_json(path: str):
         raise InputError(f"cannot read input file {path}: {exc.strerror or exc}")
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, bytes that are not UTF-8, a
-        # path with a NUL and integer literals past the interpreter's digit limit
-        raise InputError(f"input file {path} is not valid JSON: {exc}")
+        # path with a NUL and integer literals past the interpreter's digit
+        # limit, whose message ends in advice a CLI user cannot follow
+        reason = str(exc)
+        if "sys.set_int_max_str_digits" in reason:
+            reason = (
+                f"an integer of more than {sys.get_int_max_str_digits()} digits, "
+                "the interpreter's limit for reading an integer in decimal"
+            )
+        raise InputError(f"input file {path} is not valid JSON: {reason}")
 
 
 def _products(value, convert):

@@ -49,7 +49,6 @@ from collections import Counter
 from fractions import Fraction
 from operator import mul
 
-from ._record import FrozenRecord, setfield
 from .cyclo import CycloProduct, DensePoly, _exquo, _phi, _utrim, cyclotomic, expand
 from .errors import InputError, InternalError
 from .schema import rational
@@ -64,8 +63,8 @@ __all__ = [
     "solve_coordinates",
     "charpoly",
     "cyclotomic_content",
-    "WeightFiltration",
     "weight_filtration",
+    "gr_dims",
     "jordan_blocks",
     "default_power",
     "analyze",
@@ -388,44 +387,7 @@ def _nilpotent_powers(n_mat) -> list:
     return powers
 
 
-class WeightFiltration(FrozenRecord):
-    """Increasing filtration W_k, stored as canonical echelon bases.
-
-    ``center`` is the level the filtration is symmetric about.  ``steps``
-    lists (level, basis) for every level from one below the first jump up
-    to the top, where the basis spans the whole space; bases are
-    reduced-echelon row tuples, so filtrations compare by equality.
-    """
-
-    __slots__ = ("center", "steps")
-
-    def __init__(self, center: int, steps: tuple):
-        setfield(self, "center", center)
-        setfield(self, "steps", steps)
-
-    def level_basis(self, k: int) -> tuple:
-        """Basis of W_k (levels below the range give the zero space)."""
-        result = ()
-        for level, basis in self.steps:
-            if level <= k:
-                result = basis
-            else:
-                break
-        return result
-
-    def gr_dims(self) -> dict:
-        """Dimensions of the graded pieces, omitting zero ones."""
-        out = {}
-        prev = 0
-        for level, basis in self.steps:
-            d = len(basis) - prev
-            if d:
-                out[level] = d
-            prev = len(basis)
-        return out
-
-
-def weight_filtration(n_mat, center: int = 0) -> WeightFiltration:
+def weight_filtration(n_mat, center: int = 0) -> dict:
     """Weight filtration of a nilpotent matrix, centered as requested.
 
     With s the nilpotency index, W_j = V for j >= s-1 and, top down,
@@ -433,49 +395,65 @@ def weight_filtration(n_mat, center: int = 0) -> WeightFiltration:
     is the span of N^b Ker N^{k+2b+1} over max(0, -k) <= b < s: b = 0 gives
     Ker N^{k+1} and b >= 1 gives N W_{k+2}, whose one extra term for
     k <= -2, N^{-k-1} Ker N^{-k-1}, is 0.  The levels run from W_{-s} = 0
-    to W_{s-1} = V, the center moves level k to k + center, and they are
-    checked post-hoc against N(W_k) ⊆ W_{k-2} and N^k: gr_k ≅ gr_{-k}.
+    to W_{s-1} = V and are checked post-hoc against N(W_k) ⊆ W_{k-2} and
+    N^k: gr_k ≅ gr_{-k}.
+
+    Returns {level: basis} over the consecutive levels center - s, ...,
+    center + s - 1 ascending, the center moving level k to k + center:
+    the first basis is empty, the last spans V, and each is the reduced
+    echelon basis `rref` gives, so filtrations compare by equality.  A
+    level below the first is the zero space, ``filtration.get(k, ())``.
     """
     powers = _nilpotent_powers(n_mat)
     s = len(powers) - 1
     if s == 0:  # only the empty matrix has N^0 = 0
-        return WeightFiltration(center, ((center, ()),))
+        return {center: ()}
     n_t = tuple(zip(*powers[1]))
     levels = {s - 1: powers[0], s: powers[0]}  # W_j = V as the identity rows
     for k in range(s - 2, -s - 1, -1):
         pieces = (*(_kernel_rows(powers[k + 1]) if k >= 0 else ()), *mat_mul(levels[k + 2], n_t))
         levels[k] = list(map(_primitive, _eliminate(pieces)[0]))
-    steps = tuple((k + center, levels[k]) for k in range(-s, s))
-    _assert_weight_properties(powers, WeightFiltration(center, steps))
-    return WeightFiltration(center, tuple((k, rref(rows)[0]) for k, rows in steps))
+    _assert_weight_properties(powers, {k: levels[k] for k in range(-s, s)})
+    return {k + center: rref(levels[k])[0] for k in range(-s, s)}
 
 
-def _assert_weight_properties(powers: list, filt: WeightFiltration):
+def gr_dims(filtration: dict) -> dict:
+    """Dimensions {level: dim} of the nonzero graded pieces of a filtration
+    {level: basis} whose levels are consecutive and ascending."""
+    out = {}
+    prev = 0
+    for level, basis in filtration.items():
+        d = len(basis) - prev
+        if d:
+            out[level] = d
+        prev = len(basis)
+    return out
+
+
+def _assert_weight_properties(powers: list, filtration: dict):
     """Check N(W_k) ⊆ W_{k-2} and that N^k: gr_k -> gr_{-k} is bijective.
 
-    ``powers`` are those of a nonzero multiple of N, and the steps of
-    ``filt`` may hold any independent rows spanning each level.  Each
-    inclusion U ⊆ W is one rank: that of W's rows stacked on U's.
-    N^k(W_k) ⊆ W_{-k} needs no check of its own: it is the composite of
-    the k inclusions N(W_j) ⊆ W_{j-2} checked first.
+    ``powers`` are those of a nonzero multiple of N, and ``filtration``
+    holds, for consecutive levels centered at 0, any independent rows
+    spanning each level.  Each inclusion U ⊆ W is one rank: that of W's
+    rows stacked on U's.  N^k(W_k) ⊆ W_{-k} needs no check of its own: it
+    is the composite of the k inclusions N(W_j) ⊆ W_{j-2} checked first.
     """
-    c = filt.center
     n_t = tuple(zip(*powers[1]))
-    for level, basis in filt.steps:
-        lower = filt.level_basis(level - 2)
+    for level, basis in filtration.items():
+        lower = filtration.get(level - 2, ())
         if mat_rank((*lower, *mat_mul(basis, n_t))) != len(lower):
             raise InternalError(
                 f"filtration property N(W_{level}) ⊆ W_{level - 2} fails"
             )
-    dims = filt.gr_dims()
-    for level, d in dims.items():
-        k = level - c
-        if dims.get(c - k, 0) != d:
-            raise InternalError(f"gr dimensions asymmetric at level {level}")
+    dims = gr_dims(filtration)
+    for k, d in dims.items():
+        if dims.get(-k, 0) != d:
+            raise InternalError(f"gr dimensions asymmetric at level {k}")
         if k <= 0:
             continue
-        mapped = mat_mul(filt.level_basis(level), tuple(zip(*powers[k])))
-        low_below = filt.level_basis(c - k - 1)
+        mapped = mat_mul(filtration[k], tuple(zip(*powers[k])))
+        low_below = filtration.get(-k - 1, ())
         # rank of the induced map gr_k -> gr_{-k}
         induced_rank = mat_rank((*mapped, *low_below)) - len(low_below)
         if induced_rank != d:
@@ -628,11 +606,11 @@ def analyze(h, m: int = None) -> dict:
     # power_d (I - h^m) has the Jordan blocks of I - h^m
     _assert_census(content, ranks, blocks, sizes,
                    _add_scalar(tuple(tuple(-x for x in row) for row in power), power_d))
-    gr_dims = Counter(level for size in sizes for level in range(1 - size, size, 2))
+    dims = Counter(level for size in sizes for level in range(1 - size, size, 2))
     return {
         "m": m,
         "jordan_blocks": sizes,
-        "gr_dims": dict(sorted(gr_dims.items())),
+        "gr_dims": dict(sorted(dims.items())),
         "delta": {k: cyclotomic(levels[k]) for k in sorted(levels)},
     }
 

@@ -6,8 +6,9 @@ to the next nonzero form, together with non-membership conditions for
 declared singular points on the next form's zero set, decides whether F
 defines a weighted Le-Yomdin singularity for (w, k).
 
-Coefficients are exact rationals throughout: ints, and Fractions where
-the input gives them.
+A germ, and each of its forms, is the dict {(i, j, l): coefficient} of
+its monomials x^i y^j z^l.  Coefficients are exact rationals throughout:
+ints, and Fractions where the input gives them.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from ._record import FrozenRecord, setfield
 from .errors import INDETERMINATE, InputError, InternalError
 from .schema import rational
 
 __all__ = [
-    "TrivarPoly",
     "degree_of",
+    "evaluate",
     "wdecompose",
     "wlys_admissibility",
     "trivar_from_json",
@@ -34,60 +34,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class TrivarPoly(FrozenRecord):
-    """Sparse trivariate polynomial {(i, j, l): coefficient}.
-
-    ``terms`` is the sorted tuple of ((i, j, l), c) with c nonzero: an int
-    as given, any other value as a Fraction.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, data):
-        cleaned = {}
-        for key, c in dict(data).items():
-            i, j, l = key
-            if i < 0 or j < 0 or l < 0:
-                raise InputError(f"negative exponent in monomial {key}")
-            if type(c) is not int:
-                c = Fraction(c)
-            if c != 0:
-                cleaned[(int(i), int(j), int(l))] = c
-        setfield(self, "terms", tuple(sorted(cleaned.items())))
-
-    @staticmethod
-    def _clean(terms) -> TrivarPoly:
-        """A TrivarPoly of terms as they are: sorted, each coefficient a
-        nonzero int or Fraction."""
-        poly = object.__new__(TrivarPoly)
-        setfield(poly, "terms", tuple(terms))
-        return poly
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def evaluate(self, a, b, c) -> Fraction:
-        """The value at (a, b, c), summed over ints: with D the lcm of the
-        coefficients' denominators and top_v the largest exponent of each
-        variable v, every term is scaled by D * prod den(v)^top_v."""
-        lcd = math.lcm(*(coeff.denominator for _, coeff in self.terms))
-        scale = lcd
-        powers = []  # per variable, {e: num^e * den^(top_v - e)} over its exponents e
-        for v, x in enumerate(map(Fraction, (a, b, c))):
-            exponents = {key[v] for key, _ in self.terms}
-            top = max(exponents, default=0)
-            num, den = x.numerator, x.denominator
-            powers.append({e: num**e * den ** (top - e) for e in exponents})
-            scale *= den**top
-        pa, pb, pc = powers
-        total = sum(
-            coeff.numerator * (lcd // coeff.denominator) * pa[i] * pb[j] * pc[l]
-            for (i, j, l), coeff in self.terms
-        )
-        return Fraction(total, scale)
+def evaluate(terms: dict, a, b, c) -> Fraction:
+    """The value at (a, b, c) of the terms {(i, j, l): coefficient}, ints
+    or Fractions, summed over ints: with D the lcm of the coefficients'
+    denominators and top_v the largest exponent of each variable v, every
+    term is scaled by D * prod den(v)^top_v."""
+    lcd = math.lcm(*(coeff.denominator for coeff in terms.values()))
+    scale = lcd
+    powers = []  # per variable, {e: num^e * den^(top_v - e)} over its exponents e
+    for v, x in enumerate(map(Fraction, (a, b, c))):
+        exponents = {key[v] for key in terms}
+        top = max(exponents, default=0)
+        num, den = x.numerator, x.denominator
+        powers.append({e: num**e * den ** (top - e) for e in exponents})
+        scale *= den**top
+    pa, pb, pc = powers
+    total = sum(
+        coeff.numerator * (lcd // coeff.denominator) * pa[i] * pb[j] * pc[l]
+        for (i, j, l), coeff in terms.items()
+    )
+    return Fraction(total, scale)
 
 
 def degree_of(w, monomial) -> int:
@@ -95,31 +61,44 @@ def degree_of(w, monomial) -> int:
     return sum(map(mul, w, monomial))
 
 
-def wdecompose(f: TrivarPoly, w) -> dict:
-    """Bucket the monomials of f by weighted degree.
+def wdecompose(f: dict, w) -> dict:
+    """Bucket the monomials of the germ f = {(i, j, l): coefficient} by
+    weighted degree.
 
-    Requires positive integer weights w = [p, q, r] with gcd 1, and f
-    nonzero with f(0,0,0) = 0.  Returns {"d", "k", "parts"}:
-    ``parts`` are the (degree, TrivarPoly) pairs of the w-homogeneous
-    forms, degrees ascending; ``d`` is the lowest degree and ``k`` the gap
-    to the next, None when the germ is weighted-homogeneous (reported
-    distinctly, not as an error).
+    The terms are read first: a negative exponent is rejected, an int
+    coefficient kept, any other read as a Fraction, and a zero one
+    dropped.  Requires positive integer weights w = [p, q, r] with gcd 1,
+    and f nonzero with f(0,0,0) = 0.  Returns {"d", "k", "parts"}:
+    ``parts`` are the (degree, terms) pairs of the w-homogeneous forms,
+    degrees ascending, each form's terms a dict in sorted monomial order;
+    ``d`` is the lowest degree and ``k`` the gap to the next, None when
+    the germ is weighted-homogeneous (reported distinctly, not as an
+    error).
     """
+    cleaned = {}
+    for key, c in f.items():
+        i, j, l = key
+        if i < 0 or j < 0 or l < 0:
+            raise InputError(f"negative exponent in monomial {key}")
+        if type(c) is not int:
+            c = Fraction(c)
+        if c != 0:
+            cleaned[(int(i), int(j), int(l))] = c
     if min(w) < 1:
         raise InputError(f"weights must be positive, got {tuple(w)}")
     if math.gcd(*w) != 1:
         raise InputError(f"weights {tuple(w)} must have gcd 1")
-    if f.is_zero():
+    if not cleaned:
         raise InputError("germ must be nonzero")
-    if (0, 0, 0) in f.as_dict():
+    if (0, 0, 0) in cleaned:
         raise InputError("germ must vanish at the origin (no constant term)")
-    buckets = {}  # each bucket's terms keep the order of f.terms
-    for term in f.terms:
-        buckets.setdefault(degree_of(w, term[0]), []).append(term)
+    buckets = {}  # each bucket's terms keep the sorted order
+    for key, c in sorted(cleaned.items()):
+        buckets.setdefault(degree_of(w, key), {})[key] = c
     degrees = sorted(buckets)
     d = degrees[0]
     k = degrees[1] - d if len(degrees) > 1 else None
-    parts = tuple((m, TrivarPoly._clean(buckets[m])) for m in degrees)
+    parts = tuple((m, buckets[m]) for m in degrees)
     return {"d": d, "k": k, "parts": parts}
 
 
@@ -128,7 +107,7 @@ def wdecompose(f: TrivarPoly, w) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def wlys_admissibility(f: TrivarPoly, w, declared_sing) -> dict:
+def wlys_admissibility(f: dict, w, declared_sing) -> dict:
     """Check the declared singular points against the comparison form.
 
     Each point is a (coords, clause) pair: coords (a, b, c), exact
@@ -151,11 +130,11 @@ def wlys_admissibility(f: TrivarPoly, w, declared_sing) -> dict:
         out.update(admissible=INDETERMINATE, failures=failures)
         return out
     degree, form = out["parts"][1]
-    if any(degree_of(w, monomial) != degree for monomial, _ in form.terms):
+    if any(degree_of(w, monomial) != degree for monomial in form):
         raise InternalError(f"C_{degree} is not w-homogeneous: vanishing on it depends on the representative")
     failures = []
     for coords, clause in declared_sing:
-        if form.evaluate(*coords) == 0:
+        if evaluate(form, *coords) == 0:
             label = "[" + ":".join(map(str, coords)) + "]"
             failures.append(f"point {label} (clause {clause}) lies on C_{degree}")
     out.update(admissible=not failures, failures=failures)
@@ -167,18 +146,17 @@ def wlys_admissibility(f: TrivarPoly, w, declared_sing) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def trivar_from_json(data) -> TrivarPoly:
-    """The germ of the "poly" array of a document that `schema.validate`
-    accepted against schemas/wlys-input.schema.json; the coefficients of
-    equal monomials add up."""
+def trivar_from_json(data) -> dict:
+    """The germ {(i, j, l): coefficient} of the "poly" array of a document
+    that `schema.validate` accepted against schemas/wlys-input.schema.json;
+    the coefficients of equal monomials add up, and a zero sum stays."""
     terms = {}
     for n, m in enumerate(data):
         key, c = (m["i"], m["j"], m["l"]), rational(m["c"], "poly", n, "c")
         terms[key] = terms[key] + c if key in terms else c
-    return TrivarPoly(terms)
+    return terms
 
 
-def trivar_to_json(f: TrivarPoly) -> list:
-    return [
-        {"i": i, "j": j, "l": l, "c": str(c)} for (i, j, l), c in f.terms
-    ]
+def trivar_to_json(f: dict) -> list:
+    """The terms of f as a "poly" array, in sorted monomial order."""
+    return [{"i": i, "j": j, "l": l, "c": str(c)} for (i, j, l), c in sorted(f.items())]

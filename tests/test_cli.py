@@ -351,7 +351,7 @@ def test_non_homogeneous_comparison_form_exits_3(capsys, monkeypatch):
         # a term of w-degree 2 in the degree-18 form; it vanishes at [0:0:1]
         decomp = real(f, w)
         lowest, (degree, form), *rest = decomp["parts"]
-        stray = wlys.TrivarPoly({**form.as_dict(), (1, 0, 0): 1})
+        stray = {**form, (1, 0, 0): 1}
         return {**decomp, "parts": (lowest, (degree, stray), *rest)}
 
     monkeypatch.setattr(wlys, "wdecompose", mixed)
@@ -500,17 +500,31 @@ def test_malformed_json_exits_1(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+# what a rational past the digit limit reads as, in place of the
+# interpreter's advice to raise the limit, which a CLI user cannot follow
+_PAST_THE_DIGIT_LIMIT = (
+    f"more than {sys.get_int_max_str_digits()} digits, "
+    "the interpreter's limit for reading an integer in decimal"
+)
+
+
 @pytest.mark.parametrize(
-    "content",
-    [b"[1" + b"0" * 5000 + b"]", b"[" * 100000 + b"]" * 100000, b"\xff\xfe"],
+    "content, reason",
+    [
+        (b"[1" + b"0" * 5000 + b"]", f"an integer of {_PAST_THE_DIGIT_LIMIT}"),
+        (b"[" * 100000 + b"]" * 100000, None),
+        (b"\xff\xfe", None),
+    ],
     ids=["integer-past-digit-limit", "nested-past-recursion-limit", "not-utf8"],
 )
-def test_unparsable_json_exits_1(capsys, tmp_path, content):
+def test_unparsable_json_exits_1(capsys, tmp_path, content, reason):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     code, out, err = run_cli(capsys, "local", "--input", str(path))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and "not valid JSON" in err
+    if reason:
+        assert err == f"error: input file {path} is not valid JSON: {reason}\n"
 
 
 def test_missing_file_exits_1(capsys):
@@ -863,14 +877,6 @@ def test_factor_map_key_past_the_digit_limit_is_located_at_the_key(capsys, tmp_p
     map_at = "$" + "".join(f"[{s}]" if type(s) is int else f".{s}" for s in where)
     assert lines[0].startswith(f'error: bad {map_at}["{"1" * 39}]: '), err
     assert lines[0].endswith(f"]: {_PAST_THE_DIGIT_LIMIT}"), err
-
-
-# what a rational past the digit limit reads as, in place of the
-# interpreter's advice to raise the limit, which a CLI user cannot follow
-_PAST_THE_DIGIT_LIMIT = (
-    f"more than {sys.get_int_max_str_digits()} digits, "
-    "the interpreter's limit for reading an integer in decimal"
-)
 
 
 def test_germ_coefficient_past_the_digit_limit_exits_1(capsys, tmp_path):
@@ -1396,6 +1402,27 @@ def test_zeta_of_the_local_graph_gives_its_char_poly(local_zeta_pairs, tmp_path)
     assert len(local_zeta_pairs) == 171
     for report, graph in local_zeta_pairs:
         assert json.loads(_zeta(graph, tmp_path / "graph.json"))["char_poly"] == report["char_poly"]
+
+
+def test_zeta_of_the_local_graph_of_each_convenient_germ(capsys, tmp_path):
+    # the seeded family of tools/report_hashes.py, whose walks blow up
+    # quotient points and meet polygons of several faces
+    spec = importlib.util.spec_from_file_location(
+        "report_hashes", Path(__file__).resolve().parent.parent / "tools" / "report_hashes.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = tmp_path / "germ.json"
+    codes = []
+    for germ in tool.convenient_germs():
+        path.write_text(json.dumps(germ))
+        code, out, _ = run_cli(capsys, "local", "--input", str(path))
+        codes.append(code)
+        if code == 0:
+            report = json.loads(out)
+            zeta = json.loads(_zeta(report["smooth_graph"], tmp_path / "graph.json"))
+            assert zeta["char_poly"] == report["char_poly"], germ
+    assert (codes.count(0), codes.count(2)) == (138, 12)
 
 
 def test_zeta_ignores_the_vertex_order(local_zeta_pairs, tmp_path):

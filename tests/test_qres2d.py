@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from singcalc import qres2d
 from singcalc.cyclo import CycloProduct, expand
+from singcalc.monodromy import acampo_zeta
 from singcalc.errors import (
     InputError,
     InternalError,
@@ -833,3 +834,112 @@ def test_blow_down_catches_a_changed_self_intersection_or_a_moved_edge():
             assert not _certified(germ, mutant, inv["mu"], inv["r"]), (germ, kind)
             caught[kind] += 1
     assert caught["self_int"] > 1000 and caught["edge"] > 1000, caught
+
+
+# ------------------------------------------------ zeta from the Q-resolution
+
+
+def q_resolution_zeta(graph) -> CycloProduct:
+    """The monodromy zeta function read off the walk's graph, a
+    Q-resolution, by Martin-Morales's formula (Rev. Mat. Iberoam. 29, 2013):
+    Z(t) = prod_E (1 - t^m_E)^chi(E°) * prod_{P on E alone} (1 - t^(m_E/d_P)),
+    with chi(E°) = 2 - 2g - #(crossings on E) - #(quotient points on E
+    alone).  A crossing, plain or at a quotient point, adds no factor.
+    Signs drop out: the product is written as the exponents of t^m - 1."""
+    crossings = {}
+    for e in graph.edges:
+        for end in (e["u"], e["v"]):
+            crossings[end] = crossings.get(end, 0) + 1
+    exps = {}
+    for vid in graph.exceptional_ids():
+        v = graph.vertices[vid]
+        m, points = v["multiplicity"], v["quotient_points"]
+        chi = 2 - 2 * v["genus"] - crossings.get(vid, 0) - len(points)
+        exps[m] = exps.get(m, 0) + chi
+        for d, _ in points:
+            assert m % d == 0, (vid, m, d)
+            exps[m // d] = exps.get(m // d, 0) + 1
+    return CycloProduct(exps)
+
+
+def _smooth_zeta(inv) -> CycloProduct:
+    smooth = inv["smooth_graph"]
+    return acampo_zeta(smooth.vertices, smooth.strict_vertices)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_q_resolution_zeta_is_that_of_the_smooth_graph(name):
+    inv = local_invariants(P(CATALOG[name][0]))
+    assert q_resolution_zeta(inv["graph"]) == _smooth_zeta(inv)
+
+
+# ------------------------------------------- the seeded convenient family
+
+
+def _convenient_germs() -> list[dict]:
+    """The seeded convenient germs x^a + y^b plus up to three monomials
+    near the Newton polygon that tools/report_hashes.py hashes."""
+    spec = importlib.util.spec_from_file_location(
+        "report_hashes", Path(__file__).resolve().parent.parent / "tools" / "report_hashes.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return [{(m["i"], m["j"]): m["c"] for m in doc["germ"]} for doc in tool.convenient_germs()]
+
+
+@pytest.fixture(scope="module")
+def convenient_family():
+    """(germ, local_invariants or None where `local` exits 2, the number of
+    quotient points its walk blows up) for each germ of the family."""
+    real = qres2d.wblowup2
+    blown_up = []
+
+    def counting(ambient, weights):
+        blown_up.append(ambient[0] > 1)  # ambient is the group (d, a, b)
+        return real(ambient, weights)
+
+    family = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qres2d, "wblowup2", counting)
+        for germ in _convenient_germs():
+            blown_up.clear()
+            try:
+                inv = local_invariants(P(germ))
+            except Unsupported:
+                inv = None
+            family.append((germ, inv, sum(blown_up)))
+    return family
+
+
+def test_convenient_family_blows_up_quotient_points(convenient_family):
+    # a change to the walk must not quietly stop reaching the blow-up of a
+    # quotient point: 46 germs blow one up, and 36 of them resolve
+    resolved = [(inv, n) for _, inv, n in convenient_family if inv is not None]
+    assert (len(convenient_family), len(resolved)) == (150, 138)
+    assert sum(1 for *_, n in convenient_family if n) == 46
+    assert sum(1 for _, n in resolved if n) == 36
+
+
+def test_convenient_family_zeta_and_blow_down(convenient_family):
+    mutants = 0
+    for germ, inv, _ in convenient_family:
+        if inv is None:
+            continue
+        assert q_resolution_zeta(inv["graph"]) == _smooth_zeta(inv), germ
+        assert _certified(germ, inv["smooth_graph"], inv["mu"], inv["r"]), germ
+        for kind, mutant in _mutants(inv["smooth_graph"]):
+            assert not _certified(germ, mutant, inv["mu"], inv["r"]), (germ, kind)
+            mutants += 1
+    assert mutants > 1000
+
+
+def test_convenient_family_under_coordinate_changes(convenient_family):
+    # a germ that resolves keeps (mu, r, Delta) under each change; of a germ
+    # that exits 2, the images that resolve agree with one another
+    for germ, inv, _ in convenient_family:
+        images = [_mu_r_delta(_substitute(germ, x, y)) for x, y in COORDINATE_CHANGES.values()]
+        if inv is not None:
+            assert images == [(inv["mu"], inv["r"], inv["char_poly"])] * 8, germ
+        else:
+            resolved = [image for image in images if image is not None]
+            assert resolved[1:] == resolved[:-1], germ

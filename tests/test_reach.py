@@ -25,7 +25,7 @@ from singcalc import cli
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_hashes.py"
 
 _LIBRARY = "library surface"
-_GATE = "acceptance gate: tests/test_acceptance.py imports weight_filtration and jordan_blocks"
+_GATE = "acceptance gate: tests/test_acceptance.py imports weight_filtration, gr_dims and jordan_blocks"
 _TRACED = "traced by perfbench/spans.py"
 _IMPORT = "runs at import"
 
@@ -51,9 +51,7 @@ UNREACHED = {
     "monodromy.yau_pair_report": _LIBRARY,
     "weightfilt.mat": _LIBRARY,
     "weightfilt.weight_filtration": _GATE,
-    "weightfilt.WeightFiltration.__init__": _GATE,
-    "weightfilt.WeightFiltration.level_basis": _GATE,
-    "weightfilt.WeightFiltration.gr_dims": _GATE,
+    "weightfilt.gr_dims": _GATE,
     "weightfilt._nilpotent_powers": _GATE,
     "weightfilt._assert_weight_properties": _GATE,
     "weightfilt._kernel_rows": _GATE,

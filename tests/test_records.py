@@ -14,7 +14,6 @@ import pytest
 from singcalc import curves, cyclo, monodromy, qres2d, quotient, weightfilt, wlys
 from singcalc.cyclo import CycloProduct, DensePoly
 from singcalc.qres2d import BivarPoly, ResolutionGraph
-from singcalc.wlys import TrivarPoly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,8 +27,6 @@ def _frozen():
         DensePoly((1, -1, 1)),
         CUSP,
         ResolutionGraph({"S1": {"id": "S1"}}, [], ["S1"]),
-        weightfilt.WeightFiltration(0, ((0, ()),)),
-        TrivarPoly({(1, 0, 0): 1}),
     ]
 
 
@@ -62,7 +59,7 @@ def _declared():
 def test_every_record_class_is_covered():
     frozen = {type(r) for r in FROZEN}
     assert _declared() == frozen
-    assert len(frozen) == 6
+    assert len(frozen) == 4
 
 
 def test_readme_counts_and_names_every_record():
@@ -87,13 +84,8 @@ def test_readme_counts_and_names_every_record():
             BivarPoly({(0, 2): 2, (3, 0): -3}),
             BivarPoly({(0, 2): 2, (3, 0): 3}),
         ),
-        (
-            lambda: TrivarPoly({(1, 0, 0): 3, (0, 1, 0): Fraction(1, 2)}),
-            TrivarPoly({(0, 1, 0): "1/2", (1, 0, 0): Fraction(3)}),
-            TrivarPoly({(1, 0, 0): 3}),
-        ),
     ],
-    ids=["CycloProduct", "DensePoly", "BivarPoly", "TrivarPoly"],
+    ids=["CycloProduct", "DensePoly", "BivarPoly"],
 )
 def test_equality_and_hash_by_fields(make, same, other):
     record = make()
@@ -112,7 +104,6 @@ def test_records_of_different_classes_differ():
 
 
 def test_repr_lists_the_fields():
-    assert repr(TrivarPoly({(1, 2, 3): 1})) == "TrivarPoly(terms=(((1, 2, 3), 1),))"
     assert repr(ResolutionGraph({}, [], ["S1"])) == (
         "ResolutionGraph(vertices={}, edges=[], strict_vertices=['S1'])"
     )

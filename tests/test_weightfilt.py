@@ -12,7 +12,6 @@ from singcalc.cyclo import CycloProduct, cyclotomic, expand, root_multiplicity
 from singcalc.errors import InputError, InternalError
 from singcalc.schema import validate
 from singcalc.weightfilt import (
-    WeightFiltration,
     _assert_weight_properties,
     _cancel,
     _grow,
@@ -28,6 +27,7 @@ from singcalc.weightfilt import (
     cyclotomic_content,
     default_power,
     delta_k,
+    gr_dims,
     jordan_blocks,
     kernel,
     mat,
@@ -114,7 +114,7 @@ def assert_census_matches_filtration(h):
     n_mat = identity_minus(power_by_products(h, census["m"]))
     for center in (0, 2):
         shifted = {level + center: dim for level, dim in census["gr_dims"].items()}
-        assert shifted == weight_filtration(n_mat, center).gr_dims()
+        assert shifted == gr_dims(weight_filtration(n_mat, center))
     assert census["jordan_blocks"] == jordan_blocks(n_mat)
 
 
@@ -511,31 +511,32 @@ def test_integer_form_of_int_rows_is_that_of_their_fractions():
 
 
 def test_filtration_single_block():
-    assert weight_filtration(J3, 0).gr_dims() == {-2: 1, 0: 1, 2: 1}
+    assert gr_dims(weight_filtration(J3, 0)) == {-2: 1, 0: 1, 2: 1}
 
 
 def test_filtration_zero_matrix():
     f = weight_filtration(mat([[0, 0], [0, 0]]), 0)
-    assert f.gr_dims() == {0: 2}
-    assert f.level_basis(0) == rref([(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))])[0]
-    assert f.level_basis(-1) == ()
+    assert gr_dims(f) == {0: 2}
+    assert f.get(0, ()) == rref([(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))])[0]
+    assert f.get(-1, ()) == ()
 
 
 def test_filtration_blocks_2_1():
     f = weight_filtration(jordan_nilpotent([2, 1]), 0)
-    assert f.gr_dims() == {-1: 1, 0: 1, 1: 1}
+    assert gr_dims(f) == {-1: 1, 0: 1, 1: 1}
 
 
 def test_filtration_center_shift():
     f = weight_filtration(J3, 5)
-    assert f.gr_dims() == {3: 1, 5: 1, 7: 1}
-    assert f.center == 5
+    assert gr_dims(f) == {3: 1, 5: 1, 7: 1}
+    # levels center - s ... center + s - 1, with s = 3 for J3
+    assert list(f) == [2, 3, 4, 5, 6, 7]
 
 
 def test_filtration_monotone():
     f = weight_filtration(jordan_nilpotent([3, 2, 2, 1]), 0)
     prev = -1
-    for _, basis in f.steps:
+    for basis in f.values():
         assert len(basis) >= prev
         prev = len(basis)
     assert prev == 8
@@ -559,7 +560,7 @@ def test_filtration_census_random_conjugates():
         p = random_unimodular(len(n), rng)
         conj = conjugate(n, p)
         f = weight_filtration(conj, 0)
-        assert f.gr_dims() == expected_gr_dims(sizes), sizes
+        assert gr_dims(f) == expected_gr_dims(sizes), sizes
         assert jordan_blocks(conj) == tuple(sorted(sizes, reverse=True))
         assert_census_matches_filtration(identity_minus(conj))
 
@@ -586,7 +587,40 @@ def test_filtration_matches_intersection_oracle():
         cases.append((conjugate(jordan_nilpotent(sizes), mat(p)), case % 5 - 2))
     for n_mat, center in cases:
         f = weight_filtration(n_mat, center)
-        assert (f.center, f.steps) == weight_filtration_by_intersections(n_mat, center)
+        assert (center, tuple(f.items())) == weight_filtration_by_intersections(n_mat, center)
+
+
+def test_filtration_levels_are_consecutive_and_canonical():
+    # what a `.get(k, ())` lookup relies on: the levels run center - s ...
+    # center + s - 1 with no gap, s the nilpotency index, so any level
+    # below them is the zero space; the first basis is empty, the last
+    # spans V, and each is in reduced echelon form.  The graded dimensions
+    # are the census of the Jordan blocks, shifted by the center.
+    rng = random.Random(34)
+    cases = [(), mat([[0, 0], [0, 0]]), J3]
+    for _ in range(30):
+        sizes = []
+        remaining = rng.randint(1, 6)
+        while remaining:
+            sizes.append(rng.randint(1, remaining))
+            remaining -= sizes[-1]
+        cases.append(conjugate(jordan_nilpotent(sizes), random_unimodular(sum(sizes), rng)))
+    for n_mat in cases:
+        blocks = jordan_blocks(n_mat)
+        s = max(blocks, default=0)
+        for center in (-3, 0, 2, 5):
+            f = weight_filtration(n_mat, center)
+            assert list(f) == (list(range(center - s, center + s)) or [center])
+            bases = list(f.values())
+            assert len(bases[0]) == (0 if s else len(n_mat)) and len(bases[-1]) == len(n_mat)
+            for basis in bases:
+                assert rref(basis)[0] == basis and all(type(x) is Fraction for row in basis for x in row)
+            assert f.get(center - s - 1, ()) == ()
+            census = {}
+            for size in blocks:
+                for level in range(center + 1 - size, center + size, 2):
+                    census[level] = census.get(level, 0) + 1
+            assert list(gr_dims(f).items()) == sorted(census.items())
 
 
 E1, E2, E3 = ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)
@@ -606,7 +640,7 @@ ZERO2 = mat([[0, 0], [0, 0]])
     ],
 )
 def test_filtration_self_check_fires(n_mat, steps, message):
-    filt = WeightFiltration(0, tuple(steps))
+    filt = dict(steps)
     with pytest.raises(InternalError) as err:
         _assert_weight_properties(_nilpotent_powers(n_mat), filt)
     assert str(err.value) == message

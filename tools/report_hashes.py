@@ -38,9 +38,11 @@ the same whichever checkout is hashed:
   `--n 2`; a `weightfilt` matrix with a denominator, whose powers h^m
   cancel; a `zeta` graph whose Delta = t^2 - 1 has an odd exponent sum
   and an even degree; a reducible `lys` curve, with the `indeterminate`
-  verdict; a weighted-homogeneous `wlys` germ; and the input errors of
-  `local`, `quotient` and `weightfilt`.  Each gives the exit code it must
-  have.
+  verdict; a weighted-homogeneous `wlys` germ; `wlys` germs whose
+  coefficients need reading: zero ones, equal monomials that cancel (part
+  of a form, a whole form, a constant term, the whole germ) or add up,
+  and "p/q" ones in both forms; and the input errors of `local`,
+  `quotient` and `weightfilt`.  Each gives the exit code it must have.
 
 Inputs are written to a temporary directory, which is the working
 directory while the reports run, so paths in messages are relative.
@@ -167,6 +169,19 @@ _TANGENT = {
     "points": [{"id": "p1", "mu": 3, "r": 2, "charpoly": {"1": 1, "2": -1, "4": 1}}],
 }
 _RATIONAL = {"genera": {"c": 0, "l": 0}}
+
+
+def _term(i, j, l, c):
+    return {"i": i, "j": j, "l": l, "c": c}
+
+
+# tests/data/wlys_s10.json: y^2 z^4 - x^5 z^2 + y^8 + x^9 + z^6, whose
+# forms for the weights (2, 2, 3) are C_16 and C_18
+_S10_POLY = [_term(0, 2, 4, 1), _term(5, 0, 2, -1), _term(0, 8, 0, 1), _term(9, 0, 0, 1),
+             _term(0, 0, 6, 1)]
+_S10 = {"poly": _S10_POLY, "weights": [2, 2, 3],
+        "points": [{"coords": ["0", "0", "1"], "clause": "ii", "flags": []}]}
+_BOTH = (([], 0), (["--format", "text"], 0))
 # inputs of their own:
 # name -> (command, document, ((options after the input, exit code), ...))
 INPUTS = {
@@ -190,6 +205,34 @@ INPUTS = {
                                                  "suspension_flags": {"p1": True}},
                                          ((["--k", "2", "--format", "text"], 0),)),
     "wlys_fermat.json": ("wlys", _FERMAT, (([], 0), (["--format", "text"], 0))),
+    # the germ of tests/data/wlys_s10.json with zero coefficients between its terms
+    "wlys_zero_coefficient.json": ("wlys", {**_S10, "poly": [
+        *_S10_POLY[:2], _term(1, 1, 1, 0), *_S10_POLY[2:], _term(2, 0, 0, "0/4")]}, _BOTH),
+    # duplicates that cancel: x^3 y^3 z below C_16 and x^4 y^4 in it
+    "wlys_duplicates_cancel.json": ("wlys", {**_S10, "poly": [
+        _term(3, 3, 1, 2), *_S10_POLY, _term(4, 4, 0, "1/3"), _term(3, 3, 1, "-2"),
+        _term(4, 4, 0, "-1/3")]}, _BOTH),
+    # duplicates that cancel all of C_18: the germ is weighted-homogeneous
+    "wlys_duplicates_cancel_c18.json": ("wlys", {**_S10, "poly": [
+        *_S10_POLY, _term(9, 0, 0, -1), _term(0, 0, 6, "-1")]}, _BOTH),
+    # duplicates that add up: int + int, "p/q" + "p/q" to an integer, int + "p/q"
+    "wlys_duplicates_sum.json": ("wlys", {**_S10, "poly": [
+        *_S10_POLY, _term(0, 8, 0, 2), _term(9, 0, 0, "1/2"), _term(9, 0, 0, "3/2"),
+        _term(0, 2, 4, "1/3")]}, _BOTH),
+    # duplicates that cancel a constant term, or the whole germ
+    "wlys_constant_term_cancels.json": ("wlys", {**_S10, "poly": [
+        _term(0, 0, 0, 1), *_S10_POLY, _term(0, 0, 0, -1)]}, _BOTH),
+    "wlys_germ_cancels.json": ("wlys", {**_S10, "poly": [
+        _term(1, 0, 0, "1/2"), _term(1, 0, 0, "-1/2")]}, (([], 1),)),
+    # "p/q" coefficients in both parts, C_18 = 2/3 (x^9 - z^6), at points
+    # with "p/q" coordinates; [1:-7/5:1] lies on C_18
+    "wlys_fractions.json": ("wlys", {
+        "poly": [_term(0, 2, 4, "1/2"), _term(5, 0, 2, "-3/4"), _term(0, 8, 0, "6/4"),
+                 _term(9, 0, 0, "2/3"), _term(0, 0, 6, "-5/7"), _term(0, 0, 6, "1/21")],
+        "weights": [2, 2, 3],
+        "points": [{"coords": ["0", "0", "1"], "clause": "ii"},
+                   {"coords": ["1/2", -1, "2/3"], "clause": "i"},
+                   {"coords": [1, "-7/5", 1], "clause": "iii"}]}, _BOTH),
     "local_unit.json": ("local", _germ((0, 0, 1), (1, 0, 1)), (([], 1),)),
     "local_zero.json": ("local", _germ((1, 0, 0)), (([], 1),)),
     # (y - x)^2
